@@ -242,6 +242,12 @@ def bang(x: Assembly, t: Assembly) -> RealizedMorphism:
 
 @dataclass
 class ProductAssembly:
+    """A product assembly with its projections and the paired realizer.
+
+    It also serves strict pullbacks: the base is then the pullback of the
+    base groupoids, realized by the same pairs of realizers.
+    """
+
     asm: Assembly
     p1: RealizedMorphism
     p2: RealizedMorphism
@@ -267,14 +273,9 @@ class ProductAssembly:
         return RealizedMorphism(m1.src, self.asm, fun, e, NatIso(left, right, comps))
 
 
-def product_assembly(x: Assembly, y: Assembly) -> ProductAssembly:
-    """Product with componentwise realizers.
-
-    The base product is taken from the realizer's cache, so bodies of
-    2-cells built over the same cylinder share their tables.
-    """
+def _paired_assembly(x: Assembly, y: Assembly, raw: Any) -> ProductAssembly:
+    """Realize `raw`, a ProductGpd over x.base and y.base, by paired realizers."""
     r = x.r
-    raw = r.product(x.base, y.base).raw
     rprod = r.product(x.rtype, y.rtype)
     pix, piy = x.pi, y.pi
     omap = {}
@@ -293,6 +294,15 @@ def product_assembly(x: Assembly, y: Assembly) -> ProductAssembly:
     p2 = RealizedMorphism(asm, y, raw.p2, rprod.p2,
                           _identity_eps(asm, y, raw.p2, rprod.p2))
     return ProductAssembly(asm, p1, p2, raw, rprod)
+
+
+def product_assembly(x: Assembly, y: Assembly) -> ProductAssembly:
+    """Product with componentwise realizers.
+
+    The base product is taken from the realizer's cache, so bodies of
+    2-cells built over the same cylinder share their tables.
+    """
+    return _paired_assembly(x, y, x.r.product(x.base, y.base).raw)
 
 
 # -- two-cells ----------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Command-line harness: check, build, suite, fmt.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 parse or structural
-error.  The seed comes from --seed, falling back to the GRAL_SEED
-environment variable, then 0.
+error, or a size-cap refusal.  The seed comes from --seed, falling back to
+the GRAL_SEED environment variable, then 0.
 """
 
 from __future__ import annotations
@@ -12,7 +12,9 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import BoundaryError, GralError, ParseError, StructuralError
+from .errors import (
+    BoundaryError, GralError, ParseError, SizeCapError, StructuralError,
+)
 from .groupoids import SizeCaps, validate_groupoid
 from .interval import gpd_interval
 from .generators import SuiteConfig
@@ -150,6 +152,9 @@ def cmd_build(args) -> int:
     except (ParseError, StructuralError, BoundaryError, OSError) as exc:
         print(f"build: structural error: {exc}", file=sys.stderr)
         return EXIT_STRUCTURAL
+    except SizeCapError as exc:
+        print(f"build: size cap: {exc}", file=sys.stderr)
+        return EXIT_STRUCTURAL
     except GralError as exc:
         print(f"build: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
@@ -162,9 +167,12 @@ def cmd_suite(args) -> int:
         print(f"unknown suite {args.name!r}; known: {', '.join(SUITE_NAMES)}",
               file=sys.stderr)
         return EXIT_STRUCTURAL
-    cfg = SuiteConfig(seed=_seed_from(args), caps=_caps_from(args),
-                      inject=args.inject)
-    rep = run_suite(args.name, cfg)
+    try:
+        rep = run_suite(args.name, SuiteConfig(
+            seed=_seed_from(args), caps=_caps_from(args), inject=args.inject))
+    except (StructuralError, SizeCapError) as exc:
+        print(f"suite {args.name}: refused: {exc}", file=sys.stderr)
+        return EXIT_STRUCTURAL
     _emit(rep.to_json() + "\n" if args.json else rep.to_text(), args.out)
     print(f"# elapsed {rep.elapsed:.2f}s", file=sys.stderr)
     return EXIT_OK if rep.ok else EXIT_CHECK_FAILED

@@ -17,12 +17,12 @@ from .groupoids import (
     compose_functors, functors_between, nat_isos_between,
 )
 from .assemblies import (
-    Assembly, RealizedMorphism, _identity_eps, compose_morphisms, is_modest,
+    Assembly, ProductAssembly, RealizedMorphism, _identity_eps,
+    compose_morphisms, is_modest,
 )
 from .interval import Homotopy, RealizerCategory, homotopy_cod, homotopy_dom
 from .pathcat import (
-    FibrationData, PullbackAssembly, _path_point, _square_path, is_fibration,
-    pullback_assembly,
+    FibrationData, _path_point, _square_path, is_fibration, pullback_assembly,
 )
 
 
@@ -167,7 +167,7 @@ class DepProd:
     mor_index: dict[tuple, str]
     rt_prod: Any                                 # C x A^(B x C^I1)
     exp: Any                                     # the realizer exponential
-    fstar: PullbackAssembly                      # F* Pi_F X
+    fstar: ProductAssembly                       # F* Pi_F X
     ev: RealizedMorphism                         # F* Pi_F X -> X, over Y
 
     def obj_id(self, z: str, H: GFunctor, point: str, eps: NatIso) -> str:
@@ -380,7 +380,7 @@ def dependent_product(g: FibrationData, f: FibrationData,
 
 def _build_ev(r, g, f, fibres, obj_data, mor_data, fstar, exp, bc, rt_prod):
     x_asm, y_asm, z_asm = g.src, g.tgt, f.tgt
-    raw = fstar.raw
+    raw = fstar.raw_base
     omap = {}
     for (y, doid), oid in raw.opair.items():
         z, H, po, eps = obj_data[doid]
@@ -420,7 +420,7 @@ def _build_ev(r, g, f, fibres, obj_data, mor_data, fstar, exp, bc, rt_prod):
 
 
 def dp_transpose(dp: DepProd, r_mor: RealizedMorphism, s: RealizedMorphism,
-                 fw: PullbackAssembly) -> RealizedMorphism:
+                 fw: ProductAssembly) -> RealizedMorphism:
     """The universal map T: W -> Pi_F X for s: F*W -> X over Y.
 
     The section carried by T w straightens s along the cleavages of f and
@@ -440,7 +440,7 @@ def dp_transpose(dp: DepProd, r_mor: RealizedMorphism, s: RealizedMorphism,
     pie = r.pi(dp.exp.obj)
     pix, piy, piw = x_asm.pi, y_asm.pi, w_asm.pi
     pxg = pix.gpd
-    raw = fw.raw
+    raw = fw.raw_base
     rprod_bd = fw.rprod                      # B x D
 
     def ell(y: str, u: str) -> str:
@@ -547,7 +547,7 @@ def dp_transpose(dp: DepProd, r_mor: RealizedMorphism, s: RealizedMorphism,
     return RealizedMorphism(w_asm, dp.asm, fun, e_t, NatIso(left, right, comps))
 
 
-def fstar_map(dp: DepProd, fw: PullbackAssembly,
+def fstar_map(dp: DepProd, fw: ProductAssembly,
               t: RealizedMorphism) -> RealizedMorphism:
     """F*T: F*W -> F* Pi_F X induced by T on the pullbacks."""
     return dp.fstar.pair(fw.p1, compose_morphisms(t, fw.p2))

@@ -332,17 +332,6 @@ def disjoint_union(parts: list[FinGroupoid], tags: Optional[list[str]] = None) -
     return FinGroupoid(objs, mors, comp, ident, inv)
 
 
-def relabel(g: FinGroupoid, omap: dict[str, str], mmap: dict[str, str]) -> FinGroupoid:
-    """Rename objects/morphisms along bijections (an isomorphic copy)."""
-    return FinGroupoid(
-        [omap[x] for x in g.objects],
-        {mmap[m]: (omap[s], omap[t]) for m, (s, t) in g.mors.items()},
-        {(mmap[a], mmap[b]): mmap[c] for (a, b), c in g.comp.items()},
-        {omap[x]: mmap[i] for x, i in g.ident.items()},
-        {mmap[m]: mmap[v] for m, v in g.inv.items()},
-    )
-
-
 # -- functors and natural isomorphisms ------------------------------------
 
 class GFunctor:
@@ -653,7 +642,11 @@ def pair_id(a: str, b: str) -> str:
 
 @dataclass
 class ProductGpd:
-    """A binary product with its projections and pairing data."""
+    """A binary product with its projections and pairing data.
+
+    It also serves strict pullbacks: the full subgroupoid of the product on
+    the pairs that agree over the base.
+    """
 
     gpd: FinGroupoid
     p1: GFunctor
@@ -672,59 +665,9 @@ class ProductGpd:
         )
 
 
-def product(x: FinGroupoid, y: FinGroupoid, caps: SizeCaps = DEFAULT_CAPS) -> ProductGpd:
-    n_obj = len(x.objects) * len(y.objects)
-    n_mor = len(x.morphisms) * len(y.morphisms)
-    if n_obj > caps.max_objects:
-        raise SizeCapError("product objects", n_obj, caps.max_objects)
-    if n_mor > caps.max_morphisms:
-        raise SizeCapError("product morphisms", n_mor, caps.max_morphisms)
-    opair = {(a, b): pair_id(a, b) for a in x.objects for b in y.objects}
-    mpair = {(f, g): pair_id(f, g) for f in x.morphisms for g in y.morphisms}
-    mors = {mpair[(f, g)]: (opair[(x.src(f), y.src(g))], opair[(x.tgt(f), y.tgt(g))])
-            for f in x.morphisms for g in y.morphisms}
-    comp = {}
-    for (f2, g2) in mpair:
-        for (f1, g1) in mpair:
-            if x.src(f2) == x.tgt(f1) and y.src(g2) == y.tgt(g1):
-                comp[(mpair[(f2, g2)], mpair[(f1, g1)])] = \
-                    mpair[(x.compose(f2, f1), y.compose(g2, g1))]
-    ident = {opair[(a, b)]: mpair[(x.id_of(a), y.id_of(b))] for a in x.objects for b in y.objects}
-    inv = {mpair[(f, g)]: mpair[(x.inv_of(f), y.inv_of(g))] for f in x.morphisms for g in y.morphisms}
-    gpd = FinGroupoid([opair[(a, b)] for a in x.objects for b in y.objects],
-                      mors, comp, ident, inv)
-    p1 = GFunctor(gpd, x,
-                  {opair[(a, b)]: a for a in x.objects for b in y.objects},
-                  {mpair[(f, g)]: f for f in x.morphisms for g in y.morphisms})
-    p2 = GFunctor(gpd, y,
-                  {opair[(a, b)]: b for a in x.objects for b in y.objects},
-                  {mpair[(f, g)]: g for f in x.morphisms for g in y.morphisms})
-    return ProductGpd(gpd, p1, p2, opair, mpair)
-
-
-@dataclass
-class PullbackGpd:
-    gpd: FinGroupoid
-    p1: GFunctor
-    p2: GFunctor
-    opair: dict[tuple[str, str], str]
-    mpair: dict[tuple[str, str], str]
-
-    def pair(self, f: GFunctor, g: GFunctor) -> GFunctor:
-        return GFunctor(
-            f.dom, self.gpd,
-            {z: self.opair[(f.omap[z], g.omap[z])] for z in f.dom.objects},
-            {m: self.mpair[(f.mmap[m], g.mmap[m])] for m in f.dom.morphisms},
-        )
-
-
-def pullback(f: GFunctor, g: GFunctor) -> PullbackGpd:
-    """Strict pullback of the cospan f: X -> Z <- Y : g."""
-    if f.cod.serial != g.cod.serial:
-        raise StructuralError("pullback: codomain mismatch")
-    x, y = f.dom, g.dom
-    objs = [(a, b) for a in x.objects for b in y.objects if f.omap[a] == g.omap[b]]
-    ms = [(m, n) for m in x.morphisms for n in y.morphisms if f.mmap[m] == g.mmap[n]]
+def _paired(x: FinGroupoid, y: FinGroupoid, objs: list[tuple[str, str]],
+            ms: list[tuple[str, str]]) -> ProductGpd:
+    """The full subgroupoid of x * y on the given object and morphism pairs."""
     opair = {ab: pair_id(*ab) for ab in objs}
     mpair = {mn: pair_id(*mn) for mn in ms}
     mors = {mpair[(m, n)]: (opair[(x.src(m), y.src(n))], opair[(x.tgt(m), y.tgt(n))])
@@ -740,7 +683,28 @@ def pullback(f: GFunctor, g: GFunctor) -> PullbackGpd:
     gpd = FinGroupoid([opair[ab] for ab in objs], mors, comp, ident, inv)
     p1 = GFunctor(gpd, x, {opair[ab]: ab[0] for ab in objs}, {mpair[mn]: mn[0] for mn in ms})
     p2 = GFunctor(gpd, y, {opair[ab]: ab[1] for ab in objs}, {mpair[mn]: mn[1] for mn in ms})
-    return PullbackGpd(gpd, p1, p2, opair, mpair)
+    return ProductGpd(gpd, p1, p2, opair, mpair)
+
+
+def product(x: FinGroupoid, y: FinGroupoid, caps: SizeCaps = DEFAULT_CAPS) -> ProductGpd:
+    n_obj = len(x.objects) * len(y.objects)
+    n_mor = len(x.morphisms) * len(y.morphisms)
+    if n_obj > caps.max_objects:
+        raise SizeCapError("product objects", n_obj, caps.max_objects)
+    if n_mor > caps.max_morphisms:
+        raise SizeCapError("product morphisms", n_mor, caps.max_morphisms)
+    return _paired(x, y, [(a, b) for a in x.objects for b in y.objects],
+                   [(m, n) for m in x.morphisms for n in y.morphisms])
+
+
+def pullback(f: GFunctor, g: GFunctor) -> ProductGpd:
+    """Strict pullback of the cospan f: X -> Z <- Y : g."""
+    if f.cod.serial != g.cod.serial:
+        raise StructuralError("pullback: codomain mismatch")
+    x, y = f.dom, g.dom
+    return _paired(
+        x, y, [(a, b) for a in x.objects for b in y.objects if f.omap[a] == g.omap[b]],
+        [(m, n) for m in x.morphisms for n in y.morphisms if f.mmap[m] == g.mmap[n]])
 
 
 def triple_id(a: str, b: str, r: str) -> str:
@@ -1000,11 +964,3 @@ def equivalence_inverse(f: GFunctor):
     unit = NatIso(identity_functor(dom), compose_functors(bwd, f), unit_c)
     counit = NatIso(identity_functor(cod), compose_functors(f, bwd), dict(theta))
     return EquivalenceData(f, bwd, unit, counit)
-
-
-def is_isofibration(f: GFunctor) -> bool:
-    return isinstance(isofibration_cleavage(f), Cleavage)
-
-
-def is_equivalence(f: GFunctor) -> bool:
-    return isinstance(equivalence_inverse(f), EquivalenceData)

@@ -810,12 +810,6 @@ def path_of_morphism(r: GpdRealizer, a: FinGroupoid, m: str) -> GFunctor:
     return _chain_functor(r.interval.I1, a, {"0": s, "1": t}, {"p01": m})
 
 
-def point_of_object(r: GpdRealizer, a: FinGroupoid, x: str) -> GFunctor:
-    """The point I0 -> a picking the object x."""
-    t = r.interval.I0
-    return GFunctor(t, a, {t.objects[0]: x}, {t.id_of(t.objects[0]): a.id_of(x)})
-
-
 def nat_iso_functor_form(r: GpdRealizer, n: NatIso,
                          i1: Optional[FinGroupoid] = None) -> GFunctor:
     """The functor X x I1 -> Y packaging a natural isomorphism.

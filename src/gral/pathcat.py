@@ -19,9 +19,9 @@ from .groupoids import (
 )
 from .assemblies import (
     Assembly, PGAsmInterval, ProductAssembly, RealizedMorphism, TwoCell,
-    WeakExpObject, compose_morphisms, identity_morphism, product_assembly,
-    realize, twocell_from_iso, validate_morphism, validate_twocell,
-    weak_exponential,
+    WeakExpObject, _paired_assembly, compose_morphisms, identity_morphism,
+    product_assembly, realize, twocell_from_iso, validate_morphism,
+    validate_twocell, weak_exponential,
 )
 from .interval import nat_iso_functor_form
 
@@ -372,52 +372,11 @@ def pc7_section(f: FibrationData, pinv: RealizedMorphism,
     return RealizedMorphism(y_asm, x_asm, fun, pinv.e, NatIso(left, right, comps))
 
 
-@dataclass
-class PullbackAssembly:
-    asm: Assembly
-    p1: RealizedMorphism
-    p2: RealizedMorphism
-    raw: object                   # PullbackGpd of the bases
-    rprod: object                 # realizer product
-
-    def pair(self, s: RealizedMorphism, t: RealizedMorphism) -> RealizedMorphism:
-        r = self.asm.r
-        fun = self.raw.pair(s.fun, t.fun)
-        e = self.rprod.pair(s.e, t.e)
-        pi1, pi2 = s.tgt.pi, t.tgt.pi
-        comps = {w: r.pi_mor_id(self.rprod.pair(pi1.path_of[s.eps.components[w]],
-                                                pi2.path_of[t.eps.components[w]]))
-                 for w in s.src.base.objects}
-        left = compose_functors(r.pi_map(e), s.src.rfun)
-        right = compose_functors(self.asm.rfun, fun)
-        return RealizedMorphism(s.src, self.asm, fun, e, NatIso(left, right, comps))
-
-
-def pullback_assembly(f: RealizedMorphism, g: RealizedMorphism) -> PullbackAssembly:
+def pullback_assembly(f: RealizedMorphism, g: RealizedMorphism) -> ProductAssembly:
     """Strict pullback with the paired realizer type."""
     if f.tgt != g.tgt:
         raise BoundaryError("pullback: codomain mismatch")
-    r = f.src.r
-    raw = gpd_pullback(f.fun, g.fun)
-    rprod = r.product(f.src.rtype, g.src.rtype)
-    pix, piy = f.src.pi, g.src.pi
-    omap = {}
-    mmap = {}
-    for (a, b), oid in raw.opair.items():
-        omap[oid] = r.pi_obj_id(rprod.pair(pix.point_of[f.src.rfun.omap[a]],
-                                           piy.point_of[g.src.rfun.omap[b]]))
-    for (m, n), mid in raw.mpair.items():
-        mmap[mid] = r.pi_mor_id(rprod.pair(pix.path_of[f.src.rfun.mmap[m]],
-                                           piy.path_of[g.src.rfun.mmap[n]]))
-    pi_ab = r.pi(rprod.obj)
-    rfun = GFunctor(raw.gpd, pi_ab.gpd, omap, mmap)
-    asm = Assembly(r, raw.gpd, rprod.obj, rfun)
-    from .assemblies import _identity_eps
-    p1 = RealizedMorphism(asm, f.src, raw.p1, rprod.p1,
-                          _identity_eps(asm, f.src, raw.p1, rprod.p1))
-    p2 = RealizedMorphism(asm, g.src, raw.p2, rprod.p2,
-                          _identity_eps(asm, g.src, raw.p2, rprod.p2))
-    return PullbackAssembly(asm, p1, p2, raw, rprod)
+    return _paired_assembly(f.src, g.src, gpd_pullback(f.fun, g.fun))
 
 
 def _path_point(r, path, pt_dom=None):
@@ -600,10 +559,10 @@ def pc8_pseudoinverse(g: FibrationData, g_equiv: AsmEquivalence,
     fstar_g = pb.p1
     comp = compose_morphisms(s_mor, fstar_g)
     sigma_comps = {}
-    for oid, (xo, yo) in ((oid, ab) for ab, oid in pb.raw.opair.items()):
+    for oid, (xo, yo) in ((oid, ab) for ab, oid in pb.raw_base.opair.items()):
         phi_y = g_equiv.unit.iso.components[yo]     # y -> H G y = H F x
         sigma_y = y_asm.base.compose(lifts[xo], phi_y)
-        sigma_comps[oid] = pb.raw.mpair[(x_asm.base.id_of(xo), sigma_y)]
+        sigma_comps[oid] = pb.raw_base.mpair[(x_asm.base.id_of(xo), sigma_y)]
     sigma_iso = NatIso(identity_functor(pb.asm.base), comp.fun, sigma_comps)
     sigma = twocell_from_iso(pg, sigma_iso, identity_morphism(pb.asm), comp)
     return pb, s_mor, sigma

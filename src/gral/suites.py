@@ -470,8 +470,8 @@ def suite_finite_limits(cfg: SuiteConfig) -> Report:
                 ok = ok and compose_morphisms(pb.p1, u) == s
                 ok = ok and compose_morphisms(pb.p2, u) == tm
                 count = sum(1 for c in functors_between(w.base, pb.asm.base)
-                            if compose_functors(pb.raw.p1, c) == S
-                            and compose_functors(pb.raw.p2, c) == T)
+                            if compose_functors(pb.raw_base.p1, c) == S
+                            and compose_functors(pb.raw_base.p2, c) == T)
                 ok = ok and count == 1
                 found_cone = True
                 break
@@ -770,7 +770,7 @@ def suite_modest_closure(cfg: SuiteConfig) -> Report:
     while done < n:
         base = gen.assembly(rich=False)
         m1, total1 = gen.modest_fibration(base=base)
-        m2, _total2 = gen.modest_fibration(base=total_to_assembly(m1))
+        m2, _total2 = gen.modest_fibration(base=m1.src)
         comp = is_fibration(compose_morphisms(m1.morphism, m2.morphism))
         if not isinstance(comp, FibrationData):
             ok = False
@@ -840,10 +840,6 @@ def suite_modest_closure(cfg: SuiteConfig) -> Report:
     rep.add("non-modest-rejected", (not got) and witness is not None,
             f"witness: {witness}")
     return rep
-
-
-def total_to_assembly(fib: FibrationData) -> Assembly:
-    return fib.src
 
 
 def _split_replacement(gen: Gen, pg, fib: FibrationData):

@@ -1,5 +1,6 @@
 import pytest
 
+from gral.errors import BoundaryError
 from gral.groupoids import (
     codiscrete, compose_functors, discrete, functors_between,
     identity_functor,
@@ -390,3 +391,13 @@ def test_terminal_not_universal_for_discrete_pair(r):
                 if r.map_eq(h.lhs, rs) and r.map_eq(h.rhs, r.identity(probe)):
                     found = True
     assert not found
+
+
+def test_pullback_pair_rejects_legs_from_different_sources(r):
+    x = mk_assembly(r, codiscrete(["a", "b"]), r.interval.I0, 0)
+    w = mk_assembly(r, codiscrete(["w1"]), r.interval.I0, 0)
+    idx = identity_morphism(x)
+    pb = pullback_assembly(idx, idx)
+    m = realize(w, x, functors_between(w.base, x.base)[0])
+    with pytest.raises(BoundaryError):
+        pb.pair(idx, m)

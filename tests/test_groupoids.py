@@ -232,6 +232,16 @@ def test_pullback_universal():
         assert compose_functors(pb.p1, h) == F
 
 
+def test_pullback_pair_rejects_legs_from_different_domains():
+    i1 = walking_iso()
+    g = identity_functor(i1)
+    pb = pullback(g, g)
+    F = functors_between(cyclic_group(2), i1)[0]
+    G = functors_between(cyclic_group(2), i1)[0]
+    with pytest.raises(StructuralError):
+        pb.pair(F, G)
+
+
 def test_iso_comma_walking_iso():
     i1 = walking_iso()
     ic = iso_comma(identity_functor(i1), identity_functor(i1))
@@ -379,3 +389,24 @@ def test_cleavage_laws_on_generated_projections(seed):
         assert p.gpd.src(m) == o
         if x.is_identity(q):
             assert p.gpd.is_identity(m)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 30))
+def test_pullback_over_terminal_is_product(seed):
+    _gen, x, y = _gen_pair(seed)
+    t = terminal_groupoid()
+
+    def to_t(g):
+        return GFunctor(g, t, {o: "*" for o in g.objects},
+                        {m: "id_*" for m in g.morphisms})
+
+    pb, p = pullback(to_t(x), to_t(y)), product(x, y)
+    assert list(pb.gpd.objects) == list(p.gpd.objects)
+    for table in ("mors", "comp", "ident", "inv"):
+        # same entries in the same insertion order, so serializations agree
+        assert list(getattr(pb.gpd, table).items()) == \
+            list(getattr(p.gpd, table).items())
+    for a, b in ((pb.p1, p.p1), (pb.p2, p.p2)):
+        assert list(a.omap.items()) == list(b.omap.items())
+        assert list(a.mmap.items()) == list(b.mmap.items())

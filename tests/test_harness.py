@@ -192,6 +192,16 @@ def test_cli_suite_exit_codes(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--max-objects", "0", "suite", "cogroupoid"],
+    ["--max-objects", "4", "--max-morphisms", "8", "suite", "weak-pi"],
+])
+def test_cli_suite_refusal_exits_2(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_cli_seed_env(tmp_path, capsys, monkeypatch):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"
