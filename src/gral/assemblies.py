@@ -17,8 +17,9 @@ from typing import Any, Optional
 from .errors import BoundaryError, SizeCapError, StructuralError
 from .groupoids import (
     DEFAULT_CAPS, FinGroupoid, GFunctor, NatIso, ValidationReport,
-    compose_functors, functors_between, identity_functor, is_functor,
-    is_nat_iso, nat_isos_between, terminal_groupoid,
+    composable_pairs, compose_functors, functors_between, identity_functor,
+    is_functor, is_nat_iso, nat_isos_between, terminal_groupoid,
+    vcompose_nat_isos,
 )
 from .interval import (
     IntervalData, Map, RealizerCategory, chain_groupoid, nat_iso_functor_form,
@@ -724,13 +725,11 @@ def weak_exponential(x: Assembly, y: Assembly,
                     mor_index[(oa, psi.key(), f)] = mid
 
     comp = {}
-    for m2, (psi2, f2) in mor_data.items():
-        for m1, (psi1, f1) in mor_data.items():
-            if mors[m1][1] == mors[m2][0]:
-                from .groupoids import vcompose_nat_isos
-                comp[(m2, m1)] = mor_index[(mors[m1][0],
-                                            vcompose_nat_isos(psi2, psi1).key(),
-                                            pie.gpd.compose(f2, f1))]
+    for m2, m1 in composable_pairs(mors):
+        (psi2, f2), (psi1, f1) = mor_data[m2], mor_data[m1]
+        comp[(m2, m1)] = mor_index[(mors[m1][0],
+                                    vcompose_nat_isos(psi2, psi1).key(),
+                                    pie.gpd.compose(f2, f1))]
     ident = {}
     from .groupoids import identity_nat_iso, invert_nat_iso
     for oid, (F, po, eps) in obj_data.items():

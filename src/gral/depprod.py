@@ -14,7 +14,7 @@ from typing import Any, Optional
 from .errors import BoundaryError, SizeCapError, StructuralError
 from .groupoids import (
     Cleavage, DEFAULT_CAPS, FinGroupoid, GFunctor, NatIso, ValidationReport,
-    compose_functors, functors_between, nat_isos_between,
+    composable_pairs, compose_functors, functors_between, nat_isos_between,
 )
 from .assemblies import (
     Assembly, ProductAssembly, RealizedMorphism, _identity_eps,
@@ -70,19 +70,16 @@ def homotopy_fibre(f: RealizedMorphism, z: str) -> HomotopyFibre:
     mor_of: dict[tuple[str, str], str] = {}
     minfo: dict[str, tuple[str, str, str]] = {}     # mid -> (q, u_src, u_tgt)
     for (y, u), oid in objs.items():
-        for q in y_asm.base.morphisms:
-            if y_asm.base.src(q) != y:
-                continue
+        for q in y_asm.base.out_of(y):
             u2 = zb.compose(u, zb.inv_of(f.fun.mmap[q]))
             mid = _fibre_mor_id(q, u)
             mors[mid] = (oid, objs[(y_asm.base.tgt(q), u2)])
             mor_of[(q, u)] = mid
             minfo[mid] = (q, u, u2)
     comp = {}
-    for m2, (q2, us2, ut2) in minfo.items():
-        for m1, (q1, us1, ut1) in minfo.items():
-            if mors[m1][1] == mors[m2][0]:
-                comp[(m2, m1)] = mor_of[(y_asm.base.compose(q2, q1), us1)]
+    for m2, m1 in composable_pairs(mors):
+        (q2, _, _), (q1, us1, _) = minfo[m2], minfo[m1]
+        comp[(m2, m1)] = mor_of[(y_asm.base.compose(q2, q1), us1)]
     ident = {objs[(y, u)]: mor_of[(y_asm.base.id_of(y), u)] for (y, u) in objs}
     inv = {m: mor_of[(y_asm.base.inv_of(q), ut)] for m, (q, us, ut) in minfo.items()}
     base = FinGroupoid(list(objs.values()), mors, comp, ident, inv)
@@ -286,22 +283,21 @@ def dependent_product(g: FibrationData, f: FibrationData,
                         mor_index[(oa, rmor, psi.key(), fpath)] = mid
 
     comp = {}
-    for m2, (r2, psi2, f2) in mor_data.items():
-        for m1, (r1, psi1, f1) in mor_data.items():
-            if mors[m1][1] != mors[m2][0]:
-                continue
-            src = mors[m1][0]
-            z1 = obj_data[src][0]
-            fr1 = fmap(r1)
-            comps = {oid2: g.src.base.compose(
-                psi2.components[fr1.fun.omap[oid2]], psi1.components[oid2])
-                for oid2 in fibres[z1].asm.base.objects}
-            psi = NatIso(psi1.src,
-                         compose_functors(obj_data[mors[m2][1]][1],
-                                          fmap(z_asm.base.compose(r2, r1)).fun),
-                         comps)
-            comp[(m2, m1)] = mor_index[(src, z_asm.base.compose(r2, r1),
-                                        psi.key(), pie.gpd.compose(f2, f1))]
+    for m2, m1 in composable_pairs(mors):
+        r2, psi2, f2 = mor_data[m2]
+        r1, psi1, f1 = mor_data[m1]
+        src = mors[m1][0]
+        z1 = obj_data[src][0]
+        fr1 = fmap(r1)
+        comps = {oid2: g.src.base.compose(
+            psi2.components[fr1.fun.omap[oid2]], psi1.components[oid2])
+            for oid2 in fibres[z1].asm.base.objects}
+        psi = NatIso(psi1.src,
+                     compose_functors(obj_data[mors[m2][1]][1],
+                                      fmap(z_asm.base.compose(r2, r1)).fun),
+                     comps)
+        comp[(m2, m1)] = mor_index[(src, z_asm.base.compose(r2, r1),
+                                    psi.key(), pie.gpd.compose(f2, f1))]
     ident = {}
     for oid, (z, H, po, eps) in obj_data.items():
         ident[oid] = mor_index[(oid, z_asm.base.id_of(z),

@@ -12,6 +12,7 @@ enumeration-indexed names for exponentials), so golden files are stable.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -58,11 +59,16 @@ class FinGroupoid:
     identifiers, total tables); the groupoid axioms themselves are checked
     by `validate_groupoid`, so deliberately broken tables can be built for
     fault-injection tests.
+
+    The scans over the tables visit only composable pairs: `out_of` and
+    `into` list the morphisms at an object (an index built on first use),
+    and completeness is checked by counting.  Universal properties and
+    axioms are still checked on every instance.
     """
 
     __slots__ = (
         "objects", "morphisms", "mors", "comp", "ident", "inv",
-        "serial", "_hom", "_components", "_key",
+        "serial", "_hom", "_adj", "_components", "_key",
     )
 
     def __init__(
@@ -81,6 +87,7 @@ class FinGroupoid:
         self.inv: dict[str, str] = dict(inv)
         self.serial: int = next(_serial_counter)
         self._hom: Optional[dict[tuple[str, str], tuple[str, ...]]] = None
+        self._adj: Optional[tuple[dict, dict]] = None  # by source, by target
         self._components = None
         self._key = None
         self._check_structure()
@@ -110,6 +117,12 @@ class FinGroupoid:
                 raise StructuralError(f"comp entry ({g!r},{f!r}) dangles")
             if self.src(g) != self.tgt(f):
                 raise StructuralError(f"comp entry ({g!r},{f!r}) is not composable")
+        # every entry is a distinct composable pair, so the table is total
+        # exactly when it has one entry per (in-arrow, out-arrow) at each object
+        n_out = Counter(s for s, _ in self.mors.values())
+        n_in = Counter(t for _, t in self.mors.values())
+        if len(self.comp) == sum(n_in[x] * n_out[x] for x in self.objects):
+            return
         for f in self.mors:
             for g in self.mors:
                 if self.src(g) == self.tgt(f) and (g, f) not in self.comp:
@@ -150,6 +163,25 @@ class FinGroupoid:
                 table.setdefault(self.mors[m], []).append(m)
             self._hom = {k: tuple(v) for k, v in table.items()}
         return self._hom.get((a, b), ())
+
+    def out_of(self, x: str) -> tuple[str, ...]:
+        """Morphisms with source x, in `morphisms` order."""
+        return self._adjacency()[0].get(x, ())
+
+    def into(self, x: str) -> tuple[str, ...]:
+        """Morphisms with target x, in `morphisms` order."""
+        return self._adjacency()[1].get(x, ())
+
+    def _adjacency(self) -> tuple[dict, dict]:
+        if self._adj is None:
+            out: dict[str, list[str]] = {}
+            into: dict[str, list[str]] = {}
+            for m, (s, t) in self.mors.items():
+                out.setdefault(s, []).append(m)
+                into.setdefault(t, []).append(m)
+            self._adj = ({x: tuple(v) for x, v in out.items()},
+                         {x: tuple(v) for x, v in into.items()})
+        return self._adj
 
     def key(self) -> tuple:
         """Canonical structural fingerprint (extensional table equality)."""
@@ -199,10 +231,6 @@ class _Component:
 def _split_components(g: FinGroupoid) -> list[_Component]:
     seen: set[str] = set()
     comps: list[_Component] = []
-    neighbours: dict[str, list[tuple[str, str]]] = {x: [] for x in g.objects}
-    for m in g.morphisms:
-        s, t = g.mors[m]
-        neighbours[s].append((t, m))
     for base in sorted(g.objects):
         if base in seen:
             continue
@@ -213,7 +241,7 @@ def _split_components(g: FinGroupoid) -> list[_Component]:
         while frontier:
             nxt: list[str] = []
             for x in frontier:
-                for (t, m) in sorted(neighbours[x], key=lambda p: (p[0], p[1])):
+                for (t, m) in sorted((g.tgt(m), m) for m in g.out_of(x)):
                     if t not in seen:
                         seen.add(t)
                         tree[t] = g.compose(m, tree[x])
@@ -229,9 +257,11 @@ def _split_components(g: FinGroupoid) -> list[_Component]:
 def validate_groupoid(g: FinGroupoid) -> ValidationReport:
     """Scan every axiom instance; report violations (empty report = valid)."""
     rep = ValidationReport()
+    mistyped: set[tuple[str, str]] = set()
     for (gg, ff), h in g.comp.items():
         if g.src(h) != g.src(ff) or g.tgt(h) != g.tgt(gg):
             rep.add("comp-typing", f"{gg}o{ff}={h} has wrong endpoints")
+            mistyped.add((gg, ff))
     for f in g.morphisms:
         i_s, i_t = g.id_of(g.src(f)), g.id_of(g.tgt(f))
         if g.compose(f, i_s) != f:
@@ -246,17 +276,33 @@ def validate_groupoid(g: FinGroupoid) -> ValidationReport:
             rep.add("inv-left", f"{v}o{f} != id_{g.src(f)}")
         if g.compose(f, v) != g.id_of(g.tgt(f)):
             rep.add("inv-right", f"{f}o{v} != id_{g.tgt(f)}")
+    # an instance with a mistyped composite is already a comp-typing failure,
+    # and its outer composite may not exist
     for f in g.morphisms:
-        for gg in g.morphisms:
-            if g.src(gg) != g.tgt(f):
+        for gg in g.out_of(g.tgt(f)):
+            if mistyped and (gg, f) in mistyped:
                 continue
             gf = g.compose(gg, f)
-            for h in g.morphisms:
-                if g.src(h) != g.tgt(gg):
+            for h in g.out_of(g.tgt(gg)):
+                if mistyped and (h, gg) in mistyped:
                     continue
                 if g.compose(h, gf) != g.compose(g.compose(h, gg), f):
                     rep.add("assoc", f"({h}o{gg})o{f} != {h}o({gg}o{f})")
     return rep
+
+
+def composable_pairs(mors: dict[str, tuple[str, str]]):
+    """Every (g, f) with target(f) == source(g), for a morphism table.
+
+    Pairs come g-major, each coordinate in `mors` order: the order of a
+    nested scan over all pairs that skips the non-composable ones.
+    """
+    into: dict[str, list[str]] = {}
+    for m, (_, t) in mors.items():
+        into.setdefault(t, []).append(m)
+    for g, (s, _) in mors.items():
+        for f in into.get(s, ()):
+            yield g, f
 
 
 # -- small builders --------------------------------------------------------
@@ -567,7 +613,7 @@ def functors_between(dom: FinGroupoid, cod: FinGroupoid,
                 for x in c.objects:
                     if x == c.base:
                         continue
-                    opts = [(x, m) for m in sorted(cod.morphisms) if cod.src(m) == yb]
+                    opts = [(x, m) for m in sorted(cod.out_of(yb))]
                     tree_imgs.append(opts)
                 for pick in itertools.product(*tree_imgs):
                     choices.append((yb, rho, dict(pick)))
@@ -674,10 +720,12 @@ def _paired(x: FinGroupoid, y: FinGroupoid, objs: list[tuple[str, str]],
             for (m, n) in ms}
     comp = {}
     for (m2, n2) in ms:
-        for (m1, n1) in ms:
-            if x.src(m2) == x.tgt(m1) and y.src(n2) == y.tgt(n1):
-                comp[(mpair[(m2, n2)], mpair[(m1, n1)])] = \
-                    mpair[(x.compose(m2, m1), y.compose(n2, n1))]
+        # `ms` lists pairs in factor order, so this visits them in `ms` order
+        for m1 in x.into(x.src(m2)):
+            for n1 in y.into(y.src(n2)):
+                if (m1, n1) in mpair:
+                    comp[(mpair[(m2, n2)], mpair[(m1, n1)])] = \
+                        mpair[(x.compose(m2, m1), y.compose(n2, n1))]
     ident = {opair[(a, b)]: mpair[(x.id_of(a), y.id_of(b))] for (a, b) in objs}
     inv = {mpair[(m, n)]: mpair[(x.inv_of(m), y.inv_of(n))] for (m, n) in ms}
     gpd = FinGroupoid([opair[ab] for ab in objs], mors, comp, ident, inv)
@@ -748,12 +796,8 @@ def iso_comma(f: GFunctor, g: GFunctor) -> IsoCommaGpd:
     mpair: dict[tuple[str, str, str], str] = {}
     for (a, b, r) in triples:
         src = otriple[(a, b, r)]
-        for p in x.morphisms:
-            if x.src(p) != a:
-                continue
-            for q in y.morphisms:
-                if y.src(q) != b:
-                    continue
+        for p in x.out_of(a):
+            for q in y.out_of(b):
                 r2 = z.compose_path(g.mmap[q], r, z.inv_of(f.mmap[p]))
                 tgt = otriple[(x.tgt(p), y.tgt(q), r2)]
                 mid = f"({p},{q})@{src}"
@@ -761,10 +805,10 @@ def iso_comma(f: GFunctor, g: GFunctor) -> IsoCommaGpd:
                 minfo[mid] = (p, q, src, tgt)
                 mpair[(p, q, src)] = mid
     comp = {}
-    for m2, (p2, q2, s2, t2) in minfo.items():
-        for m1, (p1, q1, s1, t1) in minfo.items():
-            if t1 == s2:
-                comp[(m2, m1)] = mpair[(x.compose(p2, p1), y.compose(q2, q1), s1)]
+    for m2, m1 in composable_pairs(mors):
+        p2, q2 = minfo[m2][:2]
+        p1, q1, s1 = minfo[m1][:3]
+        comp[(m2, m1)] = mpair[(x.compose(p2, p1), y.compose(q2, q1), s1)]
     ident = {otriple[(a, b, r)]: mpair[(x.id_of(a), y.id_of(b), otriple[(a, b, r)])]
              for (a, b, r) in triples}
     inv = {}
@@ -817,11 +861,10 @@ def exponential(x: FinGroupoid, y: FinGroupoid, caps: SizeCaps = DEFAULT_CAPS) -
                 mor_to_natiso[mid] = n
                 natiso_to_mor[(F.key(), n.key())] = mid
     comp = {}
-    for m2, n2 in mor_to_natiso.items():
-        for m1, n1 in mor_to_natiso.items():
-            if mors[m1][1] == mors[m2][0]:
-                cmp_iso = vcompose_nat_isos(n2, n1)
-                comp[(m2, m1)] = natiso_to_mor[(n1.src.key(), cmp_iso.key())]
+    for m2, m1 in composable_pairs(mors):
+        n1 = mor_to_natiso[m1]
+        cmp_iso = vcompose_nat_isos(mor_to_natiso[m2], n1)
+        comp[(m2, m1)] = natiso_to_mor[(n1.src.key(), cmp_iso.key())]
     ident = {}
     for o, F in obj_to_functor.items():
         ident[o] = natiso_to_mor[(F.key(), identity_nat_iso(F).key())]
@@ -865,14 +908,11 @@ def isofibration_cleavage(f: GFunctor):
     lifts: dict[tuple[str, str], str] = {}
     for y in dom.objects:
         fy = f.omap[y]
-        for q in cod.morphisms:
-            if cod.src(q) != fy:
-                continue
+        for q in cod.out_of(fy):
             if cod.is_identity(q):
                 lifts[(y, q)] = dom.id_of(y)
                 continue
-            cands = sorted(m for m in dom.morphisms
-                           if dom.src(m) == y and f.mmap[m] == q)
+            cands = sorted(m for m in dom.out_of(y) if f.mmap[m] == q)
             if not cands:
                 return LiftFailure(y, q)
             lifts[(y, q)] = cands[0]

@@ -11,14 +11,16 @@ internal to the category of assemblies.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from .errors import BoundaryError, CapabilityError, StructuralError
 from .groupoids import (
     DEFAULT_CAPS, ExpGpd, FinGroupoid, GFunctor, NatIso, ProductGpd, SizeCaps,
-    compose_functors, exponential as gpd_exponential, functors_between,
-    identity_functor, product as gpd_product, terminal_groupoid,
+    composable_pairs, compose_functors, exponential as gpd_exponential,
+    functors_between, identity_functor, product as gpd_product,
+    terminal_groupoid,
 )
 
 Map = Any  # GFunctor in the groupoid instance; realized morphisms in others
@@ -238,11 +240,8 @@ def _build_pi(r: RealizerCategory, a) -> PiData:
     paths = {r.pi_mor_id(al): al for al in r.hom(iv.I1, a)}
     mors = {m: (r.pi_obj_id(r.path_src(al)), r.pi_obj_id(r.path_tgt(al)))
             for m, al in paths.items()}
-    comp = {}
-    for m2, b in paths.items():
-        for m1, al in paths.items():
-            if mors[m1][1] == mors[m2][0]:
-                comp[(m2, m1)] = r.pi_mor_id(r.path_compose(b, al))
+    comp = {(m2, m1): r.pi_mor_id(r.path_compose(paths[m2], paths[m1]))
+            for m2, m1 in composable_pairs(mors)}
     ident = {o: r.pi_mor_id(r.path_id(p)) for o, p in points.items()}
     inv = {m: r.pi_mor_id(r.path_inv(al)) for m, al in paths.items()}
     gpd = FinGroupoid(sorted(points), mors, comp, ident, inv)
@@ -947,10 +946,20 @@ def check_cogroupoid(r: RealizerCategory, iv: Optional[IntervalData] = None,
     return rep
 
 
+def restriction_counts(r: RealizerCategory, cands, e0: Map, e1: Map) -> Counter:
+    """How many of `cands` restrict along (e0, e1) to each pair of legs.
+
+    The pushout checks look up every pair of legs here, so each candidate is
+    composed once per probe.  Lookup stands in for `map_eq`, which is `==`:
+    maps hash consistently with it.
+    """
+    return Counter((r.compose(m, e0), r.compose(m, e1)) for m in cands)
+
+
 def _check_pushout2(r: RealizerCategory, iv: IntervalData, probes) -> tuple[bool, str]:
     for x in probes:
         paths = r.hom(iv.I1, x)
-        cands = r.hom(iv.I2, x)
+        counts = restriction_counts(r, r.hom(iv.I2, x), iv.i0, iv.i1)
         for alpha in paths:
             for beta in paths:
                 if not r.map_eq(r.compose(beta, iv.zero), r.compose(alpha, iv.one)):
@@ -959,9 +968,7 @@ def _check_pushout2(r: RealizerCategory, iv: IntervalData, probes) -> tuple[bool
                 if not (r.map_eq(r.compose(cp, iv.i0), alpha)
                         and r.map_eq(r.compose(cp, iv.i1), beta)):
                     return False, "copair does not restrict to its legs"
-                n = sum(1 for m in cands
-                        if r.map_eq(r.compose(m, iv.i0), alpha)
-                        and r.map_eq(r.compose(m, iv.i1), beta))
+                n = counts[(alpha, beta)]
                 if n != 1:
                     return False, f"expected a unique copairing, found {n}"
     return True, ""
@@ -970,7 +977,7 @@ def _check_pushout2(r: RealizerCategory, iv: IntervalData, probes) -> tuple[bool
 def _check_pushout3(r: RealizerCategory, iv: IntervalData, probes) -> tuple[bool, str]:
     for x in probes:
         doubles = r.hom(iv.I2, x)
-        cands = r.hom(iv.I3, x)
+        counts = restriction_counts(r, r.hom(iv.I3, x), iv.j0, iv.j1)
         for u in doubles:
             for v in doubles:
                 if not r.map_eq(r.compose(u, iv.i1), r.compose(v, iv.i0)):
@@ -979,9 +986,7 @@ def _check_pushout3(r: RealizerCategory, iv: IntervalData, probes) -> tuple[bool
                 if not (r.map_eq(r.compose(cp, iv.j0), u)
                         and r.map_eq(r.compose(cp, iv.j1), v)):
                     return False, "copair does not restrict to its legs"
-                n = sum(1 for m in cands
-                        if r.map_eq(r.compose(m, iv.j0), u)
-                        and r.map_eq(r.compose(m, iv.j1), v))
+                n = counts[(u, v)]
                 if n != 1:
                     return False, f"expected a unique copairing, found {n}"
     return True, ""

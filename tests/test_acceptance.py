@@ -3,14 +3,19 @@
 Each test prints one pass/fail line; run with -s to watch them stream.
 All equalities inside the suites are exact (finite-table comparison), so
 there are no numeric tolerances, only instance counts and wall-clock caps.
+Each report must also equal, byte for byte, its golden text in
+`data/reports/`.
 """
 
+import pathlib
 import time
 
 import pytest
 
 from gral.generators import SuiteConfig
 from gral.suites import run_suite
+
+REPORTS = pathlib.Path(__file__).parent / "data" / "reports"
 
 CRITERIA = [
     # (number, suite, budget seconds, required counts)
@@ -42,4 +47,14 @@ def test_acceptance(number, suite, budget, counts):
     if not report.ok:
         print(report.to_text())
     assert report.ok, f"criterion {number}: checks failed"
+    assert report.to_text() == (REPORTS / f"{suite}.txt").read_text()
     assert elapsed < budget, f"criterion {number}: {elapsed:.2f}s over budget"
+
+
+def test_injected_report_matches_golden():
+    counts = next(c[3] for c in CRITERIA if c[1] == "path-axioms")
+    report = run_suite("path-axioms",
+                       SuiteConfig(seed=0, counts=counts, inject="broken-cleavage"))
+    assert not report.ok
+    assert report.to_text() == \
+        (REPORTS / "path-axioms-broken-cleavage.txt").read_text()

@@ -5,7 +5,7 @@ import pytest
 from gral.errors import ParseError, StructuralError
 from gral.cli import main
 from gral.generators import Gen, SuiteConfig
-from gral.groupoids import SizeCaps, validate_groupoid
+from gral.groupoids import SizeCaps, codiscrete, validate_groupoid
 from gral.interval import gpd_interval
 from gral.suites import replay_counterexample, run_suite
 from gral import textfmt
@@ -149,6 +149,18 @@ def test_cli_check_axiom_failure(tmp_path, capsys):
     path.write_text(bad)
     assert main(["check", str(path)]) == 1
     capsys.readouterr()
+
+
+def test_cli_check_mistyped_composite(tmp_path, capsys):
+    good = textfmt.serialize_groupoid(codiscrete(["a", "b"]))
+    bad = good.replace("b~a a~b id_a", "b~a a~b id_b")
+    assert bad != good
+    path = tmp_path / "mistyped.gpd"
+    path.write_text(bad)
+    assert main(["check", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert "comp-typing: b~aoa~b=id_b has wrong endpoints" in out
+    assert "Traceback" not in out + err
 
 
 def test_cli_check_parse_error(tmp_path, capsys):
