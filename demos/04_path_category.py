@@ -14,7 +14,7 @@ from gral.assemblies import (
 from gral.pathcat import (
     as_equivalence, is_fibration, path_object, pc7_section,
     pc8_pseudoinverse, pullback_assembly, pseudopullback_assembly,
-    validate_equivalence,
+    validate_asm_equivalence,
 )
 
 r = gpd_interval()
@@ -46,7 +46,7 @@ print("\npath object size:", len(pod.pobj.asm.base.objects))
 print("(s,t) . r equals the diagonal:",
       compose_morphisms(pod.st, pod.r_mor) == diag)
 print("r carries a validated pseudoinverse:",
-      validate_equivalence(pg, pod.r_equiv).ok)
+      validate_asm_equivalence(pg, pod.r_equiv).ok)
 
 # An acyclic fibration (here: projection with a contractible fibre) has a
 # section, constructed by transporting the pseudoinverse along the counit.

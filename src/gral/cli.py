@@ -170,7 +170,7 @@ def cmd_suite(args) -> int:
     try:
         rep = run_suite(args.name, SuiteConfig(
             seed=_seed_from(args), caps=_caps_from(args), inject=args.inject))
-    except (StructuralError, SizeCapError) as exc:
+    except (StructuralError, BoundaryError, SizeCapError) as exc:
         print(f"suite {args.name}: refused: {exc}", file=sys.stderr)
         return EXIT_STRUCTURAL
     _emit(rep.to_json() + "\n" if args.json else rep.to_text(), args.out)

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Iterator, Optional, TypeVar
 
-from .errors import StructuralError
+from .errors import SizeCapError, StructuralError
 from .groupoids import (
     FinGroupoid, SizeCaps, codiscrete, cyclic_group, discrete,
     disjoint_union, functors_between, nat_isos_between,
@@ -25,6 +25,8 @@ from .assemblies import (
 )
 from .interval import GpdRealizer
 from .pathcat import FibrationData, is_fibration
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -201,6 +203,29 @@ class Gen:
         return fib, p.asm
 
 
+def _sample(n: int, make: Callable[[], Optional[T]]) -> Iterator[T]:
+    """Yield up to n instances of make(), calling it at most 20 * n times.
+
+    make() returns None to skip an attempt.  A SizeCapError before the
+    first instance means the caps are too tight for the check, and it
+    propagates; after that, it skips the attempt.  Every other error
+    propagates.
+    """
+    got = 0
+    for _ in range(20 * n):
+        try:
+            inst = make()
+        except SizeCapError:
+            if got == 0:
+                raise
+            continue
+        if inst is not None:
+            yield inst
+            got += 1
+            if got == n:
+                return
+
+
 def generate(kind: str, cfg: SuiteConfig, r: Optional[GpdRealizer] = None,
              count: Optional[int] = None) -> list:
     """Deterministic instances of the named kind under cfg.seed."""
@@ -218,11 +243,10 @@ def generate(kind: str, cfg: SuiteConfig, r: Optional[GpdRealizer] = None,
         return [gen.split_fibration()[0] for _ in range(n)]
     if kind == "equivalence":
         pg = pgasm_interval(r)
-        out = []
-        while len(out) < n:
+
+        def equivalence():
             fib = gen.acyclic_fibration(rich=False)
             eq = as_equivalence(pg, fib.morphism)
-            if eq is not None:
-                out.append((fib, eq))
-        return out
+            return None if eq is None else (fib, eq)
+        return list(_sample(n, equivalence))
     raise StructuralError(f"unknown instance kind {kind!r}")

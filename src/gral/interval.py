@@ -236,8 +236,12 @@ class PiData:
 
 def _build_pi(r: RealizerCategory, a) -> PiData:
     iv = r.interval
-    points = {r.pi_obj_id(p): p for p in r.hom(iv.I0, a)}
-    paths = {r.pi_mor_id(al): al for al in r.hom(iv.I1, a)}
+    point_maps, path_maps = r.hom(iv.I0, a), r.hom(iv.I1, a)
+    points = {r.pi_obj_id(p): p for p in point_maps}
+    paths = {r.pi_mor_id(al): al for al in path_maps}
+    if len(points) < len(point_maps) or len(paths) < len(path_maps):
+        raise StructuralError("fundamental groupoid: two points or two paths "
+                              "share an identifier")
     mors = {m: (r.pi_obj_id(r.path_src(al)), r.pi_obj_id(r.path_tgt(al)))
             for m, al in paths.items()}
     comp = {(m2, m1): r.pi_mor_id(r.path_compose(paths[m2], paths[m1]))

@@ -112,7 +112,7 @@ class AsmEquivalence:
     counit: TwoCell
 
 
-def validate_equivalence(pg: PGAsmInterval, eq: AsmEquivalence) -> ValidationReport:
+def validate_asm_equivalence(pg: PGAsmInterval, eq: AsmEquivalence) -> ValidationReport:
     rep = ValidationReport()
     for m, nm in ((eq.fwd, "fwd"), (eq.bwd, "bwd")):
         sub = validate_morphism(m)
@@ -646,7 +646,7 @@ def pc4_isos_are_equivalences(m: RealizedMorphism, pg: PGAsmInterval) -> bool:
     if not _is_iso_functor(m.fun):
         return True
     eq = as_equivalence(pg, m)
-    return eq is not None and validate_equivalence(pg, eq).ok
+    return eq is not None and validate_asm_equivalence(pg, eq).ok
 
 
 def pc5_two_out_of_six(ms: tuple[RealizedMorphism, RealizedMorphism,

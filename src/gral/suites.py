@@ -3,6 +3,11 @@
 Each suite is a deterministic function of (seed, caps).  Reports are
 byte-stable: entries are sorted by check name and carry no timing; failing
 entries carry a replayable counterexample payload.
+
+Each check draws its instances with `generators._sample`, in at most 20
+attempts per required instance.  Sampling stops at the first instance that
+fails, a check that got fewer instances than it requires fails, and a cap
+refusal before a check's first instance refuses the whole suite.
 """
 
 from __future__ import annotations
@@ -11,12 +16,14 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import takewhile
 from typing import Callable, Optional
 
 from .errors import GralError, StructuralError
 from .groupoids import (
-    NatIso, codiscrete, compose_functors, equivalence_inverse,
-    functors_between, identity_functor, invert_nat_iso, nat_isos_between,
+    EquivalenceData, NatIso, codiscrete, compose_functors, discrete,
+    equivalence_inverse, functors_between, identity_functor, invert_nat_iso,
+    is_functor, is_nat_iso, nat_isos_between, product as gpd_product,
     validate_groupoid, vcompose_nat_isos,
 )
 from .interval import (
@@ -25,23 +32,23 @@ from .interval import (
     pi_base_iso, pi_homotopy, square_hcomp, square_vcomp,
 )
 from .assemblies import (
-    Assembly, bang, compose_morphisms, identity_morphism, is_modest,
-    pgasm_interval, product_assembly, realize, terminal_assembly,
-    transpose_morphism, twocell_from_iso, identity_twocell, inverse_twocell,
-    twocell_compose, validate_morphism, validate_twocell, weak_exponential,
-    beta_holds,
+    Assembly, RealizedMorphism, _identity_eps, bang, compose_morphisms,
+    identity_morphism, is_modest, pgasm_interval, product_assembly, realize,
+    terminal_assembly, transpose_morphism, twocell_from_iso, identity_twocell,
+    inverse_twocell, twocell_compose, validate_morphism, validate_twocell,
+    weak_exponential, weakexp_cell, beta_holds,
 )
 from .pathcat import (
     FibrationData, as_equivalence, brown_factor_check, is_fibration,
     path_object, pc1_isos_are_fibrations, pc2_pullback_of_fibration,
     pc3_terminal_fibration, pc4_isos_are_equivalences, pc5_two_out_of_six,
     pc7_section, pc8_pseudoinverse, pseudopullback_assembly,
-    pullback_assembly, validate_equivalence,
+    pullback_assembly, validate_asm_equivalence,
 )
 from .depprod import (
     dependent_product, dp_transpose, fstar_map, is_modest_fibration, nabla,
 )
-from .generators import Gen, SuiteConfig
+from .generators import Gen, SuiteConfig, _sample
 from .textfmt import bundle_morphism, load_morphism_bundle, parse_bundle, \
     parse_groupoid, serialize_groupoid, serialize_bundle
 
@@ -151,7 +158,6 @@ def suite_fundamental_groupoid(cfg: SuiteConfig) -> Report:
         g = gen.groupoid()
         pa = r.pi(g)
         iso = pi_base_iso(r, g)
-        from .groupoids import is_functor
         ok = (validate_groupoid(pa.gpd).ok and is_functor(iso).ok
               and sorted(iso.omap.values()) == sorted(g.objects)
               and sorted(iso.mmap.values()) == sorted(g.morphisms))
@@ -176,17 +182,14 @@ def suite_fundamental_groupoid(cfg: SuiteConfig) -> Report:
             ok = False
     rep.add("pi-functor-laws", ok, f"{pairs} composable pairs")
 
-    target = cfg.count("boundary-pairs", 100)
-    done = 0
-    ok = True
-    while done < target:
+    def boundary_lemma():
         x = gen.small_groupoid()
         y = gen.small_groupoid()
         fs = functors_between(x, y)
         F, G = gen.rng.choice(fs), gen.rng.choice(fs)
         isos = nat_isos_between(F, G)
         if not isos or not x.morphisms:
-            continue
+            return None
         h = homotopy_from_nat_iso(r, gen.rng.choice(isos))
         m = gen.rng.choice(x.morphisms)
         alpha = path_of_morphism(r, x, m)
@@ -202,17 +205,13 @@ def suite_fundamental_groupoid(cfg: SuiteConfig) -> Report:
             r.identity(r.interval.I1)))
         right = r.compose(h.body, p.pair(
             alpha, r.compose(r.interval.one, r.terminal_map(r.interval.I1))))
-        if r.path_compose(bottom, left) != diag \
-                or r.path_compose(right, top) != diag:
-            ok = False
-            break
-        nat = pi_homotopy(h)
-        from .groupoids import is_nat_iso
-        if not is_nat_iso(nat).ok:
-            ok = False
-            break
-        done += 1
-    rep.add("boundary-lemma", ok, f"{done} homotopy/path pairs")
+        return (r.path_compose(bottom, left) == diag
+                and r.path_compose(right, top) == diag
+                and is_nat_iso(pi_homotopy(h)).ok)
+
+    target = cfg.count("boundary-pairs", 100)
+    held = sum(1 for _ in takewhile(bool, _sample(target, boundary_lemma)))
+    rep.add("boundary-lemma", held == target, f"{held} homotopy/path pairs")
     return rep
 
 
@@ -246,23 +245,15 @@ def suite_squares(cfg: SuiteConfig) -> Report:
     x = codiscrete(["a", "b"])
     y = codiscrete(["u", "v"])
     target = cfg.count("cells", 100)
-    done = 0
-    ok = True
     squares = []
-    while done < target:
-        sq = _gen_square(r, gen, x, y)
-        if sq is None:
-            continue
+    for sq in _sample(target, lambda: _gen_square(r, gen, x, y)):
         cell = r.boundary_inv(sq)
-        if boundary(r, cell, x, y) != sq:
-            ok = False
-            break
-        if r.boundary_inv(boundary(r, cell, x, y)) != cell:
-            ok = False
+        if boundary(r, cell, x, y) != sq \
+                or r.boundary_inv(boundary(r, cell, x, y)) != cell:
             break
         squares.append(sq)
-        done += 1
-    rep.add("boundary-roundtrip", ok, f"{done} cells")
+    rep.add("boundary-roundtrip", len(squares) == target,
+            f"{len(squares)} cells")
 
     ok = True
     vchecked = hchecked = 0
@@ -296,15 +287,12 @@ def suite_two_one_axioms(cfg: SuiteConfig) -> Report:
         y = gen.assembly(base=gen.small_groupoid(2))
         z = gen.assembly(base=gen.small_groupoid(2))
         pool.append((x, y, z))
-    target = cfg.count("configs", 100)
-    done = 0
-    vert_ok = horiz_ok = inter_ok = idinv_ok = True
-    while done < target:
+    def configuration():
         x, y, z = gen.rng.choice(pool)
         c1 = gen.twocell(pg, x, y)
         c2 = gen.twocell(pg, y, z)
         if c1 is None or c2 is None:
-            continue
+            return None
         c1b = gen.twocell_from(pg, c1.tgt)
         c2b = gen.twocell_from(pg, c2.tgt)
         if c1b is None or c2b is None:
@@ -313,17 +301,13 @@ def suite_two_one_axioms(cfg: SuiteConfig) -> Report:
             c2b = inverse_twocell(pg, c2)
         v1 = twocell_compose(pg, "vertical", c1b, c1)
         v2 = twocell_compose(pg, "vertical", c2b, c2)
-        if not (validate_twocell(pg, v1).ok and validate_twocell(pg, v2).ok):
-            vert_ok = False
+        vert = validate_twocell(pg, v1).ok and validate_twocell(pg, v2).ok
         h = twocell_compose(pg, "horizontal", c2, c1)
-        if not validate_twocell(pg, h).ok:
-            horiz_ok = False
+        horiz = validate_twocell(pg, h).ok
         lhs = twocell_compose(pg, "horizontal", v2, v1)
         rhs = twocell_compose(pg, "vertical",
                               twocell_compose(pg, "horizontal", c2b, c1b),
                               twocell_compose(pg, "horizontal", c2, c1))
-        if lhs.iso != rhs.iso:
-            inter_ok = False
         idc = identity_twocell(pg, c1.src)
         inv = inverse_twocell(pg, c1)
         cyl = pg.cylinder(x)
@@ -331,14 +315,16 @@ def suite_two_one_axioms(cfg: SuiteConfig) -> Report:
             inv.epsw.components[cyl.raw_base.opair[(xo, "0")]]
             == c1.epsw.components[cyl.raw_base.opair[(xo, "1")]]
             for xo in x.base.objects)
-        if not (validate_twocell(pg, idc).ok and validate_twocell(pg, inv).ok
-                and swap_ok):
-            idinv_ok = False
-        done += 1
-    rep.add("vertical-realizers", vert_ok, f"{done} configurations")
-    rep.add("horizontal-realizers", horiz_ok, f"{done} configurations")
-    rep.add("interchange", inter_ok, f"{done} configurations")
-    rep.add("identity-inverse-realizers", idinv_ok, f"{done} configurations")
+        idinv = (validate_twocell(pg, idc).ok and validate_twocell(pg, inv).ok
+                 and swap_ok)
+        return vert, horiz, lhs.iso == rhs.iso, idinv
+
+    target = cfg.count("configs", 100)
+    rows = list(_sample(target, configuration))
+    for i, name in enumerate(("vertical-realizers", "horizontal-realizers",
+                              "interchange", "identity-inverse-realizers")):
+        rep.add(name, len(rows) == target and all(row[i] for row in rows),
+                f"{len(rows)} configurations")
     return rep
 
 
@@ -357,9 +343,7 @@ def suite_pgasm_ccc(cfg: SuiteConfig) -> Report:
         ok = ok and validate_morphism(m).ok and len(cands) == 1
     rep.add("terminal-universal", ok, f"{n} assemblies")
 
-    n = cfg.count("products", 10)
-    ok = True
-    for _ in range(n):
+    def product_cone():
         x = gen.assembly(base=gen.small_groupoid(2))
         y = gen.assembly(base=gen.small_groupoid(2))
         w = gen.assembly(base=gen.small_groupoid(2))
@@ -367,67 +351,56 @@ def suite_pgasm_ccc(cfg: SuiteConfig) -> Report:
         m1 = gen.morphism(w, x)
         m2 = gen.morphism(w, y)
         if m1 is None or m2 is None:
-            continue
+            return None
         h = p.pair(m1, m2)
-        ok = ok and validate_morphism(h).ok
-        ok = ok and compose_morphisms(p.p1, h) == m1
-        ok = ok and compose_morphisms(p.p2, h) == m2
         count = sum(1 for c in functors_between(w.base, p.asm.base)
                     if compose_functors(p.raw_base.p1, c) == m1.fun
                     and compose_functors(p.raw_base.p2, c) == m2.fun)
-        ok = ok and count == 1
-    rep.add("product-universal", ok, f"{n} cones")
+        return (validate_morphism(h).ok
+                and compose_morphisms(p.p1, h) == m1
+                and compose_morphisms(p.p2, h) == m2 and count == 1)
 
-    n = cfg.count("beta", 20)
-    done = 0
-    ok = True
-    while done < n:
+    n = cfg.count("products", 10)
+    held = sum(1 for _ in takewhile(bool, _sample(n, product_cone)))
+    rep.add("product-universal", held == n, f"{held} cones")
+
+    def beta():
         x = gen.assembly(base=gen.small_groupoid(2), rtype=r.interval.I1)
         y = gen.assembly(base=gen.small_groupoid(2), rtype=r.interval.I1)
         z = gen.assembly(base=gen.small_groupoid(2), rtype=r.interval.I0)
-        try:
-            w = weak_exponential(x, y)
-        except GralError:
-            continue
+        w = weak_exponential(x, y)
         zp = product_assembly(z, x)
         k = gen.morphism(zp.asm, y)
         if k is None:
-            continue
+            return None
         kt = transpose_morphism(w, k, zp)
-        ok = ok and validate_morphism(kt).ok and beta_holds(w, k, zp, kt)
-        ok = ok and validate_morphism(w.ev).ok
-        done += 1
-    rep.add("weak-exponential-beta", ok, f"{done} transposes")
+        return (validate_morphism(kt).ok and beta_holds(w, k, zp, kt)
+                and validate_morphism(w.ev).ok)
 
-    n = cfg.count("modest", 10)
-    done = 0
-    ok = True
-    while done < n:
+    n = cfg.count("beta", 20)
+    held = sum(1 for _ in takewhile(bool, _sample(n, beta)))
+    rep.add("weak-exponential-beta", held == n, f"{held} transposes")
+
+    def modesty():
         x = gen.assembly(base=gen.small_groupoid(2), rtype=r.interval.I1)
         y = gen.modest_assembly()
-        try:
-            w = weak_exponential(x, y)
-        except GralError:
-            continue
-        ok = ok and is_modest(w.asm)[0]
-        done += 1
-    rep.add("weak-exponential-modesty", ok, f"{done} instances")
+        return is_modest(weak_exponential(x, y).asm)[0]
 
-    from .assemblies import weakexp_cell
+    n = cfg.count("modest", 10)
+    held = sum(1 for _ in takewhile(bool, _sample(n, modesty)))
+    rep.add("weak-exponential-modesty", held == n, f"{held} instances")
+
     pg = pgasm_interval(r)
-    ok = True
-    done = 0
-    while done < 2:
+
+    def fillers():
         x = gen.assembly(base=gen.small_groupoid(2), rtype=r.interval.I1)
         y = gen.assembly(base=gen.small_groupoid(2), rtype=r.interval.I1)
-        try:
-            w = weak_exponential(x, y)
-        except GralError:
-            continue
-        for mid in list(w.asm.base.morphisms)[:15]:
-            ok = ok and validate_twocell(pg, weakexp_cell(w, pg, mid)).ok
-        done += 1
-    rep.add("weak-exponential-fillers", ok,
+        w = weak_exponential(x, y)
+        return all(validate_twocell(pg, weakexp_cell(w, pg, mid)).ok
+                   for mid in list(w.asm.base.morphisms)[:15])
+
+    held = sum(1 for _ in takewhile(bool, _sample(2, fillers)))
+    rep.add("weak-exponential-fillers", held == 2,
             "boundary-determined fillers are natural")
     return rep
 
@@ -438,26 +411,19 @@ def suite_finite_limits(cfg: SuiteConfig) -> Report:
     pg = pgasm_interval(r)
     rep = Report("finite-limits", cfg.seed)
 
-    n = cfg.count("pullbacks", 20)
-    done = 0
-    ok = True
-    while done < n:
+    def pullback_cone():
         z = gen.assembly(base=gen.small_groupoid(2))
         x = gen.assembly(base=gen.small_groupoid(2))
         y = gen.assembly(base=gen.small_groupoid(2))
         f = gen.morphism(x, z)
         g = gen.morphism(y, z)
         if f is None or g is None:
-            continue
+            return None
         pb = pullback_assembly(f, g)
         if not (validate_morphism(pb.p1).ok and validate_morphism(pb.p2).ok):
-            ok = False
-            break
+            return False
         w = gen.assembly(base=gen.small_groupoid(2))
-        found_cone = False
         for S in functors_between(w.base, x.base):
-            if found_cone:
-                break
             for T in functors_between(w.base, y.base):
                 if compose_functors(f.fun, S) != compose_functors(g.fun, T):
                     continue
@@ -466,62 +432,58 @@ def suite_finite_limits(cfg: SuiteConfig) -> Report:
                 if s is None or tm is None:
                     continue
                 u = pb.pair(s, tm)
-                ok = ok and validate_morphism(u).ok
-                ok = ok and compose_morphisms(pb.p1, u) == s
-                ok = ok and compose_morphisms(pb.p2, u) == tm
                 count = sum(1 for c in functors_between(w.base, pb.asm.base)
                             if compose_functors(pb.raw_base.p1, c) == S
                             and compose_functors(pb.raw_base.p2, c) == T)
-                ok = ok and count == 1
-                found_cone = True
-                break
-        if found_cone:
-            done += 1
-    rep.add("pullback-universal", ok, f"{done} cones")
+                return (validate_morphism(u).ok
+                        and compose_morphisms(pb.p1, u) == s
+                        and compose_morphisms(pb.p2, u) == tm and count == 1)
+        return None
 
-    n = cfg.count("pseudopullbacks", 20)
-    done = 0
-    ok = True
-    while done < n:
+    n = cfg.count("pullbacks", 20)
+    held = sum(1 for _ in takewhile(bool, _sample(n, pullback_cone)))
+    rep.add("pullback-universal", held == n, f"{held} cones")
+
+    def pseudopullback_cone():
         z = gen.assembly(base=gen.small_groupoid(2), rtype=r.interval.I1)
         x = gen.assembly(base=gen.small_groupoid(2))
         y = gen.assembly(base=gen.small_groupoid(2))
         f = gen.morphism(x, z)
         g = gen.morphism(y, z)
         if f is None or g is None:
-            continue
+            return None
         pp = pseudopullback_assembly(f, g, pg)
         if not (validate_morphism(pp.p1).ok and validate_morphism(pp.p2).ok
                 and validate_twocell(pg, pp.conn).ok):
-            ok = False
-            break
+            return False
         w = gen.assembly(base=gen.small_groupoid(2))
         s = gen.morphism(w, x)
         tm = gen.morphism(w, y)
         if s is None or tm is None:
-            continue
+            return None
         fs = compose_morphisms(f, s)
         gt = compose_morphisms(g, tm)
         isos = nat_isos_between(fs.fun, gt.fun)
         if not isos:
-            continue
+            return None
         psi = twocell_from_iso(pg, gen.rng.choice(isos), fs, gt)
         u = pp.pair(s, tm, psi, pg)
-        ok = ok and validate_morphism(u).ok
-        ok = ok and compose_morphisms(pp.p1, u) == s
-        ok = ok and compose_morphisms(pp.p2, u) == tm
         comps = {wo: pp.conn.iso.components[u.fun.omap[wo]]
                  for wo in w.base.objects}
-        ok = ok and comps == psi.iso.components
         count = sum(
             1 for c in functors_between(w.base, pp.asm.base)
             if compose_functors(pp.raw.p1, c) == s.fun
             and compose_functors(pp.raw.p2, c) == tm.fun
             and {wo: pp.conn.iso.components[c.omap[wo]]
                  for wo in w.base.objects} == psi.iso.components)
-        ok = ok and count == 1
-        done += 1
-    rep.add("pseudopullback-universal", ok, f"{done} cones")
+        return (validate_morphism(u).ok
+                and compose_morphisms(pp.p1, u) == s
+                and compose_morphisms(pp.p2, u) == tm
+                and comps == psi.iso.components and count == 1)
+
+    n = cfg.count("pseudopullbacks", 20)
+    held = sum(1 for _ in takewhile(bool, _sample(n, pseudopullback_cone)))
+    rep.add("pseudopullback-universal", held == n, f"{held} cones")
     return rep
 
 
@@ -533,11 +495,9 @@ def suite_path_axioms(cfg: SuiteConfig) -> Report:
 
     assemblies = [gen.assembly(base=gen.small_groupoid(2))
                   for _ in range(cfg.count("assemblies", 20))]
-    fibrations: list[FibrationData] = []
-    while len(fibrations) < cfg.count("fibrations", 30):
-        fib, _total = gen.split_fibration(
-            base=gen.rng.choice(assemblies), rich=False)
-        fibrations.append(fib)
+    fibrations = [gen.split_fibration(base=gen.rng.choice(assemblies),
+                                      rich=False)[0]
+                  for _ in range(cfg.count("fibrations", 30))]
 
     morphs = []
     for _ in range(20):
@@ -583,17 +543,13 @@ def suite_path_axioms(cfg: SuiteConfig) -> Report:
 
     ok = True
     lifts_ok = True
-    done = 0
     for a in assemblies:
-        try:
-            pod = path_object(a, pg)
-        except GralError:
-            continue
+        pod = path_object(a, pg)
         diag = pod.prod.pair(identity_morphism(a), identity_morphism(a))
         ok = ok and compose_morphisms(pod.st, pod.r_mor) == diag
         ok = ok and validate_morphism(pod.r_mor).ok
         ok = ok and validate_morphism(pod.st).ok
-        ok = ok and validate_equivalence(pg, pod.r_equiv).ok
+        ok = ok and validate_asm_equivalence(pg, pod.r_equiv).ok
         prod_base = pod.prod.asm.base
         for oid in list(pod.pobj.asm.base.objects)[:3]:
             src_pair = pod.st.fun.omap[oid]
@@ -604,61 +560,60 @@ def suite_path_axioms(cfg: SuiteConfig) -> Report:
                 lifts_ok = lifts_ok and pod.st.fun.mmap[mid] == pm
                 if prod_base.is_identity(pm):
                     lifts_ok = lifts_ok and pod.pobj.asm.base.is_identity(mid)
-        done += 1
-    rep.add("pc6-path-objects", ok and done >= 20, f"{done} path objects")
+    rep.add("pc6-path-objects", ok and len(assemblies) >= 20,
+            f"{len(assemblies)} path objects")
     rep.add("pc6-chosen-lifts", lifts_ok, "boundary laws of the chosen lifts")
 
-    ok = True
-    done = 0
-    while done < cfg.count("pc7", 20):
+    def section():
         fib = gen.acyclic_fibration(base=gen.rng.choice(assemblies), rich=False)
         eq = as_equivalence(pg, fib.morphism)
         if eq is None:
-            continue
+            return None
         psi = twocell_from_iso(pg, invert_nat_iso(eq.counit.iso),
                                compose_morphisms(fib.morphism, eq.bwd),
                                identity_morphism(fib.tgt))
         s = pc7_section(fib, eq.bwd, psi)
-        ok = ok and compose_morphisms(fib.morphism, s).fun \
-            == identity_functor(fib.tgt.base)
-        ok = ok and validate_morphism(s).ok
-        done += 1
-    rep.add("pc7-section", ok, f"{done} acyclic fibrations")
+        return (compose_morphisms(fib.morphism, s).fun
+                == identity_functor(fib.tgt.base)
+                and validate_morphism(s).ok)
 
-    ok = True
-    done = 0
-    while done < cfg.count("pc8", 20):
+    n = cfg.count("pc7", 20)
+    held = sum(1 for _ in takewhile(bool, _sample(n, section)))
+    rep.add("pc7-section", held == n, f"{held} acyclic fibrations")
+
+    def pseudoinverse():
         gfib = gen.acyclic_fibration(base=gen.rng.choice(assemblies), rich=False)
         geq = as_equivalence(pg, gfib.morphism)
         if geq is None:
-            continue
+            return None
         x = gen.rng.choice(assemblies)
         f = gen.morphism(x, gfib.tgt)
         if f is None:
-            continue
+            return None
         pb, s_mor, sigma = pc8_pseudoinverse(gfib, geq, f, pg)
-        ok = ok and compose_morphisms(pb.p1, s_mor).fun \
-            == identity_functor(x.base)
-        ok = ok and validate_morphism(s_mor).ok
-        ok = ok and validate_twocell(pg, sigma).ok
-        done += 1
-    rep.add("pc8-pseudoinverse", ok, f"{done} pullback squares")
+        return (compose_morphisms(pb.p1, s_mor).fun == identity_functor(x.base)
+                and validate_morphism(s_mor).ok
+                and validate_twocell(pg, sigma).ok)
 
-    ok = True
-    done = 0
-    while done < cfg.count("brown", 10):
+    n = cfg.count("pc8", 20)
+    held = sum(1 for _ in takewhile(bool, _sample(n, pseudoinverse)))
+    rep.add("pc8-pseudoinverse", held == n, f"{held} pullback squares")
+
+    def brown():
         fib = gen.rng.choice(fibrations)
         afib = gen.acyclic_fibration(base=fib.tgt, rich=False)
         aeq = as_equivalence(pg, afib.morphism)
         if aeq is None:
-            continue
+            return None
         x = gen.rng.choice(assemblies)
         f = gen.morphism(x, fib.tgt)
         if f is None:
-            continue
-        ok = ok and brown_factor_check(fib, afib, aeq, f, pg)
-        done += 1
-    rep.add("brown-stability", ok, f"{done} pullback squares")
+            return None
+        return brown_factor_check(fib, afib, aeq, f, pg)
+
+    n = cfg.count("brown", 10)
+    held = sum(1 for _ in takewhile(bool, _sample(n, brown)))
+    rep.add("brown-stability", held == n, f"{held} pullback squares")
 
     if cfg.inject == "broken-cleavage":
         broken = _find_sabotaged_transport(fibrations)
@@ -675,7 +630,6 @@ def suite_path_axioms(cfg: SuiteConfig) -> Report:
 
 def _find_sabotaged_transport(fibrations):
     """A transport realizer with one witness component swapped out."""
-    from .assemblies import RealizedMorphism
     for fib in fibrations:
         pic = fib.src.pi.gpd
         if len(pic.morphisms) < 2:
@@ -699,137 +653,115 @@ def suite_weak_pi(cfg: SuiteConfig) -> Report:
     r = gpd_interval(cfg.caps)
     gen = Gen(r, cfg.seed, cfg.caps)
     rep = Report("weak-pi", cfg.seed)
-    target = cfg.count("instances", 20)
-    done = 0
-    fib_ok = ev_ok = beta_ok = True
-    while done < target:
+    rows: list[tuple[bool, bool, bool]] = []
+
+    def instance():
         # every third instance carries paths in the codomain realizer, so
         # the square-filling route through the fibre reindexing is exercised
-        zr = r.interval.I1 if done % 3 == 2 else r.interval.I0
+        zr = r.interval.I1 if len(rows) % 3 == 2 else r.interval.I0
         z = gen.assembly(base=gen.small_groupoid(2), rtype=zr)
         y = gen.assembly(base=gen.small_groupoid(2), rtype=r.interval.I0)
         gfib, _total = gen.split_fibration(base=y, rich=False)
         fm = gen.morphism(gfib.tgt, z)
         if fm is None:
-            continue
+            return None
         ffib = is_fibration(fm)
         if not isinstance(ffib, FibrationData):
-            continue
-        try:
-            dp = dependent_product(gfib, ffib, max_objects=cfg.caps.max_morphisms)
-        except GralError:
-            continue
-        got = is_fibration(dp.fib.morphism)
-        fib_ok = fib_ok and isinstance(got, FibrationData)
-        fib_ok = fib_ok and validate_morphism(dp.fib.morphism).ok
-        for (oid, rm), mid in list(dp.fib.cleavage.lifts.items())[:20]:
-            fib_ok = fib_ok and dp.fib.morphism.fun.mmap[mid] == rm
-            if ffib.tgt.base.is_identity(rm):
-                fib_ok = fib_ok and dp.asm.base.is_identity(mid)
-        ev_ok = ev_ok and compose_functors(gfib.morphism.fun, dp.ev.fun) \
-            == dp.fstar.p1.fun
-        ev_ok = ev_ok and validate_morphism(dp.ev).ok
+            return None
+        dp = dependent_product(gfib, ffib, max_objects=cfg.caps.max_morphisms)
         w = gen.assembly(base=gen.small_groupoid(2), rtype=r.interval.I0)
         rw = gen.morphism(w, z)
         if rw is None:
-            continue
+            return None
         fw = pullback_assembly(ffib.morphism, rw)
-        found = False
         for S in functors_between(fw.asm.base, gfib.src.base):
             if compose_functors(gfib.morphism.fun, S) != fw.p1.fun:
                 continue
             s = realize(fw.asm, gfib.src, S)
-            if s is None:
-                continue
-            t = dp_transpose(dp, rw, s, fw)
-            beta_ok = beta_ok and validate_morphism(t).ok
-            beta_ok = beta_ok and compose_functors(dp.fib.morphism.fun, t.fun) \
-                == rw.fun
-            beta_ok = beta_ok and compose_functors(
-                dp.ev.fun, fstar_map(dp, fw, t).fun) == S
-            found = True
-            break
-        if not found:
-            continue
-        done += 1
-    rep.add("pif-fibration", fib_ok, f"{done} instances")
-    rep.add("ev-over-base", ev_ok, f"{done} instances")
-    rep.add("beta-law", beta_ok, f"{done} transposes")
+            if s is not None:
+                break
+        else:
+            return None
+        t = dp_transpose(dp, rw, s, fw)
+        beta_ok = (validate_morphism(t).ok
+                   and compose_functors(dp.fib.morphism.fun, t.fun) == rw.fun
+                   and compose_functors(
+                       dp.ev.fun, fstar_map(dp, fw, t).fun) == S)
+        fib_ok = (isinstance(is_fibration(dp.fib.morphism), FibrationData)
+                  and validate_morphism(dp.fib.morphism).ok)
+        for (oid, rm), mid in list(dp.fib.cleavage.lifts.items())[:20]:
+            fib_ok = fib_ok and dp.fib.morphism.fun.mmap[mid] == rm
+            if ffib.tgt.base.is_identity(rm):
+                fib_ok = fib_ok and dp.asm.base.is_identity(mid)
+        ev_ok = (compose_functors(gfib.morphism.fun, dp.ev.fun)
+                 == dp.fstar.p1.fun and validate_morphism(dp.ev).ok)
+        return fib_ok, ev_ok, beta_ok
+
+    target = cfg.count("instances", 20)
+    for row in _sample(target, instance):
+        rows.append(row)
+    for i, (name, what) in enumerate((("pif-fibration", "instances"),
+                                      ("ev-over-base", "instances"),
+                                      ("beta-law", "transposes"))):
+        rep.add(name, len(rows) == target and all(row[i] for row in rows),
+                f"{len(rows)} {what}")
     return rep
 
 
 def suite_modest_closure(cfg: SuiteConfig) -> Report:
     r = gpd_interval(cfg.caps)
     gen = Gen(r, cfg.seed, cfg.caps)
-    pg = pgasm_interval(r)
     rep = Report("modest-closure", cfg.seed)
     n = cfg.count("instances", 10)
 
-    ok = True
-    done = 0
-    while done < n:
+    def composition():
         base = gen.assembly(rich=False)
-        m1, total1 = gen.modest_fibration(base=base)
+        m1, _total1 = gen.modest_fibration(base=base)
         m2, _total2 = gen.modest_fibration(base=m1.src)
         comp = is_fibration(compose_morphisms(m1.morphism, m2.morphism))
-        if not isinstance(comp, FibrationData):
-            ok = False
-            break
-        got, _w = is_modest_fibration(comp)
-        ok = ok and got
-        done += 1
-    rep.add("composition-closure", ok, f"{done} composable pairs")
+        return isinstance(comp, FibrationData) and is_modest_fibration(comp)[0]
 
-    ok = True
-    done = 0
-    while done < n:
+    held = sum(1 for _ in takewhile(bool, _sample(n, composition)))
+    rep.add("composition-closure", held == n, f"{held} composable pairs")
+
+    def pullback_square():
         y = gen.assembly(rich=False)
         fib, _total = gen.modest_fibration(base=y)
         x = gen.assembly(base=gen.small_groupoid(2), rtype=r.interval.I0)
         f = gen.morphism(x, y)
         if f is None:
-            continue
-        pb = pullback_assembly(f, fib.morphism)
-        fib2 = is_fibration(pb.p1)
-        ok = ok and isinstance(fib2, FibrationData) \
-            and is_modest_fibration(fib2)[0]
-        done += 1
-    rep.add("pullback-stability", ok, f"{done} squares")
+            return None
+        fib2 = is_fibration(pullback_assembly(f, fib.morphism).p1)
+        return isinstance(fib2, FibrationData) and is_modest_fibration(fib2)[0]
 
-    ok = True
-    done = 0
-    while done < n:
-        y = gen.assembly(rich=False)
-        fib, total = gen.modest_fibration(base=y)
-        split = _split_replacement(gen, pg, fib)
-        if split is None:
-            continue
-        ok = ok and is_modest_fibration(split)[0]
-        done += 1
-    rep.add("split-replacement-modest", ok, f"{done} splittings")
+    held = sum(1 for _ in takewhile(bool, _sample(n, pullback_square)))
+    rep.add("pullback-stability", held == n, f"{held} squares")
 
-    ok = True
-    done = 0
-    while done < n:
+    def splitting():
+        fib, _total = gen.modest_fibration(base=gen.assembly(rich=False))
+        split = _split_replacement(gen, fib)
+        return None if split is None else is_modest_fibration(split)[0]
+
+    held = sum(1 for _ in takewhile(bool, _sample(n, splitting)))
+    rep.add("split-replacement-modest", held == n, f"{held} splittings")
+
+    def pif():
         z = gen.assembly(base=gen.small_groupoid(2), rtype=r.interval.I0)
         y = gen.assembly(base=gen.small_groupoid(2), rtype=r.interval.I0)
         gfib, _tot = gen.modest_fibration(base=y)
         fm = gen.morphism(y, z)
         if fm is None:
-            continue
+            return None
         ffib = is_fibration(fm)
         if not isinstance(ffib, FibrationData):
-            continue
-        try:
-            dp = dependent_product(gfib, ffib, max_objects=cfg.caps.max_morphisms)
-        except GralError:
-            continue
-        ok = ok and is_modest_fibration(dp.fib)[0]
-        done += 1
-    rep.add("pif-modest", ok, f"{done} dependent products")
+            return None
+        dp = dependent_product(gfib, ffib, max_objects=cfg.caps.max_morphisms)
+        return is_modest_fibration(dp.fib)[0]
+
+    held = sum(1 for _ in takewhile(bool, _sample(n, pif)))
+    rep.add("pif-modest", held == n, f"{held} dependent products")
 
     # a chaotic fibre is correctly rejected
-    from .groupoids import discrete
     y = gen.assembly(base=gen.small_groupoid(1), rtype=r.interval.I0)
     pi0 = r.pi(r.interval.I0)
     chaotic = nabla(r, discrete(["n0", "n1"]), r.interval.I0,
@@ -842,29 +774,22 @@ def suite_modest_closure(cfg: SuiteConfig) -> Report:
     return rep
 
 
-def _split_replacement(gen: Gen, pg, fib: FibrationData):
+def _split_replacement(gen: Gen, fib: FibrationData):
     """An equivalent split fibration carrying transferred realizers.
 
     The fibre is inflated by a contractible block; the realizers come back
     along the equivalence, as in the repleteness construction.
     """
     r = fib.src.r
-    y = fib.tgt
     total = fib.src
     blow = codiscrete([f"s{gen._tag()}{i}" for i in range(2)])
-    from .groupoids import product as gpd_product
-    try:
-        raw = gpd_product(total.base, blow, gen.caps)
-    except GralError:
-        return None
+    raw = gpd_product(total.base, blow, gen.caps)
     proj = raw.p1
     eq = equivalence_inverse(proj)
-    from .groupoids import EquivalenceData
     if not isinstance(eq, EquivalenceData):
         return None
     # transfer realizers backwards along the projection equivalence; the
     # comparison map is then realized by the identity pair
-    from .assemblies import RealizedMorphism, _identity_eps
     rfun = compose_functors(total.rfun, proj)
     tilde = Assembly(r, raw.gpd, total.rtype, rfun)
     e = r.identity(total.rtype)
@@ -913,13 +838,11 @@ def suite_comb_alg(cfg: SuiteConfig) -> Report:
         ok = ok and normalize(App(STAR, a)) == STAR
     rep.add("sk-and-unit-equations", ok, "normal-form comparison")
 
-    target = cfg.count("bracket", 200)
-    ok = True
     pool = ([Var("x", o)] + enumerate_normal_forms(tca, o, 3)[:3]
             + enumerate_normal_forms(tca, oo, 4)[:4]
             + enumerate_normal_forms(tca, tca.arrow(o, oo), 5)[:3])
-    done = 0
-    while done < target:
+
+    def polynomial():
         var = Var("x", o)
         t = var
         for _ in range(rng.randrange(1, 4)):
@@ -933,15 +856,15 @@ def suite_comb_alg(cfg: SuiteConfig) -> Report:
                     continue
         lam = bracket_abstract(tca, t, var)
         if var.name in free_vars(lam):
-            ok = False
-            break
+            return False
         a = rng.choice(args)
-        if normalize(App(lam, a), 100000) != normalize(substitute(t, var, a),
-                                                       100000):
-            ok = False
-            break
-        done += 1
-    rep.add("bracket-substitution", ok, f"{done} random polynomials")
+        return normalize(App(lam, a), 100000) \
+            == normalize(substitute(t, var, a), 100000)
+
+    target = cfg.count("bracket", 200)
+    held = sum(1 for _ in takewhile(bool, _sample(target, polynomial)))
+    rep.add("bracket-substitution", held == target,
+            f"{held} random polynomials")
 
     cat = realizer_category_of(utca, carrier_size=3, witness_size=3)
     carrier = cat.carrier(uo)
@@ -969,11 +892,7 @@ def suite_comb_alg(cfg: SuiteConfig) -> Report:
             == {x: x for x in asm.carrier}
     rep.add("unit-augmentation-roundtrip", ok, f"{n} assemblies")
 
-    ok = True
-    done = 0
-    attempts = 0
-    while done < n and attempts < 200:
-        attempts += 1
+    def sample_morphism():
         src = DiscreteAssembly(utca, ("a0", "a1"), uo,
                                {"a0": rng.choice(carrier),
                                 "a1": rng.choice(carrier)})
@@ -982,23 +901,21 @@ def suite_comb_alg(cfg: SuiteConfig) -> Report:
                                 "b1": rng.choice(carrier)})
         for e in enumerate_normal_forms(utca, utca.arrow(uo, uo), 4):
             fun = {}
-            good = True
             for x in src.carrier:
                 v = normalize(App(e, src.realizer[x]), 4000)
                 hits = [yy for yy in tgt.carrier if tgt.realizer[yy] == v]
                 if not hits:
-                    good = False
                     break
                 fun[x] = hits[0]
-            if not good:
-                continue
-            m = DiscreteMorphism(src, tgt, fun, e)
-            res = function_realizer_bridge(cat, m)
-            ok = ok and res.back.fun == m.fun and res.back.validate()
-            done += 1
-            break
-    rep.add("function-realizer-roundtrip", ok and done >= n,
-            f"{done} sample morphisms")
+            else:
+                m = DiscreteMorphism(src, tgt, fun, e)
+                res = function_realizer_bridge(cat, m)
+                return res.back.fun == m.fun and res.back.validate()
+        return None
+
+    held = sum(1 for _ in takewhile(bool, _sample(n, sample_morphism)))
+    rep.add("function-realizer-roundtrip", held == n,
+            f"{held} sample morphisms")
     return rep
 
 

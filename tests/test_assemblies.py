@@ -14,6 +14,7 @@ from gral.assemblies import (
     twocell_compose, twocell_from_iso, validate_assembly, validate_morphism,
     validate_twocell, weak_exponential,
 )
+from gral.errors import StructuralError
 from gral.interval import check_cogroupoid, gpd_interval
 
 
@@ -285,6 +286,20 @@ def test_pgasm_cogroupoid(r):
     pr = PGAsmRealizer(r)
     rep = check_cogroupoid(pr)
     assert rep.ok, rep.failed()
+
+
+def test_pgasm_pi_refuses_colliding_path_ids(r):
+    # a constant realizer functor leaves the three paths I1 -> x, one per
+    # element of Z_3, with the same object-only label
+    base = cyclic_group(3)
+    const = next(f for f in functors_between(base, r.pi(r.interval.I1).gpd)
+                 if len(set(f.mmap.values())) == 1)
+    x = Assembly(r, base, r.interval.I1, const)
+    pr = PGAsmRealizer(r)
+    paths = pr.hom(pr.interval.I1, x)
+    assert len(paths) == 3 and len({pr.pi_mor_id(p) for p in paths}) == 1
+    with pytest.raises(StructuralError):
+        pr.pi(x)
 
 
 def test_pgasm_copair_validates(r, pg):

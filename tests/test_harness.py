@@ -1,13 +1,17 @@
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from gral.errors import ParseError, StructuralError
+from gral import suites
+from gral.errors import BoundaryError, ParseError, SizeCapError, StructuralError
 from gral.cli import main
-from gral.generators import Gen, SuiteConfig
+from gral.generators import Gen, SuiteConfig, _sample, generate
 from gral.groupoids import SizeCaps, codiscrete, validate_groupoid
 from gral.interval import gpd_interval
-from gral.suites import replay_counterexample, run_suite
+from gral.suites import SUITE_NAMES, replay_counterexample, run_suite
 from gral import textfmt
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -207,11 +211,104 @@ def test_cli_suite_exit_codes(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["--max-objects", "0", "suite", "cogroupoid"],
     ["--max-objects", "4", "--max-morphisms", "8", "suite", "weak-pi"],
+    ["--max-objects", "4", "--max-morphisms", "8", "suite", "pgasm-ccc"],
 ])
 def test_cli_suite_refusal_exits_2(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_suite_boundary_error_exits_2(capsys, monkeypatch):
+    def mismatched(cfg):
+        raise BoundaryError("paths do not match nose to tail")
+    monkeypatch.setitem(suites.SUITES, "cogroupoid", mismatched)
+    assert main(["suite", "cogroupoid"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_tight_caps_end_without_traceback(name):
+    src = str(pathlib.Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "gral.cli", "--max-objects", "4",
+         "--max-morphisms", "8", "suite", name],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode in (0, 1, 2)
+    assert "Traceback" not in done.stderr
+
+
+def _attempts(results):
+    """A make() that returns or raises the given results in turn, counting calls."""
+    calls = []
+
+    def make():
+        calls.append(1)
+        res = results[min(len(calls), len(results)) - 1]
+        if isinstance(res, Exception):
+            raise res
+        return res
+    return make, calls
+
+
+def test_sample_skips_none_and_stops_at_n():
+    make, calls = _attempts([None, "a", None, "b", "c", "d"])
+    assert list(_sample(3, make)) == ["a", "b", "c"]
+    assert len(calls) == 5
+    make, calls = _attempts([None])
+    assert list(_sample(3, make)) == []
+    assert len(calls) == 60
+
+
+def test_sample_reraises_a_refusal_before_the_first_instance():
+    cap = SizeCapError("product morphisms", 16, 8)
+    make, calls = _attempts([None, cap])
+    with pytest.raises(SizeCapError):
+        list(_sample(3, make))
+    assert len(calls) == 2
+    # after the first instance a refusal skips the attempt, like None
+    make, calls = _attempts(["a", cap])
+    assert list(_sample(3, make)) == ["a"]
+    assert len(calls) == 60
+
+
+def test_sample_propagates_other_errors_at_once():
+    make, calls = _attempts([BoundaryError("copair legs do not match")])
+    with pytest.raises(BoundaryError):
+        list(_sample(3, make))
+    assert len(calls) == 1
+
+
+def test_generate_equivalence_is_bounded(monkeypatch):
+    pairs = generate("equivalence", SuiteConfig(), count=2)
+    assert len(pairs) == 2
+    monkeypatch.setattr("gral.pathcat.as_equivalence", lambda pg, m: None)
+    assert generate("equivalence", SuiteConfig(), count=2) == []
+
+
+def test_checks_without_enough_instances_fail(monkeypatch):
+    def entry(rep, name):
+        e = next(e for e in rep.entries if e.name == name)
+        return e.ok, e.detail
+    real = Gen.morphism
+    monkeypatch.setattr(Gen, "morphism", lambda self, x, y, attempts=30: None)
+    rep = run_suite("pgasm-ccc", SuiteConfig(counts={
+        "terminal": 1, "products": 2, "beta": 1, "modest": 1}))
+    assert entry(rep, "product-universal") == (False, "0 cones")
+    rep = run_suite("modest-closure", SuiteConfig(counts={"instances": 2}))
+    assert entry(rep, "pullback-stability") == (False, "0 squares")
+    # one real morphism, then none: one square of the two required
+    calls = []
+
+    def once(self, x, y, attempts=30):
+        calls.append(1)
+        return real(self, x, y, attempts) if len(calls) == 1 else None
+    monkeypatch.setattr(Gen, "morphism", once)
+    rep = run_suite("modest-closure", SuiteConfig(counts={"instances": 2}))
+    assert entry(rep, "pullback-stability") == (False, "1 squares")
+    assert not rep.ok
 
 
 def test_cli_seed_env(tmp_path, capsys, monkeypatch):

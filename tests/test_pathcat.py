@@ -18,7 +18,7 @@ from gral.pathcat import (
     lift_2cell, path_object, pc1_isos_are_fibrations, pc3_terminal_fibration,
     pc4_isos_are_equivalences, pc5_two_out_of_six, pc7_section,
     pc8_pseudoinverse, pullback_assembly, pseudopullback_assembly,
-    transfer_structure, validate_equivalence,
+    transfer_structure, validate_asm_equivalence,
 )
 
 
@@ -181,7 +181,7 @@ def test_path_object_factorisation(r, pg):
         diag = pod.prod.pair(identity_morphism(x), identity_morphism(x))
         assert compose_morphisms(pod.st, pod.r_mor) == diag
         # r is an equivalence with validated 2-cells
-        assert validate_equivalence(pg, pod.r_equiv).ok
+        assert validate_asm_equivalence(pg, pod.r_equiv).ok
         assert compose_morphisms(pod.r_equiv.bwd, pod.r_equiv.fwd).fun \
             == identity_functor(x.base)
 
