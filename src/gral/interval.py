@@ -68,9 +68,11 @@ class ExpObj:
 class RealizerCategory:
     """Operations of a realizer category; subclasses provide primitives.
 
-    Derived combinators (swap, binary map product, uncurrying, path algebra,
-    fundamental groupoids) are implemented here once, against the
-    primitives.
+    Derived combinators (swap, binary map product, uncurrying, path algebra)
+    are implemented here once, against the primitives, and so are the
+    fundamental groupoid's cache and its generic table build.  The groupoid
+    instance overrides only that table build (`build_pi`, `pi_map`); the
+    generic build stays the paper's construction and the checked reference.
     """
 
     interval: IntervalData
@@ -205,8 +207,12 @@ class RealizerCategory:
             cache = {}
             self._pi_cache = cache
         if key not in cache:
-            cache[key] = _build_pi(self, a)
+            cache[key] = self.build_pi(a)
         return cache[key]
+
+    def build_pi(self, a) -> "PiData":
+        """Pi(a), uncached: points I0 -> a and paths I1 -> a."""
+        return _build_pi(self, a)
 
     def pi_obj_id(self, pt: Map) -> str:
         return "pt:" + self.label(pt)
@@ -234,7 +240,8 @@ class PiData:
     path_of: dict[str, Map]
 
 
-def _build_pi(r: RealizerCategory, a) -> PiData:
+def _points_and_paths(r: RealizerCategory, a) -> tuple[dict, dict]:
+    """The points and paths of a, keyed by their Pi ids."""
     iv = r.interval
     point_maps, path_maps = r.hom(iv.I0, a), r.hom(iv.I1, a)
     points = {r.pi_obj_id(p): p for p in point_maps}
@@ -242,6 +249,12 @@ def _build_pi(r: RealizerCategory, a) -> PiData:
     if len(points) < len(point_maps) or len(paths) < len(path_maps):
         raise StructuralError("fundamental groupoid: two points or two paths "
                               "share an identifier")
+    return points, paths
+
+
+def _build_pi(r: RealizerCategory, a) -> PiData:
+    """Pi(a) by the paper's construction, against the primitives alone."""
+    points, paths = _points_and_paths(r, a)
     mors = {m: (r.pi_obj_id(r.path_src(al)), r.pi_obj_id(r.path_tgt(al)))
             for m, al in paths.items()}
     comp = {(m2, m1): r.pi_mor_id(r.path_compose(paths[m2], paths[m1]))
@@ -724,6 +737,40 @@ class GpdRealizer(RealizerCategory):
                 val = b.compose(w, val)
             mmap[mid] = val
         return GFunctor(outer.p1.dom, b, omap, mmap)
+
+    # fundamental groupoid
+
+    def build_pi(self, a: FinGroupoid) -> PiData:
+        """Pi(a) as a relabelled.
+
+        A path I1 -> a is fixed by the morphism g it sends the generator to,
+        and its id is "path:" + g, so each table of Pi(a) is a's table
+        relabelled, in the entry order `_build_pi` gives it.  The discrete
+        interval has no generator and keeps the generic build.
+        """
+        if self.discrete:
+            return super().build_pi(a)
+        points, paths = _points_and_paths(self, a)
+        gen = {m: al.mmap["p01"] for m, al in paths.items()}
+        mors = {m: ("pt:" + al.omap["0"], "pt:" + al.omap["1"])
+                for m, al in paths.items()}
+        comp = {(m2, m1): "path:" + a.compose(gen[m2], gen[m1])
+                for m2, m1 in composable_pairs(mors)}
+        ident = {o: "path:" + a.id_of(p.omap["0"]) for o, p in points.items()}
+        inv = {m: "path:" + a.inv_of(g) for m, g in gen.items()}
+        gpd = FinGroupoid(sorted(points), mors, comp, ident, inv)
+        return PiData(gpd, points, paths)
+
+    def pi_map(self, f: GFunctor) -> GFunctor:
+        """Pi(f) as f relabelled, in the entry order of the generic map."""
+        if self.discrete:
+            return super().pi_map(f)
+        pa, pb = self.pi(f.dom), self.pi(f.cod)
+        omap = {o: "pt:" + f.omap[pa.point_of[o].omap["0"]]
+                for o in pa.gpd.objects}
+        mmap = {m: "path:" + f.mmap[pa.path_of[m].mmap["p01"]]
+                for m in pa.gpd.morphisms}
+        return GFunctor(pa.gpd, pb.gpd, omap, mmap)
 
 
 @dataclass

@@ -27,9 +27,9 @@ from .groupoids import (
     validate_groupoid, vcompose_nat_isos,
 )
 from .interval import (
-    GpdRealizer, HSquare, IntervalData, boundary, cell_hcomp, cell_vcomp,
-    check_cogroupoid, gpd_interval, homotopy_from_nat_iso, path_of_morphism,
-    pi_base_iso, pi_homotopy, square_hcomp, square_vcomp,
+    GpdRealizer, HSquare, IntervalData, _build_pi, boundary, cell_hcomp,
+    cell_vcomp, check_cogroupoid, gpd_interval, homotopy_from_nat_iso,
+    path_of_morphism, pi_base_iso, pi_homotopy, square_hcomp, square_vcomp,
 )
 from .assemblies import (
     Assembly, RealizedMorphism, _identity_eps, bang, compose_morphisms,
@@ -106,6 +106,12 @@ class Report:
         }, indent=2, sort_keys=True)
 
 
+def _table_entries(g) -> tuple:
+    """A groupoid's five tables as ordered entry lists."""
+    return (list(g.objects), list(g.mors.items()), list(g.comp.items()),
+            list(g.ident.items()), list(g.inv.items()))
+
+
 def _counterexample(check: str, bundle: str) -> str:
     return f"GRAL 1 COUNTEREXAMPLE {check}\n{bundle}"
 
@@ -158,9 +164,12 @@ def suite_fundamental_groupoid(cfg: SuiteConfig) -> Report:
         g = gen.groupoid()
         pa = r.pi(g)
         iso = pi_base_iso(r, g)
+        # the groupoid instance builds Pi(g) as g relabelled; the paper's
+        # construction must give the same tables, entry for entry
         ok = (validate_groupoid(pa.gpd).ok and is_functor(iso).ok
               and sorted(iso.omap.values()) == sorted(g.objects)
-              and sorted(iso.mmap.values()) == sorted(g.morphisms))
+              and sorted(iso.mmap.values()) == sorted(g.morphisms)
+              and _table_entries(_build_pi(r, g).gpd) == _table_entries(pa.gpd))
         if not ok:
             bad = g
             break

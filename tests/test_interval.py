@@ -202,6 +202,19 @@ def test_pi_iso_base(r):
         assert len(pa.gpd.morphisms) == len(a.morphisms)
 
 
+def test_discrete_interval_pi_is_discrete():
+    r = gpd_discrete_interval()
+    a = disjoint_union([cyclic_group(2), codiscrete(["a", "b"])])
+    pa = r.pi(a)
+    assert pa.gpd.objects == tuple(sorted("pt:" + x for x in a.objects))
+    assert pa.gpd.ident == {"pt:" + x: "path:" + x for x in a.objects}
+    assert sorted(pa.gpd.morphisms) == sorted(pa.gpd.ident.values())
+    f = next(f for f in functors_between(a, a) if f != identity_functor(a))
+    pf = r.pi_map(f)
+    assert pf.omap == {"pt:" + x: "pt:" + f.omap[x] for x in a.objects}
+    assert pf.mmap == {"path:" + x: "path:" + f.omap[x] for x in a.objects}
+
+
 def test_pi_functor_laws(r):
     x = codiscrete(["a", "b"])
     y = cyclic_group(2)

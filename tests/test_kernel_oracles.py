@@ -3,8 +3,10 @@
 Each reference below is the loop the kernel ran before it indexed morphisms
 by source and target: it visits every pair (or triple) of morphisms and
 skips the ones that do not compose.  The kernel must build the same tables,
-in the same insertion order, and report the same failures.  The fault
-injections show that each faster check can still fail.
+in the same insertion order, and report the same failures.  The groupoid
+instance's fundamental groupoid, built as the base groupoid relabelled, is
+held to the generic construction the same way.  The fault injections show
+that each faster check can still fail.
 """
 
 import random
@@ -20,7 +22,12 @@ from gral.groupoids import (
     iso_comma, pair_id, product, pullback, triple_id, validate_groupoid,
     vcompose_nat_isos,
 )
-from gral.interval import check_cogroupoid, gpd_interval, restriction_counts
+from gral.generators import SuiteConfig
+from gral.interval import (
+    GpdRealizer, PiData, RealizerCategory, _build_pi, check_cogroupoid,
+    gpd_interval, restriction_counts,
+)
+from gral.suites import run_suite
 
 SEEDS = st.integers(min_value=0, max_value=2 ** 30)
 
@@ -222,6 +229,50 @@ def test_missing_comp_entry_names_the_naive_pair(seed):
     with pytest.raises(StructuralError) as exc:
         FinGroupoid(objects, mors, comp, ident, inv)
     assert str(exc.value) == expected
+
+
+# --- fundamental groupoid -------------------------------------------------
+
+def _pi_entries(pd):
+    g = pd.gpd
+    return (list(g.objects), list(g.mors.items()), list(g.comp.items()),
+            list(g.ident.items()), list(g.inv.items()),
+            list(pd.point_of), list(pd.path_of))
+
+
+@settings(max_examples=25, deadline=None)
+@given(SEEDS)
+def test_pi_tables_match_the_generic_build(seed):
+    gen = _gen(seed)
+    a = gen.groupoid()
+    assert _pi_entries(gen.r.pi(a)) == _pi_entries(_build_pi(gen.r, a))
+
+
+@settings(max_examples=25, deadline=None)
+@given(SEEDS)
+def test_pi_map_matches_the_generic_map(seed):
+    gen = _gen(seed)
+    r = gen.r
+    f = gen.rng.choice(functors_between(gen.small_groupoid(), gen.small_groupoid()))
+    fast, ref = r.pi_map(f), RealizerCategory.pi_map(r, f)
+    assert fast.dom is ref.dom and fast.cod is ref.cod
+    assert list(fast.omap.items()) == list(ref.omap.items())
+    assert list(fast.mmap.items()) == list(ref.mmap.items())
+
+
+def test_reordered_pi_table_fails_only_pi_iso_base(monkeypatch):
+    relabel = GpdRealizer.build_pi
+
+    def reversed_mors(self, a):
+        pd = relabel(self, a)
+        g = pd.gpd
+        mors = dict(reversed(g.mors.items()))
+        return PiData(FinGroupoid(g.objects, mors, g.comp, g.ident, g.inv),
+                      pd.point_of, pd.path_of)
+
+    monkeypatch.setattr(GpdRealizer, "build_pi", reversed_mors)
+    rep = run_suite("fundamental-groupoid", SuiteConfig(seed=0))
+    assert [e.name for e in rep.entries if not e.ok] == ["pi-iso-base"]
 
 
 # --- pushout uniqueness ---------------------------------------------------
