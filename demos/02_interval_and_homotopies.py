@@ -25,9 +25,10 @@ print("concatenation lands on the composite:", iv.two.mmap["p01"])
 
 # Every diagram (and both pushout universal properties) is machine-checked.
 report = check_cogroupoid(r)
-for name, ok, _ in report.entries:
-    print(f"  {'ok ' if ok else 'FAIL'} {name}")
-print("notes:", report.notes[0])
+for e in report.entries:
+    print(f"  {'ok ' if e.ok else 'FAIL'} {e.name}")
+    if e.name == "coinverse-right":
+        print("       note:", e.detail)
 
 # Sabotage the reversal and watch exactly the inverse-law family fail.
 bad = IntervalData(iv.I0, iv.I1, iv.I2, iv.I3, iv.zero, iv.one, iv.star,

@@ -11,8 +11,8 @@ categories (`combalg`); and a seeded verification harness (`generators`,
 """
 
 from .groupoids import (
-    FinGroupoid, GFunctor, NatIso, EquivalenceData, SizeCaps,
-    ValidationReport, validate_groupoid, product, exponential, pullback,
+    FinGroupoid, GFunctor, NatIso, EquivalenceData, Report, SizeCaps,
+    validate_groupoid, product, exponential, pullback,
     iso_comma, isofibration_cleavage, equivalence_inverse,
     terminal_groupoid, discrete, codiscrete, cyclic_group, disjoint_union,
 )
@@ -44,11 +44,11 @@ from .combalg import (
     realizer_category_of, unit_augmentation,
 )
 from .generators import Gen, SuiteConfig, generate
-from .suites import SUITE_NAMES, Report, run_suite
+from .suites import SUITE_NAMES, run_suite
 
 __all__ = [
-    "FinGroupoid", "GFunctor", "NatIso", "EquivalenceData", "SizeCaps",
-    "ValidationReport", "validate_groupoid", "product", "exponential",
+    "FinGroupoid", "GFunctor", "NatIso", "EquivalenceData", "Report",
+    "SizeCaps", "validate_groupoid", "product", "exponential",
     "pullback", "iso_comma", "isofibration_cleavage", "equivalence_inverse",
     "terminal_groupoid", "discrete", "codiscrete", "cyclic_group",
     "disjoint_union",
@@ -70,5 +70,5 @@ __all__ = [
     "universal_object_check",
     "TCA", "DiscreteAssembly", "DiscreteMorphism", "bracket_abstract",
     "normalize", "realizer_category_of", "unit_augmentation",
-    "Gen", "SuiteConfig", "generate", "SUITE_NAMES", "Report", "run_suite",
+    "Gen", "SuiteConfig", "generate", "SUITE_NAMES", "run_suite",
 ]

@@ -16,7 +16,7 @@ from typing import Any, Optional
 
 from .errors import BoundaryError, SizeCapError, StructuralError
 from .groupoids import (
-    DEFAULT_CAPS, FinGroupoid, GFunctor, NatIso, ValidationReport,
+    DEFAULT_CAPS, FinGroupoid, GFunctor, NatIso, Report,
     composable_pairs, compose_functors, functors_between, identity_functor,
     is_functor, is_nat_iso, nat_isos_between, terminal_groupoid,
     vcompose_nat_isos,
@@ -58,12 +58,12 @@ class Assembly:
         return f"Assembly({len(self.base.objects)} objects over {self.rtype!r})"
 
 
-def validate_assembly(a: Assembly) -> ValidationReport:
+def validate_assembly(a: Assembly) -> Report:
     rep = is_functor(a.rfun)
     if a.rfun.dom.serial != a.base.serial:
-        rep.add("rfun-dom", "realizability functor not defined on the base")
+        rep.add("rfun-dom", False, "realizability functor not defined on the base")
     if a.rfun.cod.serial != a.pi.gpd.serial:
-        rep.add("rfun-cod", "realizability functor does not land in Pi(rtype)")
+        rep.add("rfun-cod", False, "realizability functor does not land in Pi(rtype)")
     return rep
 
 
@@ -97,26 +97,24 @@ class RealizedMorphism:
         return f"RealizedMorphism({self.fun!r})"
 
 
-def validate_morphism(m: RealizedMorphism) -> ValidationReport:
-    rep = ValidationReport()
+def validate_morphism(m: RealizedMorphism) -> Report:
+    rep = Report()
     r = m.src.r
     if m.fun.dom.serial != m.src.base.serial or m.fun.cod.serial != m.tgt.base.serial:
-        rep.add("fun-boundary", "underlying functor boundary mismatch")
+        rep.add("fun-boundary", False, "underlying functor boundary mismatch")
         return rep
-    sub = is_functor(m.fun)
-    rep.failures.extend(sub.failures)
+    rep.merge(is_functor(m.fun))
     if r.obj_key(r.dom(m.e)) != r.obj_key(m.src.rtype) \
             or r.obj_key(r.cod(m.e)) != r.obj_key(m.tgt.rtype):
-        rep.add("realizer-boundary", "realizer map boundary mismatch")
+        rep.add("realizer-boundary", False, "realizer map boundary mismatch")
         return rep
     left = compose_functors(r.pi_map(m.e), m.src.rfun)
     right = compose_functors(m.tgt.rfun, m.fun)
     if m.eps.src != left:
-        rep.add("eps-src", "eps does not start at Pi(e) . rfun")
+        rep.add("eps-src", False, "eps does not start at Pi(e) . rfun")
     if m.eps.tgt != right:
-        rep.add("eps-tgt", "eps does not end at rfun . F")
-    sub = is_nat_iso(m.eps)
-    rep.failures.extend(sub.failures)
+        rep.add("eps-tgt", False, "eps does not end at rfun . F")
+    rep.merge(is_nat_iso(m.eps))
     return rep
 
 
@@ -495,24 +493,23 @@ def pgasm_copair3(pg: PGAsmInterval, u: RealizedMorphism,
     return RealizedMorphism(pg.data.I3, x, fun, d, eps)
 
 
-def validate_twocell(pg: PGAsmInterval, c: TwoCell) -> ValidationReport:
+def validate_twocell(pg: PGAsmInterval, c: TwoCell) -> Report:
     """Boundary restrictions plus realizability of the cylinder morphism."""
-    rep = ValidationReport()
+    rep = Report()
     x = c.src.src
     y = c.src.tgt
     if c.tgt.src != x or c.tgt.tgt != y:
-        rep.add("parallel", "2-cell boundary morphisms are not parallel")
+        rep.add("parallel", False, "2-cell boundary morphisms are not parallel")
         return rep
     cyl = pg.cylinder(x)
     raw = cyl.raw_base
     for xo in x.base.objects:
         if c.body.omap[raw.opair[(xo, "0")]] != c.src.fun.omap[xo]:
-            rep.add("boundary-0", f"body at ({xo},0) differs from the source")
+            rep.add("boundary-0", False, f"body at ({xo},0) differs from the source")
         if c.body.omap[raw.opair[(xo, "1")]] != c.tgt.fun.omap[xo]:
-            rep.add("boundary-1", f"body at ({xo},1) differs from the target")
+            rep.add("boundary-1", False, f"body at ({xo},1) differs from the target")
     wrapped = RealizedMorphism(cyl.asm, y, c.body, c.ew, c.epsw)
-    sub = validate_morphism(wrapped)
-    rep.failures.extend(sub.failures)
+    rep.merge(validate_morphism(wrapped))
     return rep
 
 

@@ -597,27 +597,27 @@ def assembly_bridges(cat: FragmentCategory,
     functions and back.  The report is empty when every direction realizes
     and every round trip is the identity.
     """
-    from .groupoids import ValidationReport
-    rep = ValidationReport()
+    from .groupoids import Report
+    rep = Report()
     for i, (asm, a0) in enumerate(unit_assemblies):
         res = constant_realizer_iso(asm, a0)
         if not res.fwd.validate():
-            rep.add("constant-forward", f"assembly {i}: forward witness fails")
+            rep.add("constant-forward", False, f"assembly {i}: forward witness fails")
         if not res.bwd.validate():
-            rep.add("constant-backward", f"assembly {i}: backward witness fails")
+            rep.add("constant-backward", False, f"assembly {i}: backward witness fails")
         roundtrip = {x: res.bwd.fun[res.fwd.fun[x]] for x in asm.carrier}
         if roundtrip != {x: x for x in asm.carrier}:
-            rep.add("constant-roundtrip", f"assembly {i}: not the identity")
+            rep.add("constant-roundtrip", False, f"assembly {i}: not the identity")
     for i, m in enumerate(morphisms):
         res = function_realizer_bridge(cat, m)
         if res.back.fun != m.fun:
-            rep.add("function-roundtrip", f"morphism {i}: underlying map changed")
+            rep.add("function-roundtrip", False, f"morphism {i}: underlying map changed")
         if not res.back.validate():
-            rep.add("function-witness", f"morphism {i}: witness fails")
+            rep.add("function-witness", False, f"morphism {i}: witness fails")
         for x in m.src.carrier:
             if res.as_function.apply(m.src.realizer[x]) \
                     != m.tgt.realizer[m.fun[x]]:
-                rep.add("function-graph", f"morphism {i}: graph disagrees at {x}")
+                rep.add("function-graph", False, f"morphism {i}: graph disagrees at {x}")
     return rep
 
 

@@ -13,7 +13,7 @@ from typing import Any, Optional
 
 from .errors import BoundaryError, SizeCapError, StructuralError
 from .groupoids import (
-    Cleavage, DEFAULT_CAPS, FinGroupoid, GFunctor, NatIso, ValidationReport,
+    Cleavage, DEFAULT_CAPS, FinGroupoid, GFunctor, NatIso, Report,
     composable_pairs, compose_functors, functors_between, nat_isos_between,
 )
 from .assemblies import (
@@ -562,26 +562,26 @@ def is_modest_fibration(fib: FibrationData):
 
 def check_modest_closure(composable: list[tuple[FibrationData, FibrationData]],
                          pif_inputs: list[tuple[FibrationData, FibrationData]],
-                         ) -> ValidationReport:
+                         ) -> Report:
     """Composition closure and closure of the dependent product.
 
     composable: pairs (m2, m1) of modest fibrations with m1.tgt = m2.src;
     pif_inputs: pairs (g, f) with g modest, checking Pi_F(G) modest.
     """
-    rep = ValidationReport()
+    rep = Report()
     for i, (m2, m1) in enumerate(composable):
         comp = is_fibration(compose_morphisms(m2.morphism, m1.morphism))
         if not isinstance(comp, FibrationData):
-            rep.add("composite-fibration", f"pair {i}: composite not a fibration")
+            rep.add("composite-fibration", False, f"pair {i}: composite not a fibration")
             continue
         ok, witness = is_modest_fibration(comp)
         if not ok:
-            rep.add("composite-modest", f"pair {i}: {witness}")
+            rep.add("composite-modest", False, f"pair {i}: {witness}")
     for i, (g, f) in enumerate(pif_inputs):
         dp = dependent_product(g, f)
         ok, witness = is_modest_fibration(dp.fib)
         if not ok:
-            rep.add("pif-modest", f"input {i}: {witness}")
+            rep.add("pif-modest", False, f"input {i}: {witness}")
     return rep
 
 
@@ -621,20 +621,20 @@ class UniversalObjectWitness:
 
 
 def universal_object_check(r: RealizerCategory, w: UniversalObjectWitness,
-                           probes: list) -> ValidationReport:
+                           probes: list) -> Report:
     """Verify rho_A: r_A s_A => id_A for every supplied probe."""
-    rep = ValidationReport()
+    rep = Report()
     for a in probes:
         key = r.obj_key(a)
         if key not in w.homotopies:
-            rep.add("missing", f"no witness supplied for probe {a!r}")
+            rep.add("missing", False, f"no witness supplied for probe {a!r}")
             continue
         s_a = w.sections[key]
         r_a = w.retractions[key]
         rho = w.homotopies[key]
         rs = r.compose(r_a, s_a)
         if not r.map_eq(homotopy_dom(rho), rs):
-            rep.add("rho-dom", f"probe {a!r}: homotopy does not start at r.s")
+            rep.add("rho-dom", False, f"probe {a!r}: homotopy does not start at r.s")
         if not r.map_eq(homotopy_cod(rho), r.identity(a)):
-            rep.add("rho-cod", f"probe {a!r}: homotopy does not end at id")
+            rep.add("rho-cod", False, f"probe {a!r}: homotopy does not end at id")
     return rep

@@ -37,8 +37,6 @@ class SuiteConfig:
     caps: SizeCaps = field(default_factory=SizeCaps)
     counts: dict = field(default_factory=dict)
     inject: Optional[str] = None
-    out: Optional[str] = None
-    json: bool = False
 
     def __post_init__(self):
         if self.caps.max_objects <= 0 or self.caps.max_morphisms <= 0:

@@ -12,6 +12,7 @@ enumeration-indexed names for exponentials), so golden files are stable.
 from __future__ import annotations
 
 import itertools
+import json
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -33,22 +34,70 @@ DEFAULT_CAPS = SizeCaps()
 
 
 @dataclass
-class ValidationReport:
-    """Axiom failures found by a validator; empty means valid."""
+class CheckResult:
+    """One named check: its outcome, a detail line and, when it fails, an
+    optional counterexample payload that `suites.replay_counterexample`
+    re-runs."""
 
-    failures: list[tuple[str, str]] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    name: str
+    ok: bool
+    detail: str = ""
+    counterexample: Optional[str] = None
+
+
+@dataclass
+class Report:
+    """Named check results.  Suites record every check; validators record
+    only failures, so an empty validator report means valid."""
+
+    suite: str = ""
+    seed: int = 0
+    entries: list[CheckResult] = field(default_factory=list)
+    elapsed: float = 0.0
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return all(e.ok for e in self.entries)
 
-    def add(self, kind: str, detail: str) -> None:
-        self.failures.append((kind, detail))
+    @property
+    def failures(self) -> list[tuple[str, str]]:
+        """The failing (name, detail) pairs, in entry order."""
+        return [(e.name, e.detail) for e in self.entries if not e.ok]
 
-    def __repr__(self) -> str:
-        status = "ok" if self.ok else f"{len(self.failures)} failure(s)"
-        return f"ValidationReport({status})"
+    def failed(self) -> list[str]:
+        return [e.name for e in self.entries if not e.ok]
+
+    def add(self, name: str, ok: bool, detail: str = "",
+            counterexample: Optional[str] = None) -> None:
+        self.entries.append(CheckResult(name, ok, detail, counterexample))
+
+    def merge(self, sub: Report, prefix: str = "") -> None:
+        """Append the entries of `sub`, each name prefixed by `prefix`."""
+        for e in sub.entries:
+            self.add(prefix + e.name, e.ok, e.detail, e.counterexample)
+
+    def to_text(self) -> str:
+        lines = [f"suite {self.suite} seed {self.seed}"]
+        for e in sorted(self.entries, key=lambda e: e.name):
+            status = "pass" if e.ok else "FAIL"
+            lines.append(f"  {status}  {e.name}" + (f"  {e.detail}" if e.detail else ""))
+            if e.counterexample:
+                lines.append("  counterexample:")
+                lines.extend("    " + ln for ln in e.counterexample.splitlines())
+        lines.append(f"result {'pass' if self.ok else 'FAIL'}")
+        return "\n".join(lines) + "\n"
+
+    def to_json(self) -> str:
+        return json.dumps({
+            "suite": self.suite,
+            "seed": self.seed,
+            "ok": self.ok,
+            "checks": [
+                {"name": e.name, "ok": e.ok, "detail": e.detail,
+                 "counterexample": e.counterexample}
+                for e in sorted(self.entries, key=lambda e: e.name)
+            ],
+        }, indent=2, sort_keys=True)
 
 
 class FinGroupoid:
@@ -254,28 +303,28 @@ def _split_components(g: FinGroupoid) -> list[_Component]:
 
 # -- validation -----------------------------------------------------------
 
-def validate_groupoid(g: FinGroupoid) -> ValidationReport:
+def validate_groupoid(g: FinGroupoid) -> Report:
     """Scan every axiom instance; report violations (empty report = valid)."""
-    rep = ValidationReport()
+    rep = Report()
     mistyped: set[tuple[str, str]] = set()
     for (gg, ff), h in g.comp.items():
         if g.src(h) != g.src(ff) or g.tgt(h) != g.tgt(gg):
-            rep.add("comp-typing", f"{gg}o{ff}={h} has wrong endpoints")
+            rep.add("comp-typing", False, f"{gg}o{ff}={h} has wrong endpoints")
             mistyped.add((gg, ff))
     for f in g.morphisms:
         i_s, i_t = g.id_of(g.src(f)), g.id_of(g.tgt(f))
         if g.compose(f, i_s) != f:
-            rep.add("id-right", f"{f}o{i_s} != {f}")
+            rep.add("id-right", False, f"{f}o{i_s} != {f}")
         if g.compose(i_t, f) != f:
-            rep.add("id-left", f"{i_t}o{f} != {f}")
+            rep.add("id-left", False, f"{i_t}o{f} != {f}")
         v = g.inv_of(f)
         if g.mors[v] != (g.tgt(f), g.src(f)):
-            rep.add("inv-typing", f"inverse of {f} has wrong endpoints")
+            rep.add("inv-typing", False, f"inverse of {f} has wrong endpoints")
             continue
         if g.compose(v, f) != g.id_of(g.src(f)):
-            rep.add("inv-left", f"{v}o{f} != id_{g.src(f)}")
+            rep.add("inv-left", False, f"{v}o{f} != id_{g.src(f)}")
         if g.compose(f, v) != g.id_of(g.tgt(f)):
-            rep.add("inv-right", f"{f}o{v} != id_{g.tgt(f)}")
+            rep.add("inv-right", False, f"{f}o{v} != id_{g.tgt(f)}")
     # an instance with a mistyped composite is already a comp-typing failure,
     # and its outer composite may not exist
     for f in g.morphisms:
@@ -287,7 +336,7 @@ def validate_groupoid(g: FinGroupoid) -> ValidationReport:
                 if mistyped and (h, gg) in mistyped:
                     continue
                 if g.compose(h, gf) != g.compose(g.compose(h, gg), f):
-                    rep.add("assoc", f"({h}o{gg})o{f} != {h}o({gg}o{f})")
+                    rep.add("assoc", False, f"({h}o{gg})o{f} != {h}o({gg}o{f})")
     return rep
 
 
@@ -433,29 +482,29 @@ def compose_functors(g: GFunctor, f: GFunctor) -> GFunctor:
                     {m: g.mmap[f.mmap[m]] for m in f.dom.morphisms})
 
 
-def is_functor(f: GFunctor) -> ValidationReport:
+def is_functor(f: GFunctor) -> Report:
     """Total-table scan of functor laws."""
-    rep = ValidationReport()
+    rep = Report()
     dom, cod = f.dom, f.cod
     for x in dom.objects:
         if f.omap.get(x) not in cod.ident:
-            rep.add("omap", f"object {x} maps to nothing in codomain")
+            rep.add("omap", False, f"object {x} maps to nothing in codomain")
     for m in dom.morphisms:
         fm = f.mmap.get(m)
         if fm is None or fm not in cod.mors:
-            rep.add("mmap", f"morphism {m} maps to nothing in codomain")
+            rep.add("mmap", False, f"morphism {m} maps to nothing in codomain")
             continue
         s, t = dom.mors[m]
         if cod.mors[fm] != (f.omap[s], f.omap[t]):
-            rep.add("mmap-typing", f"image of {m} has wrong endpoints")
+            rep.add("mmap-typing", False, f"image of {m} has wrong endpoints")
     if not rep.ok:
         return rep
     for x in dom.objects:
         if f.mmap[dom.id_of(x)] != cod.id_of(f.omap[x]):
-            rep.add("functor-id", f"identity at {x} not preserved")
+            rep.add("functor-id", False, f"identity at {x} not preserved")
     for (g, m), h in dom.comp.items():
         if cod.compose(f.mmap[g], f.mmap[m]) != f.mmap[h]:
-            rep.add("functor-comp", f"composition {g}o{m} not preserved")
+            rep.add("functor-comp", False, f"composition {g}o{m} not preserved")
     return rep
 
 
@@ -490,26 +539,26 @@ class NatIso:
         return f"NatIso({len(self.components)} components)"
 
 
-def is_nat_iso(n: NatIso) -> ValidationReport:
-    rep = ValidationReport()
+def is_nat_iso(n: NatIso) -> Report:
+    rep = Report()
     F, G = n.src, n.tgt
     if F.dom.serial != G.dom.serial or F.cod.serial != G.cod.serial:
-        rep.add("parallel", "source and target functors are not parallel")
+        rep.add("parallel", False, "source and target functors are not parallel")
         return rep
     cod = F.cod
     for x in F.dom.objects:
         c = n.components.get(x)
         if c is None or c not in cod.mors:
-            rep.add("component", f"component at {x} dangles")
+            rep.add("component", False, f"component at {x} dangles")
             continue
         if cod.mors[c] != (F.omap[x], G.omap[x]):
-            rep.add("component-typing", f"component at {x} has wrong endpoints")
+            rep.add("component-typing", False, f"component at {x} has wrong endpoints")
     if not rep.ok:
         return rep
     for m in F.dom.morphisms:
         s, t = F.dom.mors[m]
         if cod.compose(n.components[t], F.mmap[m]) != cod.compose(G.mmap[m], n.components[s]):
-            rep.add("naturality", f"naturality square at {m} does not commute")
+            rep.add("naturality", False, f"naturality square at {m} does not commute")
     return rep
 
 
@@ -938,20 +987,18 @@ class EquivalenceFailure:
     detail: str
 
 
-def validate_equivalence(e: EquivalenceData) -> ValidationReport:
-    rep = ValidationReport()
+def validate_equivalence(e: EquivalenceData) -> Report:
+    rep = Report()
     for n, name in ((e.unit, "unit"), (e.counit, "counit")):
-        sub = is_nat_iso(n)
-        for kind, detail in sub.failures:
-            rep.add(f"{name}-{kind}", detail)
+        rep.merge(is_nat_iso(n), f"{name}-")
     if e.unit.src != identity_functor(e.fwd.dom):
-        rep.add("unit-src", "unit does not start at the identity functor")
+        rep.add("unit-src", False, "unit does not start at the identity functor")
     if e.unit.tgt != compose_functors(e.bwd, e.fwd):
-        rep.add("unit-tgt", "unit does not end at bwd o fwd")
+        rep.add("unit-tgt", False, "unit does not end at bwd o fwd")
     if e.counit.src != identity_functor(e.bwd.dom):
-        rep.add("counit-src", "counit does not start at the identity functor")
+        rep.add("counit-src", False, "counit does not start at the identity functor")
     if e.counit.tgt != compose_functors(e.fwd, e.bwd):
-        rep.add("counit-tgt", "counit does not end at fwd o bwd")
+        rep.add("counit-tgt", False, "counit does not end at fwd o bwd")
     return rep
 
 

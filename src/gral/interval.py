@@ -12,15 +12,14 @@ internal to the category of assemblies.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from .errors import BoundaryError, CapabilityError, StructuralError
 from .groupoids import (
-    DEFAULT_CAPS, ExpGpd, FinGroupoid, GFunctor, NatIso, ProductGpd, SizeCaps,
-    composable_pairs, compose_functors, exponential as gpd_exponential,
-    functors_between, identity_functor, product as gpd_product,
-    terminal_groupoid,
+    DEFAULT_CAPS, ExpGpd, FinGroupoid, GFunctor, NatIso, ProductGpd, Report,
+    SizeCaps, composable_pairs, compose_functors, exponential as gpd_exponential,
+    functors_between, identity_functor, product as gpd_product, terminal_groupoid,
 )
 
 Map = Any  # GFunctor in the groupoid instance; realized morphisms in others
@@ -915,35 +914,16 @@ def pi_base_iso(r: GpdRealizer, a: FinGroupoid) -> GFunctor:
 
 # -- cogroupoid axiom checking ----------------------------------------------
 
-@dataclass
-class AxiomReport:
-    """Per-diagram pass/fail entries plus free-form notes."""
-
-    entries: list[tuple[str, bool, str]] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-
-    def add(self, name: str, ok: bool, detail: str = "") -> None:
-        self.entries.append((name, ok, detail))
-
-    @property
-    def ok(self) -> bool:
-        return all(ok for _, ok, _ in self.entries)
-
-    def failed(self) -> list[str]:
-        return [name for name, ok, _ in self.entries if not ok]
-
-
 def check_cogroupoid(r: RealizerCategory, iv: Optional[IntervalData] = None,
-                     probes: Optional[list] = None) -> AxiomReport:
+                     probes: Optional[list] = None) -> Report:
     """Scan the interval diagrams and both pushout universal properties.
 
     The second coinverse diagram is checked in its symmetric form with
-    codomain I1 (the asymmetric printed form does not typecheck); a note
-    records this.
+    codomain I1 (the asymmetric printed form does not typecheck); the
+    detail of its entry says so.
     """
     iv = iv or r.interval
-    rep = AxiomReport()
-    rep.notes.append("coinverse-right checked with codomain I1 (symmetric form)")
+    rep = Report()
     probes = probes if probes is not None else [iv.I0, iv.I1, iv.I2, iv.I3]
 
     def check(name: str, run: Callable[[], bool], detail: str = ""):
@@ -988,12 +968,10 @@ def check_cogroupoid(r: RealizerCategory, iv: Optional[IntervalData] = None,
                            c(iv.one, iv.star)))
     check("coinverse-right",
           lambda: r.map_eq(c(r.copair2(iv.sigma, ident(iv.I1)), iv.two),
-                           c(iv.zero, iv.star)))
-
-    ok2, detail2 = _check_pushout2(r, iv, probes)
-    rep.add("pushout-I2", ok2, detail2)
-    ok3, detail3 = _check_pushout3(r, iv, probes)
-    rep.add("pushout-I3", ok3, detail3)
+                           c(iv.zero, iv.star)),
+          "checked with codomain I1 (symmetric form)")
+    _check_pushout2(rep, r, iv, probes)
+    _check_pushout3(rep, r, iv, probes)
     return rep
 
 
@@ -1007,7 +985,8 @@ def restriction_counts(r: RealizerCategory, cands, e0: Map, e1: Map) -> Counter:
     return Counter((r.compose(m, e0), r.compose(m, e1)) for m in cands)
 
 
-def _check_pushout2(r: RealizerCategory, iv: IntervalData, probes) -> tuple[bool, str]:
+def _check_pushout2(rep: Report, r: RealizerCategory, iv: IntervalData,
+                    probes) -> None:
     for x in probes:
         paths = r.hom(iv.I1, x)
         counts = restriction_counts(r, r.hom(iv.I2, x), iv.i0, iv.i1)
@@ -1018,14 +997,18 @@ def _check_pushout2(r: RealizerCategory, iv: IntervalData, probes) -> tuple[bool
                 cp = r.copair2(beta, alpha)
                 if not (r.map_eq(r.compose(cp, iv.i0), alpha)
                         and r.map_eq(r.compose(cp, iv.i1), beta)):
-                    return False, "copair does not restrict to its legs"
+                    rep.add("pushout-I2", False, "copair does not restrict to its legs")
+                    return
                 n = counts[(alpha, beta)]
                 if n != 1:
-                    return False, f"expected a unique copairing, found {n}"
-    return True, ""
+                    rep.add("pushout-I2", False,
+                            f"expected a unique copairing, found {n}")
+                    return
+    rep.add("pushout-I2", True)
 
 
-def _check_pushout3(r: RealizerCategory, iv: IntervalData, probes) -> tuple[bool, str]:
+def _check_pushout3(rep: Report, r: RealizerCategory, iv: IntervalData,
+                    probes) -> None:
     for x in probes:
         doubles = r.hom(iv.I2, x)
         counts = restriction_counts(r, r.hom(iv.I3, x), iv.j0, iv.j1)
@@ -1036,8 +1019,11 @@ def _check_pushout3(r: RealizerCategory, iv: IntervalData, probes) -> tuple[bool
                 cp = r.copair3(u, v)
                 if not (r.map_eq(r.compose(cp, iv.j0), u)
                         and r.map_eq(r.compose(cp, iv.j1), v)):
-                    return False, "copair does not restrict to its legs"
+                    rep.add("pushout-I3", False, "copair does not restrict to its legs")
+                    return
                 n = counts[(u, v)]
                 if n != 1:
-                    return False, f"expected a unique copairing, found {n}"
-    return True, ""
+                    rep.add("pushout-I3", False,
+                            f"expected a unique copairing, found {n}")
+                    return
+    rep.add("pushout-I3", True)

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 from .errors import BoundaryError, StructuralError
 from .groupoids import (
     Cleavage, EquivalenceData, FinGroupoid, GFunctor, LiftFailure, NatIso,
-    ValidationReport, compose_functors, identity_functor, identity_nat_iso,
+    Report, compose_functors, identity_functor, identity_nat_iso,
     iso_comma, isofibration_cleavage, pullback as gpd_pullback,
 )
 from .assemblies import (
@@ -112,22 +112,18 @@ class AsmEquivalence:
     counit: TwoCell
 
 
-def validate_asm_equivalence(pg: PGAsmInterval, eq: AsmEquivalence) -> ValidationReport:
-    rep = ValidationReport()
+def validate_asm_equivalence(pg: PGAsmInterval, eq: AsmEquivalence) -> Report:
+    rep = Report()
     for m, nm in ((eq.fwd, "fwd"), (eq.bwd, "bwd")):
-        sub = validate_morphism(m)
-        for kind, detail in sub.failures:
-            rep.add(f"{nm}-{kind}", detail)
+        rep.merge(validate_morphism(m), f"{nm}-")
     for c, nm in ((eq.unit, "unit"), (eq.counit, "counit")):
-        sub = validate_twocell(pg, c)
-        for kind, detail in sub.failures:
-            rep.add(f"{nm}-{kind}", detail)
+        rep.merge(validate_twocell(pg, c), f"{nm}-")
     if eq.unit.src.fun != identity_functor(eq.fwd.src.base) \
             or eq.unit.tgt.fun != compose_functors(eq.bwd.fun, eq.fwd.fun):
-        rep.add("unit-boundary", "unit does not run id => bwd.fwd")
+        rep.add("unit-boundary", False, "unit does not run id => bwd.fwd")
     if eq.counit.src.fun != identity_functor(eq.bwd.src.base) \
             or eq.counit.tgt.fun != compose_functors(eq.fwd.fun, eq.bwd.fun):
-        rep.add("counit-boundary", "counit does not run id => fwd.bwd")
+        rep.add("counit-boundary", False, "counit does not run id => fwd.bwd")
     return rep
 
 

@@ -12,16 +12,14 @@ refusal before a check's first instance refuses the whole suite.
 
 from __future__ import annotations
 
-import json
 import random
 import time
-from dataclasses import dataclass, field
 from itertools import takewhile
 from typing import Callable, Optional
 
 from .errors import GralError, StructuralError
 from .groupoids import (
-    EquivalenceData, NatIso, codiscrete, compose_functors, discrete,
+    EquivalenceData, NatIso, Report, codiscrete, compose_functors, discrete,
     equivalence_inverse, functors_between, identity_functor, invert_nat_iso,
     is_functor, is_nat_iso, nat_isos_between, product as gpd_product,
     validate_groupoid, vcompose_nat_isos,
@@ -59,57 +57,24 @@ SUITE_NAMES = (
 )
 
 
-@dataclass
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str = ""
-    counterexample: Optional[str] = None
-
-
-@dataclass
-class Report:
-    suite: str
-    seed: int
-    entries: list[CheckResult] = field(default_factory=list)
-    elapsed: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return all(e.ok for e in self.entries)
-
-    def add(self, name: str, ok: bool, detail: str = "",
-            counterexample: Optional[str] = None) -> None:
-        self.entries.append(CheckResult(name, ok, detail, counterexample))
-
-    def to_text(self) -> str:
-        lines = [f"suite {self.suite} seed {self.seed}"]
-        for e in sorted(self.entries, key=lambda e: e.name):
-            status = "pass" if e.ok else "FAIL"
-            lines.append(f"  {status}  {e.name}" + (f"  {e.detail}" if e.detail else ""))
-            if e.counterexample:
-                lines.append("  counterexample:")
-                lines.extend("    " + ln for ln in e.counterexample.splitlines())
-        lines.append(f"result {'pass' if self.ok else 'FAIL'}")
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "suite": self.suite,
-            "seed": self.seed,
-            "ok": self.ok,
-            "checks": [
-                {"name": e.name, "ok": e.ok, "detail": e.detail,
-                 "counterexample": e.counterexample}
-                for e in sorted(self.entries, key=lambda e: e.name)
-            ],
-        }, indent=2, sort_keys=True)
-
-
 def _table_entries(g) -> tuple:
     """A groupoid's five tables as ordered entry lists."""
     return (list(g.objects), list(g.mors.items()), list(g.comp.items()),
             list(g.ident.items()), list(g.inv.items()))
+
+
+def _pi_iso_base_holds(r: GpdRealizer, g) -> bool:
+    """Pi(g) is a groupoid isomorphic to g by `pi_base_iso`.
+
+    The groupoid instance builds Pi(g) as g relabelled; the paper's
+    construction must give the same tables, entry for entry.
+    """
+    pa = r.pi(g)
+    iso = pi_base_iso(r, g)
+    return (validate_groupoid(pa.gpd).ok and is_functor(iso).ok
+            and sorted(iso.omap.values()) == sorted(g.objects)
+            and sorted(iso.mmap.values()) == sorted(g.morphisms)
+            and _table_entries(_build_pi(r, g).gpd) == _table_entries(pa.gpd))
 
 
 def _counterexample(check: str, bundle: str) -> str:
@@ -125,9 +90,11 @@ def replay_counterexample(payload: str, r: Optional[GpdRealizer] = None) -> bool
     check = head[3]
     body = "\n".join(lines[1:]) + "\n"
     r = r if r is not None else gpd_interval()
-    if check == "groupoid-axioms":
-        files = parse_bundle(body)
-        return validate_groupoid(parse_groupoid(next(iter(files.values())))).ok
+    if check in ("groupoid-axioms", "pi-iso-base"):
+        g = parse_groupoid(next(iter(parse_bundle(body).values())))
+        if check == "pi-iso-base":
+            return _pi_iso_base_holds(r, g)
+        return validate_groupoid(g).ok
     if check == "morphism-witness":
         m = load_morphism_bundle(body, r)
         return validate_morphism(m).ok
@@ -162,19 +129,11 @@ def suite_fundamental_groupoid(cfg: SuiteConfig) -> Report:
     bad = None
     for _ in range(n):
         g = gen.groupoid()
-        pa = r.pi(g)
-        iso = pi_base_iso(r, g)
-        # the groupoid instance builds Pi(g) as g relabelled; the paper's
-        # construction must give the same tables, entry for entry
-        ok = (validate_groupoid(pa.gpd).ok and is_functor(iso).ok
-              and sorted(iso.omap.values()) == sorted(g.objects)
-              and sorted(iso.mmap.values()) == sorted(g.morphisms)
-              and _table_entries(_build_pi(r, g).gpd) == _table_entries(pa.gpd))
-        if not ok:
+        if not _pi_iso_base_holds(r, g):
             bad = g
             break
     rep.add("pi-iso-base", bad is None, f"{n} groupoids",
-            _counterexample("groupoid-axioms",
+            _counterexample("pi-iso-base",
                             serialize_bundle({"g.gpd": serialize_groupoid(bad)}))
             if bad is not None else None)
 

@@ -3,7 +3,7 @@
 Each test prints one pass/fail line; run with -s to watch them stream.
 All equalities inside the suites are exact (finite-table comparison), so
 there are no numeric tolerances, only instance counts and wall-clock caps.
-Each report must also equal, byte for byte, its golden text in
+Each report must also equal, byte for byte, its golden text and JSON in
 `data/reports/`.
 """
 
@@ -48,6 +48,7 @@ def test_acceptance(number, suite, budget, counts):
         print(report.to_text())
     assert report.ok, f"criterion {number}: checks failed"
     assert report.to_text() == (REPORTS / f"{suite}.txt").read_text()
+    assert report.to_json() == (REPORTS / f"{suite}.json").read_text()
     assert elapsed < budget, f"criterion {number}: {elapsed:.2f}s over budget"
 
 
@@ -58,3 +59,5 @@ def test_injected_report_matches_golden():
     assert not report.ok
     assert report.to_text() == \
         (REPORTS / "path-axioms-broken-cleavage.txt").read_text()
+    assert report.to_json() == \
+        (REPORTS / "path-axioms-broken-cleavage.json").read_text()

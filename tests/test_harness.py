@@ -152,7 +152,11 @@ def test_cli_check_axiom_failure(tmp_path, capsys):
     path = tmp_path / "bad.gpd"
     path.write_text(bad)
     assert main(["check", str(path)]) == 1
-    capsys.readouterr()
+    out, err = capsys.readouterr()
+    assert out == (f"{path}: 2 failure(s)\n"
+                   "  inv-left: tot != id_a\n"
+                   "  inv-right: tot != id_a\n")
+    assert err == ""
 
 
 def test_cli_check_mistyped_composite(tmp_path, capsys):

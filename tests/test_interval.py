@@ -42,7 +42,7 @@ def test_interval_structure_maps(r):
 def test_cogroupoid_axioms_all_pass(r):
     rep = check_cogroupoid(r)
     assert rep.ok, rep.failed()
-    names = [n for n, _, _ in rep.entries]
+    names = [e.name for e in rep.entries]
     assert len(names) == 12  # ten diagrams plus the two pushouts
     assert "pushout-I2" in names and "pushout-I3" in names
 

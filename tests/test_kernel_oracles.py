@@ -27,7 +27,7 @@ from gral.interval import (
     GpdRealizer, PiData, RealizerCategory, _build_pi, check_cogroupoid,
     gpd_interval, restriction_counts,
 )
-from gral.suites import run_suite
+from gral.suites import replay_counterexample, run_suite
 
 SEEDS = st.integers(min_value=0, max_value=2 ** 30)
 
@@ -273,6 +273,9 @@ def test_reordered_pi_table_fails_only_pi_iso_base(monkeypatch):
     monkeypatch.setattr(GpdRealizer, "build_pi", reversed_mors)
     rep = run_suite("fundamental-groupoid", SuiteConfig(seed=0))
     assert [e.name for e in rep.entries if not e.ok] == ["pi-iso-base"]
+    bad = next(e for e in rep.entries if not e.ok)
+    assert bad.counterexample.startswith("GRAL 1 COUNTEREXAMPLE pi-iso-base\n")
+    assert replay_counterexample(bad.counterexample) is False
 
 
 # --- pushout uniqueness ---------------------------------------------------
@@ -336,4 +339,5 @@ def test_pushout_check_counts_every_candidate(domain, name, alter, found):
     iv = r.interval
     rep = check_cogroupoid(_SkewedHom(r, getattr(iv, domain), iv.I1, alter))
     assert rep.failed() == [name]
-    assert (name, False, f"expected a unique copairing, found {found}") in rep.entries
+    assert (name, False, f"expected a unique copairing, found {found}") \
+        in [(e.name, e.ok, e.detail) for e in rep.entries]

@@ -1,16 +1,17 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from gral.groupoids import (
-    LiftFailure, codiscrete, compose_functors, cyclic_group,
+    GFunctor, LiftFailure, NatIso, codiscrete, compose_functors, cyclic_group,
     equivalence_inverse, functors_between, identity_functor,
-    nat_isos_between,
+    nat_isos_between, terminal_groupoid, validate_equivalence,
 )
 from gral.assemblies import (
-    Assembly, bang, compose_morphisms, identity_morphism, is_modest,
-    pgasm_interval, product_assembly, realize, terminal_assembly,
-    twocell_from_iso, validate_morphism, validate_twocell,
+    Assembly, RealizedMorphism, TwoCell, bang, compose_morphisms,
+    identity_morphism, is_modest, pgasm_interval, product_assembly, realize,
+    terminal_assembly, twocell_from_iso, validate_morphism, validate_twocell,
 )
 from gral.interval import gpd_interval
 from gral.pathcat import (
@@ -184,6 +185,55 @@ def test_path_object_factorisation(r, pg):
         assert validate_asm_equivalence(pg, pod.r_equiv).ok
         assert compose_morphisms(pod.r_equiv.bwd, pod.r_equiv.fwd).fun \
             == identity_functor(x.base)
+
+
+def _mistyped(n):
+    """n with its first component replaced by one with other endpoints."""
+    cod = n.src.cod
+    x = n.src.dom.objects[0]
+    c = n.components[x]
+    wrong = next(v for v in cod.morphisms if cod.mors[v] != cod.mors[c])
+    return NatIso(n.src, n.tgt, {**n.components, x: wrong})
+
+
+def test_nested_validator_failures_keep_names_and_order(r, pg):
+    # validate_morphism: the functor's and the witness's failures, in order
+    z2 = cyclic_group(2)
+    a = mk_assembly(r, z2, r.interval.I1, 1)
+    m = identity_morphism(a)
+    fun = GFunctor(z2, z2, dict(m.fun.omap), {v: "z1" for v in z2.morphisms})
+    bad = RealizedMorphism(a, a, fun, m.e, _mistyped(m.eps))
+    assert validate_morphism(bad).failures == [
+        ("functor-id", "identity at z* not preserved"),
+        ("functor-comp", "composition id_z*oid_z* not preserved"),
+        ("functor-comp", "composition id_z*oz1 not preserved"),
+        ("functor-comp", "composition z1oid_z* not preserved"),
+        ("functor-comp", "composition z1oz1 not preserved"),
+        ("component-typing", "component at z* has wrong endpoints"),
+    ]
+    # validate_equivalence: unit-/counit- prefixes ahead of its own checks
+    i1 = r.interval.I1
+    eq = equivalence_inverse(GFunctor(terminal_groupoid(), i1, {"*": "0"},
+                                      {"id_*": "id_0"}))
+    bad_eq = replace(eq, unit=NatIso(eq.fwd, eq.unit.tgt, eq.unit.components),
+                     counit=_mistyped(eq.counit))
+    assert validate_equivalence(bad_eq).failures == [
+        ("unit-parallel", "source and target functors are not parallel"),
+        ("counit-component-typing", "component at 0 has wrong endpoints"),
+        ("unit-src", "unit does not start at the identity functor"),
+    ]
+    # validate_asm_equivalence: fwd- and unit- prefixes over nested reports
+    x = mk_assembly(r, codiscrete(["a", "b"]), r.interval.I1, 1)
+    e = path_object(x, pg).r_equiv
+    f, u = e.fwd, e.unit
+    bad_asm = replace(
+        e, fwd=RealizedMorphism(f.src, f.tgt, f.fun, f.e, _mistyped(f.eps)),
+        unit=TwoCell(u.src, u.tgt, u.iso, u.body, u.ew, _mistyped(u.epsw),
+                     u.i1base))
+    assert validate_asm_equivalence(pg, bad_asm).failures == [
+        ("fwd-component-typing", "component at a has wrong endpoints"),
+        ("unit-component-typing", "component at (a,0) has wrong endpoints"),
+    ]
 
 
 def test_path_object_chosen_lifts(r, pg):
