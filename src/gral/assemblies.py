@@ -18,8 +18,9 @@ from .errors import BoundaryError, SizeCapError, StructuralError
 from .groupoids import (
     DEFAULT_CAPS, FinGroupoid, GFunctor, NatIso, Report,
     composable_pairs, compose_functors, functors_between, identity_functor,
-    is_functor, is_nat_iso, nat_isos_between, terminal_groupoid,
-    vcompose_nat_isos,
+    identity_nat_iso, invert_nat_iso, is_functor, is_nat_iso,
+    nat_isos_between, terminal_groupoid, vcompose_nat_isos, whisker_left,
+    whisker_right,
 )
 from .interval import (
     IntervalData, Map, RealizerCategory, chain_groupoid, nat_iso_functor_form,
@@ -540,13 +541,11 @@ def twocell_from_iso(pg: PGAsmInterval, phi: NatIso, src: RealizedMorphism,
 
 
 def identity_twocell(pg: PGAsmInterval, m: RealizedMorphism) -> TwoCell:
-    from .groupoids import identity_nat_iso
     return twocell_from_iso(pg, identity_nat_iso(m.fun), m, m)
 
 
 def inverse_twocell(pg: PGAsmInterval, c: TwoCell) -> TwoCell:
     """Swap the witness components at the two ends."""
-    from .groupoids import invert_nat_iso
     r = pg.r
     x, y = c.src.src, c.src.tgt
     iso = invert_nat_iso(c.iso)
@@ -571,7 +570,6 @@ def twocell_compose(pg: PGAsmInterval, kind: str, c2: TwoCell, c1: TwoCell,
     if kind == "vertical":
         if c2.src != c1.tgt:
             raise BoundaryError("vertical composition boundary mismatch")
-        from .groupoids import vcompose_nat_isos
         iso = vcompose_nat_isos(c2.iso, c1.iso)
         x, y = c1.src.src, c1.src.tgt
         body = nat_iso_functor_form(r, iso, pg.i1base)
@@ -594,7 +592,6 @@ def twocell_compose(pg: PGAsmInterval, kind: str, c2: TwoCell, c1: TwoCell,
             raise BoundaryError("supplied realizer is not for the source of the left cell")
         x = c1.src.src
         z = c2.src.tgt
-        from .groupoids import vcompose_nat_isos, whisker_left, whisker_right
         iso = vcompose_nat_isos(whisker_right(c2.iso, c1.tgt.fun),
                                 whisker_left(h.fun, c1.iso))
         body = nat_iso_functor_form(r, iso, pg.i1base)
@@ -721,14 +718,17 @@ def weak_exponential(x: Assembly, y: Assembly,
                     mor_data[mid] = (psi, f)
                     mor_index[(oa, psi.key(), f)] = mid
 
+    # a composite is looked up by its key, whose psi part is the tuple of
+    # components psi2 after psi1 at the objects of x
+    ycomp, ecomp = y.base.comp, pie.gpd.comp
+    comps = {m: [psi.components[xo] for xo in x.base.objects]
+             for m, (psi, _f) in mor_data.items()}
     comp = {}
     for m2, m1 in composable_pairs(mors):
-        (psi2, f2), (psi1, f1) = mor_data[m2], mor_data[m1]
-        comp[(m2, m1)] = mor_index[(mors[m1][0],
-                                    vcompose_nat_isos(psi2, psi1).key(),
-                                    pie.gpd.compose(f2, f1))]
+        comp[(m2, m1)] = mor_index[(
+            mors[m1][0], tuple([ycomp[c] for c in zip(comps[m2], comps[m1])]),
+            ecomp[(mor_data[m2][1], mor_data[m1][1])])]
     ident = {}
-    from .groupoids import identity_nat_iso, invert_nat_iso
     for oid, (F, po, eps) in obj_data.items():
         ident[oid] = mor_index[(oid, identity_nat_iso(F).key(), pie.gpd.id_of(po))]
     inv = {}

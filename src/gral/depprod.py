@@ -247,19 +247,29 @@ def dependent_product(g: FibrationData, f: FibrationData,
     mor_index: dict[tuple, str] = {}
     mcount = 0
     pxg = pix.gpd
+    pe_cache: dict[str, GFunctor] = {}
+
+    def point_map(po: str) -> GFunctor:
+        if po not in pe_cache:
+            pe_cache[po] = r.pi_map(r.point_as_map(pie.point_of[po], bc,
+                                                   x_asm.rtype))
+        return pe_cache[po]
+
+    # the target functor and the zeta boundary at level 1 depend only on the
+    # target object and the base morphism
+    boundary: dict[tuple[str, str], tuple[GFunctor, dict[str, str]]] = {}
     for oa, (z, H, po, eps) in obj_data.items():
         hf = fibres[z]
         for ob, (z2, H2, po2, eps2) in obj_data.items():
             for rmor in z_asm.base.hom(z, z2):
-                fr = fmap(rmor)
-                target_fun = compose_functors(H2, fr.fun)
-                pe2 = r.pi_map(r.point_as_map(pie.point_of[po2], bc, x_asm.rtype))
-                # zeta boundary at level 1
-                zeta1 = {}
-                for oid2 in hf.asm.base.objects:
-                    zeta1[oid2] = pxg.compose(
-                        eps2.components[fr.fun.omap[oid2]],
-                        pe2.mmap[fr.eps.components[oid2]])
+                if (ob, rmor) not in boundary:
+                    fr = fmap(rmor)
+                    pe2 = point_map(po2)
+                    boundary[(ob, rmor)] = (compose_functors(H2, fr.fun), {
+                        oid2: pxg.compose(eps2.components[fr.fun.omap[oid2]],
+                                          pe2.mmap[fr.eps.components[oid2]])
+                        for oid2 in hf.asm.base.objects})
+                target_fun, zeta1 = boundary[(ob, rmor)]
                 for psi in nat_isos_between(H, target_fun):
                     vertical = all(
                         g.morphism.fun.mmap[psi.components[oid2]]
@@ -282,22 +292,25 @@ def dependent_product(g: FibrationData, f: FibrationData,
                         mor_data[mid] = (rmor, psi, fpath)
                         mor_index[(oa, rmor, psi.key(), fpath)] = mid
 
+    # a composite is looked up by its key, whose psi part is the tuple of
+    # components psi2 after psi1 at the fibre objects of its source; per
+    # first factor m1 keep its source, r1, f1 and the pairs (F|r1 o, psi1 o)
+    xcomp, zcomp, fcomp = x_asm.base.comp, z_asm.base.comp, pie.gpd.comp
+    first: dict[str, tuple[str, str, str, list[tuple[str, str]]]] = {}
+    for m1, (r1, psi1, f1) in mor_data.items():
+        src = mors[m1][0]
+        fr1 = fmap(r1).fun.omap
+        first[m1] = (src, r1, f1, [
+            (fr1[o], psi1.components[o])
+            for o in fibres[obj_data[src][0]].asm.base.objects])
     comp = {}
     for m2, m1 in composable_pairs(mors):
         r2, psi2, f2 = mor_data[m2]
-        r1, psi1, f1 = mor_data[m1]
-        src = mors[m1][0]
-        z1 = obj_data[src][0]
-        fr1 = fmap(r1)
-        comps = {oid2: g.src.base.compose(
-            psi2.components[fr1.fun.omap[oid2]], psi1.components[oid2])
-            for oid2 in fibres[z1].asm.base.objects}
-        psi = NatIso(psi1.src,
-                     compose_functors(obj_data[mors[m2][1]][1],
-                                      fmap(z_asm.base.compose(r2, r1)).fun),
-                     comps)
-        comp[(m2, m1)] = mor_index[(src, z_asm.base.compose(r2, r1),
-                                    psi.key(), pie.gpd.compose(f2, f1))]
+        c2 = psi2.components
+        src, r1, f1, cs = first[m1]
+        comp[(m2, m1)] = mor_index[(src, zcomp[(r2, r1)],
+                                    tuple([xcomp[(c2[o], c1)] for o, c1 in cs]),
+                                    fcomp[(f2, f1)])]
     ident = {}
     for oid, (z, H, po, eps) in obj_data.items():
         ident[oid] = mor_index[(oid, z_asm.base.id_of(z),
@@ -337,14 +350,9 @@ def dependent_product(g: FibrationData, f: FibrationData,
 
     # chosen lifts: reindex the section backwards, keep the realizer point
     lifts: dict[tuple[str, str], str] = {}
-    pe_cache: dict[str, Any] = {}
     for oid, (z, H, po, eps) in obj_data.items():
-        if po not in pe_cache:
-            pe_cache[po] = r.pi_map(r.point_as_map(pie.point_of[po], bc,
-                                                   x_asm.rtype))
-        for rmor in z_asm.base.morphisms:
-            if z_asm.base.src(rmor) != z:
-                continue
+        pe = point_map(po)
+        for rmor in z_asm.base.out_of(z):
             if z_asm.base.is_identity(rmor):
                 lifts[(oid, rmor)] = base.id_of(oid)
                 continue
@@ -352,7 +360,6 @@ def dependent_product(g: FibrationData, f: FibrationData,
             rinv = z_asm.base.inv_of(rmor)
             frinv = fmap(rinv)
             h2 = compose_functors(H, frinv.fun)
-            pe = pe_cache[po]
             eps2 = {oid2: pxg.compose(eps.components[frinv.fun.omap[oid2]],
                                       pe.mmap[frinv.eps.components[oid2]])
                     for oid2 in fibres[z2].asm.base.objects}

@@ -142,39 +142,45 @@ class FinGroupoid:
         self._check_structure()
 
     def _check_structure(self) -> None:
-        oset = set(self.objects)
-        if len(oset) != len(self.objects):
+        objects, mors, comp = self.objects, self.mors, self.comp
+        ident, inv = self.ident, self.inv
+        oset = set(objects)
+        if len(oset) != len(objects):
             raise StructuralError("duplicate object identifier")
-        for m, (s, t) in self.mors.items():
+        for m, (s, t) in mors.items():
             if s not in oset or t not in oset:
                 raise StructuralError(f"morphism {m!r} has dangling endpoint")
-        for x in self.objects:
-            if x not in self.ident:
+        for x in objects:
+            if x not in ident:
                 raise StructuralError(f"object {x!r} lacks an identity entry")
-            i = self.ident[x]
-            if i not in self.mors:
+            i = ident[x]
+            if i not in mors:
                 raise StructuralError(f"identity of {x!r} dangles: {i!r}")
-            if self.mors[i] != (x, x):
+            if mors[i] != (x, x):
                 raise StructuralError(f"identity of {x!r} is not an endomorphism")
-        for m in self.mors:
-            if m not in self.inv:
+        for m in mors:
+            if m not in inv:
                 raise StructuralError(f"morphism {m!r} lacks an inverse entry")
-            if self.inv[m] not in self.mors:
+            if inv[m] not in mors:
                 raise StructuralError(f"inverse of {m!r} dangles")
-        for (g, f), h in self.comp.items():
-            if g not in self.mors or f not in self.mors or h not in self.mors:
+        # every value of `mors` is an endpoint pair, so `get` is None exactly
+        # for an identifier that is not a morphism
+        mget = mors.get
+        for (g, f), h in comp.items():
+            gends, fends = mget(g), mget(f)
+            if gends is None or fends is None or h not in mors:
                 raise StructuralError(f"comp entry ({g!r},{f!r}) dangles")
-            if self.src(g) != self.tgt(f):
+            if gends[0] != fends[1]:
                 raise StructuralError(f"comp entry ({g!r},{f!r}) is not composable")
         # every entry is a distinct composable pair, so the table is total
         # exactly when it has one entry per (in-arrow, out-arrow) at each object
-        n_out = Counter(s for s, _ in self.mors.values())
-        n_in = Counter(t for _, t in self.mors.values())
-        if len(self.comp) == sum(n_in[x] * n_out[x] for x in self.objects):
+        n_out = Counter(s for s, _ in mors.values())
+        n_in = Counter(t for _, t in mors.values())
+        if len(comp) == sum(n_in[x] * n_out[x] for x in objects):
             return
-        for f in self.mors:
-            for g in self.mors:
-                if self.src(g) == self.tgt(f) and (g, f) not in self.comp:
+        for f in mors:
+            for g in mors:
+                if mors[g][0] == mors[f][1] and (g, f) not in comp:
                     raise StructuralError(f"comp table missing entry ({g!r},{f!r})")
 
     # -- basic accessors -------------------------------------------------
@@ -765,18 +771,23 @@ def _paired(x: FinGroupoid, y: FinGroupoid, objs: list[tuple[str, str]],
     """The full subgroupoid of x * y on the given object and morphism pairs."""
     opair = {ab: pair_id(*ab) for ab in objs}
     mpair = {mn: pair_id(*mn) for mn in ms}
-    mors = {mpair[(m, n)]: (opair[(x.src(m), y.src(n))], opair[(x.tgt(m), y.tgt(n))])
+    xmors, ymors, xcomp, ycomp = x.mors, y.mors, x.comp, y.comp
+    xinto, yinto = x._adjacency()[1], y._adjacency()[1]
+    mors = {mpair[(m, n)]: (opair[(xmors[m][0], ymors[n][0])],
+                            opair[(xmors[m][1], ymors[n][1])])
             for (m, n) in ms}
+    mget = mpair.get
     comp = {}
-    for (m2, n2) in ms:
-        # `ms` lists pairs in factor order, so this visits them in `ms` order
-        for m1 in x.into(x.src(m2)):
-            for n1 in y.into(y.src(n2)):
-                if (m1, n1) in mpair:
-                    comp[(mpair[(m2, n2)], mpair[(m1, n1)])] = \
-                        mpair[(x.compose(m2, m1), y.compose(n2, n1))]
-    ident = {opair[(a, b)]: mpair[(x.id_of(a), y.id_of(b))] for (a, b) in objs}
-    inv = {mpair[(m, n)]: mpair[(x.inv_of(m), y.inv_of(n))] for (m, n) in ms}
+    # `mpair` lists pairs in factor order, so this visits them in `ms` order
+    for (m2, n2), gn in mpair.items():
+        n1s = yinto.get(ymors[n2][0], ())
+        for m1 in xinto.get(xmors[m2][0], ()):
+            for n1 in n1s:
+                fn = mget((m1, n1))
+                if fn is not None:
+                    comp[(gn, fn)] = mpair[(xcomp[(m2, m1)], ycomp[(n2, n1)])]
+    ident = {opair[(a, b)]: mpair[(x.ident[a], y.ident[b])] for (a, b) in objs}
+    inv = {mpair[(m, n)]: mpair[(x.inv[m], y.inv[n])] for (m, n) in ms}
     gpd = FinGroupoid([opair[ab] for ab in objs], mors, comp, ident, inv)
     p1 = GFunctor(gpd, x, {opair[ab]: ab[0] for ab in objs}, {mpair[mn]: mn[0] for mn in ms})
     p2 = GFunctor(gpd, y, {opair[ab]: ab[1] for ab in objs}, {mpair[mn]: mn[1] for mn in ms})

@@ -521,9 +521,7 @@ def suite_path_axioms(cfg: SuiteConfig) -> Report:
         prod_base = pod.prod.asm.base
         for oid in list(pod.pobj.asm.base.objects)[:3]:
             src_pair = pod.st.fun.omap[oid]
-            for pm in prod_base.morphisms:
-                if prod_base.src(pm) != src_pair:
-                    continue
+            for pm in prod_base.out_of(src_pair):
                 mid = pod.chosen_lift(oid, pm)
                 lifts_ok = lifts_ok and pod.st.fun.mmap[mid] == pm
                 if prod_base.is_identity(pm):

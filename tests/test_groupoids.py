@@ -87,6 +87,45 @@ def test_missing_comp_entry_is_structural():
                     {"a": "id_a"}, {"id_a": "id_a", "t": "t"})
 
 
+def _break(objects=None, mors=(), ident=(), inv=(), comp=(),
+           drop_ident=(), drop_inv=(), drop_comp=()):
+    """codiscrete(["a", "b"])'s tables with entries set or dropped."""
+    g = codiscrete(["a", "b"])
+    t = {"mors": dict(g.mors), "ident": dict(g.ident), "inv": dict(g.inv),
+         "comp": dict(g.comp)}
+    for name, sets in (("mors", mors), ("ident", ident), ("inv", inv),
+                       ("comp", comp)):
+        t[name].update(sets)
+    for name, drops in (("ident", drop_ident), ("inv", drop_inv),
+                        ("comp", drop_comp)):
+        for k in drops:
+            del t[name][k]
+    return (objects or list(g.objects), t["mors"], t["comp"], t["ident"],
+            t["inv"])
+
+
+@pytest.mark.parametrize("tables,message", [
+    (_break(objects=["a", "b", "a"]), "duplicate object identifier"),
+    (_break(mors={"f": ("a", "c")}), "morphism 'f' has dangling endpoint"),
+    (_break(drop_ident=["b"]), "object 'b' lacks an identity entry"),
+    (_break(ident={"b": "nope"}), "identity of 'b' dangles: 'nope'"),
+    (_break(ident={"a": "a~b"}), "identity of 'a' is not an endomorphism"),
+    (_break(drop_inv=["a~b"]), "morphism 'a~b' lacks an inverse entry"),
+    (_break(inv={"a~b": "nope"}), "inverse of 'a~b' dangles"),
+    (_break(comp={("a~b", "nope"): "a~b"}), "comp entry ('a~b','nope') dangles"),
+    (_break(comp={("a~b", "a~b"): "id_a"}),
+     "comp entry ('a~b','a~b') is not composable"),
+    (_break(drop_comp=[("b~a", "a~b")]), "comp table missing entry ('b~a','a~b')"),
+], ids=["duplicate-object", "dangling-endpoint", "missing-identity",
+        "dangling-identity", "identity-not-endo", "missing-inverse",
+        "dangling-inverse", "dangling-comp", "non-composable-comp",
+        "missing-comp"])
+def test_structural_refusal_messages(tables, message):
+    with pytest.raises(StructuralError) as exc:
+        FinGroupoid(*tables)
+    assert str(exc.value) == message
+
+
 def test_builders_validate():
     for g in (codiscrete(["a", "b", "c"]), cyclic_group(4), discrete(["x", "y"]),
               disjoint_union([cyclic_group(2), codiscrete(["a", "b"])])):

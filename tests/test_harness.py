@@ -9,8 +9,12 @@ from gral import suites
 from gral.errors import BoundaryError, ParseError, SizeCapError, StructuralError
 from gral.cli import main
 from gral.generators import Gen, SuiteConfig, _sample, generate
-from gral.groupoids import SizeCaps, codiscrete, validate_groupoid
+from gral.assemblies import Assembly, product_assembly, realize
+from gral.groupoids import (
+    SizeCaps, codiscrete, discrete, functors_between, validate_groupoid,
+)
 from gral.interval import gpd_interval
+from gral.pathcat import FibrationData, is_fibration
 from gral.suites import SUITE_NAMES, replay_counterexample, run_suite
 from gral import textfmt
 
@@ -203,6 +207,30 @@ def test_cli_build_pathobj(tmp_path, r, capsys):
     from gral.assemblies import validate_assembly
     assert validate_assembly(back).ok
     capsys.readouterr()
+
+
+def test_cli_build_pif(tmp_path, r, capsys):
+    def asm(base):
+        i0 = r.interval.I0
+        return Assembly(r, base, i0, functors_between(base, r.pi(i0).gpd)[0])
+
+    z, y = asm(codiscrete(["z1", "z2"])), asm(codiscrete(["u", "v"]))
+    g = product_assembly(y, asm(discrete(["s", "t"]))).p1
+    f = next(m for m in (realize(y, z, F)
+                         for F in functors_between(y.base, z.base))
+             if m is not None and isinstance(is_fibration(m), FibrationData))
+    gp, fp = tmp_path / "g.bundle", tmp_path / "f.bundle"
+    gp.write_text(textfmt.bundle_morphism(g))
+    fp.write_text(textfmt.bundle_morphism(f))
+    out = tmp_path / "pif.bundle"
+    assert main(["build", "pif", str(gp), str(fp), "--out", str(out)]) == 0
+    assert out.read_text() == (DATA / "pif.bundle").read_text()
+    assert main(["check", str(out)]) == 0
+    capsys.readouterr()
+    # swapped, the inputs do not compose
+    assert main(["build", "pif", str(fp), str(gp)]) == 2
+    assert capsys.readouterr() == (
+        "", "build: structural error: the fibrations are not composable\n")
 
 
 def test_cli_suite_exit_codes(tmp_path, capsys, monkeypatch):

@@ -5,8 +5,10 @@ by source and target: it visits every pair (or triple) of morphisms and
 skips the ones that do not compose.  The kernel must build the same tables,
 in the same insertion order, and report the same failures.  The groupoid
 instance's fundamental groupoid, built as the base groupoid relabelled, is
-held to the generic construction the same way.  The fault injections show
-that each faster check can still fail.
+held to the generic construction the same way, and so are the composition
+tables of the dependent product and the weak exponential, which the kernel
+builds from component tuples instead of one natural isomorphism per pair.
+The fault injections show that each faster check can still fail.
 """
 
 import random
@@ -14,19 +16,21 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gral.assemblies import PGAsmRealizer
+from gral.assemblies import PGAsmRealizer, weak_exponential
+from gral.depprod import dependent_product, fibre_map
 from gral.errors import SizeCapError, StructuralError
 from gral.generators import Gen
 from gral.groupoids import (
-    FinGroupoid, SizeCaps, exponential, functors_between,
-    iso_comma, pair_id, product, pullback, triple_id, validate_groupoid,
-    vcompose_nat_isos,
+    FinGroupoid, NatIso, SizeCaps, codiscrete, compose_functors, exponential,
+    functors_between, iso_comma, pair_id, product, pullback, triple_id,
+    validate_groupoid, vcompose_nat_isos,
 )
 from gral.generators import SuiteConfig
 from gral.interval import (
     GpdRealizer, PiData, RealizerCategory, _build_pi, check_cogroupoid,
     gpd_interval, restriction_counts,
 )
+from gral.pathcat import FibrationData, is_fibration
 from gral.suites import replay_counterexample, run_suite
 
 SEEDS = st.integers(min_value=0, max_value=2 ** 30)
@@ -78,6 +82,57 @@ def naive_exponential_comp(e):
             if mors[m1][1] == mors[m2][0]:
                 cmp_iso = vcompose_nat_isos(n2, n1)
                 comp[(m2, m1)] = e.natiso_to_mor[(n1.src.key(), cmp_iso.key())]
+    return comp
+
+
+def naive_dependent_product_comp(dp):
+    """Pi_F X's comp with a composite functor and natural iso per pair."""
+    r = dp.asm.r
+    xb, zb = dp.g.src.base, dp.f.tgt.base
+    pieg = r.pi(dp.exp.obj).gpd
+    mors = dp.asm.base.mors
+    fmaps = {}
+
+    def fmap(rm):
+        if rm not in fmaps:
+            zs, zt = zb.mors[rm]
+            fmaps[rm] = fibre_map(dp.fibres[zs], dp.fibres[zt], rm)
+        return fmaps[rm]
+
+    comp = {}
+    for m2 in mors:
+        for m1 in mors:
+            if mors[m1][1] != mors[m2][0]:
+                continue
+            r2, psi2, f2 = dp.mor_data[m2]
+            r1, psi1, f1 = dp.mor_data[m1]
+            src = mors[m1][0]
+            fr1 = fmap(r1)
+            comps = {o: xb.compose(psi2.components[fr1.fun.omap[o]],
+                                   psi1.components[o])
+                     for o in dp.fibres[dp.obj_data[src][0]].asm.base.objects}
+            psi = NatIso(psi1.src,
+                         compose_functors(dp.obj_data[mors[m2][1]][1],
+                                          fmap(zb.compose(r2, r1)).fun),
+                         comps)
+            comp[(m2, m1)] = dp.mor_index[(src, zb.compose(r2, r1), psi.key(),
+                                           pieg.compose(f2, f1))]
+    return comp
+
+
+def naive_weak_exponential_comp(w):
+    """The weak exponential's comp with a vertical composite per pair."""
+    mors = w.asm.base.mors
+    pieg = w.asm.rfun.cod
+    comp = {}
+    for m2 in mors:
+        for m1 in mors:
+            if mors[m1][1] != mors[m2][0]:
+                continue
+            (psi2, f2), (psi1, f1) = w.mor_data[m2], w.mor_data[m1]
+            comp[(m2, m1)] = w.mor_index[(mors[m1][0],
+                                          vcompose_nat_isos(psi2, psi1).key(),
+                                          pieg.compose(f2, f1))]
     return comp
 
 
@@ -193,6 +248,55 @@ def test_exponential_comp_matches_naive(seed):
     except SizeCapError:
         assume(False)
     assert list(e.gpd.comp.items()) == list(naive_exponential_comp(e).items())
+
+
+def _pif(gen):
+    """A dependent product of a modest fibration along a fibration, drawn
+    like the modest-closure suite's but with a connected two-object base
+    half the time, so that morphisms over non-identities occur."""
+    iv = gen.r.interval
+
+    def base():
+        return gen.rng.choice([gen.small_groupoid(2),
+                               codiscrete([gen._tag() + "a", gen._tag() + "b"])])
+
+    for _ in range(20):
+        z = gen.assembly(base=base(), rtype=gen.rng.choice([iv.I0, iv.I1]))
+        y = gen.assembly(base=base(), rtype=iv.I0)
+        gfib, _total = gen.modest_fibration(base=y)
+        fm = gen.morphism(y, z)
+        ffib = None if fm is None else is_fibration(fm)
+        if isinstance(ffib, FibrationData):
+            try:
+                return dependent_product(gfib, ffib, max_objects=16)
+            except SizeCapError:
+                continue
+    return None
+
+
+@settings(max_examples=20, deadline=None)
+@given(SEEDS)
+def test_dependent_product_comp_matches_naive(seed):
+    dp = _pif(_gen(seed))
+    assume(dp is not None)
+    assert list(dp.asm.base.comp.items()) == \
+        list(naive_dependent_product_comp(dp).items())
+
+
+@settings(max_examples=20, deadline=None)
+@given(SEEDS)
+def test_weak_exponential_comp_matches_naive(seed):
+    gen = _gen(seed)
+    iv = gen.r.interval
+    x = gen.assembly(base=gen.small_groupoid(2), rtype=iv.I1)
+    y = gen.assembly(base=gen.small_groupoid(2),
+                     rtype=gen.rng.choice([iv.I0, iv.I1]))
+    try:
+        w = weak_exponential(x, y)
+    except SizeCapError:
+        assume(False)
+    assert list(w.asm.base.comp.items()) == \
+        list(naive_weak_exponential_comp(w).items())
 
 
 # --- validation and structure --------------------------------------------
