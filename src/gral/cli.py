@@ -76,14 +76,15 @@ def cmd_check(args) -> int:
                 if not mains:
                     raise ParseError("bundle contains no .mor or .asm entry", 1)
                 inner = files[mains[0]]
+                resolve = textfmt.bundle_resolver(files)
                 if textfmt.detect_kind(inner) == "MORPHISM":
                     from .assemblies import validate_morphism
                     rep = validate_morphism(
-                        textfmt.parse_morphism(inner, files.__getitem__, r))
+                        textfmt.parse_morphism(inner, resolve, r))
                 else:
                     from .assemblies import validate_assembly
                     rep = validate_assembly(
-                        textfmt.parse_assembly(inner, files.__getitem__, r))
+                        textfmt.parse_assembly(inner, resolve, r))
             else:
                 raise ParseError(f"cannot check a {kind} file", 1)
         except (ParseError, StructuralError, OSError) as exc:

@@ -2,13 +2,15 @@
 
 The format is versioned and diff-friendly: one record per line, sections
 in a fixed canonical order on output (any order on input).  Assemblies and
-morphisms reference their groupoid constituents by file name; a bundle
-stitches several files into a single replayable payload.
+morphisms reference their constituents by file name, on `BASE`/`RTYPE` and
+`SRC`/`TGT` lines that only their own kind recognises; a bundle stitches
+several files into a single replayable payload.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional
 
 from .errors import ParseError
@@ -38,104 +40,113 @@ def serialize_groupoid(g: FinGroupoid) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _Reader:
-    def __init__(self, text: str):
-        self.lines = text.splitlines()
-        self.pos = 0
+# reference lines each kind recognises: `<KEYWORD> <file name>`
+_REFERENCES = {"GROUPOID": (), "ASSEMBLY": ("BASE", "RTYPE"),
+               "MORPHISM": ("SRC", "TGT")}
 
-    def peek(self) -> Optional[str]:
-        while self.pos < len(self.lines):
-            line = self.lines[self.pos].strip()
-            if line and not line.startswith("#"):
-                return line
-            self.pos += 1
-        return None
-
-    def next(self) -> str:
-        line = self.peek()
-        if line is None:
-            raise ParseError("unexpected end of file", len(self.lines) + 1)
-        self.pos += 1
-        return line
-
-    @property
-    def lineno(self) -> int:
-        return self.pos + 1
+_Rows = list[tuple[list[str], int]]
 
 
-def _expect_header(rd: _Reader, kind: str) -> None:
-    head = rd.next().split()
-    if len(head) != 3 or head[0] != "GRAL" or head[2] != kind:
-        raise ParseError(f"expected 'GRAL <version> {kind}' header", rd.lineno - 1)
-    if head[1] != VERSION:
-        raise ParseError(f"unsupported format version {head[1]}", rd.lineno - 1)
+def _read(text: str, kind: str, known: tuple[str, ...]
+          ) -> tuple[dict[str, _Rows], dict[str, str]]:
+    """Scan a `kind` file once: its header, then rows by section up to END.
 
-
-def _read_sections(rd: _Reader, known: tuple[str, ...]) -> dict[str, list[tuple[list[str], int]]]:
-    sections: dict[str, list[tuple[list[str], int]]] = {}
-    current: Optional[str] = None
-    while True:
-        line = rd.next()
-        if line == "END":
-            break
-        if line in known or (line.split()[0] in ("BASE", "RTYPE", "SRC", "TGT")):
-            toks = line.split()
-            if len(toks) == 1:
-                current = line
-                sections.setdefault(current, [])
-                continue
-            sections.setdefault(toks[0], []).append((toks[1:], rd.lineno - 1))
+    Blank and `#` lines are skipped and each line is split once.  Returns
+    the `(tokens, line number)` rows of every section in `known` and the
+    file named by each of the kind's reference lines.
+    """
+    refs = _REFERENCES[kind]
+    sections: dict[str, _Rows] = {}
+    names: dict[str, str] = {}
+    rows: Optional[_Rows] = None
+    lines = text.splitlines()
+    numbered = enumerate(lines, 1)
+    for ln, line in numbered:
+        toks = line.split()
+        if not toks or toks[0][0] == "#":
             continue
-        if current is None:
-            raise ParseError(f"content outside any section: {line!r}", rd.lineno - 1)
-        sections[current].append((line.split(), rd.lineno - 1))
-    return sections
+        if len(toks) != 3 or toks[0] != "GRAL" or toks[2] != kind:
+            raise ParseError(f"expected 'GRAL <version> {kind}' header", ln)
+        if toks[1] != VERSION:
+            raise ParseError(f"unsupported format version {toks[1]}", ln)
+        break
+    for ln, line in numbered:
+        toks = line.split()
+        if not toks or toks[0][0] == "#":
+            continue
+        if toks[0] in refs:
+            if len(toks) != 2:
+                raise ParseError(f"expected '{toks[0]} <file>'", ln, len(toks) + 1)
+            names.setdefault(toks[0], toks[1])
+            continue
+        if len(toks) == 1:
+            word = toks[0]
+            if word == "END":
+                for s in refs + known:
+                    if s not in names and s not in sections:
+                        raise ParseError(f"missing section {s}", ln + 1)
+                return sections, names
+            if word in known:
+                rows = sections.setdefault(word, [])
+                continue
+        if rows is None:
+            raise ParseError(f"content outside any section: {line.strip()!r}", ln)
+        rows.append((toks, ln))
+    raise ParseError("unexpected end of file", len(lines) + 1)
+
+
+def _columns(rows: _Rows, width: int, message: str, column: int = 0
+             ) -> list[list[str]]:
+    """The rows' tokens, once every row is checked to have `width` of them."""
+    for toks, ln in rows:
+        if len(toks) != width:
+            raise ParseError(message, ln, column or len(toks) + 1)
+    return [toks for toks, _ in rows]
 
 
 def parse_groupoid(text: str) -> FinGroupoid:
-    rd = _Reader(text)
-    _expect_header(rd, "GROUPOID")
-    secs = _read_sections(rd, _GROUPOID_SECTIONS)
-    for s in _GROUPOID_SECTIONS:
-        if s not in secs:
-            raise ParseError(f"missing section {s}", rd.lineno)
-    objects = []
-    for toks, ln in secs["OBJECTS"]:
-        if len(toks) != 1:
-            raise ParseError("expected one object identifier", ln, 2)
-        objects.append(toks[0])
-    mors = {}
-    for toks, ln in secs["MORPHISMS"]:
-        if len(toks) != 3:
-            raise ParseError("expected 'id src tgt'", ln, len(toks) + 1)
-        mors[toks[0]] = (toks[1], toks[2])
-    ident = {}
-    for toks, ln in secs["ID"]:
-        if len(toks) != 2:
-            raise ParseError("expected 'object identity'", ln, len(toks) + 1)
-        ident[toks[0]] = toks[1]
-    inv = {}
-    for toks, ln in secs["INV"]:
-        if len(toks) != 2:
-            raise ParseError("expected 'morphism inverse'", ln, len(toks) + 1)
-        inv[toks[0]] = toks[1]
-    comp = {}
-    for toks, ln in secs["COMP"]:
-        if len(toks) != 3:
-            raise ParseError("expected 'g f composite'", ln, len(toks) + 1)
-        comp[(toks[0], toks[1])] = toks[2]
+    secs, _ = _read(text, "GROUPOID", _GROUPOID_SECTIONS)
+    objects = [row[0] for row in _columns(secs["OBJECTS"], 1,
+                                          "expected one object identifier", 2)]
+    mors = {m: (s, t) for m, s, t in _columns(secs["MORPHISMS"], 3,
+                                               "expected 'id src tgt'")}
+    ident = dict(_columns(secs["ID"], 2, "expected 'object identity'"))
+    inv = dict(_columns(secs["INV"], 2, "expected 'morphism inverse'"))
+    comp = {(g, f): c for g, f, c in _columns(secs["COMP"], 3,
+                                               "expected 'g f composite'")}
     return FinGroupoid(objects, mors, comp, ident, inv)
 
 
+def _json_block(items: list[str], open_: str = "[", close: str = "]") -> str:
+    """`items` as `json.dumps(..., indent=0)` lays out a list or a map."""
+    if not items:
+        return open_ + close
+    return open_ + "\n" + ",\n".join(items) + "\n" + close
+
+
 def groupoid_to_json(g: FinGroupoid) -> str:
-    return json.dumps({
-        "format": f"gral-{VERSION}-groupoid",
-        "objects": list(g.objects),
-        "morphisms": [[m, *g.mors[m]] for m in g.morphisms],
-        "id": {x: g.ident[x] for x in g.objects},
-        "inv": {m: g.inv[m] for m in g.morphisms},
-        "comp": [[a, b, c] for (a, b), c in sorted(g.comp.items())],
-    }, indent=0, sort_keys=True)
+    """The five tables, byte for byte as `json.dumps(tables, indent=0,
+    sort_keys=True)` prints them.
+
+    A non-None indent sends `json.dumps` through its pure-Python encoder, so
+    the layout is written here and each string is escaped by the C encoder.
+    """
+    enc = encode_basestring_ascii
+    mors, ident, inv = g.mors, g.ident, g.inv
+    comp = [f"[\n{enc(a)},\n{enc(b)},\n{enc(c)}\n]"
+            for (a, b), c in sorted(g.comp.items())]
+    morphisms = [f"[\n{enc(m)},\n{enc(mors[m][0])},\n{enc(mors[m][1])}\n]"
+                 for m in g.morphisms]
+    return _json_block([
+        '"comp": ' + _json_block(comp),
+        '"format": ' + enc(f"gral-{VERSION}-groupoid"),
+        '"id": ' + _json_block([f"{enc(x)}: {enc(ident[x])}"
+                                for x in sorted(g.objects)], "{", "}"),
+        '"inv": ' + _json_block([f"{enc(m)}: {enc(inv[m])}"
+                                 for m in sorted(g.morphisms)], "{", "}"),
+        '"morphisms": ' + _json_block(morphisms),
+        '"objects": ' + _json_block([enc(x) for x in g.objects]),
+    ], "{", "}")
 
 
 def groupoid_from_json(text: str) -> FinGroupoid:
@@ -177,14 +188,9 @@ def serialize_assembly(a: Assembly, base_name: str, rtype_name: str) -> str:
 def parse_assembly(text: str, resolve: Callable[[str], str], r,
                    loader: Optional[Loader] = None) -> Assembly:
     loader = loader if loader is not None else Loader(r)
-    rd = _Reader(text)
-    _expect_header(rd, "ASSEMBLY")
-    secs = _read_sections(rd, _ASSEMBLY_SECTIONS)
-    for s in ("BASE", "RTYPE") + _ASSEMBLY_SECTIONS:
-        if s not in secs:
-            raise ParseError(f"missing section {s}", rd.lineno)
-    base = loader.groupoid(resolve(secs["BASE"][0][0][0]))
-    rtype = loader.groupoid(resolve(secs["RTYPE"][0][0][0]))
+    secs, names = _read(text, "ASSEMBLY", _ASSEMBLY_SECTIONS)
+    base = loader.groupoid(resolve(names["BASE"]))
+    rtype = loader.groupoid(resolve(names["RTYPE"]))
     pi = r.pi(rtype)
     omap = {}
     for toks, ln in secs["RFUN-OBJ"]:
@@ -222,23 +228,13 @@ def serialize_morphism(m: RealizedMorphism, src_name: str, tgt_name: str) -> str
 def parse_morphism(text: str, resolve: Callable[[str], str], r,
                    loader: Optional[Loader] = None) -> RealizedMorphism:
     loader = loader if loader is not None else Loader(r)
-    rd = _Reader(text)
-    _expect_header(rd, "MORPHISM")
-    secs = _read_sections(rd, _MORPHISM_SECTIONS)
-    for s in ("SRC", "TGT") + _MORPHISM_SECTIONS:
-        if s not in secs:
-            raise ParseError(f"missing section {s}", rd.lineno)
-    src = parse_assembly(resolve(secs["SRC"][0][0][0]), resolve, r, loader)
-    tgt = parse_assembly(resolve(secs["TGT"][0][0][0]), resolve, r, loader)
+    secs, names = _read(text, "MORPHISM", _MORPHISM_SECTIONS)
+    src = parse_assembly(resolve(names["SRC"]), resolve, r, loader)
+    tgt = parse_assembly(resolve(names["TGT"]), resolve, r, loader)
 
     def table(name: str) -> dict[str, str]:
-        out = {}
-        for toks, ln in secs[name]:
-            if len(toks) != 2:
-                raise ParseError(f"expected a two-column row in {name}", ln,
-                                 len(toks) + 1)
-            out[toks[0]] = toks[1]
-        return out
+        return dict(_columns(secs[name], 2,
+                             f"expected a two-column row in {name}"))
 
     fun = GFunctor(src.base, tgt.base, table("FUN-OBJ"), table("FUN-MOR"))
     e = GFunctor(src.rtype, tgt.rtype, table("E-OBJ"), table("E-MOR"))
@@ -280,6 +276,15 @@ def parse_bundle(text: str) -> dict[str, str]:
     return files
 
 
+def bundle_resolver(files: dict[str, str]) -> Callable[[str], str]:
+    """Look up a bundle's files by name; a missing one is a ParseError."""
+    def resolve(name: str) -> str:
+        if name not in files:
+            raise ParseError(f"bundle holds no file {name!r}", 1)
+        return files[name]
+    return resolve
+
+
 def bundle_assembly(a: Assembly, name: str = "main") -> str:
     files = {
         f"{name}.base.gpd": serialize_groupoid(a.base),
@@ -291,8 +296,8 @@ def bundle_assembly(a: Assembly, name: str = "main") -> str:
 
 
 def load_assembly_bundle(text: str, r, name: str = "main") -> Assembly:
-    files = parse_bundle(text)
-    return parse_assembly(files[f"{name}.asm"], files.__getitem__, r)
+    resolve = bundle_resolver(parse_bundle(text))
+    return parse_assembly(resolve(f"{name}.asm"), resolve, r)
 
 
 def bundle_morphism(m: RealizedMorphism) -> str:
@@ -310,8 +315,8 @@ def bundle_morphism(m: RealizedMorphism) -> str:
 
 def load_morphism_bundle(text: str, r,
                          loader: Optional[Loader] = None) -> RealizedMorphism:
-    files = parse_bundle(text)
-    return parse_morphism(files["main.mor"], files.__getitem__, r, loader)
+    resolve = bundle_resolver(parse_bundle(text))
+    return parse_morphism(resolve("main.mor"), resolve, r, loader)
 
 
 def detect_kind(text: str) -> str:

@@ -11,7 +11,8 @@ from gral.cli import main
 from gral.generators import Gen, SuiteConfig, _sample, generate
 from gral.assemblies import Assembly, product_assembly, realize
 from gral.groupoids import (
-    SizeCaps, codiscrete, discrete, functors_between, validate_groupoid,
+    FinGroupoid, SizeCaps, codiscrete, discrete, functors_between,
+    validate_groupoid,
 )
 from gral.interval import gpd_interval
 from gral.pathcat import FibrationData, is_fibration
@@ -95,15 +96,245 @@ def test_golden_walking_iso(r):
     assert textfmt.parse_groupoid(golden) == r.interval.I1
 
 
-def test_parse_error_positions():
-    text = ("GRAL 1 GROUPOID\nOBJECTS\na\nMORPHISMS\nf a\nID\na id_a\n"
-            "INV\nf f\nCOMP\nEND")
+def test_golden_walking_iso_json(capsys):
+    assert main(["fmt", "--json", str(DATA / "walking_iso.gpd")]) == 0
+    assert capsys.readouterr() == ((DATA / "walking_iso.json").read_text(), "")
+
+
+# Small valid files: the one-object groupoid on T, an assembly over it
+# realized in the discrete groupoid on 0, and that assembly's identity.
+GPD_SECTIONS = {"OBJECTS": "OBJECTS\nT\n", "MORPHISMS": "MORPHISMS\nid_T T T\n",
+                "ID": "ID\nT id_T\n", "INV": "INV\nid_T id_T\n",
+                "COMP": "COMP\nid_T id_T id_T\n"}
+GPD = "GRAL 1 GROUPOID\n" + "".join(GPD_SECTIONS.values()) + "END\n"
+ASM_LINES = ["GRAL 1 ASSEMBLY", "BASE t.gpd", "RTYPE 0.gpd", "RFUN-OBJ",
+             "T pt:0", "RFUN-MOR", "id_T path:id_0", "END"]
+MOR_LINES = ["GRAL 1 MORPHISM", "SRC t.asm", "TGT t.asm", "FUN-OBJ", "T T",
+             "FUN-MOR", "id_T id_T", "E-OBJ", "0 0", "E-MOR", "id_0 id_0",
+             "EPS", "T path:id_0", "END"]
+FILES = {"t.gpd": GPD, "0.gpd": textfmt.serialize_groupoid(discrete(["0"])),
+         "t.asm": "\n".join(ASM_LINES) + "\n"}
+
+
+def _edit(lines, drop=(), put=None):
+    """The file `lines` without the lines at `drop`, with `put` {index: line} set."""
+    out = [line for i, line in enumerate(lines) if i not in drop]
+    for i, line in (put or {}).items():
+        out[i] = line
+    return "\n".join(out) + "\n"
+
+
+def _without_section(name):
+    return GPD.replace(GPD_SECTIONS[name], "")
+
+
+def _gpd_row(name, row):
+    return GPD.replace(GPD_SECTIONS[name], f"{name}\n{row}\n")
+
+
+def _parse(kind, text):
+    r = gpd_interval()
+    return {"groupoid": textfmt.parse_groupoid,
+            "assembly": lambda t: textfmt.parse_assembly(t, FILES.__getitem__, r),
+            "morphism": lambda t: textfmt.parse_morphism(t, FILES.__getitem__, r),
+            "bundle": textfmt.parse_bundle,
+            "detect": textfmt.detect_kind}[kind](text)
+
+
+PARSE_ERRORS = [
+    # header and end of file
+    pytest.param("groupoid", "", "unexpected end of file", 1, 0, id="groupoid-empty"),
+    pytest.param("groupoid", "# c\n\n  \n", "unexpected end of file", 4, 0,
+                 id="groupoid-only-comments"),
+    pytest.param("groupoid", "GRAL 1 ASSEMBLY\n",
+                 "expected 'GRAL <version> GROUPOID' header", 1, 0,
+                 id="groupoid-header-kind"),
+    pytest.param("groupoid", "\n# c\nGRAL 1 GROUPOID x\n",
+                 "expected 'GRAL <version> GROUPOID' header", 3, 0,
+                 id="groupoid-header-arity"),
+    pytest.param("groupoid", "not a header\n",
+                 "expected 'GRAL <version> GROUPOID' header", 1, 0,
+                 id="groupoid-header-missing"),
+    pytest.param("groupoid", "GRAL 2 GROUPOID\n", "unsupported format version 2",
+                 1, 0, id="groupoid-version"),
+    pytest.param("groupoid", GPD.replace("END\n", ""), "unexpected end of file",
+                 12, 0, id="groupoid-eof"),
+    pytest.param("groupoid", "GRAL 1 GROUPOID\n\n  a  b \nEND\n",
+                 "content outside any section: 'a  b'", 3, 0,
+                 id="groupoid-outside"),
+    # each missing section, reported on the line after END
+    *(pytest.param("groupoid", _without_section(s) + "\n# trailing\n",
+                   f"missing section {s}", GPD.count("\n") - 1, 0,
+                   id=f"groupoid-missing-{s}")
+      for s in ("OBJECTS", "MORPHISMS", "ID", "INV", "COMP")),
+    # wrong-arity rows, the column one past the last token
+    pytest.param("groupoid", _gpd_row("OBJECTS", "T U"),
+                 "expected one object identifier", 3, 2, id="groupoid-arity-OBJECTS"),
+    pytest.param("groupoid", _gpd_row("MORPHISMS", "id_T T"),
+                 "expected 'id src tgt'", 5, 3, id="groupoid-arity-MORPHISMS"),
+    pytest.param("groupoid", _gpd_row("ID", "T id_T x"),
+                 "expected 'object identity'", 7, 4, id="groupoid-arity-ID"),
+    pytest.param("groupoid", _gpd_row("INV", "id_T"),
+                 "expected 'morphism inverse'", 9, 2, id="groupoid-arity-INV"),
+    pytest.param("groupoid", _gpd_row("COMP", "id_T id_T"),
+                 "expected 'g f composite'", 11, 3, id="groupoid-arity-COMP"),
+    # assemblies
+    pytest.param("assembly", _edit(ASM_LINES, put={0: "GRAL 1 MORPHISM"}),
+                 "expected 'GRAL <version> ASSEMBLY' header", 1, 0,
+                 id="assembly-header"),
+    pytest.param("assembly", _edit(ASM_LINES, drop={7}), "unexpected end of file",
+                 8, 0, id="assembly-eof"),
+    pytest.param("assembly", _edit(ASM_LINES, put={3: "x y"}),
+                 "content outside any section: 'x y'", 4, 0, id="assembly-outside"),
+    *(pytest.param("assembly", _edit(ASM_LINES, drop=drop),
+                   f"missing section {s}", 9 - len(drop), 0,
+                   id=f"assembly-missing-{s}")
+      for s, drop in (("BASE", {1}), ("RTYPE", {2}), ("RFUN-OBJ", {3, 4}),
+                      ("RFUN-MOR", {5, 6}))),
+    pytest.param("assembly", _edit(ASM_LINES, put={4: "T"}),
+                 "expected 'object point'", 5, 2, id="assembly-arity-RFUN-OBJ"),
+    pytest.param("assembly", _edit(ASM_LINES, put={6: "id_T path:id_0 x"}),
+                 "expected 'morphism path'", 7, 4, id="assembly-arity-RFUN-MOR"),
+    pytest.param("assembly", _edit(ASM_LINES, put={4: "T pt:1"}),
+                 "unknown point 'pt:1'", 5, 2, id="assembly-unknown-point"),
+    pytest.param("assembly", _edit(ASM_LINES, put={6: "id_T path:id_1"}),
+                 "unknown path 'path:id_1'", 7, 2, id="assembly-unknown-path"),
+    # morphisms
+    pytest.param("morphism", _edit(MOR_LINES, put={0: "GRAL 1 ASSEMBLY"}),
+                 "expected 'GRAL <version> MORPHISM' header", 1, 0,
+                 id="morphism-header"),
+    pytest.param("morphism", _edit(MOR_LINES, drop={13}), "unexpected end of file",
+                 14, 0, id="morphism-eof"),
+    *(pytest.param("morphism", _edit(MOR_LINES, drop=drop),
+                   f"missing section {s}", 15 - len(drop), 0,
+                   id=f"morphism-missing-{s}")
+      for s, drop in (("SRC", {1}), ("TGT", {2}), ("FUN-OBJ", {3, 4}),
+                      ("FUN-MOR", {5, 6}), ("E-OBJ", {7, 8}), ("E-MOR", {9, 10}),
+                      ("EPS", {11, 12}))),
+    *(pytest.param("morphism", _edit(MOR_LINES, put={i: row}),
+                   f"expected a two-column row in {s}", i + 1, col,
+                   id=f"morphism-arity-{s}")
+      for s, i, row, col in (("FUN-OBJ", 4, "T", 2), ("FUN-MOR", 6, "id_T id_T x", 4),
+                             ("E-OBJ", 8, "0", 2), ("E-MOR", 10, "id_0", 2),
+                             ("EPS", 12, "T path:id_0 x", 4))),
+    # bundles and kind detection
+    pytest.param("bundle", "", "expected a bundle header", 1, 0, id="bundle-empty"),
+    pytest.param("bundle", "GRAL 1 GROUPOID\n", "expected a bundle header", 1, 0,
+                 id="bundle-header"),
+    pytest.param("bundle", "GRAL 1 BUNDLE\n\njunk\n--- FILE a\n",
+                 "content before the first file marker", 3, 0, id="bundle-outside"),
+    pytest.param("detect", "", "not a gral file", 1, 0, id="detect-empty"),
+    pytest.param("detect", "  \n", "not a gral file", 1, 0, id="detect-blank"),
+    pytest.param("detect", "GRAL 1\n", "not a gral file", 1, 0, id="detect-short"),
+    pytest.param("detect", "gral 1 GROUPOID\n", "not a gral file", 1, 0,
+                 id="detect-lowercase"),
+]
+
+
+@pytest.mark.parametrize("kind,text,message,line,column", PARSE_ERRORS)
+def test_parse_error_positions(kind, text, message, line, column):
     with pytest.raises(ParseError) as exc:
-        textfmt.parse_groupoid(text)
-    assert exc.value.line == 5
-    assert exc.value.column == 3
-    with pytest.raises(ParseError):
-        textfmt.parse_groupoid("not a header\n")
+        _parse(kind, text)
+    assert str(exc.value) == f"line {line}, col {column}: {message}"
+    assert (exc.value.line, exc.value.column) == (line, column)
+
+
+def test_small_files_parse():
+    # the files the error table edits are valid as they stand
+    for kind, lines in (("assembly", ASM_LINES), ("morphism", MOR_LINES)):
+        _parse(kind, "\n".join(lines) + "\n")
+    assert textfmt.parse_groupoid(GPD) == discrete(["T"])
+    # blank and `#` lines are skipped anywhere, one token or several
+    noted = GPD.replace("\n", "\n\n  # a b c\n#x\n\t\n")
+    assert textfmt.parse_groupoid(noted) == discrete(["T"])
+
+
+KEYWORDS = ["BASE", "RTYPE", "SRC", "TGT"]
+
+
+def _z2_named_by_keywords():
+    """Z/2 on the object TGT, with identity RTYPE and involution SRC."""
+    comp = {("RTYPE", "RTYPE"): "RTYPE", ("RTYPE", "SRC"): "SRC",
+            ("SRC", "RTYPE"): "SRC", ("SRC", "SRC"): "RTYPE"}
+    return FinGroupoid(["TGT"], {"RTYPE": ("TGT", "TGT"), "SRC": ("TGT", "TGT")},
+                       comp, {"TGT": "RTYPE"}, {"RTYPE": "RTYPE", "SRC": "SRC"})
+
+
+@pytest.mark.parametrize("g", [discrete(KEYWORDS), _z2_named_by_keywords()],
+                         ids=["discrete", "z2"])
+def test_reference_keywords_are_ids_in_groupoid_files(g, tmp_path, capsys):
+    text = textfmt.serialize_groupoid(g)
+    back = textfmt.parse_groupoid(text)
+    assert back == g
+    assert textfmt.serialize_groupoid(back) == text
+    path = tmp_path / "kw.gpd"
+    path.write_text(text)
+    assert main(["fmt", str(path)]) == 0
+    assert capsys.readouterr() == (text, "")
+
+
+def test_other_kinds_keywords_are_ids_in_bundles(r):
+    def asm(base):
+        i0 = r.interval.I0
+        return Assembly(r, base, i0, functors_between(base, r.pi(i0).gpd)[0])
+
+    # an assembly file knows BASE and RTYPE only, a morphism file SRC and TGT
+    x = asm(discrete(["SRC", "TGT"]))
+    back = textfmt.load_assembly_bundle(textfmt.bundle_assembly(x), r)
+    assert back.base == x.base and back.rfun.omap == x.rfun.omap
+    w = asm(discrete(["a", "b"]))
+    m = next(m for m in (realize(w, x, F) for F in functors_between(w.base, x.base))
+             if m is not None)
+    back = textfmt.load_morphism_bundle(textfmt.bundle_morphism(m), r)
+    assert back.tgt.base == x.base
+    assert back.fun.omap == m.fun.omap
+
+
+@pytest.mark.parametrize("word,names", [(w, "") for w in KEYWORDS]
+                         + [("TGT", " t.asm t.asm")],
+                         ids=KEYWORDS + ["TGT-two-names"])
+def test_cli_check_bare_reference_line_exits_2(word, names, tmp_path, capsys):
+    for name, text in FILES.items():
+        (tmp_path / name).write_text(text)
+    lines = MOR_LINES if word in ("SRC", "TGT") else ASM_LINES
+    i = next(i for i, line in enumerate(lines) if line.startswith(word + " "))
+    path = tmp_path / "bare.txt"
+    path.write_text(_edit(lines, put={i: word + names}))
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", f"{path}: structural error: line {i + 1}, "
+            f"col {len(names.split()) + 2}: expected '{word} <file>'\n")
+
+
+def _assembly_bundle(r, **edit):
+    """An assembly bundle over two objects, its files edited by name."""
+    gen = Gen(r, 9, SizeCaps())
+    files = textfmt.parse_bundle(textfmt.bundle_assembly(
+        gen.assembly(base=gen.small_groupoid(2), rtype=r.interval.I1)))
+    for old, new in edit.items():
+        text = files.pop(old)
+        if new is not None:
+            files[new[0]] = new[1](text)
+    return textfmt.serialize_bundle(files)
+
+
+@pytest.mark.parametrize("argv,edit,missing", [
+    (["check"], {"main.asm": ("main.asm", lambda t: t.replace(
+        "BASE main.base.gpd", "BASE nowhere.gpd"))}, "nowhere.gpd"),
+    (["build", "pathobj"], {"main.asm": ("main.asm", lambda t: t.replace(
+        "RTYPE main.rtype.gpd", "RTYPE nowhere.gpd"))}, "nowhere.gpd"),
+    (["build", "pathobj"], {"main.asm": ("other.asm", str)}, "main.asm"),
+    (["build", "pullback"], {}, "main.mor"),
+], ids=["check-base", "pathobj-rtype", "pathobj-no-main", "pullback-no-main"])
+def test_cli_bundle_missing_file_exits_2(argv, edit, missing, r, tmp_path, capsys):
+    path = tmp_path / "in.bundle"
+    path.write_text(_assembly_bundle(r, **edit))
+    inputs = [str(path)] * (2 if argv[-1] == "pullback" else 1)
+    assert main([*argv, *inputs]) == 2
+    where = f"{path}" if argv == ["check"] else "build"
+    assert capsys.readouterr() == (
+        "", f"{where}: structural error: line 1, col 0: "
+            f"bundle holds no file {missing!r}\n")
 
 
 def test_dangling_reference_is_structural():

@@ -8,22 +8,24 @@ instance's fundamental groupoid, built as the base groupoid relabelled, is
 held to the generic construction the same way, and so are the composition
 tables of the dependent product and the weak exponential, which the kernel
 builds from component tuples instead of one natural isomorphism per pair.
+The JSON writer is held to the `json.dumps` call it replaces, byte for byte.
 The fault injections show that each faster check can still fail.
 """
 
+import json
 import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gral.assemblies import PGAsmRealizer, weak_exponential
 from gral.depprod import dependent_product, fibre_map
 from gral.errors import SizeCapError, StructuralError
 from gral.generators import Gen
 from gral.groupoids import (
-    FinGroupoid, NatIso, SizeCaps, codiscrete, compose_functors, exponential,
-    functors_between, iso_comma, pair_id, product, pullback, triple_id,
-    validate_groupoid, vcompose_nat_isos,
+    FinGroupoid, NatIso, SizeCaps, codiscrete, compose_functors, discrete,
+    exponential, functors_between, iso_comma, pair_id, product, pullback,
+    triple_id, validate_groupoid, vcompose_nat_isos,
 )
 from gral.generators import SuiteConfig
 from gral.interval import (
@@ -32,6 +34,7 @@ from gral.interval import (
 )
 from gral.pathcat import FibrationData, is_fibration
 from gral.suites import replay_counterexample, run_suite
+from gral.textfmt import groupoid_from_json, groupoid_to_json
 
 SEEDS = st.integers(min_value=0, max_value=2 ** 30)
 
@@ -445,3 +448,54 @@ def test_pushout_check_counts_every_candidate(domain, name, alter, found):
     assert rep.failed() == [name]
     assert (name, False, f"expected a unique copairing, found {found}") \
         in [(e.name, e.ok, e.detail) for e in rep.entries]
+
+
+# --- the JSON writer --------------------------------------------------------
+
+def json_reference(g):
+    """`groupoid_to_json` as it was: the five tables through `json.dumps`."""
+    return json.dumps({
+        "format": "gral-1-groupoid",
+        "objects": list(g.objects),
+        "morphisms": [[m, *g.mors[m]] for m in g.morphisms],
+        "id": {x: g.ident[x] for x in g.objects},
+        "inv": {m: g.inv[m] for m in g.morphisms},
+        "comp": [[a, b, c] for (a, b), c in sorted(g.comp.items())],
+    }, indent=0, sort_keys=True)
+
+
+def relabel(g, label):
+    """`g` with every object and morphism id x renamed to label(x)."""
+    return FinGroupoid(
+        [label(x) for x in g.objects],
+        {label(m): (label(s), label(t)) for m, (s, t) in g.mors.items()},
+        {(label(a), label(b)): label(c) for (a, b), c in g.comp.items()},
+        {label(x): label(i) for x, i in g.ident.items()},
+        {label(m): label(i) for m, i in g.inv.items()})
+
+
+# quotes, backslashes, control characters, non-ASCII and astral characters
+AWKWARD = st.text(st.sampled_from('"\\\x00\x08\n\x1f\x7f é \U0001f600')
+                  | st.characters(), max_size=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(SEEDS, AWKWARD, AWKWARD)
+@example(0, "", "")
+@example(1, '"\\', "\x00é\U0001f600")
+def test_json_writer_matches_json_dumps(seed, prefix, suffix):
+    g = _gen(seed).groupoid()
+    for h in (g, relabel(g, lambda x: prefix + x + suffix)):
+        text = groupoid_to_json(h)
+        assert text == json_reference(h)
+        assert groupoid_from_json(text) == h
+
+
+@pytest.mark.parametrize("g", [
+    FinGroupoid([], {}, {}, {}, {}),
+    discrete(['"', "\\", "\x01", "é", " ", "\U0001f600"]),
+    codiscrete(['a"b', "c\\d", "\t"]),
+], ids=["empty", "discrete", "codiscrete"])
+def test_json_writer_on_hand_built_groupoids(g):
+    assert groupoid_to_json(g) == json_reference(g)
+    assert groupoid_from_json(groupoid_to_json(g)) == g
