@@ -23,7 +23,8 @@ from .groupoids import (
     whisker_right,
 )
 from .interval import (
-    IntervalData, Map, RealizerCategory, chain_groupoid, nat_iso_functor_form,
+    IntervalData, Map, RealizerCategory, _chain_functor, chain_groupoid,
+    nat_iso_functor_form,
 )
 
 _asm_counter = itertools.count()
@@ -119,21 +120,35 @@ def validate_morphism(m: RealizedMorphism) -> Report:
     return rep
 
 
-def _identity_eps(src: Assembly, tgt: Assembly, fun: GFunctor, e: Map) -> NatIso:
-    """Identity-component eps; valid when Pi(e).rfun equals rfun.F exactly."""
-    r = src.r
-    left = compose_functors(r.pi_map(e), src.rfun)
+def realized(src: Assembly, tgt: Assembly, fun: GFunctor, e: Map,
+             comps: dict[str, str]) -> RealizedMorphism:
+    """fun tracked by e, its realizability square filled by `comps`.
+
+    The witness eps runs Pi(e) . |-|_src => |-|_tgt . fun with eps_x =
+    comps[x].  Every constructed witness gets its boundary here;
+    validate_morphism checks that the components fill it.
+    """
+    left = compose_functors(src.r.pi_map(e), src.rfun)
     right = compose_functors(tgt.rfun, fun)
-    if left != right:
+    return RealizedMorphism(src, tgt, fun, e, NatIso(left, right, comps))
+
+
+def _identity_eps(src: Assembly, tgt: Assembly, fun: GFunctor, e: Map
+                  ) -> RealizedMorphism:
+    """fun tracked by e with identity components; Pi(e).rfun must equal
+    rfun.F exactly."""
+    comps: dict[str, str] = {}      # filled once the boundary is built
+    m = realized(src, tgt, fun, e, comps)
+    left = m.eps.src
+    if left != m.eps.tgt:
         raise StructuralError("realizability square does not commute on the nose")
     pi = tgt.pi.gpd
-    return NatIso(left, right, {x: pi.id_of(left.omap[x]) for x in src.base.objects})
+    comps.update((x, pi.id_of(left.omap[x])) for x in src.base.objects)
+    return m
 
 
 def identity_morphism(x: Assembly) -> RealizedMorphism:
-    fun = identity_functor(x.base)
-    e = x.r.identity(x.rtype)
-    return RealizedMorphism(x, x, fun, e, _identity_eps(x, x, fun, e))
+    return _identity_eps(x, x, identity_functor(x.base), x.r.identity(x.rtype))
 
 
 def compose_morphisms(m2: RealizedMorphism, m1: RealizedMorphism) -> RealizedMorphism:
@@ -148,9 +163,7 @@ def compose_morphisms(m2: RealizedMorphism, m1: RealizedMorphism) -> RealizedMor
     comps = {x: pi_t.compose(m2.eps.components[m1.fun.omap[x]],
                              pi_e2.mmap[m1.eps.components[x]])
              for x in m1.src.base.objects}
-    left = compose_functors(r.pi_map(e), m1.src.rfun)
-    right = compose_functors(m2.tgt.rfun, fun)
-    return RealizedMorphism(m1.src, m2.tgt, fun, e, NatIso(left, right, comps))
+    return realized(m1.src, m2.tgt, fun, e, comps)
 
 
 def find_realizer(src: Assembly, tgt: Assembly, fun: GFunctor
@@ -196,11 +209,8 @@ def _constant_realizer(src: Assembly, tgt: Assembly, fun: GFunctor
     r = src.r
     pt = tgt.pi.point_of[tgt.rfun.omap[fun.omap[c.base]]]
     d = r.compose(pt, r.terminal_map(src.rtype))
-    pi_t = tgt.pi.gpd
     eps_c = {x: tgt.rfun.mmap[fun.mmap[c.tree[x]]] for x in base.objects}
-    left = compose_functors(r.pi_map(d), src.rfun)
-    right = compose_functors(tgt.rfun, fun)
-    return RealizedMorphism(src, tgt, fun, d, NatIso(left, right, eps_c))
+    return realized(src, tgt, fun, d, eps_c)
 
 
 def is_modest(x: Assembly):
@@ -236,8 +246,7 @@ def bang(x: Assembly, t: Assembly) -> RealizedMorphism:
     fun = GFunctor(x.base, t.base,
                    {o: "T" for o in x.base.objects},
                    {m: t.base.id_of("T") for m in x.base.morphisms})
-    e = x.r.terminal_map(x.rtype)
-    return RealizedMorphism(x, t, fun, e, _identity_eps(x, t, fun, e))
+    return _identity_eps(x, t, fun, x.r.terminal_map(x.rtype))
 
 
 @dataclass
@@ -268,9 +277,7 @@ class ProductAssembly:
             pa = pi1.path_of[m1.eps.components[w]]
             pb = pi2.path_of[m2.eps.components[w]]
             comps[w] = r.pi_mor_id(self.rprod.pair(pa, pb))
-        left = compose_functors(r.pi_map(e), m1.src.rfun)
-        right = compose_functors(self.asm.rfun, fun)
-        return RealizedMorphism(m1.src, self.asm, fun, e, NatIso(left, right, comps))
+        return realized(m1.src, self.asm, fun, e, comps)
 
 
 def _paired_assembly(x: Assembly, y: Assembly, raw: Any) -> ProductAssembly:
@@ -289,10 +296,8 @@ def _paired_assembly(x: Assembly, y: Assembly, raw: Any) -> ProductAssembly:
     pi_xy = r.pi(rprod.obj)
     rfun = GFunctor(raw.gpd, pi_xy.gpd, omap, mmap)
     asm = Assembly(r, raw.gpd, rprod.obj, rfun)
-    p1 = RealizedMorphism(asm, x, raw.p1, rprod.p1,
-                          _identity_eps(asm, x, raw.p1, rprod.p1))
-    p2 = RealizedMorphism(asm, y, raw.p2, rprod.p2,
-                          _identity_eps(asm, y, raw.p2, rprod.p2))
+    p1 = _identity_eps(asm, x, raw.p1, rprod.p1)
+    p2 = _identity_eps(asm, y, raw.p2, rprod.p2)
     return ProductAssembly(asm, p1, p2, raw, rprod)
 
 
@@ -365,23 +370,9 @@ def _chain_assembly(r: RealizerCategory, k: int, corners: list[Map],
     """
     base = chain_groupoid(k)
     rtype = r.cod(gens[0]) if gens else r.interval.I0
-    pi = r.pi(rtype)
-    omap = {str(j): r.pi_obj_id(corners[j]) for j in range(k + 1)}
-    mmap = {}
-    for j in range(k + 1):
-        mmap[base.id_of(str(j))] = pi.gpd.id_of(omap[str(j)])
-    for i in range(k + 1):
-        for j in range(k + 1):
-            if i == j:
-                continue
-            lo, hi = min(i, j), max(i, j)
-            m = pi.gpd.id_of(omap[str(lo)])
-            for t in range(lo, hi):
-                m = pi.gpd.compose(r.pi_mor_id(gens[t]), m)
-            if i > j:
-                m = pi.gpd.inv_of(m)
-            mmap[f"p{i}{j}"] = m
-    rfun = GFunctor(base, pi.gpd, omap, mmap)
+    rfun = _chain_functor(base, r.pi(rtype).gpd,
+                          {str(j): r.pi_obj_id(c) for j, c in enumerate(corners)},
+                          {f"p{j}{j + 1}": r.pi_mor_id(g) for j, g in enumerate(gens)})
     return Assembly(r, base, rtype, rfun)
 
 
@@ -403,22 +394,19 @@ def pgasm_interval(r: RealizerCategory) -> PGAsmInterval:
 
     def chain_map(src: Assembly, tgt: Assembly, omap: dict[str, str],
                   gen: dict[str, str], e: Map) -> RealizedMorphism:
-        from .interval import _chain_functor
-        fun = _chain_functor(src.base, tgt.base, omap, gen)
-        return RealizedMorphism(src, tgt, fun, e, _identity_eps(src, tgt, fun, e))
+        return _identity_eps(src, tgt, _chain_functor(src.base, tgt.base, omap, gen), e)
 
     def point_map(tgt: Assembly, obj: str, e: Map) -> RealizedMorphism:
         fun = GFunctor(term.base, tgt.base, {"T": obj},
                        {term.base.id_of("T"): tgt.base.id_of(obj)})
-        return RealizedMorphism(term, tgt, fun, e, _identity_eps(term, tgt, fun, e))
+        return _identity_eps(term, tgt, fun, e)
 
     zero = point_map(i1a, "0", iv.zero)
     one = point_map(i1a, "1", iv.one)
     star_fun = GFunctor(i1a.base, term.base,
                         {o: "T" for o in i1a.base.objects},
                         {m: term.base.id_of("T") for m in i1a.base.morphisms})
-    star = RealizedMorphism(i1a, term, star_fun, iv.star,
-                            _identity_eps(i1a, term, star_fun, iv.star))
+    star = _identity_eps(i1a, term, star_fun, iv.star)
     sigma = chain_map(i1a, i1a, {"0": "1", "1": "0"}, {"p01": "p10"}, iv.sigma)
     two = chain_map(i1a, i2a, {"0": "0", "1": "2"}, {"p01": "p02"}, iv.two)
     i0m = chain_map(i1a, i2a, {"0": "0", "1": "1"}, {"p01": "p01"}, iv.i0)
@@ -446,7 +434,6 @@ def pgasm_copair2(pg: PGAsmInterval, beta: RealizedMorphism,
         raise BoundaryError("copair legs must be paths into a common assembly")
     if beta.fun.omap["0"] != alpha.fun.omap["1"]:
         raise BoundaryError("copair legs do not match nose to tail")
-    from .interval import _chain_functor
     fun = _chain_functor(pg.data.I2.base, x.base,
                          {"0": alpha.fun.omap["0"], "1": alpha.fun.omap["1"],
                           "2": beta.fun.omap["1"]},
@@ -458,10 +445,7 @@ def pgasm_copair2(pg: PGAsmInterval, beta: RealizedMorphism,
     d0 = alpha.eps.components["0"]
     d1 = pix.compose(alpha.eps.components["1"], e_path)
     d2 = pix.compose(x.rfun.mmap[beta.fun.mmap["p01"]], d1)
-    left = compose_functors(r.pi_map(d), pg.data.I2.rfun)
-    right = compose_functors(x.rfun, fun)
-    eps = NatIso(left, right, {"0": d0, "1": d1, "2": d2})
-    return RealizedMorphism(pg.data.I2, x, fun, d, eps)
+    return realized(pg.data.I2, x, fun, d, {"0": d0, "1": d1, "2": d2})
 
 
 def pgasm_copair3(pg: PGAsmInterval, u: RealizedMorphism,
@@ -473,7 +457,6 @@ def pgasm_copair3(pg: PGAsmInterval, u: RealizedMorphism,
     if u.fun.omap["1"] != v.fun.omap["0"] or u.fun.omap["2"] != v.fun.omap["1"] \
             or u.fun.mmap["p12"] != v.fun.mmap["p01"]:
         raise BoundaryError("copair legs do not agree on the shared half")
-    from .interval import _chain_functor
     fun = _chain_functor(pg.data.I3.base, x.base,
                          {"0": u.fun.omap["0"], "1": u.fun.omap["1"],
                           "2": u.fun.omap["2"], "3": v.fun.omap["2"]},
@@ -488,10 +471,7 @@ def pgasm_copair3(pg: PGAsmInterval, u: RealizedMorphism,
     d1 = pix.compose(u.eps.components["1"], q[1])
     d2 = pix.compose(u.eps.components["2"], q[2])
     d3 = pix.compose(x.rfun.mmap[v.fun.mmap["p12"]], d2)
-    left = compose_functors(r.pi_map(d), pg.data.I3.rfun)
-    right = compose_functors(x.rfun, fun)
-    eps = NatIso(left, right, {"0": d0, "1": d1, "2": d2, "3": d3})
-    return RealizedMorphism(pg.data.I3, x, fun, d, eps)
+    return realized(pg.data.I3, x, fun, d, {"0": d0, "1": d1, "2": d2, "3": d3})
 
 
 def validate_twocell(pg: PGAsmInterval, c: TwoCell) -> Report:
@@ -514,6 +494,33 @@ def validate_twocell(pg: PGAsmInterval, c: TwoCell) -> Report:
     return rep
 
 
+def _cell(pg: PGAsmInterval, src: RealizedMorphism, tgt: RealizedMorphism,
+          iso: NatIso, ew: Map, at0: dict[str, str], at1: dict[str, str]) -> TwoCell:
+    """The 2-cell src => tgt along iso, its body realized on the cylinder.
+
+    ew realizes the body out of the cylinder assembly; the witness
+    components at (x, 0) and (x, 1) are at0[x] and at1[x].
+    """
+    x = src.src
+    body = nat_iso_functor_form(pg.r, iso, pg.i1base)
+    cyl = pg.cylinder(x)
+    opair = cyl.raw_base.opair
+    comps = {}
+    for xo in x.base.objects:
+        comps[opair[(xo, "0")]] = at0[xo]
+        comps[opair[(xo, "1")]] = at1[xo]
+    w = realized(cyl.asm, src.tgt, body, ew, comps)
+    return TwoCell(src, tgt, iso, body, ew, w.eps, pg.i1base)
+
+
+def _cell_ends(pg: PGAsmInterval, c: TwoCell) -> list[dict[str, str]]:
+    """c's witness components at the two ends of the cylinder, per object."""
+    x = c.src.src
+    opair = pg.cylinder(x).raw_base.opair
+    return [{xo: c.epsw.components[opair[(xo, k)]] for xo in x.base.objects}
+            for k in "01"]
+
+
 def twocell_from_iso(pg: PGAsmInterval, phi: NatIso, src: RealizedMorphism,
                      tgt: RealizedMorphism) -> TwoCell:
     """Realize a 2-cell using its source's witness and transport.
@@ -525,19 +532,12 @@ def twocell_from_iso(pg: PGAsmInterval, phi: NatIso, src: RealizedMorphism,
     x, y = src.src, src.tgt
     if phi.src != src.fun or phi.tgt != tgt.fun:
         raise BoundaryError("iso boundary does not match the 2-cell boundary")
-    body = nat_iso_functor_form(r, phi, pg.i1base)
-    rp = r.product(x.rtype, r.interval.I1)
-    ew = r.compose(src.e, rp.p1)
-    cyl = pg.cylinder(x)
+    ew = r.compose(src.e, r.product(x.rtype, r.interval.I1).p1)
     piy = y.pi.gpd
-    comps = {}
-    for xo in x.base.objects:
-        comps[cyl.raw_base.opair[(xo, "0")]] = src.eps.components[xo]
-        comps[cyl.raw_base.opair[(xo, "1")]] = piy.compose(
-            y.rfun.mmap[phi.components[xo]], src.eps.components[xo])
-    left = compose_functors(r.pi_map(ew), cyl.asm.rfun)
-    right = compose_functors(y.rfun, body)
-    return TwoCell(src, tgt, phi, body, ew, NatIso(left, right, comps), pg.i1base)
+    eps = src.eps.components
+    at1 = {xo: piy.compose(y.rfun.mmap[phi.components[xo]], eps[xo])
+           for xo in x.base.objects}
+    return _cell(pg, src, tgt, phi, ew, eps, at1)
 
 
 def identity_twocell(pg: PGAsmInterval, m: RealizedMorphism) -> TwoCell:
@@ -546,21 +546,8 @@ def identity_twocell(pg: PGAsmInterval, m: RealizedMorphism) -> TwoCell:
 
 def inverse_twocell(pg: PGAsmInterval, c: TwoCell) -> TwoCell:
     """Swap the witness components at the two ends."""
-    r = pg.r
-    x, y = c.src.src, c.src.tgt
-    iso = invert_nat_iso(c.iso)
-    body = nat_iso_functor_form(r, iso, pg.i1base)
-    cyl = pg.cylinder(x)
-    comps = {}
-    for xo in x.base.objects:
-        comps[cyl.raw_base.opair[(xo, "0")]] = \
-            c.epsw.components[cyl.raw_base.opair[(xo, "1")]]
-        comps[cyl.raw_base.opair[(xo, "1")]] = \
-            c.epsw.components[cyl.raw_base.opair[(xo, "0")]]
-    left = compose_functors(r.pi_map(c.ew), cyl.asm.rfun)
-    right = compose_functors(y.rfun, body)
-    return TwoCell(c.tgt, c.src, iso, body, c.ew, NatIso(left, right, comps),
-                   pg.i1base)
+    at0, at1 = _cell_ends(pg, c)
+    return _cell(pg, c.tgt, c.src, invert_nat_iso(c.iso), c.ew, at1, at0)
 
 
 def twocell_compose(pg: PGAsmInterval, kind: str, c2: TwoCell, c1: TwoCell,
@@ -571,49 +558,33 @@ def twocell_compose(pg: PGAsmInterval, kind: str, c2: TwoCell, c1: TwoCell,
         if c2.src != c1.tgt:
             raise BoundaryError("vertical composition boundary mismatch")
         iso = vcompose_nat_isos(c2.iso, c1.iso)
-        x, y = c1.src.src, c1.src.tgt
-        body = nat_iso_functor_form(r, iso, pg.i1base)
-        cyl = pg.cylinder(x)
+        y = c1.src.tgt
         piy = y.pi.gpd
-        comps = {}
-        for xo in x.base.objects:
-            comps[cyl.raw_base.opair[(xo, "0")]] = \
-                c1.epsw.components[cyl.raw_base.opair[(xo, "0")]]
-            comps[cyl.raw_base.opair[(xo, "1")]] = piy.compose(
-                y.rfun.mmap[c2.iso.components[xo]],
-                c1.epsw.components[cyl.raw_base.opair[(xo, "1")]])
-        left = compose_functors(r.pi_map(c1.ew), cyl.asm.rfun)
-        right = compose_functors(y.rfun, body)
-        return TwoCell(c1.src, c2.tgt, iso, body, c1.ew,
-                       NatIso(left, right, comps), pg.i1base)
+        at0, at1 = _cell_ends(pg, c1)
+        at1 = {xo: piy.compose(y.rfun.mmap[c2.iso.components[xo]], c)
+               for xo, c in at1.items()}
+        return _cell(pg, c1.src, c2.tgt, iso, c1.ew, at0, at1)
     if kind == "horizontal":
         h = h_realizer if h_realizer is not None else c2.src
         if h != c2.src:
             raise BoundaryError("supplied realizer is not for the source of the left cell")
-        x = c1.src.src
         z = c2.src.tgt
         iso = vcompose_nat_isos(whisker_right(c2.iso, c1.tgt.fun),
                                 whisker_left(h.fun, c1.iso))
-        body = nat_iso_functor_form(r, iso, pg.i1base)
-        ew = r.compose(h.e, c1.ew)
-        cyl = pg.cylinder(x)
         piz = z.pi.gpd
         pih = r.pi_map(h.e)
-        comps = {}
-        for xo in x.base.objects:
-            base0 = piz.compose(h.eps.components[c1.src.fun.omap[xo]],
-                                pih.mmap[c1.epsw.components[cyl.raw_base.opair[(xo, "0")]]])
-            base1 = piz.compose(h.eps.components[c1.tgt.fun.omap[xo]],
-                                pih.mmap[c1.epsw.components[cyl.raw_base.opair[(xo, "1")]]])
-            comps[cyl.raw_base.opair[(xo, "0")]] = base0
-            comps[cyl.raw_base.opair[(xo, "1")]] = piz.compose(
-                z.rfun.mmap[c2.iso.components[c1.tgt.fun.omap[xo]]], base1)
-        left = compose_functors(r.pi_map(ew), cyl.asm.rfun)
-        right = compose_functors(z.rfun, body)
-        src = compose_morphisms(c2.src, c1.src)
-        tgt = compose_morphisms(c2.tgt, c1.tgt)
-        return TwoCell(src, tgt, iso, body, ew, NatIso(left, right, comps),
-                       pg.i1base)
+        ends0, ends1 = _cell_ends(pg, c1)
+        at0, at1 = {}, {}
+        for xo in c1.src.src.base.objects:
+            at0[xo] = piz.compose(h.eps.components[c1.src.fun.omap[xo]],
+                                  pih.mmap[ends0[xo]])
+            fxo = c1.tgt.fun.omap[xo]
+            at1[xo] = piz.compose(z.rfun.mmap[c2.iso.components[fxo]],
+                                  piz.compose(h.eps.components[fxo],
+                                              pih.mmap[ends1[xo]]))
+        return _cell(pg, compose_morphisms(c2.src, c1.src),
+                     compose_morphisms(c2.tgt, c1.tgt), iso,
+                     r.compose(h.e, c1.ew), at0, at1)
     raise StructuralError(f"unknown composition kind {kind!r}")
 
 
@@ -633,11 +604,14 @@ class WeakExpObject:
     ev: RealizedMorphism
     ev_src: ProductAssembly
 
-    def obj_id(self, F: GFunctor, point_id: str, eps: NatIso) -> str:
-        return self.obj_index[(F.key(), point_id, eps.key())]
+    # eps and psi are given by their components at the exponent's objects,
+    # in order: the tuples the indexes are keyed by
 
-    def mor_id(self, src_id: str, psi: NatIso, path_id: str) -> str:
-        return self.mor_index[(src_id, psi.key(), path_id)]
+    def obj_id(self, F: GFunctor, point_id: str, eps: tuple[str, ...]) -> str:
+        return self.obj_index[(F.key(), point_id, eps)]
+
+    def mor_id(self, src_id: str, psi: tuple[str, ...], path_id: str) -> str:
+        return self.mor_index[(src_id, psi, path_id)]
 
 
 def _eval_path_at_point(r: RealizerCategory, path_f: Map, pt: Map, base, target) -> Map:
@@ -751,13 +725,10 @@ def weak_exponential(x: Assembly, y: Assembly,
         s = x.base.mors[p][0]
         ev_mmap[mid] = y.base.compose(psi.tgt.mmap[p], psi.components[s])
     ev_fun = GFunctor(raw.gpd, y.base, ev_omap, ev_mmap)
-    e_ev = exp.ev
     comps = {}
     for (w, xo), oid in raw.opair.items():
         comps[oid] = obj_data[w][2].components[xo]
-    left = compose_functors(r.pi_map(e_ev), ev_src.asm.rfun)
-    right = compose_functors(y.rfun, ev_fun)
-    ev = RealizedMorphism(ev_src.asm, y, ev_fun, e_ev, NatIso(left, right, comps))
+    ev = realized(ev_src.asm, y, ev_fun, exp.ev, comps)
     return WeakExpObject(asm, x, y, obj_data, mor_data, obj_index, mor_index,
                          ev, ev_src)
 
@@ -786,20 +757,14 @@ def transpose_morphism(w: WeakExpObject, k: RealizedMorphism,
                      {m: k.fun.mmap[raw.mpair[(z.base.id_of(zo), m)]]
                       for m in x.base.morphisms})
         e_z = e_slice(piz.point_of[z.rfun.omap[zo]])
-        eps_comps = {a: k.eps.components[raw.opair[(zo, a)]] for a in x.base.objects}
-        pe = compose_functors(r.pi_map(r.point_as_map(e_z, x.rtype, y.rtype)), x.rfun)
-        eps = NatIso(pe, compose_functors(y.rfun, F), eps_comps)
+        eps = tuple([k.eps.components[raw.opair[(zo, a)]] for a in x.base.objects])
         omap[zo] = w.obj_id(F, r.pi_obj_id(e_z), eps)
     mmap = {}
     for v in z.base.morphisms:
-        s, _t = z.base.mors[v]
-        psi_comps = {a: k.fun.mmap[raw.mpair[(v, x.base.id_of(a))]]
-                     for a in x.base.objects}
-        Fs = w.obj_data[omap[s]][0]
-        Ft = w.obj_data[omap[z.base.mors[v][1]]][0]
-        psi = NatIso(Fs, Ft, psi_comps)
+        psi = tuple([k.fun.mmap[raw.mpair[(v, x.base.id_of(a))]]
+                     for a in x.base.objects])
         f_path = e_slice(piz.path_of[z.rfun.mmap[v]])
-        mmap[v] = w.mor_id(omap[s], psi, r.pi_mor_id(f_path))
+        mmap[v] = w.mor_id(omap[z.base.src(v)], psi, r.pi_mor_id(f_path))
     fun = GFunctor(z.base, w.asm.base, omap, mmap)
     e = r.transpose(k.e, rprod, x.rtype, y.rtype)
     comps = {}
@@ -809,9 +774,7 @@ def transpose_morphism(w: WeakExpObject, k: RealizedMorphism,
         if src_pt != ez:
             raise StructuralError("transpose realizer does not match the chosen point")
         comps[zo] = pie.gpd.id_of(ez)
-    left = compose_functors(r.pi_map(e), z.rfun)
-    right = compose_functors(w.asm.rfun, fun)
-    return RealizedMorphism(z, w.asm, fun, e, NatIso(left, right, comps))
+    return realized(z, w.asm, fun, e, comps)
 
 
 def weakexp_object_morphism(w: WeakExpObject, oid: str) -> RealizedMorphism:
@@ -820,10 +783,7 @@ def weakexp_object_morphism(w: WeakExpObject, oid: str) -> RealizedMorphism:
     x, y = w.exponent, w.target
     F, po, eps = w.obj_data[oid]
     pt = r.pi(w.asm.rtype).point_of[po]
-    e = r.point_as_map(pt, x.rtype, y.rtype)
-    left = compose_functors(r.pi_map(e), x.rfun)
-    right = compose_functors(y.rfun, F)
-    return RealizedMorphism(x, y, F, e, NatIso(left, right, eps.components))
+    return realized(x, y, F, r.point_as_map(pt, x.rtype, y.rtype), eps.components)
 
 
 def weakexp_cell(w: WeakExpObject, pg: PGAsmInterval, mid: str) -> TwoCell:
@@ -844,18 +804,8 @@ def weakexp_cell(w: WeakExpObject, pg: PGAsmInterval, mid: str) -> TwoCell:
     iv = r.interval
     mu = r.uncurry(pf, x.rtype, y.rtype)            # I1 x A -> B
     ew = r.compose(mu, r.swap(x.rtype, iv.I1))
-    body = nat_iso_functor_form(r, psi, pg.i1base)
-    cyl = pg.cylinder(x)
-    comps = {}
-    for xo in x.base.objects:
-        comps[cyl.raw_base.opair[(xo, "0")]] = \
-            w.obj_data[src_o][2].components[xo]
-        comps[cyl.raw_base.opair[(xo, "1")]] = \
-            w.obj_data[tgt_o][2].components[xo]
-    left = compose_functors(r.pi_map(ew), cyl.asm.rfun)
-    right = compose_functors(y.rfun, body)
-    return TwoCell(src_m, tgt_m, psi, body, ew, NatIso(left, right, comps),
-                   pg.i1base)
+    return _cell(pg, src_m, tgt_m, psi, ew, src_m.eps.components,
+                 tgt_m.eps.components)
 
 
 def beta_holds(w: WeakExpObject, k: RealizedMorphism, k_src: ProductAssembly,

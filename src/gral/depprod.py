@@ -17,8 +17,8 @@ from .groupoids import (
     composable_pairs, compose_functors, functors_between, nat_isos_between,
 )
 from .assemblies import (
-    Assembly, ProductAssembly, RealizedMorphism, _identity_eps,
-    compose_morphisms, is_modest,
+    Assembly, ProductAssembly, RealizedMorphism, _eval_path_at_point,
+    _identity_eps, compose_morphisms, is_modest, realized,
 )
 from .interval import Homotopy, RealizerCategory, homotopy_cod, homotopy_dom
 from .pathcat import (
@@ -106,8 +106,7 @@ def homotopy_fibre(f: RealizedMorphism, z: str) -> HomotopyFibre:
     proj_fun = GFunctor(base, y_asm.base,
                         {oid: y for (y, u), oid in objs.items()},
                         {mid: q for mid, (q, _u, _u2) in minfo.items()})
-    proj = RealizedMorphism(asm, y_asm, proj_fun, rprod.p1,
-                            _identity_eps(asm, y_asm, proj_fun, rprod.p1))
+    proj = _identity_eps(asm, y_asm, proj_fun, rprod.p1)
     return HomotopyFibre(asm, proj, z, f, objs, mor_of,
                          {oid: yu for yu, oid in objs.items()})
 
@@ -127,7 +126,6 @@ def fibre_map(hf_src: HomotopyFibre, hf_tgt: HomotopyFibre,
     for (q, u), mid in hf_src.mor_of.items():
         mmap[mid] = hf_tgt.mor_of[(q, zb.compose(rmor, u))]
     fun = GFunctor(hf_src.asm.base, hf_tgt.asm.base, omap, mmap)
-    e = r.identity(hf_src.asm.rtype)
     piz = f.tgt.pi
     rprod = r.product(f.src.rtype, r.exponential(r.interval.I1, f.tgt.rtype).obj)
     piy = f.src.pi
@@ -143,10 +141,7 @@ def fibre_map(hf_src: HomotopyFibre, hf_tgt: HomotopyFibre,
             f.tgt.rtype)
         comps[oid] = r.pi_mor_id(rprod.pair(
             piy.path_of[piy.gpd.id_of(f.src.rfun.omap[y])], lam))
-    left = compose_functors(r.pi_map(e), hf_src.asm.rfun)
-    right = compose_functors(hf_tgt.asm.rfun, fun)
-    return RealizedMorphism(hf_src.asm, hf_tgt.asm, fun, e,
-                            NatIso(left, right, comps))
+    return realized(hf_src.asm, hf_tgt.asm, fun, r.identity(hf_src.asm.rtype), comps)
 
 
 @dataclass
@@ -167,19 +162,14 @@ class DepProd:
     fstar: ProductAssembly                       # F* Pi_F X
     ev: RealizedMorphism                         # F* Pi_F X -> X, over Y
 
-    def obj_id(self, z: str, H: GFunctor, point: str, eps: NatIso) -> str:
-        return self.obj_index[(z, H.key(), point, eps.key())]
+    # eps and psi are given by their components at the objects of the
+    # fibre, in order: the tuples the indexes are keyed by
 
-    def mor_id(self, src: str, rmor: str, psi: NatIso, fpath: str) -> str:
-        return self.mor_index[(src, rmor, psi.key(), fpath)]
+    def obj_id(self, z: str, H: GFunctor, point: str, eps: tuple[str, ...]) -> str:
+        return self.obj_index[(z, H.key(), point, eps)]
 
-
-def _eval_exp_path(r, path_f, pt, base, target):
-    iv = r.interval
-    mu = r.uncurry(path_f, base, target)
-    p = r.product(iv.I1, base)
-    return r.compose(mu, p.pair(r.identity(iv.I1),
-                                r.compose(pt, r.terminal_map(iv.I1))))
+    def mor_id(self, src: str, rmor: str, psi: tuple[str, ...], fpath: str) -> str:
+        return self.mor_index[(src, rmor, psi, fpath)]
 
 
 def dependent_product(g: FibrationData, f: FibrationData,
@@ -232,7 +222,7 @@ def dependent_product(g: FibrationData, f: FibrationData,
             for oid2, (y, u) in hf.data_of.items():
                 pt = r.pi(bc).point_of[hf.asm.rfun.omap[oid2]]
                 path_eval[(mo, hf.asm.rfun.omap[oid2])] = r.pi_mor_id(
-                    _eval_exp_path(r, pf, pt, bc, x_asm.rtype))
+                    _eval_path_at_point(r, pf, pt, bc, x_asm.rtype))
 
     fmaps: dict[tuple[str, str], RealizedMorphism] = {}
 
@@ -314,19 +304,16 @@ def dependent_product(g: FibrationData, f: FibrationData,
     ident = {}
     for oid, (z, H, po, eps) in obj_data.items():
         ident[oid] = mor_index[(oid, z_asm.base.id_of(z),
-                                NatIso(H, H, {o: x_asm.base.id_of(H.omap[o])
-                                              for o in fibres[z].asm.base.objects}).key(),
+                                tuple([x_asm.base.id_of(H.omap[o])
+                                       for o in fibres[z].asm.base.objects]),
                                 pie.gpd.id_of(po))]
     inv = {}
     for mid, (rm, psi, fp) in mor_data.items():
-        src, tgt = mors[mid]
-        z2 = obj_data[tgt][0]
+        tgt = mors[mid][1]
         frinv = fmap(z_asm.base.inv_of(rm))
-        comps = {oid2: x_asm.base.inv_of(psi.components[
-            frinv.fun.omap[oid2]]) for oid2 in fibres[z2].asm.base.objects}
-        psi_inv = NatIso(obj_data[tgt][1],
-                         compose_functors(obj_data[src][1], frinv.fun), comps)
-        inv[mid] = mor_index[(tgt, z_asm.base.inv_of(rm), psi_inv.key(),
+        psi_inv = tuple([x_asm.base.inv_of(psi.components[frinv.fun.omap[oid2]])
+                         for oid2 in fibres[obj_data[tgt][0]].asm.base.objects])
+        inv[mid] = mor_index[(tgt, z_asm.base.inv_of(rm), psi_inv,
                               pie.gpd.inv_of(fp))]
     base = FinGroupoid(list(obj_data), mors, comp, ident, inv)
 
@@ -345,8 +332,7 @@ def dependent_product(g: FibrationData, f: FibrationData,
     proj_fun = GFunctor(base, z_asm.base,
                         {oid: obj_data[oid][0] for oid in obj_data},
                         {mid: mor_data[mid][0] for mid in mor_data})
-    proj = RealizedMorphism(asm, z_asm, proj_fun, rt_prod.p1,
-                            _identity_eps(asm, z_asm, proj_fun, rt_prod.p1))
+    proj = _identity_eps(asm, z_asm, proj_fun, rt_prod.p1)
 
     # chosen lifts: reindex the section backwards, keep the realizer point
     lifts: dict[tuple[str, str], str] = {}
@@ -360,16 +346,13 @@ def dependent_product(g: FibrationData, f: FibrationData,
             rinv = z_asm.base.inv_of(rmor)
             frinv = fmap(rinv)
             h2 = compose_functors(H, frinv.fun)
-            eps2 = {oid2: pxg.compose(eps.components[frinv.fun.omap[oid2]],
+            eps2 = tuple([pxg.compose(eps.components[frinv.fun.omap[oid2]],
                                       pe.mmap[frinv.eps.components[oid2]])
-                    for oid2 in fibres[z2].asm.base.objects}
-            left2 = point_left[(z2, po)]
-            eps2_iso = NatIso(left2, compose_functors(x_asm.rfun, h2), eps2)
-            tgt_oid = obj_index[(z2, h2.key(), po, eps2_iso.key())]
-            psi = NatIso(H, compose_functors(h2, fmap(rmor).fun),
-                         {o: x_asm.base.id_of(H.omap[o])
-                          for o in fibres[z].asm.base.objects})
-            mid = mor_index[(oid, rmor, psi.key(), pie.gpd.id_of(po))]
+                          for oid2 in fibres[z2].asm.base.objects])
+            tgt_oid = obj_index[(z2, h2.key(), po, eps2)]
+            psi = tuple([x_asm.base.id_of(H.omap[o])
+                         for o in fibres[z].asm.base.objects])
+            mid = mor_index[(oid, rmor, psi, pie.gpd.id_of(po))]
             if mors[mid][1] != tgt_oid:
                 raise StructuralError("chosen lift misses the forced target")
             lifts[(oid, rmor)] = mid
@@ -416,10 +399,7 @@ def _build_ev(r, g, f, fibres, obj_data, mor_data, fstar, exp, bc, rt_prod):
     for (y, doid), oid in raw.opair.items():
         z, H, po, eps = obj_data[doid]
         comps[oid] = eps.components[fibres[z].obj_of[(y, z_asm.base.id_of(z))]]
-    left = compose_functors(r.pi_map(e_ev), fstar.asm.rfun)
-    right = compose_functors(x_asm.rfun, ev_fun)
-    return RealizedMorphism(fstar.asm, x_asm, ev_fun, e_ev,
-                            NatIso(left, right, comps))
+    return realized(fstar.asm, x_asm, ev_fun, e_ev, comps)
 
 
 def dp_transpose(dp: DepProd, r_mor: RealizedMorphism, s: RealizedMorphism,
@@ -459,8 +439,8 @@ def dp_transpose(dp: DepProd, r_mor: RealizedMorphism, s: RealizedMorphism,
             r.compose(bcp.p1, pd.p2), r.compose(zr, pd.p1)))
         return r.transpose(lifted, pd, bc, x_asm.rtype)
 
+    pse = r.pi_map(s.e)
     omap: dict[str, str] = {}
-    h_of: dict[str, GFunctor] = {}
     eta_of: dict[str, dict[str, str]] = {}
     for w in w_asm.base.objects:
         z = r_mor.fun.omap[w]
@@ -485,48 +465,36 @@ def dp_transpose(dp: DepProd, r_mor: RealizedMorphism, s: RealizedMorphism,
             h_mmap[mid] = x_asm.base.compose_path(
                 etas[tgt_oid], smor, x_asm.base.inv_of(etas[src_oid]))
         H = GFunctor(hf.asm.base, x_asm.base, h_omap, h_mmap)
-        h_of[w] = H
         eta_of[w] = etas
         e_w = slice_point(piw.point_of[w_asm.rfun.omap[w]], iv.I0)
-        po = r.pi_obj_id(e_w)
-        pe = r.pi_map(r.point_as_map(pie.point_of[po], bc, x_asm.rtype))
-        comps = {}
-        for oid, (y, u) in hf.data_of.items():
+        eps = []
+        for oid in hf.asm.base.objects:
             pair_path = rprod_bd.pair(
                 piy.path_of[y_asm.rfun.mmap[lifts[oid]]],
                 piw.path_of[piw.gpd.id_of(w_asm.rfun.omap[w])])
-            t1 = r.pi_map(s.e).mmap[r.pi_mor_id(pair_path)]
+            t1 = pse.mmap[r.pi_mor_id(pair_path)]
             t2 = s.eps.components[raw.opair[(y_asm.base.tgt(lifts[oid]), w)]]
             t3 = x_asm.rfun.mmap[etas[oid]]
-            comps[oid] = pxg.compose(t3, pxg.compose(t2, t1))
-        left = compose_functors(pe, hf.asm.rfun)
-        right = compose_functors(x_asm.rfun, H)
-        eps = NatIso(left, right, comps)
-        omap[w] = dp.obj_id(z, H, po, eps)
+            eps.append(pxg.compose(t3, pxg.compose(t2, t1)))
+        omap[w] = dp.obj_id(z, H, r.pi_obj_id(e_w), tuple(eps))
 
     mmap: dict[str, str] = {}
     for v in w_asm.base.morphisms:
         ws, wt = w_asm.base.mors[v]
         rv = r_mor.fun.mmap[v]
         z = r_mor.fun.omap[ws]
-        hf = dp.fibres[z]
-        H = h_of[ws]
-        comps = {}
-        for oid, (y, u) in hf.data_of.items():
+        tgt_hf = dp.fibres[r_mor.fun.omap[wt]]
+        psi = []
+        for oid, (y, u) in dp.fibres[z].data_of.items():
             l_u = ell(y, u)
             l_rvu = ell(y, f.tgt.base.compose(rv, u))
             qv = y_asm.base.compose(l_rvu, y_asm.base.inv_of(l_u))
             smor = s.fun.mmap[raw.mpair[(qv, v)]]
-            tgt_hf = dp.fibres[r_mor.fun.omap[wt]]
             tgt_oid = tgt_hf.obj_of[(y, f.tgt.base.compose(rv, u))]
-            comps[oid] = x_asm.base.compose_path(
-                eta_of[wt][tgt_oid], smor, x_asm.base.inv_of(eta_of[ws][oid]))
-        target_fun = compose_functors(h_of[wt],
-                                      fibre_map(hf, dp.fibres[r_mor.fun.omap[wt]],
-                                                rv).fun)
-        psi = NatIso(H, target_fun, comps)
+            psi.append(x_asm.base.compose_path(
+                eta_of[wt][tgt_oid], smor, x_asm.base.inv_of(eta_of[ws][oid])))
         fpath = slice_point(piw.path_of[w_asm.rfun.mmap[v]], iv.I1)
-        mmap[v] = dp.mor_id(omap[ws], rv, psi, r.pi_mor_id(fpath))
+        mmap[v] = dp.mor_id(omap[ws], rv, tuple(psi), r.pi_mor_id(fpath))
     fun = GFunctor(w_asm.base, dp.asm.base, omap, mmap)
 
     pd_full = r.product(w_asm.rtype, bc)
@@ -545,9 +513,7 @@ def dp_transpose(dp: DepProd, r_mor: RealizedMorphism, s: RealizedMorphism,
         comps[w] = r.pi_mor_id(dp.rt_prod.pair(
             piz.path_of[r_mor.eps.components[w]],
             pie.path_of[pie.gpd.id_of(po_stored)]))
-    left = compose_functors(r.pi_map(e_t), w_asm.rfun)
-    right = compose_functors(dp.asm.rfun, fun)
-    return RealizedMorphism(w_asm, dp.asm, fun, e_t, NatIso(left, right, comps))
+    return realized(w_asm, dp.asm, fun, e_t, comps)
 
 
 def fstar_map(dp: DepProd, fw: ProductAssembly,
@@ -611,8 +577,7 @@ def realize_into_nabla(w: Assembly, target: Assembly,
     pi_t = target.pi
     a0 = next(iter(set(target.rfun.omap.values())))
     e = r.compose(pi_t.point_of[a0], r.terminal_map(w.rtype))
-    return RealizedMorphism(w, target, fun, e,
-                            _identity_eps(w, target, fun, e))
+    return _identity_eps(w, target, fun, e)
 
 
 # -- universal objects ---------------------------------------------------------

@@ -14,16 +14,16 @@ from typing import Callable, Optional
 from .errors import BoundaryError, StructuralError
 from .groupoids import (
     Cleavage, EquivalenceData, FinGroupoid, GFunctor, LiftFailure, NatIso,
-    Report, compose_functors, identity_functor, identity_nat_iso,
-    iso_comma, isofibration_cleavage, pullback as gpd_pullback,
+    Report, compose_functors, equivalence_inverse, identity_functor,
+    identity_nat_iso, invert_nat_iso, iso_comma, isofibration_cleavage,
+    pullback as gpd_pullback,
 )
 from .assemblies import (
     Assembly, PGAsmInterval, ProductAssembly, RealizedMorphism, TwoCell,
-    WeakExpObject, _paired_assembly, compose_morphisms, identity_morphism,
-    product_assembly, realize, twocell_from_iso, validate_morphism,
-    validate_twocell, weak_exponential,
+    WeakExpObject, _cell, _identity_eps, _paired_assembly, bang,
+    compose_morphisms, identity_morphism, product_assembly, realize, realized,
+    twocell_from_iso, validate_morphism, validate_twocell, weak_exponential,
 )
-from .interval import nat_iso_functor_form
 
 
 @dataclass
@@ -83,12 +83,8 @@ class FibrationData:
             mmap[m] = base.compose_path(self.lift(t, q), m,
                                         base.inv_of(self.lift(s, q)))
         fun = GFunctor(fy.base, fy2.base, omap, mmap)
-        r = self.src.r
-        e = r.identity(self.src.rtype)
         comps = {o: self.src.rfun.mmap[self.lift(o, q)] for o in fy.base.objects}
-        left = compose_functors(r.pi_map(e), fy.rfun)
-        right = compose_functors(fy2.rfun, fun)
-        return RealizedMorphism(fy, fy2, fun, e, NatIso(left, right, comps))
+        return realized(fy, fy2, fun, self.src.r.identity(self.src.rtype), comps)
 
 
 def is_fibration(m: RealizedMorphism):
@@ -130,7 +126,6 @@ def validate_asm_equivalence(pg: PGAsmInterval, eq: AsmEquivalence) -> Report:
 def as_equivalence(pg: PGAsmInterval, m: RealizedMorphism) -> Optional[AsmEquivalence]:
     """Equivalence data for m, if its underlying functor is one and a
     pseudoinverse is realizable."""
-    from .groupoids import equivalence_inverse
     eq = equivalence_inverse(m.fun)
     if not isinstance(eq, EquivalenceData):
         return None
@@ -166,13 +161,10 @@ def lift_2cell(p: FibrationData, phi: TwoCell, f: RealizedMorphism,
         s, t = x.base.mors[m]
         mmap[m] = ybase.compose_path(lifts[t], f.fun.mmap[m], ybase.inv_of(lifts[s]))
     fun = GFunctor(x.base, ybase, omap, mmap)
-    r = x.r
     piy = P.src.pi.gpd
     comps = {xo: piy.compose(P.src.rfun.mmap[lifts[xo]], f.eps.components[xo])
              for xo in x.base.objects}
-    left = compose_functors(r.pi_map(f.e), x.rfun)
-    right = compose_functors(P.src.rfun, fun)
-    phi_star = RealizedMorphism(x, P.src, fun, f.e, NatIso(left, right, comps))
+    phi_star = realized(x, P.src, fun, f.e, comps)
     lifted_iso = NatIso(f.fun, fun, lifts)
     lifted = twocell_from_iso(pg, lifted_iso, f, phi_star)
     return phi_star, lifted
@@ -200,13 +192,8 @@ def path_object(x: Assembly, pg: PGAsmInterval) -> PathObjectData:
     w = weak_exponential(pg.data.I1, x)
     pix = x.pi
     pie = r.pi(w.asm.rtype)
-
-    def const_point(xo: str):
-        path = pix.path_of[pix.gpd.id_of(x.rfun.omap[xo])]
-        pr = r.product(iv.I0, iv.I1)
-        return r.transpose(r.compose(path, pr.p2), pr, iv.I1, x.rtype)
-
-    i1b = pg.data.I1.base
+    i1a = pg.data.I1
+    i1b = i1a.base
 
     def loop_functor(xo: str) -> GFunctor:
         return GFunctor(i1b, x.base,
@@ -214,36 +201,26 @@ def path_object(x: Assembly, pg: PGAsmInterval) -> PathObjectData:
                         {"id_0": x.base.id_of(xo), "id_1": x.base.id_of(xo),
                          "p01": x.base.id_of(xo), "p10": x.base.id_of(xo)})
 
-    # r: X -> PX
+    # r: X -> PX, the constant loops with identity witnesses
     omap = {}
     for xo in x.base.objects:
-        F = loop_functor(xo)
-        e = const_point(xo)
-        left = compose_functors(
-            r.pi_map(r.point_as_map(e, pg.data.I1.rtype, x.rtype)), pg.data.I1.rfun)
-        right = compose_functors(x.rfun, F)
-        eps = NatIso(left, right,
-                     {o: pix.gpd.id_of(left.omap[o]) for o in i1b.objects})
-        omap[xo] = w.obj_id(F, r.pi_obj_id(e), eps)
+        e = _path_point(r, pix.path_of[pix.gpd.id_of(x.rfun.omap[xo])])
+        pe = r.pi_map(r.point_as_map(e, i1a.rtype, x.rtype))
+        eps = tuple([pix.gpd.id_of(pe.omap[i1a.rfun.omap[o]]) for o in i1b.objects])
+        omap[xo] = w.obj_id(loop_functor(xo), r.pi_obj_id(e), eps)
     mmap = {}
     for m in x.base.morphisms:
         s, t = x.base.mors[m]
-        psi = NatIso(w.obj_data[omap[s]][0], w.obj_data[omap[t]][0],
-                     {"0": m, "1": m})
         pm = pix.path_of[x.rfun.mmap[m]]
         ids = pix.path_of[pix.gpd.id_of(x.rfun.omap[s])]
         idt = pix.path_of[pix.gpd.id_of(x.rfun.omap[t])]
-        f_path = r.transpose(r.fill_square(pm, pm, ids, idt),
-                             r.product(iv.I1, iv.I1), iv.I1, x.rtype)
-        mmap[m] = w.mor_id(omap[s], psi, r.pi_mor_id(f_path))
+        f_path = _square_path(r, pm, pm, ids, idt, x.rtype)
+        mmap[m] = w.mor_id(omap[s], (m, m), r.pi_mor_id(f_path))
     r_fun = GFunctor(x.base, w.asm.base, omap, mmap)
     e_r = r.const_path_map(x.rtype)
-    left = compose_functors(r.pi_map(e_r), x.rfun)
-    right = compose_functors(w.asm.rfun, r_fun)
-    r_mor = RealizedMorphism(x, w.asm, r_fun, e_r,
-                             NatIso(left, right,
-                                    {o: pie.gpd.id_of(left.omap[o])
-                                     for o in x.base.objects}))
+    pe = r.pi_map(e_r)
+    r_mor = realized(x, w.asm, r_fun, e_r, {o: pie.gpd.id_of(pe.omap[x.rfun.omap[o]])
+                                            for o in x.base.objects})
 
     # (s,t): PX -> X x X
     prod = product_assembly(x, x)
@@ -266,10 +243,7 @@ def path_object(x: Assembly, pg: PGAsmInterval) -> PathObjectData:
     for oid, (F, po, eps) in w.obj_data.items():
         comps[oid] = r.pi_mor_id(prod.rprod.pair(
             pix.path_of[eps.components["0"]], pix.path_of[eps.components["1"]]))
-    left = compose_functors(r.pi_map(e_st), w.asm.rfun)
-    right = compose_functors(prod.asm.rfun, st_fun)
-    st = RealizedMorphism(w.asm, prod.asm, st_fun, e_st,
-                          NatIso(left, right, comps))
+    st = realized(w.asm, prod.asm, st_fun, e_st, comps)
     fib = is_fibration(st)
     if isinstance(fib, LiftFailure):
         raise StructuralError("the path-object boundary map failed to be a fibration")
@@ -289,20 +263,14 @@ def path_object(x: Assembly, pg: PGAsmInterval) -> PathObjectData:
                       "id_1": x.base.id_of(x.base.tgt(p2)),
                       "p01": gi, "p10": x.base.inv_of(gi)})
         pxg = pix.gpd
-        delta = {"0": pxg.compose(x.rfun.mmap[p1], eps.components["0"]),
-                 "1": pxg.compose(x.rfun.mmap[p2], eps.components["1"])}
+        delta = (pxg.compose(x.rfun.mmap[p1], eps.components["0"]),
+                 pxg.compose(x.rfun.mmap[p2], eps.components["1"]))
         m_e = r.point_as_map(pie.point_of[po], iv.I1, x.rtype)
         top = pix.path_of[pxg.id_of(r.pi_obj_id(r.path_src(m_e)))]
         bottom = pix.path_of[pxg.id_of(r.pi_obj_id(r.path_tgt(m_e)))]
-        f_path = r.transpose(r.fill_square(top, bottom, m_e, m_e),
-                             r.product(iv.I1, iv.I1), iv.I1, x.rtype)
-        left2 = compose_functors(
-            r.pi_map(r.point_as_map(pie.point_of[po], pg.data.I1.rtype, x.rtype)),
-            pg.data.I1.rfun)
-        delta_iso = NatIso(left2, compose_functors(x.rfun, G), delta)
-        tgt_oid = w.obj_id(G, po, delta_iso)
-        psi = NatIso(F, G, {"0": p1, "1": p2})
-        mid = w.mor_id(oid, psi, r.pi_mor_id(f_path))
+        f_path = _square_path(r, top, bottom, m_e, m_e, x.rtype)
+        tgt_oid = w.obj_id(G, po, delta)
+        mid = w.mor_id(oid, (p1, p2), r.pi_mor_id(f_path))
         if w.asm.base.mors[mid][1] != tgt_oid:
             raise StructuralError("chosen lift does not land at the forced target")
         return mid
@@ -315,17 +283,14 @@ def path_object(x: Assembly, pg: PGAsmInterval) -> PathObjectData:
     counit_comps = {}
     for oid, (F, po, eps) in w.obj_data.items():
         x0 = F.omap["0"]
-        psi_hat = NatIso(F, w.obj_data[r_fun.omap[x0]][0],
-                         {"0": x.base.id_of(x0),
-                          "1": x.base.inv_of(F.mmap["p01"])})
+        psi_hat = (x.base.id_of(x0), x.base.inv_of(F.mmap["p01"]))
         m_e = r.point_as_map(pie.point_of[po], iv.I1, x.rtype)
         pxg = pix.gpd
         top = pix.path_of[eps.components["0"]]
         bottom = pix.path_of[pxg.compose(pxg.inv_of(x.rfun.mmap[F.mmap["p01"]]),
                                          eps.components["1"])]
         right_edge = pix.path_of[pxg.id_of(x.rfun.omap[x0])]
-        f_hat = r.transpose(r.fill_square(top, bottom, m_e, right_edge),
-                            r.product(iv.I1, iv.I1), iv.I1, x.rtype)
+        f_hat = _square_path(r, top, bottom, m_e, right_edge, x.rtype)
         counit_comps[oid] = w.mor_id(oid, psi_hat, r.pi_mor_id(f_hat))
     counit_iso = NatIso(identity_functor(w.asm.base),
                         compose_functors(r_fun, s_mor.fun), counit_comps)
@@ -359,13 +324,10 @@ def pc7_section(f: FibrationData, pinv: RealizedMorphism,
         mmap[q] = x_asm.base.compose_path(lifts[t], pinv.fun.mmap[q],
                                           x_asm.base.inv_of(lifts[s]))
     fun = GFunctor(y_asm.base, x_asm.base, omap, mmap)
-    r = y_asm.r
     pix = x_asm.pi.gpd
     comps = {yo: pix.compose(x_asm.rfun.mmap[lifts[yo]], pinv.eps.components[yo])
              for yo in y_asm.base.objects}
-    left = compose_functors(r.pi_map(pinv.e), y_asm.rfun)
-    right = compose_functors(x_asm.rfun, fun)
-    return RealizedMorphism(y_asm, x_asm, fun, pinv.e, NatIso(left, right, comps))
+    return realized(y_asm, x_asm, fun, pinv.e, comps)
 
 
 def pullback_assembly(f: RealizedMorphism, g: RealizedMorphism) -> ProductAssembly:
@@ -375,7 +337,7 @@ def pullback_assembly(f: RealizedMorphism, g: RealizedMorphism) -> ProductAssemb
     return _paired_assembly(f.src, g.src, gpd_pullback(f.fun, g.fun))
 
 
-def _path_point(r, path, pt_dom=None):
+def _path_point(r, path):
     """Transpose a path I1 -> C into a point of C^I1."""
     iv = r.interval
     pr = r.product(iv.I0, iv.I1)
@@ -432,9 +394,7 @@ class PseudoPullbackAssembly:
                 self.rab.pair(pis.path_of[s.eps.components[wo]],
                               pit.path_of[t.eps.components[wo]]),
                 lam))
-        left = compose_functors(r.pi_map(e), w_asm.rfun)
-        right = compose_functors(self.asm.rfun, fun)
-        return RealizedMorphism(w_asm, self.asm, fun, e, NatIso(left, right, comps))
+        return realized(w_asm, self.asm, fun, e, comps)
 
 
 def pseudopullback_assembly(f: RealizedMorphism, g: RealizedMorphism,
@@ -475,26 +435,19 @@ def pseudopullback_assembly(f: RealizedMorphism, g: RealizedMorphism,
     pi_t = r.pi(rtriple.obj)
     rfun = GFunctor(raw.gpd, pi_t.gpd, omap, mmap)
     asm = Assembly(r, raw.gpd, rtriple.obj, rfun)
-    from .assemblies import _identity_eps
-    e1 = r.compose(rab.p1, rtriple.p1)
-    e2 = r.compose(rab.p2, rtriple.p1)
-    p1 = RealizedMorphism(asm, f.src, raw.p1, e1,
-                          _identity_eps(asm, f.src, raw.p1, e1))
-    p2 = RealizedMorphism(asm, g.src, raw.p2, e2,
-                          _identity_eps(asm, g.src, raw.p2, e2))
+    p1 = _identity_eps(asm, f.src, raw.p1, r.compose(rab.p1, rtriple.p1))
+    p2 = _identity_eps(asm, g.src, raw.p2, r.compose(rab.p2, rtriple.p1))
     # the generic 2-cell, realized by evaluating the stored path component
     pe1 = r.product(cexp.obj, iv.I1)
     outer = r.product(rtriple.obj, iv.I1)
     ew = r.compose(cexp.ev, pe1.pair(r.compose(rtriple.p2, outer.p1), outer.p2))
+    # identity components at the image under Pi(ew) of each cylinder end
     cyl = pg.cylinder(asm)
-    src_cell = compose_morphisms(f, p1)
-    tgt_cell = compose_morphisms(g, p2)
-    body = nat_iso_functor_form(r, raw.generic, pg.i1base)
-    left = compose_functors(r.pi_map(ew), cyl.asm.rfun)
-    right = compose_functors(z.rfun, body)
-    comps = {o: piz.gpd.id_of(left.omap[o]) for o in cyl.asm.base.objects}
-    conn = TwoCell(src_cell, tgt_cell, raw.generic, body, ew,
-                   NatIso(left, right, comps), pg.i1base)
+    pe, ends = r.pi_map(ew), cyl.asm.rfun.omap
+    at0, at1 = ({o: piz.gpd.id_of(pe.omap[ends[cyl.raw_base.opair[(o, k)]]])
+                 for o in raw.gpd.objects} for k in "01")
+    conn = _cell(pg, compose_morphisms(f, p1), compose_morphisms(g, p2),
+                 raw.generic, ew, at0, at1)
     return PseudoPullbackAssembly(asm, p1, p2, conn, raw, rab, rtriple, f, g)
 
 
@@ -525,7 +478,6 @@ def pc8_pseudoinverse(g: FibrationData, g_equiv: AsmEquivalence,
         raise BoundaryError("equivalence data is not for the given fibration")
     h = g_equiv.bwd                      # H: Z -> Y
     # psi: G.H => id_Z is the inverse of the carried counit id => G.H
-    from .groupoids import invert_nat_iso
     psi = invert_nat_iso(g_equiv.counit.iso)
     pb = pullback_assembly(f, G)
     x_asm, y_asm, z_asm = f.src, G.src, G.tgt
@@ -540,16 +492,13 @@ def pc8_pseudoinverse(g: FibrationData, g_equiv: AsmEquivalence,
             lifts[t], h.fun.mmap[f.fun.mmap[p]], y_asm.base.inv_of(lifts[s]))
     t_fun = GFunctor(x_asm.base, y_asm.base, omap, mmap)
     r = x_asm.r
-    e_t = r.compose(h.e, f.e)
     pih = r.pi_map(h.e)
     piy = y_asm.pi.gpd
     comps = {xo: piy.compose(y_asm.rfun.mmap[lifts[xo]],
                              piy.compose(h.eps.components[f.fun.omap[xo]],
                                          pih.mmap[f.eps.components[xo]]))
              for xo in x_asm.base.objects}
-    left = compose_functors(r.pi_map(e_t), x_asm.rfun)
-    right = compose_functors(y_asm.rfun, t_fun)
-    t_mor = RealizedMorphism(x_asm, y_asm, t_fun, e_t, NatIso(left, right, comps))
+    t_mor = realized(x_asm, y_asm, t_fun, r.compose(h.e, f.e), comps)
     s_mor = pb.pair(identity_morphism(x_asm), t_mor)
     # sigma: id_{F*Y} => S . F*(G)
     fstar_g = pb.p1
@@ -585,14 +534,9 @@ def transfer_structure(x: Assembly, eq: EquivalenceData,
     rfun = compose_functors(x.rfun, eq.bwd)
     y_asm = Assembly(r, y, x.rtype, rfun)
     e_id = r.identity(x.rtype)
-    from .assemblies import _identity_eps
-    bwd = RealizedMorphism(y_asm, x, eq.bwd, e_id,
-                           _identity_eps(y_asm, x, eq.bwd, e_id))
-    pix = x.pi.gpd
+    bwd = _identity_eps(y_asm, x, eq.bwd, e_id)
     comps = {xo: x.rfun.mmap[eq.unit.components[xo]] for xo in x.base.objects}
-    left = compose_functors(r.pi_map(e_id), x.rfun)
-    right = compose_functors(rfun, eq.fwd)
-    fwd = RealizedMorphism(x, y_asm, eq.fwd, e_id, NatIso(left, right, comps))
+    fwd = realized(x, y_asm, eq.fwd, e_id, comps)
     unit = twocell_from_iso(pg, eq.unit, identity_morphism(x),
                             compose_morphisms(bwd, fwd))
     counit = twocell_from_iso(pg, eq.counit, identity_morphism(y_asm),
@@ -634,7 +578,6 @@ def pc2_pullback_of_fibration(fib: FibrationData, f: RealizedMorphism) -> bool:
 
 
 def pc3_terminal_fibration(x: Assembly, pg: PGAsmInterval) -> bool:
-    from .assemblies import bang
     return isinstance(is_fibration(bang(x, pg.terminal)), FibrationData)
 
 

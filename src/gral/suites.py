@@ -759,8 +759,7 @@ def _split_replacement(gen: Gen, fib: FibrationData):
     rfun = compose_functors(total.rfun, proj)
     tilde = Assembly(r, raw.gpd, total.rtype, rfun)
     e = r.identity(total.rtype)
-    s_mor = RealizedMorphism(tilde, total, proj, e,
-                             _identity_eps(tilde, total, proj, e))
+    s_mor = _identity_eps(tilde, total, proj, e)
     tilde_m = compose_morphisms(fib.morphism, s_mor)
     got = is_fibration(tilde_m)
     if not isinstance(got, FibrationData):

@@ -3,19 +3,21 @@
 The format is versioned and diff-friendly: one record per line, sections
 in a fixed canonical order on output (any order on input).  Assemblies and
 morphisms reference their constituents by file name, on `BASE`/`RTYPE` and
-`SRC`/`TGT` lines that only their own kind recognises; a bundle stitches
-several files into a single replayable payload.
+`SRC`/`TGT` lines that only their own kind recognises, between the header
+and the first section; a bundle stitches several files into a single
+replayable payload.  Writers refuse an id that would not read back as
+itself, rather than quote it.
 """
 
 from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
-from .errors import ParseError
-from .groupoids import FinGroupoid, GFunctor, NatIso, compose_functors
-from .assemblies import Assembly, RealizedMorphism
+from .errors import ParseError, StructuralError
+from .groupoids import FinGroupoid, GFunctor
+from .assemblies import Assembly, RealizedMorphism, realized
 
 VERSION = "1"
 
@@ -24,7 +26,19 @@ _ASSEMBLY_SECTIONS = ("RFUN-OBJ", "RFUN-MOR")
 _MORPHISM_SECTIONS = ("FUN-OBJ", "FUN-MOR", "E-OBJ", "E-MOR", "EPS")
 
 
+def _check_ids(*groups: Iterable[str], alone: tuple[str, ...] = ()) -> None:
+    """Refuse an id the reader would not give back as itself: one that is
+    empty, holds whitespace or starts with `#`, or that is a keyword in
+    `alone` when the id makes a row by itself."""
+    for ids in groups:
+        for i in ids:
+            if i.split() != [i] or i[0] == "#" or i in alone:
+                raise StructuralError(f"id {i!r} cannot be written as a token")
+
+
 def serialize_groupoid(g: FinGroupoid) -> str:
+    _check_ids(g.morphisms)
+    _check_ids(g.objects, alone=_GROUPOID_SECTIONS + ("END",))
     lines = [f"GRAL {VERSION} GROUPOID", "OBJECTS"]
     lines.extend(g.objects)
     lines.append("MORPHISMS")
@@ -47,6 +61,16 @@ _REFERENCES = {"GROUPOID": (), "ASSEMBLY": ("BASE", "RTYPE"),
 _Rows = list[tuple[list[str], int]]
 
 
+def _header(numbered) -> Optional[tuple[int, list[str]]]:
+    """The line number and tokens of the first line that is neither blank
+    nor a `#` comment, the lines before it consumed."""
+    for ln, line in numbered:
+        toks = line.split()
+        if toks and toks[0][0] != "#":
+            return ln, toks
+    return None
+
+
 def _read(text: str, kind: str, known: tuple[str, ...]
           ) -> tuple[dict[str, _Rows], dict[str, str]]:
     """Scan a `kind` file once: its header, then rows by section up to END.
@@ -61,20 +85,18 @@ def _read(text: str, kind: str, known: tuple[str, ...]
     rows: Optional[_Rows] = None
     lines = text.splitlines()
     numbered = enumerate(lines, 1)
-    for ln, line in numbered:
-        toks = line.split()
-        if not toks or toks[0][0] == "#":
-            continue
+    head = _header(numbered)
+    if head is not None:
+        ln, toks = head
         if len(toks) != 3 or toks[0] != "GRAL" or toks[2] != kind:
             raise ParseError(f"expected 'GRAL <version> {kind}' header", ln)
         if toks[1] != VERSION:
             raise ParseError(f"unsupported format version {toks[1]}", ln)
-        break
     for ln, line in numbered:
         toks = line.split()
         if not toks or toks[0][0] == "#":
             continue
-        if toks[0] in refs:
+        if rows is None and toks[0] in refs:
             if len(toks) != 2:
                 raise ParseError(f"expected '{toks[0]} <file>'", ln, len(toks) + 1)
             names.setdefault(toks[0], toks[1])
@@ -176,6 +198,8 @@ class Loader:
 
 
 def serialize_assembly(a: Assembly, base_name: str, rtype_name: str) -> str:
+    _check_ids(a.base.objects, a.base.morphisms, a.rfun.omap.values(),
+               a.rfun.mmap.values())
     lines = [f"GRAL {VERSION} ASSEMBLY", f"BASE {base_name}",
              f"RTYPE {rtype_name}", "RFUN-OBJ"]
     lines.extend(f"{x} {a.rfun.omap[x]}" for x in a.base.objects)
@@ -210,6 +234,9 @@ def parse_assembly(text: str, resolve: Callable[[str], str], r,
 
 
 def serialize_morphism(m: RealizedMorphism, src_name: str, tgt_name: str) -> str:
+    _check_ids(m.src.base.objects, m.src.base.morphisms, m.fun.omap.values(),
+               m.fun.mmap.values(), m.e.dom.objects, m.e.dom.morphisms,
+               m.e.omap.values(), m.e.mmap.values(), m.eps.components.values())
     lines = [f"GRAL {VERSION} MORPHISM", f"SRC {src_name}", f"TGT {tgt_name}",
              "FUN-OBJ"]
     lines.extend(f"{x} {m.fun.omap[x]}" for x in m.src.base.objects)
@@ -238,10 +265,7 @@ def parse_morphism(text: str, resolve: Callable[[str], str], r,
 
     fun = GFunctor(src.base, tgt.base, table("FUN-OBJ"), table("FUN-MOR"))
     e = GFunctor(src.rtype, tgt.rtype, table("E-OBJ"), table("E-MOR"))
-    left = compose_functors(r.pi_map(e), src.rfun)
-    right = compose_functors(tgt.rfun, fun)
-    eps = NatIso(left, right, table("EPS"))
-    return RealizedMorphism(src, tgt, fun, e, eps)
+    return realized(src, tgt, fun, e, table("EPS"))
 
 
 # -- bundles ---------------------------------------------------------------
@@ -320,7 +344,8 @@ def load_morphism_bundle(text: str, r,
 
 
 def detect_kind(text: str) -> str:
-    head = text.lstrip().splitlines()[0].split() if text.strip() else []
-    if len(head) == 3 and head[0] == "GRAL":
-        return head[2]
+    """The kind named by the header, found as `_read` finds it."""
+    head = _header(enumerate(text.splitlines(), 1))
+    if head is not None and len(head[1]) == 3 and head[1][0] == "GRAL":
+        return head[1][2]
     raise ParseError("not a gral file", 1)

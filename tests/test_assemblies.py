@@ -3,11 +3,11 @@ import random
 import pytest
 
 from gral.groupoids import (
-    NatIso, codiscrete, compose_functors, cyclic_group, discrete,
+    GFunctor, NatIso, codiscrete, compose_functors, cyclic_group, discrete,
     functors_between, identity_functor, nat_isos_between,
 )
 from gral.assemblies import (
-    Assembly, PGAsmRealizer, RealizedMorphism, bang, beta_holds,
+    Assembly, PGAsmRealizer, RealizedMorphism, _identity_eps, bang, beta_holds,
     compose_morphisms, identity_morphism, identity_twocell,
     inverse_twocell, is_modest, pgasm_copair2, pgasm_interval,
     product_assembly, realize, terminal_assembly, transpose_morphism,
@@ -67,6 +67,21 @@ def test_identity_morphism_validates(r):
     for a in sample_assemblies(r, 5, seed=1):
         m = identity_morphism(a)
         assert validate_morphism(m).ok
+
+
+def test_on_the_nose_witness_refuses_a_square_that_does_not_commute(r):
+    # x sends a and b to different points, so swapping them is realized by
+    # no identity components over the identity realizer
+    base, rtype = discrete(["a", "b"]), discrete(["0", "1"])
+    x = Assembly(r, base, rtype,
+                 GFunctor(base, r.pi(rtype).gpd, {"a": "pt:0", "b": "pt:1"},
+                          {"id_a": "path:id_0", "id_b": "path:id_1"}))
+    swap = GFunctor(x.base, x.base, {"a": "b", "b": "a"},
+                    {"id_a": "id_b", "id_b": "id_a"})
+    with pytest.raises(StructuralError, match="does not commute on the nose"):
+        _identity_eps(x, x, swap, r.identity(x.rtype))
+    assert validate_morphism(_identity_eps(x, x, identity_functor(x.base),
+                                           r.identity(x.rtype))).ok
 
 
 def test_broken_eps_is_caught(r):

@@ -9,7 +9,7 @@ from gral import suites
 from gral.errors import BoundaryError, ParseError, SizeCapError, StructuralError
 from gral.cli import main
 from gral.generators import Gen, SuiteConfig, _sample, generate
-from gral.assemblies import Assembly, product_assembly, realize
+from gral.assemblies import Assembly, identity_morphism, product_assembly, realize
 from gral.groupoids import (
     FinGroupoid, SizeCaps, codiscrete, discrete, functors_between,
     validate_groupoid,
@@ -228,6 +228,8 @@ PARSE_ERRORS = [
     pytest.param("detect", "GRAL 1\n", "not a gral file", 1, 0, id="detect-short"),
     pytest.param("detect", "gral 1 GROUPOID\n", "not a gral file", 1, 0,
                  id="detect-lowercase"),
+    pytest.param("detect", "# GRAL 1 GROUPOID\njunk\n", "not a gral file", 1, 0,
+                 id="detect-comment-then-junk"),
 ]
 
 
@@ -288,6 +290,55 @@ def test_other_kinds_keywords_are_ids_in_bundles(r):
     back = textfmt.load_morphism_bundle(textfmt.bundle_morphism(m), r)
     assert back.tgt.base == x.base
     assert back.fun.omap == m.fun.omap
+
+
+@pytest.mark.parametrize("ids", [["BASE", "x"], ["x", "RTYPE"], ["SRC", "TGT"]],
+                         ids=["BASE", "RTYPE", "SRC-TGT"])
+def test_own_reference_keywords_are_ids_in_rows(ids, r, tmp_path, capsys):
+    # after the first section a kind's reference keyword starts a row
+    i0 = r.interval.I0
+    base = discrete(ids)
+    x = Assembly(r, base, i0, functors_between(base, r.pi(i0).gpd)[0])
+    back = textfmt.load_assembly_bundle(textfmt.bundle_assembly(x), r)
+    assert (back.rfun.omap, back.rfun.mmap) == (x.rfun.omap, x.rfun.mmap)
+    m = identity_morphism(x)
+    back = textfmt.load_morphism_bundle(textfmt.bundle_morphism(m), r)
+    assert (back.fun.omap, back.eps.components) == (m.fun.omap, m.eps.components)
+    for name, text in (("x.bundle", textfmt.bundle_assembly(x)),
+                       ("m.bundle", textfmt.bundle_morphism(m))):
+        (tmp_path / name).write_text(text)
+        assert main(["check", str(tmp_path / name)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("x", ["END", "COMP", "OBJECTS", "#a", "a b", "a\t", ""])
+def test_writers_refuse_ids_that_do_not_read_back(x, r):
+    g = discrete([x])
+    with pytest.raises(StructuralError):
+        textfmt.serialize_groupoid(g)
+    a = Assembly(r, g, r.interval.I0, functors_between(g, r.pi(r.interval.I0).gpd)[0])
+    if x in ("END", "COMP", "OBJECTS"):
+        # a keyword is an id wherever it does not make a row by itself
+        textfmt.serialize_assembly(a, "b", "t")
+        textfmt.serialize_morphism(identity_morphism(a), "a", "a")
+        return
+    with pytest.raises(StructuralError):
+        textfmt.serialize_assembly(a, "b", "t")
+    with pytest.raises(StructuralError):
+        textfmt.serialize_morphism(identity_morphism(a), "a", "a")
+
+
+def test_cli_reads_a_file_that_opens_with_comments(tmp_path, capsys):
+    text = textfmt.serialize_groupoid(codiscrete(["a", "b"]))
+    plain, noted = tmp_path / "plain.gpd", tmp_path / "noted.gpd"
+    plain.write_text(text)
+    noted.write_text("# note\n\n#GRAL 1 ASSEMBLY\n" + text)
+    for argv in (["check"], ["fmt"], ["fmt", "--json"]):
+        assert main([*argv, str(plain)]) == 0
+        want = capsys.readouterr()
+        assert main([*argv, str(noted)]) == 0
+        got = capsys.readouterr()
+        assert (got.out.replace(str(noted), str(plain)), got.err) == want
 
 
 @pytest.mark.parametrize("word,names", [(w, "") for w in KEYWORDS]
