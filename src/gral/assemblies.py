@@ -17,8 +17,8 @@ from typing import Any, Optional
 from .errors import BoundaryError, SizeCapError, StructuralError
 from .groupoids import (
     DEFAULT_CAPS, FinGroupoid, GFunctor, NatIso, Report,
-    composable_pairs, compose_functors, functors_between, identity_functor,
-    identity_nat_iso, invert_nat_iso, is_functor, is_nat_iso,
+    composable_pairs, compose_functors, curry, evaluation, functors_between,
+    identity_functor, identity_nat_iso, invert_nat_iso, is_functor, is_nat_iso,
     nat_isos_between, terminal_groupoid, vcompose_nat_isos, whisker_left,
     whisker_right,
 )
@@ -716,15 +716,8 @@ def weak_exponential(x: Assembly, y: Assembly,
 
     ev_src = product_assembly(asm, x)
     raw = ev_src.raw_base
-    ev_omap = {}
-    ev_mmap = {}
-    for (w, xo), oid in raw.opair.items():
-        ev_omap[oid] = obj_data[w][0].omap[xo]
-    for (m, p), mid in raw.mpair.items():
-        psi, _f = mor_data[m]
-        s = x.base.mors[p][0]
-        ev_mmap[mid] = y.base.compose(psi.tgt.mmap[p], psi.components[s])
-    ev_fun = GFunctor(raw.gpd, y.base, ev_omap, ev_mmap)
+    ev_fun = evaluation(raw, y.base, {w: d[0] for w, d in obj_data.items()},
+                        {m: d[0] for m, d in mor_data.items()})
     comps = {}
     for (w, xo), oid in raw.opair.items():
         comps[oid] = obj_data[w][2].components[xo]
@@ -750,19 +743,14 @@ def transpose_morphism(w: WeakExpObject, k: RealizedMorphism,
         lifted = r.compose(k.e, rprod.pair(r.compose(zr, prod_dom.p1), prod_dom.p2))
         return r.transpose(lifted, prod_dom, x.rtype, y.rtype)
 
+    slices, psis = curry(k.fun, raw, x.base)
     omap = {}
-    for zo in z.base.objects:
-        F = GFunctor(x.base, y.base,
-                     {a: k.fun.omap[raw.opair[(zo, a)]] for a in x.base.objects},
-                     {m: k.fun.mmap[raw.mpair[(z.base.id_of(zo), m)]]
-                      for m in x.base.morphisms})
+    for zo, F in slices.items():
         e_z = e_slice(piz.point_of[z.rfun.omap[zo]])
         eps = tuple([k.eps.components[raw.opair[(zo, a)]] for a in x.base.objects])
         omap[zo] = w.obj_id(F, r.pi_obj_id(e_z), eps)
     mmap = {}
-    for v in z.base.morphisms:
-        psi = tuple([k.fun.mmap[raw.mpair[(v, x.base.id_of(a))]]
-                     for a in x.base.objects])
+    for v, psi in psis.items():
         f_path = e_slice(piz.path_of[z.rfun.mmap[v]])
         mmap[v] = w.mor_id(omap[z.base.src(v)], psi, r.pi_mor_id(f_path))
     fun = GFunctor(z.base, w.asm.base, omap, mmap)
@@ -827,8 +815,6 @@ class PGAsmRealizer(RealizerCategory):
     witnesses.  Hom-sets contain one realized morphism per realizable
     functor (morphism equality is functor equality).
     """
-
-    can_fill_squares = False
 
     def __init__(self, gr: RealizerCategory):
         self.gr = gr

@@ -15,8 +15,11 @@ from pathlib import Path
 from .errors import (
     BoundaryError, GralError, ParseError, SizeCapError, StructuralError,
 )
-from .groupoids import SizeCaps, validate_groupoid
+from .groupoids import SizeCaps, exponential, product, validate_groupoid
 from .interval import gpd_interval
+from .assemblies import pgasm_interval, validate_assembly, validate_morphism
+from .pathcat import FibrationData, finite_limits, is_fibration, path_object
+from .depprod import dependent_product
 from .generators import SuiteConfig
 from . import textfmt
 from .suites import SUITE_NAMES, run_suite
@@ -59,32 +62,25 @@ def cmd_check(args) -> int:
         try:
             text = path.read_text(encoding="utf-8")
             kind = textfmt.detect_kind(text)
-            if kind == "GROUPOID":
-                rep = validate_groupoid(textfmt.parse_groupoid(text))
-            elif kind == "ASSEMBLY":
-                from .assemblies import validate_assembly
-                asm = textfmt.parse_assembly(text, _resolver_for(path), r)
-                rep = validate_assembly(asm)
-            elif kind == "MORPHISM":
-                from .assemblies import validate_morphism
-                m = textfmt.parse_morphism(text, _resolver_for(path), r)
-                rep = validate_morphism(m)
-            elif kind == "BUNDLE":
+            resolve = _resolver_for(path)
+            if kind == "BUNDLE":
                 files = textfmt.parse_bundle(text)
                 mains = [n for n in files if n.endswith(".mor")] \
                     or [n for n in files if n.endswith(".asm")]
                 if not mains:
                     raise ParseError("bundle contains no .mor or .asm entry", 1)
-                inner = files[mains[0]]
+                text = files[mains[0]]
                 resolve = textfmt.bundle_resolver(files)
-                if textfmt.detect_kind(inner) == "MORPHISM":
-                    from .assemblies import validate_morphism
-                    rep = validate_morphism(
-                        textfmt.parse_morphism(inner, resolve, r))
-                else:
-                    from .assemblies import validate_assembly
-                    rep = validate_assembly(
-                        textfmt.parse_assembly(inner, resolve, r))
+                # a bundle's main file is checked as an assembly unless it
+                # is a morphism
+                kind = "MORPHISM" if textfmt.detect_kind(text) == "MORPHISM" \
+                    else "ASSEMBLY"
+            if kind == "GROUPOID":
+                rep = validate_groupoid(textfmt.parse_groupoid(text))
+            elif kind == "ASSEMBLY":
+                rep = validate_assembly(textfmt.parse_assembly(text, resolve, r))
+            elif kind == "MORPHISM":
+                rep = validate_morphism(textfmt.parse_morphism(text, resolve, r))
             else:
                 raise ParseError(f"cannot check a {kind} file", 1)
         except (ParseError, StructuralError, OSError) as exc:
@@ -106,23 +102,18 @@ def cmd_build(args) -> int:
         if args.kind in ("product", "exp"):
             g1 = textfmt.parse_groupoid(Path(args.inputs[0]).read_text())
             g2 = textfmt.parse_groupoid(Path(args.inputs[1]).read_text())
-            from .groupoids import exponential, product
             built = (product(g1, g2, _caps_from(args)).gpd
                      if args.kind == "product"
                      else exponential(g1, g2, _caps_from(args)).gpd)
             _emit(textfmt.serialize_groupoid(built), args.out)
             return EXIT_OK
         if args.kind == "pathobj":
-            from .assemblies import pgasm_interval
-            from .pathcat import path_object
             asm = textfmt.load_assembly_bundle(
                 Path(args.inputs[0]).read_text(), r)
             pod = path_object(asm, pgasm_interval(r))
             _emit(textfmt.bundle_assembly(pod.pobj.asm), args.out)
             return EXIT_OK
         if args.kind in ("pullback", "pseudopullback"):
-            from .assemblies import pgasm_interval
-            from .pathcat import finite_limits
             shared = textfmt.Loader(r)
             m1 = textfmt.load_morphism_bundle(Path(args.inputs[0]).read_text(),
                                               r, shared)
@@ -134,8 +125,6 @@ def cmd_build(args) -> int:
             _emit(textfmt.bundle_assembly(res.asm), args.out)
             return EXIT_OK
         if args.kind == "pif":
-            from .depprod import dependent_product
-            from .pathcat import FibrationData, is_fibration
             shared = textfmt.Loader(r)
             mg = textfmt.load_morphism_bundle(Path(args.inputs[0]).read_text(),
                                               r, shared)

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .errors import FragmentError, StructuralError
+from .groupoids import GFunctor, Report, discrete
+from .assemblies import Assembly
 
 # -- types ---------------------------------------------------------------------
 
@@ -597,7 +599,6 @@ def assembly_bridges(cat: FragmentCategory,
     functions and back.  The report is empty when every direction realizes
     and every round trip is the identity.
     """
-    from .groupoids import Report
     rep = Report()
     for i, (asm, a0) in enumerate(unit_assemblies):
         res = constant_realizer_iso(asm, a0)
@@ -627,8 +628,6 @@ def embed_discrete(dasm: DiscreteAssembly, gr) -> "object":
     The realizer object is the discrete groupoid on the fragment's term
     names; modesty then agrees with injectivity of the realizer map.
     """
-    from .assemblies import Assembly
-    from .groupoids import GFunctor, discrete
     names = sorted({repr(dasm.realizer[x]) for x in dasm.carrier})
     robj = discrete([f"t{i}" for i in range(len(names))])
     name_to_obj = {n: f"t{i}" for i, n in enumerate(names)}

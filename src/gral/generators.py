@@ -20,11 +20,11 @@ from .groupoids import (
     product as gpd_product,
 )
 from .assemblies import (
-    Assembly, PGAsmInterval, RealizedMorphism, TwoCell, product_assembly,
-    realize, twocell_from_iso,
+    Assembly, PGAsmInterval, RealizedMorphism, TwoCell, is_modest,
+    pgasm_interval, product_assembly, realize, twocell_from_iso,
 )
-from .interval import GpdRealizer
-from .pathcat import FibrationData, is_fibration
+from .interval import GpdRealizer, gpd_interval
+from .pathcat import FibrationData, as_equivalence, is_fibration
 
 T = TypeVar("T")
 
@@ -179,7 +179,6 @@ class Gen:
         """An assembly whose realizability functor is fully faithful."""
         for _ in range(40):
             a = self.assembly(base=self.small_groupoid(max_objects))
-            from .assemblies import is_modest
             if is_modest(a)[0]:
                 return a
         # fall back to a point-like assembly, which is always modest
@@ -227,9 +226,6 @@ def _sample(n: int, make: Callable[[], Optional[T]]) -> Iterator[T]:
 def generate(kind: str, cfg: SuiteConfig, r: Optional[GpdRealizer] = None,
              count: Optional[int] = None) -> list:
     """Deterministic instances of the named kind under cfg.seed."""
-    from .interval import gpd_interval
-    from .pathcat import as_equivalence
-    from .assemblies import pgasm_interval
     r = r if r is not None else gpd_interval(cfg.caps)
     gen = Gen(r, cfg.seed, cfg.caps)
     n = count if count is not None else cfg.count(kind, 10)

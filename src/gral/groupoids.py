@@ -15,7 +15,7 @@ import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .errors import SizeCapError, StructuralError
 
@@ -377,18 +377,22 @@ def discrete(objects: Iterable[str]) -> FinGroupoid:
 
 def codiscrete(objects: Iterable[str]) -> FinGroupoid:
     """Exactly one morphism in every hom-set."""
-    objs = list(objects)
+    return _codiscrete(list(objects), _cod_mid)
+
+
+def _codiscrete(objs: list[str], mid: Callable[[str, str], str]) -> FinGroupoid:
+    """The codiscrete groupoid on `objs`, its morphism a -> b named mid(a, b)."""
     mors = {}
     for a in objs:
         for b in objs:
-            mors[_cod_mid(a, b)] = (a, b)
+            mors[mid(a, b)] = (a, b)
     comp = {}
     for a in objs:
         for b in objs:
             for c in objs:
-                comp[(_cod_mid(b, c), _cod_mid(a, b))] = _cod_mid(a, c)
-    ident = {a: _cod_mid(a, a) for a in objs}
-    inv = {_cod_mid(a, b): _cod_mid(b, a) for a in objs for b in objs}
+                comp[(mid(b, c), mid(a, b))] = mid(a, c)
+    ident = {a: mid(a, a) for a in objs}
+    inv = {mid(a, b): mid(b, a) for a in objs for b in objs}
     return FinGroupoid(objs, mors, comp, ident, inv)
 
 
@@ -501,7 +505,7 @@ def is_functor(f: GFunctor) -> Report:
             rep.add("mmap", False, f"morphism {m} maps to nothing in codomain")
             continue
         s, t = dom.mors[m]
-        if cod.mors[fm] != (f.omap[s], f.omap[t]):
+        if cod.mors[fm] != (f.omap.get(s), f.omap.get(t)):
             rep.add("mmap-typing", False, f"image of {m} has wrong endpoints")
     if not rep.ok:
         return rep
@@ -891,13 +895,10 @@ class ExpGpd:
     obj_to_functor: dict[str, GFunctor]
     mor_to_natiso: dict[str, NatIso]
     functor_to_obj: dict[tuple, str]
-    natiso_to_mor: dict[tuple, str]
+    natiso_to_mor: dict[tuple, str]     # by (n.src.key(), n.key())
 
     def obj_of(self, f: GFunctor) -> str:
         return self.functor_to_obj[f.key()]
-
-    def mor_of(self, n: NatIso) -> str:
-        return self.natiso_to_mor[(n.src.key(), n.key())]
 
 
 def exponential(x: FinGroupoid, y: FinGroupoid, caps: SizeCaps = DEFAULT_CAPS) -> ExpGpd:
@@ -934,6 +935,42 @@ def exponential(x: FinGroupoid, y: FinGroupoid, caps: SizeCaps = DEFAULT_CAPS) -
         inv[m] = natiso_to_mor[(ninv.src.key(), ninv.key())]
     gpd = FinGroupoid(list(obj_to_functor), mors, comp, ident, inv)
     return ExpGpd(gpd, obj_to_functor, mor_to_natiso, functor_to_obj, natiso_to_mor)
+
+
+def evaluation(raw: ProductGpd, target: FinGroupoid, fun_of: Mapping[str, GFunctor],
+               iso_of: Mapping[str, NatIso]) -> GFunctor:
+    """Evaluation E x X -> target, for an E whose objects stand for the
+    functors `fun_of` and whose morphisms for the natural isos `iso_of`.
+
+    (F, x) goes to F x, and (n, m) for m: x -> x' to n_x' . F m, in the
+    entry order of the product `raw` of E and X.
+    """
+    base = raw.p2.cod
+    omap = {oid: fun_of[fo].omap[a] for (fo, a), oid in raw.opair.items()}
+    mmap = {}
+    for (n, m), mid in raw.mpair.items():
+        iso = iso_of[n]
+        mmap[mid] = target.compose(iso.tgt.mmap[m], iso.components[base.mors[m][0]])
+    return GFunctor(raw.gpd, target, omap, mmap)
+
+
+def curry(k: GFunctor, raw: ProductGpd, base: FinGroupoid
+          ) -> tuple[dict[str, GFunctor], dict[str, tuple[str, ...]]]:
+    """k: Z x base -> Y sliced along Z, with `raw` the product Z x base.
+
+    Returns the functor base -> Y at each object of Z, and at each morphism
+    v of Z the components k(v, id_a) at the objects a of base, in order:
+    the natural iso from the slice at v's source to the one at its target.
+    """
+    z = raw.p1.cod
+    slices = {zo: GFunctor(base, k.cod,
+                           {a: k.omap[raw.opair[(zo, a)]] for a in base.objects},
+                           {m: k.mmap[raw.mpair[(z.id_of(zo), m)]]
+                            for m in base.morphisms})
+              for zo in z.objects}
+    comps = {v: tuple([k.mmap[raw.mpair[(v, base.id_of(a))]] for a in base.objects])
+             for v in z.morphisms}
+    return slices, comps
 
 
 # -- isofibrations and equivalences ----------------------------------------

@@ -18,8 +18,9 @@ from typing import Any, Callable, Optional
 from .errors import BoundaryError, CapabilityError, StructuralError
 from .groupoids import (
     DEFAULT_CAPS, ExpGpd, FinGroupoid, GFunctor, NatIso, ProductGpd, Report,
-    SizeCaps, composable_pairs, compose_functors, exponential as gpd_exponential,
-    functors_between, identity_functor, product as gpd_product, terminal_groupoid,
+    SizeCaps, _codiscrete, composable_pairs, compose_functors, curry, evaluation,
+    exponential as gpd_exponential, functors_between, identity_functor,
+    product as gpd_product, terminal_groupoid,
 )
 
 Map = Any  # GFunctor in the groupoid instance; realized morphisms in others
@@ -75,7 +76,6 @@ class RealizerCategory:
     """
 
     interval: IntervalData
-    can_fill_squares: bool = False
 
     # -- primitives -------------------------------------------------------
 
@@ -491,19 +491,7 @@ def square_hcomp(s2: HSquare, s1: HSquare) -> HSquare:
 
 def chain_groupoid(n: int) -> FinGroupoid:
     """Codiscrete groupoid on objects 0..n with morphisms named p{a}{b}."""
-    objs = [str(k) for k in range(n + 1)]
-    mors = {}
-    for x in objs:
-        for y in objs:
-            mors[_chain_mid(x, y)] = (x, y)
-    comp = {}
-    for x in objs:
-        for y in objs:
-            for z in objs:
-                comp[(_chain_mid(y, z), _chain_mid(x, y))] = _chain_mid(x, z)
-    ident = {x: _chain_mid(x, x) for x in objs}
-    inv = {_chain_mid(x, y): _chain_mid(y, x) for x in objs for y in objs}
-    return FinGroupoid(objs, mors, comp, ident, inv)
+    return _codiscrete([str(k) for k in range(n + 1)], _chain_mid)
 
 
 def _chain_mid(a: str, b: str) -> str:
@@ -516,8 +504,6 @@ class GpdRealizer(RealizerCategory):
     `discrete=True` degenerates the interval to the terminal groupoid
     (I1 = I2 = I3 = I0), which recovers the classical discrete situation.
     """
-
-    can_fill_squares = True
 
     def __init__(self, caps: SizeCaps = DEFAULT_CAPS, discrete: bool = False):
         self.caps = caps
@@ -586,7 +572,7 @@ class GpdRealizer(RealizerCategory):
         if key not in self._exp_cache:
             e = gpd_exponential(base, target, self.caps)
             prod = self.product(e.gpd, base)
-            ev = _gpd_eval(e, prod, base, target)
+            ev = evaluation(prod.raw, target, e.obj_to_functor, e.mor_to_natiso)
             self._exp_cache[key] = GpdExp(e.gpd, ev, prod, e)
         return self._exp_cache[key]
 
@@ -594,20 +580,10 @@ class GpdRealizer(RealizerCategory):
         e: GpdExp = self.exponential(base, target)
         raw: ProductGpd = prod.raw
         z = raw.p1.cod
-        omap = {}
-        kz: dict[str, GFunctor] = {}
-        for zo in z.objects:
-            f = GFunctor(base, target,
-                         {a: k.omap[raw.opair[(zo, a)]] for a in base.objects},
-                         {m: k.mmap[raw.mpair[(z.id_of(zo), m)]] for m in base.morphisms})
-            kz[zo] = f
-            omap[zo] = e.raw.obj_of(f)
-        mmap = {}
-        for v in z.morphisms:
-            s, t = z.mors[v]
-            n = NatIso(kz[s], kz[t],
-                       {a: k.mmap[raw.mpair[(v, base.id_of(a))]] for a in base.objects})
-            mmap[v] = e.raw.mor_of(n)
+        slices, comps = curry(k, raw, base)
+        omap = {zo: e.raw.obj_of(f) for zo, f in slices.items()}
+        mor_of = e.raw.natiso_to_mor
+        mmap = {v: mor_of[(slices[z.mors[v][0]].key(), comps[v])] for v in z.morphisms}
         return GFunctor(z, e.obj, omap, mmap)
 
     def copair2(self, beta: GFunctor, alpha: GFunctor) -> GFunctor:
@@ -638,109 +614,36 @@ class GpdRealizer(RealizerCategory):
         return _chain_functor(iv.I3, a, omap, gen)
 
     def fill_square(self, top, bottom, left, right) -> GFunctor:
+        """The cylinder of top => bottom, with components left and right."""
         if self.discrete:
             return top
-        iv = self.interval
         c = top.cod
-        prod = self.product(iv.I1, iv.I1).raw
-        corner = {("0", "0"): self._path_end(left, "0"),
-                  ("0", "1"): self._path_end(left, "1"),
-                  ("1", "0"): self._path_end(right, "0"),
-                  ("1", "1"): self._path_end(right, "1")}
-        if (corner[("0", "0")] != self._path_end(top, "0")
-                or corner[("1", "0")] != self._path_end(top, "1")
-                or corner[("0", "1")] != self._path_end(bottom, "0")
-                or corner[("1", "1")] != self._path_end(bottom, "1")):
+        if (left.omap["0"] != top.omap["0"] or right.omap["0"] != top.omap["1"]
+                or left.omap["1"] != bottom.omap["0"]
+                or right.omap["1"] != bottom.omap["1"]):
             raise BoundaryError("square boundary paths do not share corners")
         if c.compose(right.mmap["p01"], top.mmap["p01"]) != \
                 c.compose(bottom.mmap["p01"], left.mmap["p01"]):
             raise BoundaryError("square of paths does not commute")
-
-        def horiz(u: str, t: str) -> Optional[str]:
-            if iv.I1.is_identity(u):
-                return None
-            edge = top if t == "0" else bottom
-            m = edge.mmap["p01"]
-            return m if u == "p01" else c.inv_of(m)
-
-        def vert(s: str, v: str) -> Optional[str]:
-            if iv.I1.is_identity(v):
-                return None
-            edge = left if s == "0" else right
-            m = edge.mmap["p01"]
-            return m if v == "p01" else c.inv_of(m)
-
-        omap = {prod.opair[st]: corner[st] for st in corner}
-        mmap = {}
-        for (u, vv), mid in prod.mpair.items():
-            s, s2 = iv.I1.mors[u]
-            t, t2 = iv.I1.mors[vv]
-            val = c.id_of(corner[(s, t)])
-            h = horiz(u, t)
-            if h is not None:
-                val = c.compose(h, val)
-            w = vert(s2, vv)
-            if w is not None:
-                val = c.compose(w, val)
-            mmap[mid] = val
-        return GFunctor(prod.p1.dom, c, omap, mmap)
-
-    def _path_end(self, path: GFunctor, end: str) -> str:
-        return path.omap[end]
+        return nat_iso_functor_form(self, NatIso(
+            top, bottom, {"0": left.mmap["p01"], "1": right.mmap["p01"]}))
 
     def boundary_inv(self, sq: HSquare) -> GFunctor:
-        """The unique cell with the given boundary (groupoid instance)."""
+        """The unique cell with the given boundary: the cylinder of
+        top.body => bottom.body, with the components of left and right."""
         if self.discrete:
             return sq.top.body
         sq.check()
-        r = self
-        iv = r.interval
-        a, b = sq.top.a, sq.top.b
-        pa = r.product(a, iv.I1).raw
-        outer = r.product(pa.p1.dom, iv.I1).raw
-        corners = {("0", "0"): sq.top.lhs, ("1", "0"): sq.top.rhs,
-                   ("0", "1"): sq.bottom.lhs, ("1", "1"): sq.bottom.rhs}
-
-        def hcomp_at(u: str, t: str, ao: str) -> Optional[str]:
-            if iv.I1.is_identity(u):
-                return None
-            edge = sq.top if t == "0" else sq.bottom
-            m = edge.body.mmap[pa.mpair[(a.id_of(ao), "p01")]]
-            return m if u == "p01" else b.inv_of(m)
-
-        def vcomp_at(s: str, v: str, ao: str) -> Optional[str]:
-            if iv.I1.is_identity(v):
-                return None
-            edge = sq.left if s == "0" else sq.right
-            m = edge.body.mmap[pa.mpair[(a.id_of(ao), "p01")]]
-            return m if v == "p01" else b.inv_of(m)
-
-        omap = {}
-        for ao in a.objects:
-            for s in ("0", "1"):
-                for t in ("0", "1"):
-                    omap[outer.opair[(pa.opair[(ao, s)], t)]] = corners[(s, t)].omap[ao]
-        split = {imid: (am, u) for (am, u), imid in pa.mpair.items()}
-        mmap = {}
-        for (inner_m, v), mid in outer.mpair.items():
-            am, u = split[inner_m]
-            s, s2 = iv.I1.mors[u]
-            t, _t2 = iv.I1.mors[v]
-            a_tgt = a.mors[am][1]
-            val = corners[(s, t)].mmap[am]
-            h = hcomp_at(u, t, a_tgt)
-            if h is not None:
-                val = b.compose(h, val)
-            w = vcomp_at(s2, v, a_tgt)
-            if w is not None:
-                val = b.compose(w, val)
-            mmap[mid] = val
-        return GFunctor(outer.p1.dom, b, omap, mmap)
+        pa = self.product(sq.top.a, self.interval.I1).raw
+        sides = {"0": nat_iso_from_homotopy(sq.left).components,
+                 "1": nat_iso_from_homotopy(sq.right).components}
+        comps = {oid: sides[s][ao] for (ao, s), oid in pa.opair.items()}
+        return nat_iso_functor_form(self, NatIso(sq.top.body, sq.bottom.body, comps))
 
     # fundamental groupoid
 
     def build_pi(self, a: FinGroupoid) -> PiData:
-        """Pi(a) as a relabelled.
+        """Pi(a) as a's tables relabelled.
 
         A path I1 -> a is fixed by the morphism g it sends the generator to,
         and its id is "path:" + g, so each table of Pi(a) is a's table
@@ -780,19 +683,6 @@ class GpdProd(ProdObj):
 @dataclass
 class GpdExp(ExpObj):
     raw: ExpGpd = None
-
-
-def _gpd_eval(e: ExpGpd, prod: ProdObj, base: FinGroupoid, target: FinGroupoid) -> GFunctor:
-    raw: ProductGpd = prod.raw
-    omap = {}
-    for (fo, a), oid in raw.opair.items():
-        omap[oid] = e.obj_to_functor[fo].omap[a]
-    mmap = {}
-    for (n, m), mid in raw.mpair.items():
-        iso = e.mor_to_natiso[n]
-        s, _t = base.mors[m]
-        mmap[mid] = target.compose(iso.tgt.mmap[m], iso.components[s])
-    return GFunctor(raw.p1.dom, target, omap, mmap)
 
 
 def _chain_functor(dom: FinGroupoid, cod: FinGroupoid,
@@ -970,8 +860,10 @@ def check_cogroupoid(r: RealizerCategory, iv: Optional[IntervalData] = None,
           lambda: r.map_eq(c(r.copair2(iv.sigma, ident(iv.I1)), iv.two),
                            c(iv.zero, iv.star)),
           "checked with codomain I1 (symmetric form)")
-    _check_pushout2(rep, r, iv, probes)
-    _check_pushout3(rep, r, iv, probes)
+    _check_pushout(rep, "pushout-I2", r, probes, iv.I1, iv.I2, iv.i0, iv.i1,
+                   iv.one, iv.zero, lambda u, v: r.copair2(v, u))
+    _check_pushout(rep, "pushout-I3", r, probes, iv.I2, iv.I3, iv.j0, iv.j1,
+                   iv.i1, iv.i0, r.copair3)
     return rep
 
 
@@ -985,45 +877,30 @@ def restriction_counts(r: RealizerCategory, cands, e0: Map, e1: Map) -> Counter:
     return Counter((r.compose(m, e0), r.compose(m, e1)) for m in cands)
 
 
-def _check_pushout2(rep: Report, r: RealizerCategory, iv: IntervalData,
-                    probes) -> None:
-    for x in probes:
-        paths = r.hom(iv.I1, x)
-        counts = restriction_counts(r, r.hom(iv.I2, x), iv.i0, iv.i1)
-        for alpha in paths:
-            for beta in paths:
-                if not r.map_eq(r.compose(beta, iv.zero), r.compose(alpha, iv.one)):
-                    continue
-                cp = r.copair2(beta, alpha)
-                if not (r.map_eq(r.compose(cp, iv.i0), alpha)
-                        and r.map_eq(r.compose(cp, iv.i1), beta)):
-                    rep.add("pushout-I2", False, "copair does not restrict to its legs")
-                    return
-                n = counts[(alpha, beta)]
-                if n != 1:
-                    rep.add("pushout-I2", False,
-                            f"expected a unique copairing, found {n}")
-                    return
-    rep.add("pushout-I2", True)
+def _check_pushout(rep: Report, name: str, r: RealizerCategory, probes, legs,
+                   cop, e0: Map, e1: Map, ea: Map, eb: Map,
+                   copair: Callable[[Map, Map], Map]) -> None:
+    """The pushout property of `cop` with injections e0, e1, at each probe x.
 
-
-def _check_pushout3(rep: Report, r: RealizerCategory, iv: IntervalData,
-                    probes) -> None:
+    Legs u, v: legs -> x meet when u . ea = v . eb.  For each meeting pair,
+    `copair(u, v)` must restrict to u along e0 and to v along e1, and be the
+    only map cop -> x that does.
+    """
     for x in probes:
-        doubles = r.hom(iv.I2, x)
-        counts = restriction_counts(r, r.hom(iv.I3, x), iv.j0, iv.j1)
-        for u in doubles:
-            for v in doubles:
-                if not r.map_eq(r.compose(u, iv.i1), r.compose(v, iv.i0)):
+        us = r.hom(legs, x)
+        ends = [(r.compose(u, ea), r.compose(u, eb)) for u in us]
+        counts = restriction_counts(r, r.hom(cop, x), e0, e1)
+        for u, (ua, _ub) in zip(us, ends):
+            for v, (_va, vb) in zip(us, ends):
+                if not r.map_eq(ua, vb):
                     continue
-                cp = r.copair3(u, v)
-                if not (r.map_eq(r.compose(cp, iv.j0), u)
-                        and r.map_eq(r.compose(cp, iv.j1), v)):
-                    rep.add("pushout-I3", False, "copair does not restrict to its legs")
+                cp = copair(u, v)
+                if not (r.map_eq(r.compose(cp, e0), u)
+                        and r.map_eq(r.compose(cp, e1), v)):
+                    rep.add(name, False, "copair does not restrict to its legs")
                     return
                 n = counts[(u, v)]
                 if n != 1:
-                    rep.add("pushout-I3", False,
-                            f"expected a unique copairing, found {n}")
+                    rep.add(name, False, f"expected a unique copairing, found {n}")
                     return
-    rep.add("pushout-I3", True)
+    rep.add(name, True)

@@ -46,6 +46,12 @@ from .pathcat import (
 from .depprod import (
     dependent_product, dp_transpose, fstar_map, is_modest_fibration, nabla,
 )
+from .combalg import (
+    App, DiscreteAssembly, DiscreteMorphism, STAR, TCA, UNIT, Var,
+    bracket_abstract, constant_realizer_iso, enumerate_normal_forms, free_vars,
+    function_realizer_bridge, normalize, realizer_category_of, substitute,
+    unit_augmentation,
+)
 from .generators import Gen, SuiteConfig, _sample
 from .textfmt import bundle_morphism, load_morphism_bundle, parse_bundle, \
     parse_groupoid, serialize_groupoid, serialize_bundle
@@ -768,12 +774,6 @@ def _split_replacement(gen: Gen, fib: FibrationData):
 
 
 def suite_comb_alg(cfg: SuiteConfig) -> Report:
-    from .combalg import (
-        App, DiscreteAssembly, DiscreteMorphism, STAR, TCA, UNIT, Var,
-        bracket_abstract, constant_realizer_iso, enumerate_normal_forms,
-        free_vars, function_realizer_bridge, normalize, realizer_category_of,
-        substitute, unit_augmentation,
-    )
     rng = random.Random(cfg.seed)
     rep = Report("comb-alg", cfg.seed)
     tca = TCA(("o",), ground=2)

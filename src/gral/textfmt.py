@@ -25,6 +25,17 @@ _GROUPOID_SECTIONS = ("OBJECTS", "MORPHISMS", "ID", "INV", "COMP")
 _ASSEMBLY_SECTIONS = ("RFUN-OBJ", "RFUN-MOR")
 _MORPHISM_SECTIONS = ("FUN-OBJ", "FUN-MOR", "E-OBJ", "E-MOR", "EPS")
 
+# function tables: (arity error, noun of a domain id, noun of a codomain id)
+_TABLES = {
+    "RFUN-OBJ": ("expected 'object point'", "object", "point"),
+    "RFUN-MOR": ("expected 'morphism path'", "morphism", "path"),
+    "FUN-OBJ": ("expected a two-column row in FUN-OBJ", "object", "object"),
+    "FUN-MOR": ("expected a two-column row in FUN-MOR", "morphism", "morphism"),
+    "E-OBJ": ("expected a two-column row in E-OBJ", "object", "object"),
+    "E-MOR": ("expected a two-column row in E-MOR", "morphism", "morphism"),
+    "EPS": ("expected a two-column row in EPS", "object", "path"),
+}
+
 
 def _check_ids(*groups: Iterable[str], alone: tuple[str, ...] = ()) -> None:
     """Refuse an id the reader would not give back as itself: one that is
@@ -72,16 +83,18 @@ def _header(numbered) -> Optional[tuple[int, list[str]]]:
 
 
 def _read(text: str, kind: str, known: tuple[str, ...]
-          ) -> tuple[dict[str, _Rows], dict[str, str]]:
+          ) -> tuple[dict[str, _Rows], dict[str, str], dict[str, int]]:
     """Scan a `kind` file once: its header, then rows by section up to END.
 
     Blank and `#` lines are skipped and each line is split once.  Returns
-    the `(tokens, line number)` rows of every section in `known` and the
-    file named by each of the kind's reference lines.
+    the `(tokens, line number)` rows of every section in `known`, the file
+    named by each of the kind's reference lines, and the line of each
+    section's first header.
     """
     refs = _REFERENCES[kind]
     sections: dict[str, _Rows] = {}
     names: dict[str, str] = {}
+    heads: dict[str, int] = {}
     rows: Optional[_Rows] = None
     lines = text.splitlines()
     numbered = enumerate(lines, 1)
@@ -107,9 +120,10 @@ def _read(text: str, kind: str, known: tuple[str, ...]
                 for s in refs + known:
                     if s not in names and s not in sections:
                         raise ParseError(f"missing section {s}", ln + 1)
-                return sections, names
+                return sections, names, heads
             if word in known:
                 rows = sections.setdefault(word, [])
+                heads.setdefault(word, ln)
                 continue
         if rows is None:
             raise ParseError(f"content outside any section: {line.strip()!r}", ln)
@@ -126,8 +140,31 @@ def _columns(rows: _Rows, width: int, message: str, column: int = 0
     return [toks for toks, _ in rows]
 
 
+def _table(secs: dict[str, _Rows], heads: dict[str, int], name: str,
+           dom: tuple[str, ...], cod: tuple[str, ...]) -> dict[str, str]:
+    """Function table `name`, read as a map from the ids `dom` to the ids `cod`.
+
+    Each row is a `dom` id and a `cod` id, and each `dom` id has a row; a
+    missing row is reported on the section's header line.
+    """
+    message, *nouns = _TABLES[name]
+    known = (set(dom), set(cod))
+    table = {}
+    for toks, ln in secs[name]:
+        if len(toks) != 2:
+            raise ParseError(message, ln, len(toks) + 1)
+        for col in (0, 1):
+            if toks[col] not in known[col]:
+                raise ParseError(f"unknown {nouns[col]} {toks[col]!r}", ln, col + 1)
+        table[toks[0]] = toks[1]
+    for x in dom:
+        if x not in table:
+            raise ParseError(f"{name} has no row for {nouns[0]} {x!r}", heads[name])
+    return table
+
+
 def parse_groupoid(text: str) -> FinGroupoid:
-    secs, _ = _read(text, "GROUPOID", _GROUPOID_SECTIONS)
+    secs, _, _ = _read(text, "GROUPOID", _GROUPOID_SECTIONS)
     objects = [row[0] for row in _columns(secs["OBJECTS"], 1,
                                           "expected one object identifier", 2)]
     mors = {m: (s, t) for m, s, t in _columns(secs["MORPHISMS"], 3,
@@ -212,25 +249,13 @@ def serialize_assembly(a: Assembly, base_name: str, rtype_name: str) -> str:
 def parse_assembly(text: str, resolve: Callable[[str], str], r,
                    loader: Optional[Loader] = None) -> Assembly:
     loader = loader if loader is not None else Loader(r)
-    secs, names = _read(text, "ASSEMBLY", _ASSEMBLY_SECTIONS)
+    secs, names, heads = _read(text, "ASSEMBLY", _ASSEMBLY_SECTIONS)
     base = loader.groupoid(resolve(names["BASE"]))
     rtype = loader.groupoid(resolve(names["RTYPE"]))
-    pi = r.pi(rtype)
-    omap = {}
-    for toks, ln in secs["RFUN-OBJ"]:
-        if len(toks) != 2:
-            raise ParseError("expected 'object point'", ln, len(toks) + 1)
-        if toks[1] not in pi.gpd.ident:
-            raise ParseError(f"unknown point {toks[1]!r}", ln, 2)
-        omap[toks[0]] = toks[1]
-    mmap = {}
-    for toks, ln in secs["RFUN-MOR"]:
-        if len(toks) != 2:
-            raise ParseError("expected 'morphism path'", ln, len(toks) + 1)
-        if toks[1] not in pi.gpd.inv:
-            raise ParseError(f"unknown path {toks[1]!r}", ln, 2)
-        mmap[toks[0]] = toks[1]
-    return Assembly(r, base, rtype, GFunctor(base, pi.gpd, omap, mmap))
+    pi = r.pi(rtype).gpd
+    omap = _table(secs, heads, "RFUN-OBJ", base.objects, pi.objects)
+    mmap = _table(secs, heads, "RFUN-MOR", base.morphisms, pi.morphisms)
+    return Assembly(r, base, rtype, GFunctor(base, pi, omap, mmap))
 
 
 def serialize_morphism(m: RealizedMorphism, src_name: str, tgt_name: str) -> str:
@@ -255,17 +280,16 @@ def serialize_morphism(m: RealizedMorphism, src_name: str, tgt_name: str) -> str
 def parse_morphism(text: str, resolve: Callable[[str], str], r,
                    loader: Optional[Loader] = None) -> RealizedMorphism:
     loader = loader if loader is not None else Loader(r)
-    secs, names = _read(text, "MORPHISM", _MORPHISM_SECTIONS)
+    secs, names, heads = _read(text, "MORPHISM", _MORPHISM_SECTIONS)
     src = parse_assembly(resolve(names["SRC"]), resolve, r, loader)
     tgt = parse_assembly(resolve(names["TGT"]), resolve, r, loader)
-
-    def table(name: str) -> dict[str, str]:
-        return dict(_columns(secs[name], 2,
-                             f"expected a two-column row in {name}"))
-
-    fun = GFunctor(src.base, tgt.base, table("FUN-OBJ"), table("FUN-MOR"))
-    e = GFunctor(src.rtype, tgt.rtype, table("E-OBJ"), table("E-MOR"))
-    return realized(src, tgt, fun, e, table("EPS"))
+    sb, tb, sr, tr = src.base, tgt.base, src.rtype, tgt.rtype
+    fun = GFunctor(sb, tb, _table(secs, heads, "FUN-OBJ", sb.objects, tb.objects),
+                   _table(secs, heads, "FUN-MOR", sb.morphisms, tb.morphisms))
+    e = GFunctor(sr, tr, _table(secs, heads, "E-OBJ", sr.objects, tr.objects),
+                 _table(secs, heads, "E-MOR", sr.morphisms, tr.morphisms))
+    eps = _table(secs, heads, "EPS", sb.objects, tgt.pi.gpd.morphisms)
+    return realized(src, tgt, fun, e, eps)
 
 
 # -- bundles ---------------------------------------------------------------

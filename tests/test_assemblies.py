@@ -63,6 +63,16 @@ def test_assembly_validates(r):
         assert validate_assembly(a).ok
 
 
+def test_partial_rfun_is_a_failure_not_a_traceback(r):
+    base = codiscrete(["a", "b"])
+    rfun = functors_between(base, r.pi(r.interval.I1).gpd)[0]
+    omap = {x: p for x, p in rfun.omap.items() if x != "b"}
+    a = Assembly(r, base, r.interval.I1, GFunctor(base, rfun.cod, omap, rfun.mmap))
+    rep = validate_assembly(a)
+    assert not rep.ok
+    assert ("omap", "object b maps to nothing in codomain") in rep.failures
+
+
 def test_identity_morphism_validates(r):
     for a in sample_assemblies(r, 5, seed=1):
         m = identity_morphism(a)

@@ -199,6 +199,12 @@ PARSE_ERRORS = [
                  "unknown point 'pt:1'", 5, 2, id="assembly-unknown-point"),
     pytest.param("assembly", _edit(ASM_LINES, put={6: "id_T path:id_1"}),
                  "unknown path 'path:id_1'", 7, 2, id="assembly-unknown-path"),
+    # every function table covers its domain and lands in its codomain
+    pytest.param("assembly", _edit(ASM_LINES, drop={4}),
+                 "RFUN-OBJ has no row for object 'T'", 4, 0,
+                 id="assembly-partial-RFUN-OBJ"),
+    pytest.param("assembly", _edit(ASM_LINES, put={4: "U pt:0"}),
+                 "unknown object 'U'", 5, 1, id="assembly-unknown-object"),
     # morphisms
     pytest.param("morphism", _edit(MOR_LINES, put={0: "GRAL 1 ASSEMBLY"}),
                  "expected 'GRAL <version> MORPHISM' header", 1, 0,
@@ -217,6 +223,20 @@ PARSE_ERRORS = [
       for s, i, row, col in (("FUN-OBJ", 4, "T", 2), ("FUN-MOR", 6, "id_T id_T x", 4),
                              ("E-OBJ", 8, "0", 2), ("E-MOR", 10, "id_0", 2),
                              ("EPS", 12, "T path:id_0 x", 4))),
+    *(pytest.param("morphism", _edit(MOR_LINES, drop={i}),
+                   f"{s} has no row for {noun} {x!r}", i, 0,
+                   id=f"morphism-partial-{s}")
+      for s, i, noun, x in (("FUN-OBJ", 4, "object", "T"),
+                            ("FUN-MOR", 6, "morphism", "id_T"),
+                            ("E-OBJ", 8, "object", "0"),
+                            ("E-MOR", 10, "morphism", "id_0"),
+                            ("EPS", 12, "object", "T"))),
+    pytest.param("morphism", _edit(MOR_LINES, put={4: "T nowhere"}),
+                 "unknown object 'nowhere'", 5, 2, id="morphism-unknown-object"),
+    pytest.param("morphism", _edit(MOR_LINES, put={10: "id_0 id_1"}),
+                 "unknown morphism 'id_1'", 11, 2, id="morphism-unknown-morphism"),
+    pytest.param("morphism", _edit(MOR_LINES, put={12: "T path:id_1"}),
+                 "unknown path 'path:id_1'", 13, 2, id="morphism-unknown-path"),
     # bundles and kind detection
     pytest.param("bundle", "", "expected a bundle header", 1, 0, id="bundle-empty"),
     pytest.param("bundle", "GRAL 1 GROUPOID\n", "expected a bundle header", 1, 0,
@@ -355,6 +375,23 @@ def test_cli_check_bare_reference_line_exits_2(word, names, tmp_path, capsys):
     assert capsys.readouterr() == (
         "", f"{path}: structural error: line {i + 1}, "
             f"col {len(names.split()) + 2}: expected '{word} <file>'\n")
+
+
+@pytest.mark.parametrize("lines,edit,message", [
+    (MOR_LINES, {"drop": {8}}, "line 8, col 0: E-OBJ has no row for object '0'"),
+    (MOR_LINES, {"drop": {4}}, "line 4, col 0: FUN-OBJ has no row for object 'T'"),
+    (MOR_LINES, {"drop": {6}},
+     "line 6, col 0: FUN-MOR has no row for morphism 'id_T'"),
+    (MOR_LINES, {"put": {4: "T nowhere"}}, "line 5, col 2: unknown object 'nowhere'"),
+    (ASM_LINES, {"drop": {4}}, "line 4, col 0: RFUN-OBJ has no row for object 'T'"),
+], ids=["E-OBJ", "FUN-OBJ", "FUN-MOR", "FUN-OBJ-nowhere", "RFUN-OBJ"])
+def test_cli_check_partial_table_exits_2(lines, edit, message, tmp_path, capsys):
+    for name, text in FILES.items():
+        (tmp_path / name).write_text(text)
+    path = tmp_path / "partial.txt"
+    path.write_text(_edit(lines, **edit))
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"{path}: structural error: {message}\n")
 
 
 def _assembly_bundle(r, **edit):
@@ -598,7 +635,7 @@ def test_sample_propagates_other_errors_at_once():
 def test_generate_equivalence_is_bounded(monkeypatch):
     pairs = generate("equivalence", SuiteConfig(), count=2)
     assert len(pairs) == 2
-    monkeypatch.setattr("gral.pathcat.as_equivalence", lambda pg, m: None)
+    monkeypatch.setattr("gral.generators.as_equivalence", lambda pg, m: None)
     assert generate("equivalence", SuiteConfig(), count=2) == []
 
 

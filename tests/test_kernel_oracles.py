@@ -8,8 +8,12 @@ instance's fundamental groupoid, built as the base groupoid relabelled, is
 held to the generic construction the same way, and so are the composition
 tables of the dependent product and the weak exponential, which the kernel
 builds from component tuples instead of one natural isomorphism per pair.
-The JSON writer is held to the `json.dumps` call it replaces, byte for byte.
-The fault injections show that each faster check can still fail.
+The groupoid instance's filled squares and cells, built as the cylinders of
+natural isos, are held to the hand-built tables they replace, and so are
+its transposes and evaluations, built from the shared currying and
+evaluation tables.  The JSON writer is held to the `json.dumps` call it
+replaces, byte for byte.  The fault injections show that each faster check
+can still fail.
 """
 
 import json
@@ -18,22 +22,24 @@ import random
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from gral.assemblies import PGAsmRealizer, weak_exponential
+from gral.assemblies import (
+    PGAsmRealizer, product_assembly, transpose_morphism, weak_exponential,
+)
 from gral.depprod import dependent_product, fibre_map
-from gral.errors import SizeCapError, StructuralError
+from gral.errors import BoundaryError, SizeCapError, StructuralError
 from gral.generators import Gen
 from gral.groupoids import (
-    FinGroupoid, NatIso, SizeCaps, codiscrete, compose_functors, discrete,
-    exponential, functors_between, iso_comma, pair_id, product, pullback,
-    triple_id, validate_groupoid, vcompose_nat_isos,
+    FinGroupoid, GFunctor, NatIso, SizeCaps, codiscrete, compose_functors,
+    cyclic_group, discrete, exponential, functors_between, iso_comma, pair_id,
+    product, pullback, triple_id, validate_groupoid, vcompose_nat_isos,
 )
 from gral.generators import SuiteConfig
 from gral.interval import (
     GpdRealizer, PiData, RealizerCategory, _build_pi, check_cogroupoid,
-    gpd_interval, restriction_counts,
+    gpd_discrete_interval, gpd_interval, path_of_morphism, restriction_counts,
 )
 from gral.pathcat import FibrationData, is_fibration
-from gral.suites import replay_counterexample, run_suite
+from gral.suites import _gen_square, replay_counterexample, run_suite
 from gral.textfmt import groupoid_from_json, groupoid_to_json
 
 SEEDS = st.integers(min_value=0, max_value=2 ** 30)
@@ -191,6 +197,124 @@ def naive_count(r, cands, e0, e1, legs):
     a, b = legs
     return sum(1 for m in cands
                if r.map_eq(r.compose(m, e0), a) and r.map_eq(r.compose(m, e1), b))
+
+
+def naive_fill_square(r, top, bottom, left, right):
+    """`GpdRealizer.fill_square` as it was: corner maps and edge closures."""
+    iv = r.interval
+    c = top.cod
+    prod = r.product(iv.I1, iv.I1).raw
+    corner = {("0", "0"): left.omap["0"], ("0", "1"): left.omap["1"],
+              ("1", "0"): right.omap["0"], ("1", "1"): right.omap["1"]}
+    if (corner[("0", "0")] != top.omap["0"] or corner[("1", "0")] != top.omap["1"]
+            or corner[("0", "1")] != bottom.omap["0"]
+            or corner[("1", "1")] != bottom.omap["1"]):
+        raise BoundaryError("square boundary paths do not share corners")
+    if c.compose(right.mmap["p01"], top.mmap["p01"]) != \
+            c.compose(bottom.mmap["p01"], left.mmap["p01"]):
+        raise BoundaryError("square of paths does not commute")
+
+    def horiz(u, t):
+        if iv.I1.is_identity(u):
+            return None
+        m = (top if t == "0" else bottom).mmap["p01"]
+        return m if u == "p01" else c.inv_of(m)
+
+    def vert(s, v):
+        if iv.I1.is_identity(v):
+            return None
+        m = (left if s == "0" else right).mmap["p01"]
+        return m if v == "p01" else c.inv_of(m)
+
+    omap = {prod.opair[st]: corner[st] for st in corner}
+    mmap = {}
+    for (u, vv), mid in prod.mpair.items():
+        s, s2 = iv.I1.mors[u]
+        t, _t2 = iv.I1.mors[vv]
+        val = c.id_of(corner[(s, t)])
+        h = horiz(u, t)
+        if h is not None:
+            val = c.compose(h, val)
+        w = vert(s2, vv)
+        if w is not None:
+            val = c.compose(w, val)
+        mmap[mid] = val
+    return GFunctor(prod.p1.dom, c, omap, mmap)
+
+
+def naive_boundary_inv(r, sq):
+    """`GpdRealizer.boundary_inv` as it was: the cell table built by hand."""
+    sq.check()
+    iv = r.interval
+    a, b = sq.top.a, sq.top.b
+    pa = r.product(a, iv.I1).raw
+    outer = r.product(pa.p1.dom, iv.I1).raw
+    corners = {("0", "0"): sq.top.lhs, ("1", "0"): sq.top.rhs,
+               ("0", "1"): sq.bottom.lhs, ("1", "1"): sq.bottom.rhs}
+
+    def edge_at(edge, d, ao):
+        if iv.I1.is_identity(d):
+            return None
+        m = edge.body.mmap[pa.mpair[(a.id_of(ao), "p01")]]
+        return m if d == "p01" else b.inv_of(m)
+
+    omap = {}
+    for ao in a.objects:
+        for s in ("0", "1"):
+            for t in ("0", "1"):
+                omap[outer.opair[(pa.opair[(ao, s)], t)]] = corners[(s, t)].omap[ao]
+    split = {imid: (am, u) for (am, u), imid in pa.mpair.items()}
+    mmap = {}
+    for (inner_m, v), mid in outer.mpair.items():
+        am, u = split[inner_m]
+        s, s2 = iv.I1.mors[u]
+        t, _t2 = iv.I1.mors[v]
+        a_tgt = a.mors[am][1]
+        val = corners[(s, t)].mmap[am]
+        h = edge_at(sq.top if t == "0" else sq.bottom, u, a_tgt)
+        if h is not None:
+            val = b.compose(h, val)
+        w = edge_at(sq.left if s2 == "0" else sq.right, v, a_tgt)
+        if w is not None:
+            val = b.compose(w, val)
+        mmap[mid] = val
+    return GFunctor(outer.p1.dom, b, omap, mmap)
+
+
+def naive_transpose(r, k, prod, base, target):
+    """`GpdRealizer.transpose` as it was: one NatIso per morphism of Z."""
+    e = r.exponential(base, target)
+    raw = prod.raw
+    z = raw.p1.cod
+    omap, kz = {}, {}
+    for zo in z.objects:
+        f = GFunctor(base, target,
+                     {a: k.omap[raw.opair[(zo, a)]] for a in base.objects},
+                     {m: k.mmap[raw.mpair[(z.id_of(zo), m)]] for m in base.morphisms})
+        kz[zo] = f
+        omap[zo] = e.raw.obj_of(f)
+    mmap = {}
+    for v in z.morphisms:
+        s, t = z.mors[v]
+        n = NatIso(kz[s], kz[t],
+                   {a: k.mmap[raw.mpair[(v, base.id_of(a))]] for a in base.objects})
+        mmap[v] = e.raw.natiso_to_mor[(n.src.key(), n.key())]
+    return GFunctor(z, e.obj, omap, mmap)
+
+
+def naive_eval(raw, target, fun_of, iso_of):
+    """The evaluation table as `interval._gpd_eval` and `weak_exponential`
+    each wrote it."""
+    base = raw.p2.cod
+    omap = {}
+    for (fo, a), oid in raw.opair.items():
+        omap[oid] = fun_of[fo].omap[a]
+    mmap = {}
+    for (n, m), mid in raw.mpair.items():
+        iso = iso_of[n]
+        s, _t = base.mors[m]
+        mmap[mid] = target.compose(iso.tgt.mmap[m], iso.components[s])
+    return GFunctor(raw.p1.dom, target, omap, mmap)
 
 
 # --- generated inputs -----------------------------------------------------
@@ -420,7 +544,14 @@ def test_pushout_counts_match_naive_on_an_assembly_probe():
     _assert_counts_match(pr, pr.interval.I2)
 
 
-class _SkewedHom:
+class _Delegate:
+    """A realizer that hands what it does not define to the realizer `_r`."""
+
+    def __getattr__(self, name):
+        return getattr(self._r, name)
+
+
+class _SkewedHom(_Delegate):
     """A realizer whose hom(src, dst) is altered; everything else delegates."""
 
     def __init__(self, r, src, dst, alter):
@@ -431,9 +562,6 @@ class _SkewedHom:
         if a is self._src and b is self._dst:
             return self._alter(list(out))
         return out
-
-    def __getattr__(self, name):
-        return getattr(self._r, name)
 
 
 @pytest.mark.parametrize("domain,name", [("I2", "pushout-I2"), ("I3", "pushout-I3")])
@@ -499,3 +627,164 @@ def test_json_writer_matches_json_dumps(seed, prefix, suffix):
 def test_json_writer_on_hand_built_groupoids(g):
     assert groupoid_to_json(g) == json_reference(g)
     assert groupoid_from_json(groupoid_to_json(g)) == g
+
+
+# --- cylinders, transposes and evaluations ---------------------------------
+
+def _same_functor(fast, ref):
+    assert fast.dom is ref.dom and fast.cod is ref.cod
+    assert list(fast.omap.items()) == list(ref.omap.items())
+    assert list(fast.mmap.items()) == list(ref.mmap.items())
+
+
+def _fill_or_error(fill, *paths):
+    try:
+        return fill(*paths)
+    except BoundaryError as exc:
+        return str(exc)
+
+
+@settings(max_examples=25, deadline=None)
+@given(SEEDS)
+def test_fill_square_matches_the_hand_built_table(seed):
+    gen = _gen(seed)
+    r = gen.r
+    paths = r.hom(r.interval.I1, gen.small_groupoid())
+    filled = 0
+    for top in paths:
+        for bottom in paths:
+            for left in paths:
+                for right in paths:
+                    quad = (top, bottom, left, right)
+                    fast = _fill_or_error(r.fill_square, *quad)
+                    ref = _fill_or_error(lambda *q: naive_fill_square(r, *q), *quad)
+                    if isinstance(ref, str):
+                        assert fast == ref
+                    else:
+                        _same_functor(fast, ref)
+                        filled += 1
+    assert filled >= len(paths)
+
+
+def test_fill_square_keeps_its_boundary_errors():
+    r = gpd_interval()
+    a = codiscrete(["a", "b"])
+    top, back, same = (path_of_morphism(r, a, m) for m in ("a~b", "b~a", "id_a"))
+    assert r.fill_square(top, same, same, back) == naive_fill_square(r, top, same,
+                                                                     same, back)
+    with pytest.raises(BoundaryError, match="^square boundary paths do not share "
+                                            "corners$"):
+        r.fill_square(top, path_of_morphism(r, a, "id_b"), same, back)
+    z2 = cyclic_group(2)
+    turn, stay = (path_of_morphism(r, z2, m) for m in ("z1", "id_z*"))
+    with pytest.raises(BoundaryError, match="^square of paths does not commute$"):
+        r.fill_square(turn, stay, stay, stay)
+
+
+@settings(max_examples=15, deadline=None)
+@given(SEEDS)
+def test_boundary_inv_matches_the_hand_built_table(seed):
+    gen = _gen(seed)
+    r = gen.r
+    x, y = gen.small_groupoid(2), gen.small_groupoid(2)
+    squares = [sq for sq in (_gen_square(r, gen, x, y) for _ in range(4))
+               if sq is not None]
+    assume(squares)
+    for sq in squares:
+        _same_functor(r.boundary_inv(sq), naive_boundary_inv(r, sq))
+
+
+@settings(max_examples=10, deadline=None)
+@given(SEEDS)
+def test_transposes_and_evaluations_match_the_hand_built_tables(seed):
+    # the weak-exponential beta draw of pgasm-ccc, with every transpose the
+    # realizer builds compared as it is built
+    gen = _gen(seed)
+    r = gen.r
+    transposes = []
+
+    def spy(k, prod, base, target):
+        out = GpdRealizer.transpose(r, k, prod, base, target)
+        transposes.append((out, naive_transpose(r, k, prod, base, target)))
+        return out
+
+    r.transpose = spy
+    iv = r.interval
+    x = gen.assembly(base=gen.small_groupoid(2), rtype=iv.I1)
+    y = gen.assembly(base=gen.small_groupoid(2), rtype=iv.I1)
+    z = gen.assembly(base=gen.small_groupoid(2), rtype=iv.I0)
+    try:
+        w = weak_exponential(x, y)
+    except SizeCapError:
+        assume(False)
+    zp = product_assembly(z, x)
+    k = gen.morphism(zp.asm, y)
+    assume(k is not None)
+    transpose_morphism(w, k, zp)
+    assert transposes
+    for fast, ref in transposes:
+        _same_functor(fast, ref)
+    for e in r._exp_cache.values():
+        _same_functor(e.ev, naive_eval(e.prod_with_base.raw, e.ev.cod,
+                                       e.raw.obj_to_functor, e.raw.mor_to_natiso))
+    _same_functor(w.ev.fun, naive_eval(
+        w.ev_src.raw_base, y.base, {o: d[0] for o, d in w.obj_data.items()},
+        {m: d[0] for m, d in w.mor_data.items()}))
+
+
+# --- the cogroupoid check ----------------------------------------------------
+
+COGROUPOID_ENTRIES = [
+    ("I0-terminal", True, "hom(X, I0) is a singleton for every probe"),
+    ("endpoint-cocomposition-0", True, ""),
+    ("endpoint-cocomposition-1", True, ""),
+    ("coidentity-endpoints", True, "star absorbs both endpoints"),
+    ("sigma-endpoints", True, "sigma swaps the endpoints"),
+    ("sigma-involution", True, ""),
+    ("coidentity", True, "copairing with a degenerate path is neutral"),
+    ("coassociativity", True, ""),
+    ("coinverse-left", True, ""),
+    ("coinverse-right", True, "checked with codomain I1 (symmetric form)"),
+    ("pushout-I2", True, ""),
+    ("pushout-I3", True, ""),
+]
+
+
+@pytest.mark.parametrize("make", [
+    gpd_interval, gpd_discrete_interval, lambda: PGAsmRealizer(gpd_interval()),
+], ids=["groupoids", "discrete", "assemblies"])
+def test_cogroupoid_entries_are_pinned(make):
+    rep = check_cogroupoid(make())
+    assert [(e.name, e.ok, e.detail) for e in rep.entries] == COGROUPOID_ENTRIES
+
+
+class _SwappedCopair(_Delegate):
+    """A realizer whose copair on `domain` takes its legs the other way
+    round wherever they also meet that way; everything else delegates."""
+
+    def __init__(self, r, domain):
+        self._r, self._domain = r, domain
+
+    def copair2(self, beta, alpha):
+        if self._domain == "I2":
+            try:
+                return self._r.copair2(alpha, beta)
+            except BoundaryError:
+                pass
+        return self._r.copair2(beta, alpha)
+
+    def copair3(self, u, v):
+        if self._domain == "I3":
+            try:
+                return self._r.copair3(v, u)
+            except BoundaryError:
+                pass
+        return self._r.copair3(u, v)
+
+
+@pytest.mark.parametrize("domain", ["I2", "I3"])
+def test_pushout_check_catches_a_copair_that_swaps_its_legs(domain):
+    rep = check_cogroupoid(_SwappedCopair(gpd_interval(), domain))
+    name = f"pushout-{domain}"
+    assert (name, False, "copair does not restrict to its legs") \
+        in [(e.name, e.ok, e.detail) for e in rep.entries]
