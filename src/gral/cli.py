@@ -96,7 +96,17 @@ def cmd_check(args) -> int:
     return worst
 
 
+# how many input files each build kind reads
+BUILD_INPUTS = {"product": 2, "exp": 2, "pathobj": 1, "pullback": 2,
+                "pseudopullback": 2, "pif": 2}
+
+
 def cmd_build(args) -> int:
+    want = BUILD_INPUTS[args.kind]  # argparse admits only these kinds
+    if len(args.inputs) != want:
+        print(f"build {args.kind}: takes {want} input{'s' * (want > 1)}, "
+              f"got {len(args.inputs)}", file=sys.stderr)
+        return EXIT_STRUCTURAL
     r = gpd_interval(_caps_from(args))
     try:
         if args.kind in ("product", "exp"):
@@ -124,21 +134,21 @@ def cmd_build(args) -> int:
                                 "pseudopullback" else None)
             _emit(textfmt.bundle_assembly(res.asm), args.out)
             return EXIT_OK
-        if args.kind == "pif":
-            shared = textfmt.Loader(r)
-            mg = textfmt.load_morphism_bundle(Path(args.inputs[0]).read_text(),
-                                              r, shared)
-            mf = textfmt.load_morphism_bundle(Path(args.inputs[1]).read_text(),
-                                              r, shared)
-            g = is_fibration(mg)
-            f = is_fibration(mf)
-            if not isinstance(g, FibrationData) or not isinstance(f, FibrationData):
-                print("build pif: the inputs must be isofibrations",
-                      file=sys.stderr)
-                return EXIT_CHECK_FAILED
-            dp = dependent_product(g, f, max_objects=args.max_objects)
-            _emit(textfmt.bundle_assembly(dp.asm), args.out)
-            return EXIT_OK
+        # pif
+        shared = textfmt.Loader(r)
+        mg = textfmt.load_morphism_bundle(Path(args.inputs[0]).read_text(),
+                                          r, shared)
+        mf = textfmt.load_morphism_bundle(Path(args.inputs[1]).read_text(),
+                                          r, shared)
+        g = is_fibration(mg)
+        f = is_fibration(mf)
+        if not isinstance(g, FibrationData) or not isinstance(f, FibrationData):
+            print("build pif: the inputs must be isofibrations",
+                  file=sys.stderr)
+            return EXIT_CHECK_FAILED
+        dp = dependent_product(g, f, max_objects=args.max_objects)
+        _emit(textfmt.bundle_assembly(dp.asm), args.out)
+        return EXIT_OK
     except (ParseError, StructuralError, BoundaryError, OSError) as exc:
         print(f"build: structural error: {exc}", file=sys.stderr)
         return EXIT_STRUCTURAL
@@ -148,8 +158,6 @@ def cmd_build(args) -> int:
     except GralError as exc:
         print(f"build: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    print(f"unknown build kind {args.kind!r}", file=sys.stderr)
-    return EXIT_STRUCTURAL
 
 
 def cmd_suite(args) -> int:
@@ -199,9 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_check)
 
     b = sub.add_parser("build", help="run a construction on serialized inputs")
-    b.add_argument("kind", choices=["product", "exp", "pathobj", "pullback",
-                                    "pseudopullback", "pif"])
-    b.add_argument("inputs", nargs="+")
+    b.add_argument("kind", choices=list(BUILD_INPUTS))
+    b.add_argument("inputs", nargs="*")
     b.add_argument("--out")
     b.set_defaults(func=cmd_build)
 

@@ -100,14 +100,29 @@ class Report:
         }, indent=2, sort_keys=True)
 
 
+class _Deferred:
+    """A `comp` table that `FinGroupoid` builds with `build()`, and checks,
+    on the first read of its `comp`."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build: Callable[[], dict[tuple[str, str], str]]):
+        self.build = build
+
+
 class FinGroupoid:
     """A finite groupoid given by total composition/identity/inverse tables.
 
     `comp[(g, f)]` is defined exactly when target(f) == source(g) and holds
-    the composite g after f.  Construction checks structure (no dangling
-    identifiers, total tables); the groupoid axioms themselves are checked
-    by `validate_groupoid`, so deliberately broken tables can be built for
-    fault-injection tests.
+    the composite g after f.  Construction checks the objects, morphism
+    endpoints, identities and inverses (no duplicate or dangling
+    identifiers, total tables).  The `comp` table (no dangling or
+    non-composable entry, one entry per composable pair) is checked at
+    construction when it is given as a dict, and at the first read of
+    `comp`, before any entry is returned, when it is given as
+    `_Deferred(build)` and built then.  The groupoid axioms themselves are
+    checked by `validate_groupoid`, so deliberately broken tables can be
+    built for fault-injection tests.
 
     The scans over the tables visit only composable pairs: `out_of` and
     `into` list the morphisms at an object (an index built on first use),
@@ -116,7 +131,7 @@ class FinGroupoid:
     """
 
     __slots__ = (
-        "objects", "morphisms", "mors", "comp", "ident", "inv",
+        "objects", "morphisms", "mors", "_comp", "_build_comp", "ident", "inv",
         "serial", "_hom", "_adj", "_components", "_key",
     )
 
@@ -131,7 +146,6 @@ class FinGroupoid:
         self.objects: tuple[str, ...] = tuple(objects)
         self.mors: dict[str, tuple[str, str]] = dict(mors)
         self.morphisms: tuple[str, ...] = tuple(self.mors)
-        self.comp: dict[tuple[str, str], str] = dict(comp)
         self.ident: dict[str, str] = dict(ident)
         self.inv: dict[str, str] = dict(inv)
         self.serial: int = next(_serial_counter)
@@ -140,9 +154,23 @@ class FinGroupoid:
         self._components = None
         self._key = None
         self._check_structure()
+        if type(comp) is _Deferred:
+            self._comp = None  # built and checked on the first read of `comp`
+            self._build_comp = comp.build
+        else:
+            self._comp = self._checked_comp(dict(comp))
+            self._build_comp = None
+
+    @property
+    def comp(self) -> dict[tuple[str, str], str]:
+        comp = self._comp
+        if comp is None:
+            self._comp = comp = self._checked_comp(self._build_comp())
+            self._build_comp = None
+        return comp
 
     def _check_structure(self) -> None:
-        objects, mors, comp = self.objects, self.mors, self.comp
+        objects, mors = self.objects, self.mors
         ident, inv = self.ident, self.inv
         oset = set(objects)
         if len(oset) != len(objects):
@@ -163,6 +191,11 @@ class FinGroupoid:
                 raise StructuralError(f"morphism {m!r} lacks an inverse entry")
             if inv[m] not in mors:
                 raise StructuralError(f"inverse of {m!r} dangles")
+
+    def _checked_comp(self, comp: dict[tuple[str, str], str]
+                      ) -> dict[tuple[str, str], str]:
+        """`comp`, once it is checked to be a total table of composites."""
+        objects, mors = self.objects, self.mors
         # every value of `mors` is an endpoint pair, so `get` is None exactly
         # for an identifier that is not a morphism
         mget = mors.get
@@ -176,12 +209,12 @@ class FinGroupoid:
         # exactly when it has one entry per (in-arrow, out-arrow) at each object
         n_out = Counter(s for s, _ in mors.values())
         n_in = Counter(t for _, t in mors.values())
-        if len(comp) == sum(n_in[x] * n_out[x] for x in objects):
-            return
-        for f in mors:
-            for g in mors:
-                if mors[g][0] == mors[f][1] and (g, f) not in comp:
-                    raise StructuralError(f"comp table missing entry ({g!r},{f!r})")
+        if len(comp) != sum(n_in[x] * n_out[x] for x in objects):
+            for f in mors:
+                for g in mors:
+                    if mors[g][0] == mors[f][1] and (g, f) not in comp:
+                        raise StructuralError(f"comp table missing entry ({g!r},{f!r})")
+        return comp
 
     # -- basic accessors -------------------------------------------------
 
@@ -193,6 +226,10 @@ class FinGroupoid:
 
     def compose(self, g: str, f: str) -> str:
         """Composite g after f."""
+        try:
+            return self._comp[(g, f)]
+        except TypeError:  # `_comp` is None: a deferred table not yet read
+            pass
         return self.comp[(g, f)]
 
     def compose_path(self, *ms: str) -> str:
@@ -312,24 +349,25 @@ def _split_components(g: FinGroupoid) -> list[_Component]:
 def validate_groupoid(g: FinGroupoid) -> Report:
     """Scan every axiom instance; report violations (empty report = valid)."""
     rep = Report()
+    comp = g.comp
     mistyped: set[tuple[str, str]] = set()
-    for (gg, ff), h in g.comp.items():
+    for (gg, ff), h in comp.items():
         if g.src(h) != g.src(ff) or g.tgt(h) != g.tgt(gg):
             rep.add("comp-typing", False, f"{gg}o{ff}={h} has wrong endpoints")
             mistyped.add((gg, ff))
     for f in g.morphisms:
         i_s, i_t = g.id_of(g.src(f)), g.id_of(g.tgt(f))
-        if g.compose(f, i_s) != f:
+        if comp[(f, i_s)] != f:
             rep.add("id-right", False, f"{f}o{i_s} != {f}")
-        if g.compose(i_t, f) != f:
+        if comp[(i_t, f)] != f:
             rep.add("id-left", False, f"{i_t}o{f} != {f}")
         v = g.inv_of(f)
         if g.mors[v] != (g.tgt(f), g.src(f)):
             rep.add("inv-typing", False, f"inverse of {f} has wrong endpoints")
             continue
-        if g.compose(v, f) != g.id_of(g.src(f)):
+        if comp[(v, f)] != g.id_of(g.src(f)):
             rep.add("inv-left", False, f"{v}o{f} != id_{g.src(f)}")
-        if g.compose(f, v) != g.id_of(g.tgt(f)):
+        if comp[(f, v)] != g.id_of(g.tgt(f)):
             rep.add("inv-right", False, f"{f}o{v} != id_{g.tgt(f)}")
     # an instance with a mistyped composite is already a comp-typing failure,
     # and its outer composite may not exist
@@ -337,11 +375,11 @@ def validate_groupoid(g: FinGroupoid) -> Report:
         for gg in g.out_of(g.tgt(f)):
             if mistyped and (gg, f) in mistyped:
                 continue
-            gf = g.compose(gg, f)
+            gf = comp[(gg, f)]
             for h in g.out_of(g.tgt(gg)):
                 if mistyped and (h, gg) in mistyped:
                     continue
-                if g.compose(h, gf) != g.compose(g.compose(h, gg), f):
+                if comp[(h, gf)] != comp[(comp[(h, gg)], f)]:
                     rep.add("assoc", False, f"({h}o{gg})o{f} != {h}o({gg}o{f})")
     return rep
 
@@ -512,8 +550,9 @@ def is_functor(f: GFunctor) -> Report:
     for x in dom.objects:
         if f.mmap[dom.id_of(x)] != cod.id_of(f.omap[x]):
             rep.add("functor-id", False, f"identity at {x} not preserved")
+    ccomp = cod.comp
     for (g, m), h in dom.comp.items():
-        if cod.compose(f.mmap[g], f.mmap[m]) != f.mmap[h]:
+        if ccomp[(f.mmap[g], f.mmap[m])] != f.mmap[h]:
             rep.add("functor-comp", False, f"composition {g}o{m} not preserved")
     return rep
 
@@ -772,27 +811,36 @@ class ProductGpd:
 
 def _paired(x: FinGroupoid, y: FinGroupoid, objs: list[tuple[str, str]],
             ms: list[tuple[str, str]]) -> ProductGpd:
-    """The full subgroupoid of x * y on the given object and morphism pairs."""
+    """The full subgroupoid of x * y on the given object and morphism pairs.
+
+    Its `comp` table is built, and checked, on first read.
+    """
     opair = {ab: pair_id(*ab) for ab in objs}
     mpair = {mn: pair_id(*mn) for mn in ms}
-    xmors, ymors, xcomp, ycomp = x.mors, y.mors, x.comp, y.comp
-    xinto, yinto = x._adjacency()[1], y._adjacency()[1]
+    xmors, ymors = x.mors, y.mors
     mors = {mpair[(m, n)]: (opair[(xmors[m][0], ymors[n][0])],
                             opair[(xmors[m][1], ymors[n][1])])
             for (m, n) in ms}
-    mget = mpair.get
-    comp = {}
-    # `mpair` lists pairs in factor order, so this visits them in `ms` order
-    for (m2, n2), gn in mpair.items():
-        n1s = yinto.get(ymors[n2][0], ())
-        for m1 in xinto.get(xmors[m2][0], ()):
-            for n1 in n1s:
-                fn = mget((m1, n1))
-                if fn is not None:
-                    comp[(gn, fn)] = mpair[(xcomp[(m2, m1)], ycomp[(n2, n1)])]
+
+    def build_comp() -> dict[tuple[str, str], str]:
+        xcomp, ycomp = x.comp, y.comp
+        xinto, yinto = x._adjacency()[1], y._adjacency()[1]
+        mget = mpair.get
+        comp = {}
+        # `mpair` lists pairs in factor order, so this visits them in `ms` order
+        for (m2, n2), gn in mpair.items():
+            n1s = yinto.get(ymors[n2][0], ())
+            for m1 in xinto.get(xmors[m2][0], ()):
+                for n1 in n1s:
+                    fn = mget((m1, n1))
+                    if fn is not None:
+                        comp[(gn, fn)] = mpair[(xcomp[(m2, m1)], ycomp[(n2, n1)])]
+        return comp
+
     ident = {opair[(a, b)]: mpair[(x.ident[a], y.ident[b])] for (a, b) in objs}
     inv = {mpair[(m, n)]: mpair[(x.inv[m], y.inv[n])] for (m, n) in ms}
-    gpd = FinGroupoid([opair[ab] for ab in objs], mors, comp, ident, inv)
+    gpd = FinGroupoid([opair[ab] for ab in objs], mors, _Deferred(build_comp),
+                      ident, inv)
     p1 = GFunctor(gpd, x, {opair[ab]: ab[0] for ab in objs}, {mpair[mn]: mn[0] for mn in ms})
     p2 = GFunctor(gpd, y, {opair[ab]: ab[1] for ab in objs}, {mpair[mn]: mn[1] for mn in ms})
     return ProductGpd(gpd, p1, p2, opair, mpair)

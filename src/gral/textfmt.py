@@ -140,11 +140,25 @@ def _columns(rows: _Rows, width: int, message: str, column: int = 0
     return [toks for toks, _ in rows]
 
 
+def _no_repeats(rows: _Rows, table: dict, noun: str, width: int = 1) -> None:
+    """Refuse the first row that repeats an earlier row's key, its first
+    `width` tokens.  `table`, built from `rows`, is keyed by them, so it is
+    shorter than `rows` exactly when some key repeats."""
+    if len(table) == len(rows):
+        return
+    seen = set()
+    for toks, ln in rows:
+        key = " ".join(toks[:width])
+        if key in seen:
+            raise ParseError(f"duplicate row for {noun} {key!r}", ln, 1)
+        seen.add(key)
+
+
 def _table(secs: dict[str, _Rows], heads: dict[str, int], name: str,
            dom: tuple[str, ...], cod: tuple[str, ...]) -> dict[str, str]:
     """Function table `name`, read as a map from the ids `dom` to the ids `cod`.
 
-    Each row is a `dom` id and a `cod` id, and each `dom` id has a row; a
+    Each row is a `dom` id and a `cod` id, and each `dom` id has one row; a
     missing row is reported on the section's header line.
     """
     message, *nouns = _TABLES[name]
@@ -157,6 +171,7 @@ def _table(secs: dict[str, _Rows], heads: dict[str, int], name: str,
             if toks[col] not in known[col]:
                 raise ParseError(f"unknown {nouns[col]} {toks[col]!r}", ln, col + 1)
         table[toks[0]] = toks[1]
+    _no_repeats(secs[name], table, nouns[0])
     for x in dom:
         if x not in table:
             raise ParseError(f"{name} has no row for {nouns[0]} {x!r}", heads[name])
@@ -169,10 +184,14 @@ def parse_groupoid(text: str) -> FinGroupoid:
                                           "expected one object identifier", 2)]
     mors = {m: (s, t) for m, s, t in _columns(secs["MORPHISMS"], 3,
                                                "expected 'id src tgt'")}
+    _no_repeats(secs["MORPHISMS"], mors, "morphism")
     ident = dict(_columns(secs["ID"], 2, "expected 'object identity'"))
+    _no_repeats(secs["ID"], ident, "object")
     inv = dict(_columns(secs["INV"], 2, "expected 'morphism inverse'"))
+    _no_repeats(secs["INV"], inv, "morphism")
     comp = {(g, f): c for g, f, c in _columns(secs["COMP"], 3,
                                                "expected 'g f composite'")}
+    _no_repeats(secs["COMP"], comp, "pair", 2)
     return FinGroupoid(objects, mors, comp, ident, inv)
 
 

@@ -7,11 +7,11 @@ import pytest
 
 from gral import suites
 from gral.errors import BoundaryError, ParseError, SizeCapError, StructuralError
-from gral.cli import main
+from gral.cli import BUILD_INPUTS, main
 from gral.generators import Gen, SuiteConfig, _sample, generate
 from gral.assemblies import Assembly, identity_morphism, product_assembly, realize
 from gral.groupoids import (
-    FinGroupoid, SizeCaps, codiscrete, discrete, functors_between,
+    FinGroupoid, SizeCaps, codiscrete, cyclic_group, discrete, functors_between,
     validate_groupoid,
 )
 from gral.interval import gpd_interval
@@ -178,6 +178,15 @@ PARSE_ERRORS = [
                  "expected 'morphism inverse'", 9, 2, id="groupoid-arity-INV"),
     pytest.param("groupoid", _gpd_row("COMP", "id_T id_T"),
                  "expected 'g f composite'", 11, 3, id="groupoid-arity-COMP"),
+    # a repeated key, reported at the repeating row
+    *(pytest.param("groupoid", _gpd_row(s, f"{row}\n{row}"),
+                   f"duplicate row for {noun} {key!r}", line, 1,
+                   id=f"groupoid-duplicate-{s}")
+      for s, row, noun, key, line in (
+          ("MORPHISMS", "id_T T T", "morphism", "id_T", 6),
+          ("ID", "T id_T", "object", "T", 8),
+          ("INV", "id_T id_T", "morphism", "id_T", 10),
+          ("COMP", "id_T id_T id_T", "pair", "id_T id_T", 12))),
     # assemblies
     pytest.param("assembly", _edit(ASM_LINES, put={0: "GRAL 1 MORPHISM"}),
                  "expected 'GRAL <version> ASSEMBLY' header", 1, 0,
@@ -205,6 +214,12 @@ PARSE_ERRORS = [
                  id="assembly-partial-RFUN-OBJ"),
     pytest.param("assembly", _edit(ASM_LINES, put={4: "U pt:0"}),
                  "unknown object 'U'", 5, 1, id="assembly-unknown-object"),
+    *(pytest.param("assembly", _edit(ASM_LINES, put={i: f"{row}\n{row}"}),
+                   f"duplicate row for {noun} {x!r}", i + 2, 1,
+                   id=f"assembly-duplicate-{s}")
+      for s, i, row, noun, x in (("RFUN-OBJ", 4, "T pt:0", "object", "T"),
+                                 ("RFUN-MOR", 6, "id_T path:id_0", "morphism",
+                                  "id_T"))),
     # morphisms
     pytest.param("morphism", _edit(MOR_LINES, put={0: "GRAL 1 ASSEMBLY"}),
                  "expected 'GRAL <version> MORPHISM' header", 1, 0,
@@ -226,6 +241,15 @@ PARSE_ERRORS = [
     *(pytest.param("morphism", _edit(MOR_LINES, drop={i}),
                    f"{s} has no row for {noun} {x!r}", i, 0,
                    id=f"morphism-partial-{s}")
+      for s, i, noun, x in (("FUN-OBJ", 4, "object", "T"),
+                            ("FUN-MOR", 6, "morphism", "id_T"),
+                            ("E-OBJ", 8, "object", "0"),
+                            ("E-MOR", 10, "morphism", "id_0"),
+                            ("EPS", 12, "object", "T"))),
+    *(pytest.param("morphism",
+                   _edit(MOR_LINES, put={i: f"{MOR_LINES[i]}\n{MOR_LINES[i]}"}),
+                   f"duplicate row for {noun} {x!r}", i + 2, 1,
+                   id=f"morphism-duplicate-{s}")
       for s, i, noun, x in (("FUN-OBJ", 4, "object", "T"),
                             ("FUN-MOR", 6, "morphism", "id_T"),
                             ("E-OBJ", 8, "object", "0"),
@@ -269,6 +293,34 @@ def test_small_files_parse():
     # blank and `#` lines are skipped anywhere, one token or several
     noted = GPD.replace("\n", "\n\n  # a b c\n#x\n\t\n")
     assert textfmt.parse_groupoid(noted) == discrete(["T"])
+
+
+@pytest.mark.parametrize("before,row,line,message", [
+    ("ID", "z1 z* z*", 7, "duplicate row for morphism 'z1'"),
+    ("COMP", "z1 id_z*", 12, "duplicate row for morphism 'z1'"),
+    ("END", "z1 z1 z1", 17, "duplicate row for pair 'z1 z1'"),
+], ids=["MORPHISMS", "INV", "COMP"])
+def test_check_refuses_a_repeated_row(before, row, line, message, tmp_path, capsys):
+    # the second row for a key used to replace the first without a word
+    text = textfmt.serialize_groupoid(cyclic_group(2))
+    path = tmp_path / "z2.gpd"
+    path.write_text(text.replace(f"\n{before}\n", f"\n{row}\n{before}\n"))
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", f"{path}: structural error: line {line}, col 1: {message}\n")
+
+
+@pytest.mark.parametrize("kind", list(BUILD_INPUTS))
+@pytest.mark.parametrize("extra", [-1, 1], ids=["too-few", "too-many"])
+def test_build_refuses_a_wrong_input_count(kind, extra, capsys):
+    want = BUILD_INPUTS[kind]
+    given = want + extra
+    # the count is checked before any file is read
+    assert main(["build", kind, *(["nowhere.gpd"] * given)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"build {kind}: takes {want} input{'s' * (want > 1)}, "
+                   f"got {given}\n")
 
 
 KEYWORDS = ["BASE", "RTYPE", "SRC", "TGT"]

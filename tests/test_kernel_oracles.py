@@ -13,7 +13,8 @@ natural isos, are held to the hand-built tables they replace, and so are
 its transposes and evaluations, built from the shared currying and
 evaluation tables.  The JSON writer is held to the `json.dumps` call it
 replaces, byte for byte.  The fault injections show that each faster check
-can still fail.
+can still fail, and that a product or pullback table, built and checked on
+its first read, fails there with the message eager construction gives.
 """
 
 import json
@@ -28,10 +29,12 @@ from gral.assemblies import (
 from gral.depprod import dependent_product, fibre_map
 from gral.errors import BoundaryError, SizeCapError, StructuralError
 from gral.generators import Gen
+from gral import groupoids
 from gral.groupoids import (
-    FinGroupoid, GFunctor, NatIso, SizeCaps, codiscrete, compose_functors,
-    cyclic_group, discrete, exponential, functors_between, iso_comma, pair_id,
-    product, pullback, triple_id, validate_groupoid, vcompose_nat_isos,
+    FinGroupoid, GFunctor, NatIso, SizeCaps, _Deferred, codiscrete,
+    compose_functors, cyclic_group, discrete, exponential, functors_between,
+    iso_comma, pair_id, product, pullback, triple_id, validate_groupoid,
+    vcompose_nat_isos,
 )
 from gral.generators import SuiteConfig
 from gral.interval import (
@@ -341,8 +344,9 @@ def test_product_comp_matches_naive(seed):
     gen = _gen(seed)
     x, y = gen.groupoid(allow_product=False), gen.small_groupoid()
     ms = [(m, n) for m in x.morphisms for n in y.morphisms]
-    assert list(product(x, y).gpd.comp.items()) == \
-        list(naive_paired_comp(x, y, ms).items())
+    gpd = product(x, y).gpd
+    assert gpd._comp is None  # built on first read, not at construction
+    assert list(gpd.comp.items()) == list(naive_paired_comp(x, y, ms).items())
 
 
 @settings(max_examples=25, deadline=None)
@@ -351,8 +355,9 @@ def test_pullback_comp_matches_naive(seed):
     f, g = _cospan(_gen(seed))
     x, y = f.dom, g.dom
     ms = [(m, n) for m in x.morphisms for n in y.morphisms if f.mmap[m] == g.mmap[n]]
-    assert list(pullback(f, g).gpd.comp.items()) == \
-        list(naive_paired_comp(x, y, ms).items())
+    gpd = pullback(f, g).gpd
+    assert gpd._comp is None
+    assert list(gpd.comp.items()) == list(naive_paired_comp(x, y, ms).items())
 
 
 @settings(max_examples=25, deadline=None)
@@ -460,6 +465,81 @@ def test_missing_comp_entry_names_the_naive_pair(seed):
     with pytest.raises(StructuralError) as exc:
         FinGroupoid(objects, mors, comp, ident, inv)
     assert str(exc.value) == expected
+
+
+def _broken(g, how):
+    """A copy of g's comp table with one fault: an entry missing, an entry
+    naming no morphism, or an entry for a pair that does not compose."""
+    comp = dict(g.comp)
+    first = next(iter(comp))
+    if how == "missing":
+        del comp[first]
+    elif how == "dangling":
+        comp[first] = "nowhere"
+    else:
+        comp[next((a, b) for a in g.morphisms for b in g.morphisms
+                  if g.src(a) != g.tgt(b))] = g.morphisms[0]
+    return comp
+
+
+def _deferred_eager_pair(g, how):
+    """g rebuilt with a broken table, deferred, and the message that
+    building it eagerly raises."""
+    with pytest.raises(StructuralError) as eager:
+        FinGroupoid(g.objects, g.mors, _broken(g, how), g.ident, g.inv)
+    lazy = FinGroupoid(g.objects, g.mors, _Deferred(lambda: _broken(g, how)),
+                       g.ident, g.inv)
+    return lazy, str(eager.value)
+
+
+FAULTS = [("missing", "comp table missing entry"), ("dangling", "dangles"),
+          ("not-composable", "is not composable")]
+
+
+@pytest.mark.parametrize("how,fragment", FAULTS)
+def test_deferred_comp_is_checked_on_first_read(how, fragment):
+    p = product(codiscrete(["a", "b"]), cyclic_group(2)).gpd
+    lazy, message = _deferred_eager_pair(p, how)
+    assert fragment in message
+    # construction passed; every read, of the table or of one composite,
+    # raises the message that eager construction gives, and returns nothing
+    for read in (lambda: lazy.comp, lambda: lazy.compose(*next(iter(p.comp))),
+                 lambda: lazy.comp):
+        with pytest.raises(StructuralError) as exc:
+            read()
+        assert str(exc.value) == message
+    assert lazy._comp is None
+
+
+@pytest.mark.parametrize("how,fragment", FAULTS)
+def test_product_over_a_broken_factor_fails_on_first_read(how, fragment):
+    x, message = _deferred_eager_pair(codiscrete(["a", "b"]), how)
+    assert fragment in message
+    xy = product(x, cyclic_group(3))
+    pb = pullback(xy.p1, xy.p1)
+    for g in (xy.gpd, pb.gpd):
+        with pytest.raises(StructuralError) as exc:
+            g.comp
+        assert str(exc.value) == message
+
+
+def test_squares_never_builds_its_largest_product(monkeypatch):
+    made = []
+    paired = groupoids._paired
+
+    def spy(*args):
+        res = paired(*args)
+        made.append(res.gpd)
+        return res
+
+    monkeypatch.setattr(groupoids, "_paired", spy)
+    # the acceptance counts
+    assert run_suite("squares", SuiteConfig(seed=0, counts={"cells": 100})).ok
+    sizes = [sum(len(g.into(x)) * len(g.out_of(x)) for x in g.objects) for g in made]
+    big = made[sizes.index(max(sizes))]
+    assert max(sizes) == 262_144
+    # nothing reads its table, so its builder never runs
+    assert big._comp is None and big._build_comp is not None
 
 
 # --- fundamental groupoid -------------------------------------------------
