@@ -14,7 +14,8 @@ from typing import Any, Optional
 from .errors import BoundaryError, SizeCapError, StructuralError
 from .groupoids import (
     Cleavage, DEFAULT_CAPS, FinGroupoid, GFunctor, NatIso, Report,
-    composable_pairs, compose_functors, functors_between, nat_isos_between,
+    composable_pairs, compose_functors, conjugate, functors_between,
+    nat_isos_between,
 )
 from .assemblies import (
     Assembly, ProductAssembly, RealizedMorphism, _eval_path_at_point,
@@ -429,9 +430,6 @@ def dp_transpose(dp: DepProd, r_mor: RealizedMorphism, s: RealizedMorphism,
     def ell(y: str, u: str) -> str:
         return f.lift(y, u)
 
-    def eta(xo: str, back: str) -> str:
-        return g.lift(xo, back)
-
     def slice_point(zr, dom_obj):
         pd = r.product(dom_obj, bc)
         bcp = r.product(y_asm.rtype, r.exponential(iv.I1, z_asm.rtype).obj)
@@ -445,26 +443,19 @@ def dp_transpose(dp: DepProd, r_mor: RealizedMorphism, s: RealizedMorphism,
     for w in w_asm.base.objects:
         z = r_mor.fun.omap[w]
         hf = dp.fibres[z]
-        lifts = {}
-        etas = {}
-        h_omap = {}
-        for oid, (y, u) in hf.data_of.items():
-            l = ell(y, u)
-            uy = y_asm.base.tgt(l)
-            s_obj = s.fun.omap[raw.opair[(uy, w)]]
-            et = eta(s_obj, y_asm.base.inv_of(l))
-            lifts[oid] = l
-            etas[oid] = et
-            h_omap[oid] = x_asm.base.tgt(et)
-        h_mmap = {}
-        for (q, u), mid in hf.mor_of.items():
-            src_oid, tgt_oid = hf.asm.base.mors[mid]
-            l1, l2 = lifts[src_oid], lifts[tgt_oid]
-            sigma1 = y_asm.base.compose_path(l2, q, y_asm.base.inv_of(l1))
-            smor = s.fun.mmap[raw.mpair[(sigma1, w_asm.base.id_of(w))]]
-            h_mmap[mid] = x_asm.base.compose_path(
-                etas[tgt_oid], smor, x_asm.base.inv_of(etas[src_oid]))
-        H = GFunctor(hf.asm.base, x_asm.base, h_omap, h_mmap)
+        # straighten the fibre projection along f's lifts into the fibre of
+        # Y over z, apply s there beside w, and straighten back along g's
+        lifts = {oid: ell(y, u) for oid, (y, u) in hf.data_of.items()}
+        over_z = conjugate(hf.proj.fun, lifts)
+        idw = w_asm.base.id_of(w)
+        s_w = GFunctor(hf.asm.base, x_asm.base,
+                       {oid: s.fun.omap[raw.opair[(uy, w)]]
+                        for oid, uy in over_z.omap.items()},
+                       {mid: s.fun.mmap[raw.mpair[(q, idw)]]
+                        for mid, q in over_z.mmap.items()})
+        etas = {oid: g.lift(s_w.omap[oid], y_asm.base.inv_of(l))
+                for oid, l in lifts.items()}
+        H = conjugate(s_w, etas)
         eta_of[w] = etas
         e_w = slice_point(piw.point_of[w_asm.rfun.omap[w]], iv.I0)
         eps = []

@@ -640,6 +640,24 @@ def whisker_right(n: NatIso, f: GFunctor) -> NatIso:
                   {x: n.components[f.omap[x]] for x in f.dom.objects})
 
 
+def conjugate(f: GFunctor, theta: Mapping[str, str],
+              cod: Optional[FinGroupoid] = None) -> GFunctor:
+    """The functor G that the isomorphisms theta_x: f x -> G x carry f to.
+
+    G x = tgt theta_x and G m = theta_t . f m . theta_s^-1, so theta is a
+    natural isomorphism f => G.  `cod` is a subgroupoid of f.cod holding
+    every G m; it defaults to f.cod.
+    """
+    dom, c = f.dom, f.cod
+    compose, tgt, inv, fm = c.compose, c.tgt, c.inv, f.mmap
+    mmap = {}
+    for m in dom.morphisms:
+        s, t = dom.mors[m]
+        mmap[m] = compose(theta[t], compose(fm[m], inv[theta[s]]))
+    return GFunctor(dom, c if cod is None else cod,
+                    {x: tgt(theta[x]) for x in dom.objects}, mmap)
+
+
 # -- enumeration -----------------------------------------------------------
 
 def _generating_words(g: FinGroupoid, base: str) -> tuple[list[str], dict[str, list[str]]]:
@@ -1137,11 +1155,9 @@ def equivalence_inverse(f: GFunctor):
             if f.mmap[m] == v:
                 return m
         raise StructuralError("fullness lookup failed")  # unreachable after checks
-    bwd_m: dict[str, str] = {}
-    for q in cod.morphisms:
-        y, y2 = cod.mors[q]
-        v = cod.compose_path(theta[y2], q, cod.inv_of(theta[y]))
-        bwd_m[q] = preimage(bwd_o[y], bwd_o[y2], v)
+    moved = conjugate(identity_functor(cod), theta).mmap
+    bwd_m = {q: preimage(bwd_o[y], bwd_o[y2], moved[q])
+             for q, (y, y2) in cod.mors.items()}
     bwd = GFunctor(cod, dom, bwd_o, bwd_m)
     unit_c = {a: preimage(a, bwd_o[f.omap[a]], theta[f.omap[a]]) for a in dom.objects}
     unit = NatIso(identity_functor(dom), compose_functors(bwd, f), unit_c)

@@ -2,6 +2,7 @@
 
 Fibrations are isofibrations of the underlying groupoids; the carried
 cleavage supplies transports realized by (identity, lift-image) pairs.
+Every transport along a cleavage goes through `_lift`.
 Acyclicity is always certified by explicitly carried equivalence data,
 mirroring the hypotheses under which the constructions are stated.
 """
@@ -14,9 +15,9 @@ from typing import Callable, Optional
 from .errors import BoundaryError, StructuralError
 from .groupoids import (
     Cleavage, EquivalenceData, FinGroupoid, GFunctor, LiftFailure, NatIso,
-    Report, compose_functors, equivalence_inverse, identity_functor,
-    identity_nat_iso, invert_nat_iso, iso_comma, isofibration_cleavage,
-    pullback as gpd_pullback,
+    Report, compose_functors, conjugate, equivalence_inverse,
+    identity_functor, identity_nat_iso, invert_nat_iso, iso_comma,
+    isofibration_cleavage, pullback as gpd_pullback,
 )
 from .assemblies import (
     Assembly, PGAsmInterval, ProductAssembly, RealizedMorphism, TwoCell,
@@ -74,17 +75,29 @@ class FibrationData:
     def transport(self, q: str) -> RealizedMorphism:
         """The transport functor along q, realized by (id, lift images)."""
         y, y2 = self.tgt.base.mors[q]
-        fy, fy2 = self.fibre(y), self.fibre(y2)
-        base = self.src.base
-        omap = {o: base.tgt(self.lift(o, q)) for o in fy.base.objects}
-        mmap = {}
-        for m in fy.base.morphisms:
-            s, t = fy.base.mors[m]
-            mmap[m] = base.compose_path(self.lift(t, q), m,
-                                        base.inv_of(self.lift(s, q)))
-        fun = GFunctor(fy.base, fy2.base, omap, mmap)
-        comps = {o: self.src.rfun.mmap[self.lift(o, q)] for o in fy.base.objects}
-        return realized(fy, fy2, fun, self.src.r.identity(self.src.rtype), comps)
+        fy, total = self.fibre(y), self.src
+        incl = GFunctor(fy.base, total.base, {o: o for o in fy.base.objects},
+                        {m: m for m in fy.base.morphisms})
+        incl_m = _identity_eps(fy, total, incl, total.r.identity(total.rtype))
+        over = dict.fromkeys(fy.base.objects, q)
+        return _lift(self, incl_m, over, self.fibre(y2))[0]
+
+
+def _lift(p: FibrationData, m: RealizedMorphism, over: dict[str, str],
+          tgt: Optional[Assembly] = None) -> tuple[RealizedMorphism, dict[str, str]]:
+    """m transported along the chosen lifts of over[x] at m x: (m', lifts).
+
+    lifts[x] runs m x -> m' x in p's total assembly, and m'.fun is m.fun
+    conjugated along them.  m' keeps m's realizer e; its witness at x is
+    the realizer of lifts[x] after m's.  m' lands in `tgt`, a sub-assembly
+    of the total assembly holding its image, or else in the total assembly.
+    """
+    total = p.src
+    lifts = {x: p.lift(m.fun.omap[x], over[x]) for x in m.src.base.objects}
+    fun = conjugate(m.fun, lifts, None if tgt is None else tgt.base)
+    pit, rm, eps = total.pi.gpd, total.rfun.mmap, m.eps.components
+    comps = {x: pit.compose(rm[lift], eps[x]) for x, lift in lifts.items()}
+    return realized(m.src, total if tgt is None else tgt, fun, m.e, comps), lifts
 
 
 def is_fibration(m: RealizedMorphism):
@@ -148,25 +161,10 @@ def lift_2cell(p: FibrationData, phi: TwoCell, f: RealizedMorphism,
     Returns (phi*F, lifted) where P . phi*F = G exactly and the lifted
     2-cell runs F => phi*F over phi.
     """
-    P = p.morphism
-    if phi.src.fun != compose_functors(P.fun, f.fun):
+    if phi.src.fun != compose_functors(p.morphism.fun, f.fun):
         raise BoundaryError("2-cell source does not factor as P . F")
-    x = f.src
-    ybase = P.src.base
-    lifts = {xo: p.lift(f.fun.omap[xo], phi.iso.components[xo])
-             for xo in x.base.objects}
-    omap = {xo: ybase.tgt(lifts[xo]) for xo in x.base.objects}
-    mmap = {}
-    for m in x.base.morphisms:
-        s, t = x.base.mors[m]
-        mmap[m] = ybase.compose_path(lifts[t], f.fun.mmap[m], ybase.inv_of(lifts[s]))
-    fun = GFunctor(x.base, ybase, omap, mmap)
-    piy = P.src.pi.gpd
-    comps = {xo: piy.compose(P.src.rfun.mmap[lifts[xo]], f.eps.components[xo])
-             for xo in x.base.objects}
-    phi_star = realized(x, P.src, fun, f.e, comps)
-    lifted_iso = NatIso(f.fun, fun, lifts)
-    lifted = twocell_from_iso(pg, lifted_iso, f, phi_star)
+    phi_star, lifts = _lift(p, f, phi.iso.components)
+    lifted = twocell_from_iso(pg, NatIso(f.fun, phi_star.fun, lifts), f, phi_star)
     return phi_star, lifted
 
 
@@ -256,12 +254,7 @@ def path_object(x: Assembly, pg: PGAsmInterval) -> PathObjectData:
         p1, p2 = split[pmor]
         if x.base.src(p1) != F.omap["0"] or x.base.src(p2) != F.omap["1"]:
             raise BoundaryError("lift source mismatch")
-        gi = x.base.compose_path(p2, F.mmap["p01"], x.base.inv_of(p1))
-        G = GFunctor(i1b, x.base,
-                     {"0": x.base.tgt(p1), "1": x.base.tgt(p2)},
-                     {"id_0": x.base.id_of(x.base.tgt(p1)),
-                      "id_1": x.base.id_of(x.base.tgt(p2)),
-                      "p01": gi, "p10": x.base.inv_of(gi)})
+        G = conjugate(F, {"0": p1, "1": p2})
         pxg = pix.gpd
         delta = (pxg.compose(x.rfun.mmap[p1], eps.components["0"]),
                  pxg.compose(x.rfun.mmap[p2], eps.components["1"]))
@@ -309,25 +302,10 @@ def pc7_section(f: FibrationData, pinv: RealizedMorphism,
     psi runs F . G => id on the base of the codomain; the section sends y
     to the transport of G y along psi_y.
     """
-    F = f.morphism
-    y_asm = F.tgt
-    x_asm = F.src
-    if psi.src.fun != compose_functors(F.fun, pinv.fun) \
-            or psi.tgt.fun != identity_functor(y_asm.base):
+    if psi.src.fun != compose_functors(f.morphism.fun, pinv.fun) \
+            or psi.tgt.fun != identity_functor(f.tgt.base):
         raise BoundaryError("the 2-cell must run F.G => id")
-    lifts = {yo: f.lift(pinv.fun.omap[yo], psi.iso.components[yo])
-             for yo in y_asm.base.objects}
-    omap = {yo: x_asm.base.tgt(lifts[yo]) for yo in y_asm.base.objects}
-    mmap = {}
-    for q in y_asm.base.morphisms:
-        s, t = y_asm.base.mors[q]
-        mmap[q] = x_asm.base.compose_path(lifts[t], pinv.fun.mmap[q],
-                                          x_asm.base.inv_of(lifts[s]))
-    fun = GFunctor(y_asm.base, x_asm.base, omap, mmap)
-    pix = x_asm.pi.gpd
-    comps = {yo: pix.compose(x_asm.rfun.mmap[lifts[yo]], pinv.eps.components[yo])
-             for yo in y_asm.base.objects}
-    return realized(y_asm, x_asm, fun, pinv.e, comps)
+    return _lift(f, pinv, psi.iso.components)[0]
 
 
 def pullback_assembly(f: RealizedMorphism, g: RealizedMorphism) -> ProductAssembly:
@@ -480,25 +458,10 @@ def pc8_pseudoinverse(g: FibrationData, g_equiv: AsmEquivalence,
     # psi: G.H => id_Z is the inverse of the carried counit id => G.H
     psi = invert_nat_iso(g_equiv.counit.iso)
     pb = pullback_assembly(f, G)
-    x_asm, y_asm, z_asm = f.src, G.src, G.tgt
-    lifts = {xo: g.lift(h.fun.omap[f.fun.omap[xo]],
-                        psi.components[f.fun.omap[xo]])
-             for xo in x_asm.base.objects}
-    omap = {xo: y_asm.base.tgt(lifts[xo]) for xo in x_asm.base.objects}
-    mmap = {}
-    for p in x_asm.base.morphisms:
-        s, t = x_asm.base.mors[p]
-        mmap[p] = y_asm.base.compose_path(
-            lifts[t], h.fun.mmap[f.fun.mmap[p]], y_asm.base.inv_of(lifts[s]))
-    t_fun = GFunctor(x_asm.base, y_asm.base, omap, mmap)
-    r = x_asm.r
-    pih = r.pi_map(h.e)
-    piy = y_asm.pi.gpd
-    comps = {xo: piy.compose(y_asm.rfun.mmap[lifts[xo]],
-                             piy.compose(h.eps.components[f.fun.omap[xo]],
-                                         pih.mmap[f.eps.components[xo]]))
-             for xo in x_asm.base.objects}
-    t_mor = realized(x_asm, y_asm, t_fun, r.compose(h.e, f.e), comps)
+    x_asm, y_asm = f.src, G.src
+    t_mor, lifts = _lift(g, compose_morphisms(h, f),
+                         {xo: psi.components[f.fun.omap[xo]]
+                          for xo in x_asm.base.objects})
     s_mor = pb.pair(identity_morphism(x_asm), t_mor)
     # sigma: id_{F*Y} => S . F*(G)
     fstar_g = pb.p1

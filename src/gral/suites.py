@@ -56,13 +56,6 @@ from .generators import Gen, SuiteConfig, _sample
 from .textfmt import bundle_morphism, load_morphism_bundle, parse_bundle, \
     parse_groupoid, serialize_groupoid, serialize_bundle
 
-SUITE_NAMES = (
-    "cogroupoid", "fundamental-groupoid", "squares", "two-one-axioms",
-    "pgasm-ccc", "finite-limits", "path-axioms", "weak-pi", "modest-closure",
-    "comb-alg",
-)
-
-
 def _table_entries(g) -> tuple:
     """A groupoid's five tables as ordered entry lists."""
     return (list(g.objects), list(g.mors.items()), list(g.comp.items()),
@@ -81,6 +74,13 @@ def _pi_iso_base_holds(r: GpdRealizer, g) -> bool:
             and sorted(iso.omap.values()) == sorted(g.objects)
             and sorted(iso.mmap.values()) == sorted(g.morphisms)
             and _table_entries(_build_pi(r, g).gpd) == _table_entries(pa.gpd))
+
+
+def _held(rep: Report, name: str, n: int, make: Callable[[], object],
+          noun: str) -> None:
+    """Record whether the first n instances that `make` draws all hold."""
+    held = sum(1 for _ in takewhile(bool, _sample(n, make)))
+    rep.add(name, held == n, f"{held} {noun}")
 
 
 def _counterexample(check: str, bundle: str) -> str:
@@ -184,8 +184,7 @@ def suite_fundamental_groupoid(cfg: SuiteConfig) -> Report:
                 and is_nat_iso(pi_homotopy(h)).ok)
 
     target = cfg.count("boundary-pairs", 100)
-    held = sum(1 for _ in takewhile(bool, _sample(target, boundary_lemma)))
-    rep.add("boundary-lemma", held == target, f"{held} homotopy/path pairs")
+    _held(rep, "boundary-lemma", target, boundary_lemma, "homotopy/path pairs")
     return rep
 
 
@@ -335,8 +334,7 @@ def suite_pgasm_ccc(cfg: SuiteConfig) -> Report:
                 and compose_morphisms(p.p2, h) == m2 and count == 1)
 
     n = cfg.count("products", 10)
-    held = sum(1 for _ in takewhile(bool, _sample(n, product_cone)))
-    rep.add("product-universal", held == n, f"{held} cones")
+    _held(rep, "product-universal", n, product_cone, "cones")
 
     def beta():
         x = gen.assembly(base=gen.small_groupoid(2), rtype=r.interval.I1)
@@ -352,8 +350,7 @@ def suite_pgasm_ccc(cfg: SuiteConfig) -> Report:
                 and validate_morphism(w.ev).ok)
 
     n = cfg.count("beta", 20)
-    held = sum(1 for _ in takewhile(bool, _sample(n, beta)))
-    rep.add("weak-exponential-beta", held == n, f"{held} transposes")
+    _held(rep, "weak-exponential-beta", n, beta, "transposes")
 
     def modesty():
         x = gen.assembly(base=gen.small_groupoid(2), rtype=r.interval.I1)
@@ -361,8 +358,7 @@ def suite_pgasm_ccc(cfg: SuiteConfig) -> Report:
         return is_modest(weak_exponential(x, y).asm)[0]
 
     n = cfg.count("modest", 10)
-    held = sum(1 for _ in takewhile(bool, _sample(n, modesty)))
-    rep.add("weak-exponential-modesty", held == n, f"{held} instances")
+    _held(rep, "weak-exponential-modesty", n, modesty, "instances")
 
     pg = pgasm_interval(r)
 
@@ -415,8 +411,7 @@ def suite_finite_limits(cfg: SuiteConfig) -> Report:
         return None
 
     n = cfg.count("pullbacks", 20)
-    held = sum(1 for _ in takewhile(bool, _sample(n, pullback_cone)))
-    rep.add("pullback-universal", held == n, f"{held} cones")
+    _held(rep, "pullback-universal", n, pullback_cone, "cones")
 
     def pseudopullback_cone():
         z = gen.assembly(base=gen.small_groupoid(2), rtype=r.interval.I1)
@@ -456,8 +451,7 @@ def suite_finite_limits(cfg: SuiteConfig) -> Report:
                 and comps == psi.iso.components and count == 1)
 
     n = cfg.count("pseudopullbacks", 20)
-    held = sum(1 for _ in takewhile(bool, _sample(n, pseudopullback_cone)))
-    rep.add("pseudopullback-universal", held == n, f"{held} cones")
+    _held(rep, "pseudopullback-universal", n, pseudopullback_cone, "cones")
     return rep
 
 
@@ -550,8 +544,7 @@ def suite_path_axioms(cfg: SuiteConfig) -> Report:
                 and validate_morphism(s).ok)
 
     n = cfg.count("pc7", 20)
-    held = sum(1 for _ in takewhile(bool, _sample(n, section)))
-    rep.add("pc7-section", held == n, f"{held} acyclic fibrations")
+    _held(rep, "pc7-section", n, section, "acyclic fibrations")
 
     def pseudoinverse():
         gfib = gen.acyclic_fibration(base=gen.rng.choice(assemblies), rich=False)
@@ -568,8 +561,7 @@ def suite_path_axioms(cfg: SuiteConfig) -> Report:
                 and validate_twocell(pg, sigma).ok)
 
     n = cfg.count("pc8", 20)
-    held = sum(1 for _ in takewhile(bool, _sample(n, pseudoinverse)))
-    rep.add("pc8-pseudoinverse", held == n, f"{held} pullback squares")
+    _held(rep, "pc8-pseudoinverse", n, pseudoinverse, "pullback squares")
 
     def brown():
         fib = gen.rng.choice(fibrations)
@@ -584,8 +576,7 @@ def suite_path_axioms(cfg: SuiteConfig) -> Report:
         return brown_factor_check(fib, afib, aeq, f, pg)
 
     n = cfg.count("brown", 10)
-    held = sum(1 for _ in takewhile(bool, _sample(n, brown)))
-    rep.add("brown-stability", held == n, f"{held} pullback squares")
+    _held(rep, "brown-stability", n, brown, "pullback squares")
 
     if cfg.inject == "broken-cleavage":
         broken = _find_sabotaged_transport(fibrations)
@@ -693,8 +684,7 @@ def suite_modest_closure(cfg: SuiteConfig) -> Report:
         comp = is_fibration(compose_morphisms(m1.morphism, m2.morphism))
         return isinstance(comp, FibrationData) and is_modest_fibration(comp)[0]
 
-    held = sum(1 for _ in takewhile(bool, _sample(n, composition)))
-    rep.add("composition-closure", held == n, f"{held} composable pairs")
+    _held(rep, "composition-closure", n, composition, "composable pairs")
 
     def pullback_square():
         y = gen.assembly(rich=False)
@@ -706,16 +696,14 @@ def suite_modest_closure(cfg: SuiteConfig) -> Report:
         fib2 = is_fibration(pullback_assembly(f, fib.morphism).p1)
         return isinstance(fib2, FibrationData) and is_modest_fibration(fib2)[0]
 
-    held = sum(1 for _ in takewhile(bool, _sample(n, pullback_square)))
-    rep.add("pullback-stability", held == n, f"{held} squares")
+    _held(rep, "pullback-stability", n, pullback_square, "squares")
 
     def splitting():
         fib, _total = gen.modest_fibration(base=gen.assembly(rich=False))
         split = _split_replacement(gen, fib)
         return None if split is None else is_modest_fibration(split)[0]
 
-    held = sum(1 for _ in takewhile(bool, _sample(n, splitting)))
-    rep.add("split-replacement-modest", held == n, f"{held} splittings")
+    _held(rep, "split-replacement-modest", n, splitting, "splittings")
 
     def pif():
         z = gen.assembly(base=gen.small_groupoid(2), rtype=r.interval.I0)
@@ -730,8 +718,7 @@ def suite_modest_closure(cfg: SuiteConfig) -> Report:
         dp = dependent_product(gfib, ffib, max_objects=cfg.caps.max_morphisms)
         return is_modest_fibration(dp.fib)[0]
 
-    held = sum(1 for _ in takewhile(bool, _sample(n, pif)))
-    rep.add("pif-modest", held == n, f"{held} dependent products")
+    _held(rep, "pif-modest", n, pif, "dependent products")
 
     # a chaotic fibre is correctly rejected
     y = gen.assembly(base=gen.small_groupoid(1), rtype=r.interval.I0)
@@ -827,9 +814,7 @@ def suite_comb_alg(cfg: SuiteConfig) -> Report:
             == normalize(substitute(t, var, a), 100000)
 
     target = cfg.count("bracket", 200)
-    held = sum(1 for _ in takewhile(bool, _sample(target, polynomial)))
-    rep.add("bracket-substitution", held == target,
-            f"{held} random polynomials")
+    _held(rep, "bracket-substitution", target, polynomial, "random polynomials")
 
     cat = realizer_category_of(utca, carrier_size=3, witness_size=3)
     carrier = cat.carrier(uo)
@@ -878,9 +863,7 @@ def suite_comb_alg(cfg: SuiteConfig) -> Report:
                 return res.back.fun == m.fun and res.back.validate()
         return None
 
-    held = sum(1 for _ in takewhile(bool, _sample(n, sample_morphism)))
-    rep.add("function-realizer-roundtrip", held == n,
-            f"{held} sample morphisms")
+    _held(rep, "function-realizer-roundtrip", n, sample_morphism, "sample morphisms")
     return rep
 
 
@@ -896,6 +879,10 @@ SUITES: dict[str, Callable[[SuiteConfig], Report]] = {
     "modest-closure": suite_modest_closure,
     "comb-alg": suite_comb_alg,
 }
+SUITE_NAMES = tuple(SUITES)
+
+# the fault-injection fixtures each suite knows, by `SuiteConfig.inject` name
+FIXTURES: dict[str, tuple[str, ...]] = {"path-axioms": ("broken-cleavage",)}
 
 
 def run_suite(name: str, cfg: Optional[SuiteConfig] = None) -> Report:
@@ -903,6 +890,10 @@ def run_suite(name: str, cfg: Optional[SuiteConfig] = None) -> Report:
         raise StructuralError(f"unknown suite {name!r}; "
                               f"known: {', '.join(SUITE_NAMES)}")
     cfg = cfg if cfg is not None else SuiteConfig()
+    fixtures = FIXTURES.get(name, ())
+    if cfg.inject is not None and cfg.inject not in fixtures:
+        raise StructuralError(f"no fixture {cfg.inject!r}; "
+                              f"known: {', '.join(fixtures) or 'none'}")
     start = time.perf_counter()
     rep = SUITES[name](cfg)
     rep.elapsed = time.perf_counter() - start

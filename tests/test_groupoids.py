@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from gral.errors import SizeCapError, StructuralError
 from gral.groupoids import (
     Cleavage, EquivalenceData, EquivalenceFailure, FinGroupoid, GFunctor,
-    LiftFailure, codiscrete, compose_functors, cyclic_group, discrete,
-    disjoint_union, equivalence_inverse, exponential, functors_between,
+    LiftFailure, NatIso, codiscrete, compose_functors, conjugate, cyclic_group,
+    discrete, disjoint_union, equivalence_inverse, exponential, functors_between,
     identity_functor, is_functor, is_nat_iso, iso_comma,
     isofibration_cleavage, nat_isos_between, product, pullback,
     terminal_groupoid, validate_groupoid, validate_equivalence,
@@ -449,3 +449,16 @@ def test_pullback_over_terminal_is_product(seed):
     for a, b in ((pb.p1, p.p1), (pb.p2, p.p2)):
         assert list(a.omap.items()) == list(b.omap.items())
         assert list(a.mmap.items()) == list(b.mmap.items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 30))
+def test_conjugate_is_a_functor_naturally_isomorphic_to_its_source(seed):
+    gen, x, y = _gen_pair(seed)
+    F = gen.rng.choice(functors_between(x, y))
+    theta = {o: gen.rng.choice(y.out_of(F.omap[o])) for o in x.objects}
+    G = conjugate(F, theta)
+    assert G.dom is x and G.cod is y
+    assert is_functor(G).ok
+    assert is_nat_iso(NatIso(F, G, theta)).ok
+    assert conjugate(F, {o: y.id_of(F.omap[o]) for o in x.objects}) == F

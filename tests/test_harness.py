@@ -611,6 +611,17 @@ def test_cli_suite_exit_codes(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("name,fixture,known", [
+    ("cogroupoid", "nonsense", "none"),                 # no suite has it
+    ("path-axioms", "nonsense", "broken-cleavage"),
+    ("cogroupoid", "broken-cleavage", "none"),          # another suite's
+])
+def test_cli_suite_unknown_fixture_exits_2(name, fixture, known, capsys):
+    assert main(["suite", name, "--inject", fixture]) == 2
+    assert capsys.readouterr() == (
+        "", f"suite {name}: refused: no fixture {fixture!r}; known: {known}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["--max-objects", "0", "suite", "cogroupoid"],
     ["--max-objects", "4", "--max-morphisms", "8", "suite", "weak-pi"],

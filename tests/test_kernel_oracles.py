@@ -12,9 +12,11 @@ The groupoid instance's filled squares and cells, built as the cylinders of
 natural isos, are held to the hand-built tables they replace, and so are
 its transposes and evaluations, built from the shared currying and
 evaluation tables.  The JSON writer is held to the `json.dumps` call it
-replaces, byte for byte.  The fault injections show that each faster check
-can still fail, and that a product or pullback table, built and checked on
-its first read, fails there with the message eager construction gives.
+replaces, byte for byte.  Every transport along chosen lifts, now one
+conjugation, is held to the hand-written loop it replaces.  The fault
+injections show that each faster check can still fail, and that a product
+or pullback table, built and checked on its first read, fails there with
+the message eager construction gives.
 """
 
 import json
@@ -23,25 +25,32 @@ import random
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from gral import suites
 from gral.assemblies import (
-    PGAsmRealizer, product_assembly, transpose_morphism, weak_exponential,
+    PGAsmRealizer, ProductAssembly, WeakExpObject, compose_morphisms,
+    identity_morphism, pgasm_interval, product_assembly, transpose_morphism,
+    twocell_from_iso, weak_exponential,
 )
-from gral.depprod import dependent_product, fibre_map
+from gral.depprod import DepProd, dependent_product, fibre_map
 from gral.errors import BoundaryError, SizeCapError, StructuralError
 from gral.generators import Gen
 from gral import groupoids
 from gral.groupoids import (
-    FinGroupoid, GFunctor, NatIso, SizeCaps, _Deferred, codiscrete,
-    compose_functors, cyclic_group, discrete, exponential, functors_between,
-    iso_comma, pair_id, product, pullback, triple_id, validate_groupoid,
-    vcompose_nat_isos,
+    EquivalenceFailure, FinGroupoid, GFunctor, NatIso, SizeCaps, _Deferred,
+    codiscrete, compose_functors, cyclic_group, discrete, equivalence_inverse,
+    exponential, functors_between, invert_nat_iso, iso_comma,
+    nat_isos_between, pair_id, product, pullback, triple_id,
+    validate_groupoid, vcompose_nat_isos,
 )
 from gral.generators import SuiteConfig
 from gral.interval import (
     GpdRealizer, PiData, RealizerCategory, _build_pi, check_cogroupoid,
     gpd_discrete_interval, gpd_interval, path_of_morphism, restriction_counts,
 )
-from gral.pathcat import FibrationData, is_fibration
+from gral.pathcat import (
+    FibrationData, as_equivalence, is_fibration, lift_2cell, path_object,
+    pc7_section, pc8_pseudoinverse,
+)
 from gral.suites import _gen_square, replay_counterexample, run_suite
 from gral.textfmt import groupoid_from_json, groupoid_to_json
 
@@ -868,3 +877,331 @@ def test_pushout_check_catches_a_copair_that_swaps_its_legs(domain):
     name = f"pushout-{domain}"
     assert (name, False, "copair does not restrict to its legs") \
         in [(e.name, e.ok, e.detail) for e in rep.entries]
+
+
+# --- transports along a cleavage --------------------------------------------
+#
+# Each reference is the hand-written loop that built one transport along
+# chosen lifts: G x = tgt theta_x, G m = theta_t . F m . theta_s^-1, and at
+# the assembly level the witness rfun(theta_x) . eps_x.
+
+def naive_transport(fib, q):
+    y, y2 = fib.tgt.base.mors[q]
+    fy, fy2 = fib.fibre(y), fib.fibre(y2)
+    base = fib.src.base
+    omap = {o: base.tgt(fib.lift(o, q)) for o in fy.base.objects}
+    mmap = {}
+    for m in fy.base.morphisms:
+        s, t = fy.base.mors[m]
+        mmap[m] = base.compose_path(fib.lift(t, q), m,
+                                    base.inv_of(fib.lift(s, q)))
+    comps = {o: fib.src.rfun.mmap[fib.lift(o, q)] for o in fy.base.objects}
+    return fy, fy2, omap, mmap, comps
+
+
+def naive_lift_2cell(p, phi, f):
+    x = f.src
+    ybase = p.src.base
+    lifts = {xo: p.lift(f.fun.omap[xo], phi.iso.components[xo])
+             for xo in x.base.objects}
+    omap = {xo: ybase.tgt(lifts[xo]) for xo in x.base.objects}
+    mmap = {}
+    for m in x.base.morphisms:
+        s, t = x.base.mors[m]
+        mmap[m] = ybase.compose_path(lifts[t], f.fun.mmap[m], ybase.inv_of(lifts[s]))
+    piy = p.src.pi.gpd
+    comps = {xo: piy.compose(p.src.rfun.mmap[lifts[xo]], f.eps.components[xo])
+             for xo in x.base.objects}
+    return omap, mmap, comps, lifts
+
+
+def naive_pc7_section(f, pinv, psi):
+    y_asm, x_asm = f.tgt, f.src
+    lifts = {yo: f.lift(pinv.fun.omap[yo], psi.iso.components[yo])
+             for yo in y_asm.base.objects}
+    omap = {yo: x_asm.base.tgt(lifts[yo]) for yo in y_asm.base.objects}
+    mmap = {}
+    for q in y_asm.base.morphisms:
+        s, t = y_asm.base.mors[q]
+        mmap[q] = x_asm.base.compose_path(lifts[t], pinv.fun.mmap[q],
+                                          x_asm.base.inv_of(lifts[s]))
+    pix = x_asm.pi.gpd
+    comps = {yo: pix.compose(x_asm.rfun.mmap[lifts[yo]], pinv.eps.components[yo])
+             for yo in y_asm.base.objects}
+    return omap, mmap, comps
+
+
+def naive_pc8_t(g, g_equiv, f):
+    h = g_equiv.bwd
+    psi = invert_nat_iso(g_equiv.counit.iso)
+    x_asm, y_asm = f.src, g.src
+    lifts = {xo: g.lift(h.fun.omap[f.fun.omap[xo]],
+                        psi.components[f.fun.omap[xo]])
+             for xo in x_asm.base.objects}
+    omap = {xo: y_asm.base.tgt(lifts[xo]) for xo in x_asm.base.objects}
+    mmap = {}
+    for p in x_asm.base.morphisms:
+        s, t = x_asm.base.mors[p]
+        mmap[p] = y_asm.base.compose_path(
+            lifts[t], h.fun.mmap[f.fun.mmap[p]], y_asm.base.inv_of(lifts[s]))
+    r = x_asm.r
+    pih = r.pi_map(h.e)
+    piy = y_asm.pi.gpd
+    comps = {xo: piy.compose(y_asm.rfun.mmap[lifts[xo]],
+                             piy.compose(h.eps.components[f.fun.omap[xo]],
+                                         pih.mmap[f.eps.components[xo]]))
+             for xo in x_asm.base.objects}
+    return omap, mmap, comps, r.compose(h.e, f.e)
+
+
+def naive_chosen_lift_functor(pod, oid, pmor):
+    x, w = pod.x, pod.pobj
+    split = {mid: pq for pq, mid in pod.prod.raw_base.mpair.items()}
+    F = w.obj_data[oid][0]
+    p1, p2 = split[pmor]
+    gi = x.base.compose_path(p2, F.mmap["p01"], x.base.inv_of(p1))
+    return GFunctor(F.dom, x.base,
+                    {"0": x.base.tgt(p1), "1": x.base.tgt(p2)},
+                    {"id_0": x.base.id_of(x.base.tgt(p1)),
+                     "id_1": x.base.id_of(x.base.tgt(p2)),
+                     "p01": gi, "p10": x.base.inv_of(gi)})
+
+
+def naive_dp_sections(dp, r_mor, s, fw):
+    """The functor H carried by T w, for each object w of W in turn."""
+    g, f = dp.g, dp.f
+    x_asm, y_asm = g.src, g.tgt
+    raw = fw.raw_base
+    out = []
+    for w in r_mor.src.base.objects:
+        hf = dp.fibres[r_mor.fun.omap[w]]
+        lifts, etas, h_omap = {}, {}, {}
+        for oid, (y, u) in hf.data_of.items():
+            l = f.lift(y, u)
+            s_obj = s.fun.omap[raw.opair[(y_asm.base.tgt(l), w)]]
+            et = g.lift(s_obj, y_asm.base.inv_of(l))
+            lifts[oid], etas[oid] = l, et
+            h_omap[oid] = x_asm.base.tgt(et)
+        h_mmap = {}
+        for (q, u), mid in hf.mor_of.items():
+            src_oid, tgt_oid = hf.asm.base.mors[mid]
+            l1, l2 = lifts[src_oid], lifts[tgt_oid]
+            sigma1 = y_asm.base.compose_path(l2, q, y_asm.base.inv_of(l1))
+            smor = s.fun.mmap[raw.mpair[(sigma1, r_mor.src.base.id_of(w))]]
+            h_mmap[mid] = x_asm.base.compose_path(
+                etas[tgt_oid], smor, x_asm.base.inv_of(etas[src_oid]))
+        out.append(GFunctor(hf.asm.base, x_asm.base, h_omap, h_mmap))
+    return out
+
+
+def naive_equivalence_inverse(f):
+    dom, cod = f.dom, f.cod
+    for a in dom.objects:
+        for b in dom.objects:
+            seen = {}
+            for m in dom.hom(a, b):
+                fm = f.mmap[m]
+                if fm in seen:
+                    return EquivalenceFailure("faithful", f"{seen[fm]} and {m} collapse")
+                seen[fm] = m
+            for v in cod.hom(f.omap[a], f.omap[b]):
+                if v not in seen:
+                    return EquivalenceFailure("full", f"{v} has no preimage in hom({a},{b})")
+    theta, bwd_o = {}, {}
+    for y in sorted(cod.objects):
+        for a in sorted(dom.objects, key=lambda a: (f.omap[a] != y, a)):
+            isos = sorted(cod.hom(y, f.omap[a]),
+                          key=lambda m: (not cod.is_identity(m), m))
+            if isos:
+                bwd_o[y] = a
+                theta[y] = isos[0]
+                break
+        else:
+            return EquivalenceFailure("essentially-surjective",
+                                      f"{y} not isomorphic to any image")
+
+    def preimage(a, b, v):
+        return next(m for m in dom.hom(a, b) if f.mmap[m] == v)
+    bwd_m = {}
+    for q in cod.morphisms:
+        y, y2 = cod.mors[q]
+        v = cod.compose_path(theta[y2], q, cod.inv_of(theta[y]))
+        bwd_m[q] = preimage(bwd_o[y], bwd_o[y2], v)
+    unit_c = {a: preimage(a, bwd_o[f.omap[a]], theta[f.omap[a]]) for a in dom.objects}
+    return bwd_o, bwd_m, unit_c, theta
+
+
+def _same_entries(fun, omap, mmap):
+    assert list(fun.omap.items()) == list(omap.items())
+    assert list(fun.mmap.items()) == list(mmap.items())
+
+
+def _same_realized(m, src, tgt, omap, mmap, e, comps):
+    assert m.src is src and m.tgt is tgt
+    assert m.fun.dom is src.base and m.fun.cod is tgt.base
+    _same_entries(m.fun, omap, mmap)
+    assert m.e == e
+    assert list(m.eps.components.items()) == list(comps.items())
+
+
+def _acyclic(gen, pg):
+    """An acyclic fibration drawn as path-axioms draws one, but with rich
+    realizer types so that the witnesses are not all identities, and its
+    equivalence data, or None."""
+    fib = gen.acyclic_fibration(base=gen.assembly(base=gen.small_groupoid(2)))
+    eq = as_equivalence(pg, fib.morphism)
+    return None if eq is None else (fib, eq)
+
+
+@settings(max_examples=15, deadline=None)
+@given(SEEDS)
+def test_transports_match_the_hand_built_tables(seed):
+    gen = _gen(seed)
+    fib, _total = gen.split_fibration()
+    r = gen.r
+    for q in fib.tgt.base.morphisms:
+        fy, fy2, omap, mmap, comps = naive_transport(fib, q)
+        _same_realized(fib.transport(q), fy, fy2, omap, mmap,
+                       r.identity(fib.src.rtype), comps)
+
+
+@settings(max_examples=15, deadline=None)
+@given(SEEDS)
+def test_lifted_2cells_match_the_hand_built_tables(seed):
+    gen = _gen(seed)
+    pg = pgasm_interval(gen.r)
+    fib, _total = gen.split_fibration(base=gen.assembly(base=gen.small_groupoid(2)))
+    x = gen.assembly(base=gen.small_groupoid(2))
+    f = gen.morphism(x, fib.src)
+    assume(f is not None)
+    pf = compose_morphisms(fib.morphism, f)
+    g = gen.morphism(x, fib.tgt)
+    isos = [] if g is None else nat_isos_between(pf.fun, g.fun)
+    if not isos:
+        g, isos = pf, nat_isos_between(pf.fun, pf.fun)
+    phi = twocell_from_iso(pg, gen.rng.choice(isos), pf, g)
+    omap, mmap, comps, lifts = naive_lift_2cell(fib, phi, f)
+    phi_star, lifted = lift_2cell(fib, phi, f, pg)
+    _same_realized(phi_star, x, fib.src, omap, mmap, f.e, comps)
+    assert lifted.iso.src == f.fun and lifted.iso.tgt is phi_star.fun
+    assert list(lifted.iso.components.items()) == list(lifts.items())
+
+
+@settings(max_examples=15, deadline=None)
+@given(SEEDS)
+def test_sections_match_the_hand_built_tables(seed):
+    gen = _gen(seed)
+    pg = pgasm_interval(gen.r)
+    drawn = _acyclic(gen, pg)
+    assume(drawn is not None)
+    fib, eq = drawn
+    # any psi: F.G => id will do; the counit's inverse is the identity
+    # wherever G picks strict preimages, so draw one of all of them
+    fg, idy = compose_morphisms(fib.morphism, eq.bwd), identity_morphism(fib.tgt)
+    psi = twocell_from_iso(pg, gen.rng.choice(nat_isos_between(fg.fun, idy.fun)),
+                           fg, idy)
+    omap, mmap, comps = naive_pc7_section(fib, eq.bwd, psi)
+    _same_realized(pc7_section(fib, eq.bwd, psi), fib.tgt, fib.src,
+                   omap, mmap, eq.bwd.e, comps)
+
+
+@settings(max_examples=15, deadline=None)
+@given(SEEDS)
+def test_pullback_pseudoinverses_match_the_hand_built_tables(seed):
+    gen = _gen(seed)
+    pg = pgasm_interval(gen.r)
+    drawn = _acyclic(gen, pg)
+    assume(drawn is not None)
+    gfib, geq = drawn
+    x = gen.assembly(base=gen.small_groupoid(2))
+    f = gen.morphism(x, gfib.tgt)
+    assume(f is not None)
+    pairs = []
+    pair = ProductAssembly.pair
+
+    def spy(self, m1, m2):
+        pairs.append((self, m2))
+        return pair(self, m1, m2)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ProductAssembly, "pair", spy)
+        pb, _s_mor, _sigma = pc8_pseudoinverse(gfib, geq, f, pg)
+    [t_mor] = [m2 for prod, m2 in pairs if prod is pb]
+    omap, mmap, comps, e = naive_pc8_t(gfib, geq, f)
+    _same_realized(t_mor, x, gfib.src, omap, mmap, e, comps)
+
+
+@settings(max_examples=10, deadline=None)
+@given(SEEDS)
+def test_chosen_path_lifts_match_the_hand_built_functors(seed):
+    gen = _gen(seed)
+    pg = pgasm_interval(gen.r)
+    pod = path_object(gen.assembly(base=gen.small_groupoid(2)), pg)
+    found = []
+    obj_id = WeakExpObject.obj_id
+
+    def spy(self, F, point_id, eps):
+        found.append(F)
+        return obj_id(self, F, point_id, eps)
+
+    prod_base = pod.prod.asm.base
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(WeakExpObject, "obj_id", spy)
+        for oid in list(pod.pobj.asm.base.objects)[:3]:
+            for pm in prod_base.out_of(pod.st.fun.omap[oid]):
+                found.clear()
+                pod.chosen_lift(oid, pm)
+                ref = naive_chosen_lift_functor(pod, oid, pm)
+                # the reference lists the identities first; the lift lists
+                # the interval's morphisms in order, and the object index
+                # reads them in that order
+                assert found[-1] == ref
+                assert found[-1].omap == ref.omap and found[-1].mmap == ref.mmap
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 16))
+def test_dependent_transposes_match_the_hand_built_sections(seed):
+    # the weak-pi draws, with the sections of every transpose compared
+    drawn = []
+    transpose, obj_id = suites.dp_transpose, DepProd.obj_id
+
+    def spy_transpose(dp, r_mor, s, fw):
+        found = []
+        with pytest.MonkeyPatch.context() as inner:
+            inner.setattr(DepProd, "obj_id",
+                          lambda self, z, H, point, eps:
+                          found.append(H) or obj_id(self, z, H, point, eps))
+            out = transpose(dp, r_mor, s, fw)
+        drawn.append((found, naive_dp_sections(dp, r_mor, s, fw)))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(suites, "dp_transpose", spy_transpose)
+        run_suite("weak-pi", SuiteConfig(seed=seed, counts={"instances": 2}))
+    assume(drawn)
+    for found, refs in drawn:
+        assert len(found) == len(refs)
+        for fast, ref in zip(found, refs):
+            assert fast.dom is ref.dom and fast.cod is ref.cod
+            _same_entries(fast, ref.omap, ref.mmap)
+
+
+@settings(max_examples=25, deadline=None)
+@given(SEEDS)
+def test_equivalence_inverses_match_the_hand_built_tables(seed):
+    gen = _gen(seed)
+    x = gen.small_groupoid()
+    blow = codiscrete([f"{gen._tag()}b{i}" for i in range(gen.rng.randrange(1, 3))])
+    funs = [product(x, blow).p1,
+            gen.rng.choice(functors_between(x, gen.small_groupoid()))]
+    for fun in funs:
+        got, ref = equivalence_inverse(fun), naive_equivalence_inverse(fun)
+        if isinstance(ref, EquivalenceFailure):
+            assert got == ref
+            continue
+        bwd_o, bwd_m, unit_c, theta = ref
+        assert got.bwd.dom is fun.cod and got.bwd.cod is fun.dom
+        _same_entries(got.bwd, bwd_o, bwd_m)
+        assert list(got.unit.components.items()) == list(unit_c.items())
+        assert list(got.counit.components.items()) == list(theta.items())
