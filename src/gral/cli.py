@@ -146,7 +146,7 @@ def cmd_build(args) -> int:
             print("build pif: the inputs must be isofibrations",
                   file=sys.stderr)
             return EXIT_CHECK_FAILED
-        dp = dependent_product(g, f, max_objects=args.max_objects)
+        dp = dependent_product(g, f)
         _emit(textfmt.bundle_assembly(dp.asm), args.out)
         return EXIT_OK
     except (ParseError, StructuralError, BoundaryError, OSError) as exc:

@@ -13,7 +13,7 @@ from typing import Any, Optional
 
 from .errors import BoundaryError, SizeCapError, StructuralError
 from .groupoids import (
-    Cleavage, DEFAULT_CAPS, FinGroupoid, GFunctor, NatIso, Report,
+    Cleavage, DEFAULT_CAPS, FinGroupoid, GFunctor, NatIso, Report, _Deferred,
     composable_pairs, compose_functors, conjugate, functors_between,
     nat_isos_between,
 )
@@ -179,14 +179,16 @@ def dependent_product(g: FibrationData, f: FibrationData,
 
     g: X -> Y and f: Y -> Z are fibrations.  Objects over z are tuples of a
     strictly-over-Y section H of the homotopy fibre, a realizer point e and
-    a filler eps with (mu(e), eps) realizing H.
+    a filler eps with (mu(e), eps) realizing H.  The objects are capped by
+    max_objects, or else by the realizer's caps, and the morphisms by the
+    realizer's caps; the composition table is built on its first read.
     """
     if g.tgt != f.src:
         raise BoundaryError("the fibrations are not composable")
     r = g.src.r
-    cap = max_objects if max_objects is not None \
-        else getattr(r, "caps", DEFAULT_CAPS).max_objects
-    x_asm, y_asm, z_asm = g.src, g.tgt, f.tgt
+    caps = getattr(r, "caps", DEFAULT_CAPS)
+    cap = max_objects if max_objects is not None else caps.max_objects
+    x_asm, z_asm = g.src, f.tgt
     fibres = {z: homotopy_fibre(f.morphism, z) for z in z_asm.base.objects}
     bc = next(iter(fibres.values())).asm.rtype
     exp = r.exponential(bc, x_asm.rtype)
@@ -198,8 +200,8 @@ def dependent_product(g: FibrationData, f: FibrationData,
     count = 0
     point_left: dict[tuple[str, str], GFunctor] = {}
     for z, hf in fibres.items():
-        sections = [H for H in functors_between(hf.asm.base, x_asm.base)
-                    if compose_functors(g.morphism.fun, H) == hf.proj.fun]
+        sections = functors_between(hf.asm.base, x_asm.base,
+                                    over=(g.morphism.fun, hf.proj.fun))
         for po in pie.gpd.objects:
             key = (z, po)
             point_left[key] = compose_functors(
@@ -261,13 +263,7 @@ def dependent_product(g: FibrationData, f: FibrationData,
                                           pe2.mmap[fr.eps.components[oid2]])
                         for oid2 in hf.asm.base.objects})
                 target_fun, zeta1 = boundary[(ob, rmor)]
-                for psi in nat_isos_between(H, target_fun):
-                    vertical = all(
-                        g.morphism.fun.mmap[psi.components[oid2]]
-                        == y_asm.base.id_of(hf.proj.fun.omap[oid2])
-                        for oid2 in hf.asm.base.objects)
-                    if not vertical:
-                        continue
+                for psi in nat_isos_between(H, target_fun, over=g.morphism.fun):
                     for fpath in pie.gpd.hom(po, po2):
                         ok = all(
                             pxg.compose(zeta1[oid2],
@@ -279,29 +275,35 @@ def dependent_product(g: FibrationData, f: FibrationData,
                             continue
                         mid = f"e{mcount}"
                         mcount += 1
+                        if mcount > caps.max_morphisms:
+                            raise SizeCapError("dependent product morphisms",
+                                               mcount, caps.max_morphisms)
                         mors[mid] = (oa, ob)
                         mor_data[mid] = (rmor, psi, fpath)
                         mor_index[(oa, rmor, psi.key(), fpath)] = mid
 
-    # a composite is looked up by its key, whose psi part is the tuple of
-    # components psi2 after psi1 at the fibre objects of its source; per
-    # first factor m1 keep its source, r1, f1 and the pairs (F|r1 o, psi1 o)
-    xcomp, zcomp, fcomp = x_asm.base.comp, z_asm.base.comp, pie.gpd.comp
-    first: dict[str, tuple[str, str, str, list[tuple[str, str]]]] = {}
-    for m1, (r1, psi1, f1) in mor_data.items():
-        src = mors[m1][0]
-        fr1 = fmap(r1).fun.omap
-        first[m1] = (src, r1, f1, [
-            (fr1[o], psi1.components[o])
-            for o in fibres[obj_data[src][0]].asm.base.objects])
-    comp = {}
-    for m2, m1 in composable_pairs(mors):
-        r2, psi2, f2 = mor_data[m2]
-        c2 = psi2.components
-        src, r1, f1, cs = first[m1]
-        comp[(m2, m1)] = mor_index[(src, zcomp[(r2, r1)],
-                                    tuple([xcomp[(c2[o], c1)] for o, c1 in cs]),
-                                    fcomp[(f2, f1)])]
+    def build_comp() -> dict[tuple[str, str], str]:
+        # a composite is looked up by its key, whose psi part is the tuple of
+        # components psi2 after psi1 at the fibre objects of its source; per
+        # first factor m1 keep its source, r1, f1 and the pairs (F|r1 o, psi1 o)
+        xcomp, zcomp, fcomp = x_asm.base.comp, z_asm.base.comp, pie.gpd.comp
+        first: dict[str, tuple[str, str, str, list[tuple[str, str]]]] = {}
+        for m1, (r1, psi1, f1) in mor_data.items():
+            src = mors[m1][0]
+            fr1 = fmap(r1).fun.omap
+            first[m1] = (src, r1, f1, [
+                (fr1[o], psi1.components[o])
+                for o in fibres[obj_data[src][0]].asm.base.objects])
+        comp = {}
+        for m2, m1 in composable_pairs(mors):
+            r2, psi2, f2 = mor_data[m2]
+            c2 = psi2.components
+            src, r1, f1, cs = first[m1]
+            comp[(m2, m1)] = mor_index[(src, zcomp[(r2, r1)],
+                                        tuple([xcomp[(c2[o], c1)] for o, c1 in cs]),
+                                        fcomp[(f2, f1)])]
+        return comp
+
     ident = {}
     for oid, (z, H, po, eps) in obj_data.items():
         ident[oid] = mor_index[(oid, z_asm.base.id_of(z),
@@ -316,7 +318,7 @@ def dependent_product(g: FibrationData, f: FibrationData,
                          for oid2 in fibres[obj_data[tgt][0]].asm.base.objects])
         inv[mid] = mor_index[(tgt, z_asm.base.inv_of(rm), psi_inv,
                               pie.gpd.inv_of(fp))]
-    base = FinGroupoid(list(obj_data), mors, comp, ident, inv)
+    base = FinGroupoid(list(obj_data), mors, _Deferred(build_comp), ident, inv)
 
     rt_prod = r.product(z_asm.rtype, exp.obj)
     piz = z_asm.pi

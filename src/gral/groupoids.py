@@ -712,25 +712,46 @@ def _group_homs(dom: FinGroupoid, base: str, cod: FinGroupoid, cobase: str) -> l
 
 
 def functors_between(dom: FinGroupoid, cod: FinGroupoid,
-                     cap: Optional[int] = None) -> list[GFunctor]:
+                     cap: Optional[int] = None,
+                     over: Optional[tuple[GFunctor, GFunctor]] = None
+                     ) -> list[GFunctor]:
     """Every functor dom -> cod, enumerated deterministically.
 
     Per connected component: an image for the base object, a group
     homomorphism between vertex groups, and an image morphism for each
-    spanning-tree edge; the rest of the table is forced.
+    spanning-tree edge; the rest of the table is forced.  With over=(g, p)
+    only the functors H with g . H = p are listed, in the same order: a
+    choice is kept when g sends it where p sends what it is the image of,
+    which, g and p being functors, holds for all of H exactly when it holds
+    for these choices.
     """
+    if over is not None:
+        g, p = over
+        if (g.dom.serial, p.dom.serial) != (cod.serial, dom.serial) \
+                or g.cod.serial != p.cod.serial:
+            raise StructuralError("functor enumeration: boundary mismatch")
     comps = dom.components()
     per_comp: list[list[tuple]] = []
     for c in comps:
         choices: list[tuple] = []
-        for yb in sorted(cod.objects):
-            for rho in _group_homs(dom, c.base, cod, yb):
+        bases = sorted(cod.objects)
+        if over is not None:
+            bases = [yb for yb in bases if g.omap[yb] == p.omap[c.base]]
+        for yb in bases:
+            rhos = _group_homs(dom, c.base, cod, yb)
+            if over is not None:
+                rhos = [rho for rho in rhos
+                        if all(g.mmap[rho[e]] == p.mmap[e] for e in rho)]
+            for rho in rhos:
                 tree_imgs: list[list[tuple[str, str]]] = []
                 for x in c.objects:
                     if x == c.base:
                         continue
-                    opts = [(x, m) for m in sorted(cod.out_of(yb))]
-                    tree_imgs.append(opts)
+                    ms = sorted(cod.out_of(yb))
+                    if over is not None:
+                        px = p.mmap[c.tree[x]]
+                        ms = [m for m in ms if g.mmap[m] == px]
+                    tree_imgs.append([(x, m) for m in ms])
                 for pick in itertools.product(*tree_imgs):
                     choices.append((yb, rho, dict(pick)))
         per_comp.append(choices)
@@ -763,8 +784,13 @@ def functors_between(dom: FinGroupoid, cod: FinGroupoid,
     return out
 
 
-def nat_isos_between(F: GFunctor, G: GFunctor) -> list[NatIso]:
-    """Every natural isomorphism F => G (empty if none)."""
+def nat_isos_between(F: GFunctor, G: GFunctor,
+                     over: Optional[GFunctor] = None) -> list[NatIso]:
+    """Every natural isomorphism F => G (empty if none).
+
+    With over=g only the isos whose components g sends to identities are
+    listed, in the same order; each component is checked as it is built.
+    """
     if F.dom.serial != G.dom.serial or F.cod.serial != G.cod.serial:
         return []
     dom, cod = F.dom, F.cod
@@ -776,8 +802,12 @@ def nat_isos_between(F: GFunctor, G: GFunctor) -> list[NatIso]:
             assign = {}
             for x in c.objects:
                 t = c.tree[x]
-                assign[x] = cod.compose_path(G.mmap[t], cb, cod.inv_of(F.mmap[t]))
-            options.append(assign)
+                a = cod.compose_path(G.mmap[t], cb, cod.inv_of(F.mmap[t]))
+                if over is not None and not over.cod.is_identity(over.mmap[a]):
+                    break
+                assign[x] = a
+            else:
+                options.append(assign)
         per_comp.append(options)
     out: list[NatIso] = []
     for combo in itertools.product(*per_comp):

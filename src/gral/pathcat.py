@@ -15,7 +15,7 @@ from typing import Callable, Optional
 from .errors import BoundaryError, StructuralError
 from .groupoids import (
     Cleavage, EquivalenceData, FinGroupoid, GFunctor, LiftFailure, NatIso,
-    Report, compose_functors, conjugate, equivalence_inverse,
+    Report, _Deferred, compose_functors, conjugate, equivalence_inverse,
     identity_functor, identity_nat_iso, invert_nat_iso, iso_comma,
     isofibration_cleavage, pullback as gpd_pullback,
 )
@@ -61,8 +61,8 @@ class FibrationData:
             idy = self.tgt.base.id_of(y)
             objs = [o for o in base.objects if fun.omap[o] == y]
             mors = {m: base.mors[m] for m in base.morphisms if fun.mmap[m] == idy}
-            comp = {(g, f): h for (g, f), h in base.comp.items()
-                    if g in mors and f in mors}
+            comp = _Deferred(lambda: {(g, f): h for (g, f), h in base.comp.items()
+                                      if g in mors and f in mors})
             ident = {o: base.ident[o] for o in objs}
             inv = {m: base.inv[m] for m in mors}
             fb = FinGroupoid(objs, mors, comp, ident, inv)

@@ -631,15 +631,14 @@ def suite_weak_pi(cfg: SuiteConfig) -> Report:
         ffib = is_fibration(fm)
         if not isinstance(ffib, FibrationData):
             return None
-        dp = dependent_product(gfib, ffib, max_objects=cfg.caps.max_morphisms)
+        dp = dependent_product(gfib, ffib)
         w = gen.assembly(base=gen.small_groupoid(2), rtype=r.interval.I0)
         rw = gen.morphism(w, z)
         if rw is None:
             return None
         fw = pullback_assembly(ffib.morphism, rw)
-        for S in functors_between(fw.asm.base, gfib.src.base):
-            if compose_functors(gfib.morphism.fun, S) != fw.p1.fun:
-                continue
+        for S in functors_between(fw.asm.base, gfib.src.base,
+                                   over=(gfib.morphism.fun, fw.p1.fun)):
             s = realize(fw.asm, gfib.src, S)
             if s is not None:
                 break
@@ -715,7 +714,7 @@ def suite_modest_closure(cfg: SuiteConfig) -> Report:
         ffib = is_fibration(fm)
         if not isinstance(ffib, FibrationData):
             return None
-        dp = dependent_product(gfib, ffib, max_objects=cfg.caps.max_morphisms)
+        dp = dependent_product(gfib, ffib)
         return is_modest_fibration(dp.fib)[0]
 
     _held(rep, "pif-modest", n, pif, "dependent products")

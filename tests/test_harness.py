@@ -580,19 +580,25 @@ def test_cli_build_pathobj(tmp_path, r, capsys):
     capsys.readouterr()
 
 
-def test_cli_build_pif(tmp_path, r, capsys):
+def _pif_inputs(tmp_path, r, fibre=discrete(["s", "t"])):
+    """Bundles of fibrations g with the given fibre and f, for `build pif`."""
     def asm(base):
         i0 = r.interval.I0
         return Assembly(r, base, i0, functors_between(base, r.pi(i0).gpd)[0])
 
     z, y = asm(codiscrete(["z1", "z2"])), asm(codiscrete(["u", "v"]))
-    g = product_assembly(y, asm(discrete(["s", "t"]))).p1
+    g = product_assembly(y, asm(fibre)).p1
     f = next(m for m in (realize(y, z, F)
                          for F in functors_between(y.base, z.base))
              if m is not None and isinstance(is_fibration(m), FibrationData))
     gp, fp = tmp_path / "g.bundle", tmp_path / "f.bundle"
     gp.write_text(textfmt.bundle_morphism(g))
     fp.write_text(textfmt.bundle_morphism(f))
+    return gp, fp
+
+
+def test_cli_build_pif(tmp_path, r, capsys):
+    gp, fp = _pif_inputs(tmp_path, r)
     out = tmp_path / "pif.bundle"
     assert main(["build", "pif", str(gp), str(fp), "--out", str(out)]) == 0
     assert out.read_text() == (DATA / "pif.bundle").read_text()
@@ -602,6 +608,16 @@ def test_cli_build_pif(tmp_path, r, capsys):
     assert main(["build", "pif", str(fp), str(gp)]) == 2
     assert capsys.readouterr() == (
         "", "build: structural error: the fibrations are not composable\n")
+
+
+def test_cli_build_pif_refuses_more_morphisms_than_the_cap(tmp_path, r, capsys):
+    # the product has 64 morphisms, more than any groupoid built before it
+    gp, fp = _pif_inputs(tmp_path, r, codiscrete(["s", "t"]))
+    assert main(["--max-morphisms", "63", "build", "pif", str(gp), str(fp)]) == 2
+    assert capsys.readouterr() == (
+        "", "build: size cap: dependent product morphisms: 64 exceeds cap 63\n")
+    assert main(["--max-morphisms", "64", "build", "pif", str(gp), str(fp),
+                 "--out", str(tmp_path / "pif.bundle")]) == 0
 
 
 def test_cli_suite_exit_codes(tmp_path, capsys, monkeypatch):

@@ -13,7 +13,10 @@ natural isos, are held to the hand-built tables they replace, and so are
 its transposes and evaluations, built from the shared currying and
 evaluation tables.  The JSON writer is held to the `json.dumps` call it
 replaces, byte for byte.  Every transport along chosen lifts, now one
-conjugation, is held to the hand-written loop it replaces.  The fault
+conjugation, is held to the hand-written loop it replaces.  Functors and
+natural isos enumerated over a base are held to the full enumeration
+filtered, order included, and a fibre's table, built on first read, to the
+eager filter it replaces.  The fault
 injections show that each faster check can still fail, and that a product
 or pullback table, built and checked on its first read, fails there with
 the message eager construction gives.
@@ -424,6 +427,22 @@ def test_dependent_product_comp_matches_naive(seed):
         list(naive_dependent_product_comp(dp).items())
 
 
+@settings(max_examples=15, deadline=None)
+@given(SEEDS)
+def test_fibre_comp_matches_the_eager_filter(seed):
+    dp = _pif(_gen(seed))
+    assume(dp is not None)
+    fib, total = dp.fib, dp.asm.base
+    for z in fib.tgt.base.objects:
+        fb = fib.fibre(z).base
+        assert fb._comp is None  # built on first read, not at construction
+        idz = fib.tgt.base.id_of(z)
+        vertical = {m for m in total.morphisms if fib.morphism.fun.mmap[m] == idz}
+        assert list(fb.comp.items()) == [
+            ((g, f), h) for (g, f), h in total.comp.items()
+            if g in vertical and f in vertical]
+
+
 @settings(max_examples=20, deadline=None)
 @given(SEEDS)
 def test_weak_exponential_comp_matches_naive(seed):
@@ -438,6 +457,50 @@ def test_weak_exponential_comp_matches_naive(seed):
         assume(False)
     assert list(w.asm.base.comp.items()) == \
         list(naive_weak_exponential_comp(w).items())
+
+
+# --- enumeration over a base ----------------------------------------------
+
+def _over_base(gen):
+    """g: cod -> b and every functor dom -> cod, with dom possibly
+    disconnected; g is a projection half the time, as when sections of a
+    split fibration are enumerated, and otherwise any functor."""
+    dom, b = gen.groupoid(allow_product=False), gen.small_groupoid(2)
+    if gen.rng.random() < 0.5:
+        pr = product(b, gen.small_groupoid(2))
+        cod, g = pr.gpd, pr.p1
+    else:
+        cod = gen.small_groupoid()
+        g = gen.rng.choice(functors_between(cod, b))
+    return dom, cod, g, functors_between(dom, cod)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS)
+def test_functors_over_match_the_filtered_list(seed):
+    gen = _gen(seed)
+    dom, cod, g, every = _over_base(gen)
+    # half the time p lies under some functor, so that the list is not empty
+    p = compose_functors(g, gen.rng.choice(every)) if gen.rng.random() < 0.5 \
+        else gen.rng.choice(functors_between(dom, g.cod))
+    assert functors_between(dom, cod, over=(g, p)) == \
+        [H for H in every if compose_functors(g, H) == p]
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS)
+def test_nat_isos_over_match_the_vertical_filter(seed):
+    gen = _gen(seed)
+    dom, cod, g, every = _over_base(gen)
+    F = gen.rng.choice(every)
+    # half the time G lies over the functor F lies over, else over any
+    gf = compose_functors(g, F)
+    G = gen.rng.choice([H for H in every if compose_functors(g, H) == gf]
+                       if gen.rng.random() < 0.5 else every)
+    assert nat_isos_between(F, G, over=g) == [
+        n for n in nat_isos_between(F, G)
+        if all(g.mmap[n.components[x]] == g.cod.id_of(gf.omap[x])
+               for x in dom.objects)]
 
 
 # --- validation and structure --------------------------------------------
@@ -549,6 +612,47 @@ def test_squares_never_builds_its_largest_product(monkeypatch):
     assert max(sizes) == 262_144
     # nothing reads its table, so its builder never runs
     assert big._comp is None and big._build_comp is not None
+
+
+def _spy_dependent_products(monkeypatch, caps=SizeCaps()):
+    """Run modest-closure at its acceptance counts (seed 0), recording each
+    dependent product built and each size-cap refusal of one."""
+    made, refused = [], []
+    build = suites.dependent_product
+
+    def spy(*args):
+        try:
+            dp = build(*args)
+        except SizeCapError as exc:
+            refused.append(str(exc))
+            raise
+        made.append(dp)
+        return dp
+
+    monkeypatch.setattr(suites, "dependent_product", spy)
+    cfg = SuiteConfig(seed=0, caps=caps, counts={"instances": 10})
+    return run_suite("modest-closure", cfg), made, refused
+
+
+def test_modest_closure_never_builds_its_largest_dependent_product_table(monkeypatch):
+    rep, made, refused = _spy_dependent_products(monkeypatch)
+    assert rep.ok and not refused
+    big = max(made, key=lambda dp: len(dp.asm.base.morphisms))
+    assert len(big.asm.base.morphisms) == 1024
+    # is_modest reads only hom-sets, so the table is never built ...
+    assert all(dp.asm.base._comp is None for dp in made)
+    # ... and reading it afterwards gives the reference table
+    assert list(big.asm.base.comp.items()) == \
+        list(naive_dependent_product_comp(big).items())
+
+
+def test_dependent_product_refuses_more_morphisms_than_the_cap(monkeypatch):
+    # at the default caps seed 0 draws a 1,024-morphism product; under a
+    # 256-morphism cap it is refused and the suite draws another instance
+    rep, made, refused = _spy_dependent_products(monkeypatch, SizeCaps(64, 256))
+    assert rep.ok
+    assert refused == ["dependent product morphisms: 257 exceeds cap 256"]
+    assert max(len(dp.asm.base.morphisms) for dp in made) <= 256
 
 
 # --- fundamental groupoid -------------------------------------------------
