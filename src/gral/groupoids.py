@@ -122,7 +122,8 @@ class FinGroupoid:
     `comp`, before any entry is returned, when it is given as
     `_Deferred(build)` and built then.  The groupoid axioms themselves are
     checked by `validate_groupoid`, so deliberately broken tables can be
-    built for fault-injection tests.
+    built for fault-injection tests.  `factors` is the pair (X, Y) when
+    `product` made this groupoid as the full product X x Y, and else None.
 
     The scans over the tables visit only composable pairs: `out_of` and
     `into` list the morphisms at an object (an index built on first use),
@@ -132,7 +133,7 @@ class FinGroupoid:
 
     __slots__ = (
         "objects", "morphisms", "mors", "_comp", "_build_comp", "ident", "inv",
-        "serial", "_hom", "_adj", "_components", "_key",
+        "serial", "_hom", "_adj", "_components", "_key", "factors",
     )
 
     def __init__(
@@ -153,6 +154,7 @@ class FinGroupoid:
         self._adj: Optional[tuple[dict, dict]] = None  # by source, by target
         self._components = None
         self._key = None
+        self.factors: Optional[tuple[FinGroupoid, FinGroupoid]] = None
         self._check_structure()
         if type(comp) is _Deferred:
             self._comp = None  # built and checked on the first read of `comp`
@@ -531,7 +533,13 @@ def compose_functors(g: GFunctor, f: GFunctor) -> GFunctor:
 
 
 def is_functor(f: GFunctor) -> Report:
-    """Total-table scan of functor laws."""
+    """Scan of the functor laws over the total tables.
+
+    Out of a full product, composition is first checked on a generating set
+    (`_preserves_product_generators`), which leaves the product's own table
+    unbuilt; only when that check fails does the whole table get scanned,
+    so a failing report names the pairs it always named.
+    """
     rep = Report()
     dom, cod = f.dom, f.cod
     for x in dom.objects:
@@ -550,11 +558,54 @@ def is_functor(f: GFunctor) -> Report:
     for x in dom.objects:
         if f.mmap[dom.id_of(x)] != cod.id_of(f.omap[x]):
             rep.add("functor-id", False, f"identity at {x} not preserved")
+    if rep.ok and dom.factors is not None and _preserves_product_generators(f):
+        return rep
     ccomp = cod.comp
     for (g, m), h in dom.comp.items():
         if ccomp[(f.mmap[g], f.mmap[m])] != f.mmap[h]:
             rep.add("functor-comp", False, f"composition {g}o{m} not preserved")
     return rep
+
+
+def _preserves_product_generators(f: GFunctor) -> bool:
+    """Whether F(s . p) = F(s) . F(p) for every generator s of the full
+    product X x Y = F.dom, (m, id_b) or (id_a, n), and every p composable
+    with s.
+
+    For an F that preserves identities this is every composite: each
+    morphism (m, n) is (m, id) . (id, n), so induction on the length of a
+    word in the generators gives F(q . p) = F(q) . F(p).  Each s . p is read
+    off the factor tables, so the product's own table is not built.
+    """
+    x, y = f.dom.factors
+    ccomp = f.cod.comp
+    xcomp, ycomp = x.comp, y.comp
+    xinto, yinto = x._adjacency()[1], y._adjacency()[1]
+    # F (m, n) is row[m][n]
+    row = {m: {n: f.mmap[pair_id(m, n)] for n in y.morphisms} for m in x.morphisms}
+    # s = (g, id_b): s . (m, n) = (g . m, id_b . n)
+    for b in y.objects:
+        idb = y.ident[b]
+        ns = [(n, ycomp[(idb, n)]) for n in yinto.get(b, ())]
+        for g, (a, _) in x.mors.items():
+            fs = row[g][idb]
+            for m in xinto.get(a, ()):
+                fm, fgm = row[m], row[xcomp[(g, m)]]
+                for n, sn in ns:
+                    if ccomp[(fs, fm[n])] != fgm[sn]:
+                        return False
+    # s = (id_a, h): s . (m, n) = (id_a . m, h . n)
+    for a in x.objects:
+        ida = x.ident[a]
+        ms = [(row[m], row[xcomp[(ida, m)]]) for m in xinto.get(a, ())]
+        for h, (b, _) in y.mors.items():
+            fs = row[ida][h]
+            for n in yinto.get(b, ()):
+                hn = ycomp[(h, n)]
+                for fm, fsm in ms:
+                    if ccomp[(fs, fm[n])] != fsm[hn]:
+                        return False
+    return True
 
 
 class NatIso:
@@ -684,29 +735,32 @@ def _generating_words(g: FinGroupoid, base: str) -> tuple[list[str], dict[str, l
     return gens, words
 
 
-def _group_homs(dom: FinGroupoid, base: str, cod: FinGroupoid, cobase: str) -> list[dict[str, str]]:
-    """All group homomorphisms hom(base,base) -> hom(cobase,cobase)."""
+def _group_homs(dom: FinGroupoid, base: str, cod: FinGroupoid, cobase: str,
+                gens_words: tuple[list[str], dict[str, list[str]]]
+                ) -> list[dict[str, str]]:
+    """All group homomorphisms hom(base,base) -> hom(cobase,cobase), given
+    `_generating_words(dom, base)`.
+
+    The map a choice of generator images induces on words is checked only
+    at the products a . s with s a generator: the words cover the group and
+    the identity's word is empty, so by induction on word length it then
+    respects every product a . b.
+    """
     G = dom.hom(base, base)
     H = cod.hom(cobase, cobase)
-    gens, words = _generating_words(dom, base)
+    gens, words = gens_words
+    steps = [(a, s, dom.compose(a, s)) for a in G for s in gens]
     out: list[dict[str, str]] = []
     for images in itertools.product(H, repeat=len(gens)):
         table = dict(zip(gens, images))
         hom_map = {}
-        ok = True
         for e in G:
             img = cod.id_of(cobase)
             for s in words[e]:
                 img = cod.compose(img, table[s])
             hom_map[e] = img
-        for a in G:
-            for b in G:
-                if cod.compose(hom_map[a], hom_map[b]) != hom_map[dom.compose(a, b)]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if all(cod.compose(hom_map[a], hom_map[s]) == hom_map[a_s]
+               for a, s, a_s in steps):
             out.append(hom_map)
     return out
 
@@ -737,8 +791,9 @@ def functors_between(dom: FinGroupoid, cod: FinGroupoid,
         bases = sorted(cod.objects)
         if over is not None:
             bases = [yb for yb in bases if g.omap[yb] == p.omap[c.base]]
+        gens_words = _generating_words(dom, c.base)
         for yb in bases:
-            rhos = _group_homs(dom, c.base, cod, yb)
+            rhos = _group_homs(dom, c.base, cod, yb, gens_words)
             if over is not None:
                 rhos = [rho for rho in rhos
                         if all(g.mmap[rho[e]] == p.mmap[e] for e in rho)]
@@ -755,16 +810,20 @@ def functors_between(dom: FinGroupoid, cod: FinGroupoid,
                 for pick in itertools.product(*tree_imgs):
                     choices.append((yb, rho, dict(pick)))
         per_comp.append(choices)
+    # each morphism f: s -> t as tree[t] . e . tree[s]^-1, e in the vertex
+    # group of its component's base, with the index of that component
+    at = {x: i for i, c in enumerate(comps) for x in c.objects}
+    forms = []
+    for f, (s, t) in dom.mors.items():
+        tree = comps[at[s]].tree
+        forms.append((f, s, t, at[s],
+                      dom.compose_path(dom.inv_of(tree[t]), f, tree[s])))
     out: list[GFunctor] = []
     for combo in itertools.product(*per_comp):
         omap: dict[str, str] = {}
         tree_map: dict[str, str] = {}
-        rho_of: dict[str, dict[str, str]] = {}
-        base_of: dict[str, str] = {}
         for c, (yb, rho, picks) in zip(comps, combo):
             for x in c.objects:
-                base_of[x] = c.base
-                rho_of[x] = rho
                 if x == c.base:
                     omap[x] = yb
                     tree_map[x] = cod.id_of(yb)
@@ -773,11 +832,9 @@ def functors_between(dom: FinGroupoid, cod: FinGroupoid,
                     omap[x] = cod.tgt(m)
                     tree_map[x] = m
         mmap: dict[str, str] = {}
-        for f in dom.morphisms:
-            s, t = dom.mors[f]
-            c = next(cc for cc in comps if s in cc.objects)
-            g = dom.compose_path(dom.inv_of(c.tree[t]), f, c.tree[s])
-            mmap[f] = cod.compose_path(tree_map[t], rho_of[s][g], cod.inv_of(tree_map[s]))
+        for f, s, t, i, e in forms:
+            mmap[f] = cod.compose_path(tree_map[t], combo[i][1][e],
+                                       cod.inv_of(tree_map[s]))
         out.append(GFunctor(dom, cod, omap, mmap))
         if cap is not None and len(out) > cap:
             raise SizeCapError("functor enumeration", len(out), cap)
@@ -901,8 +958,10 @@ def product(x: FinGroupoid, y: FinGroupoid, caps: SizeCaps = DEFAULT_CAPS) -> Pr
         raise SizeCapError("product objects", n_obj, caps.max_objects)
     if n_mor > caps.max_morphisms:
         raise SizeCapError("product morphisms", n_mor, caps.max_morphisms)
-    return _paired(x, y, [(a, b) for a in x.objects for b in y.objects],
-                   [(m, n) for m in x.morphisms for n in y.morphisms])
+    p = _paired(x, y, [(a, b) for a in x.objects for b in y.objects],
+                [(m, n) for m in x.morphisms for n in y.morphisms])
+    p.gpd.factors = (x, y)
+    return p
 
 
 def pullback(f: GFunctor, g: GFunctor) -> ProductGpd:

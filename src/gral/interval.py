@@ -18,8 +18,8 @@ from typing import Any, Callable, Optional
 from .errors import BoundaryError, CapabilityError, StructuralError
 from .groupoids import (
     DEFAULT_CAPS, ExpGpd, FinGroupoid, GFunctor, NatIso, ProductGpd, Report,
-    SizeCaps, _codiscrete, composable_pairs, compose_functors, curry, evaluation,
-    exponential as gpd_exponential, functors_between, identity_functor,
+    SizeCaps, _Deferred, _codiscrete, composable_pairs, compose_functors, curry,
+    evaluation, exponential as gpd_exponential, functors_between, identity_functor,
     product as gpd_product, terminal_groupoid,
 )
 
@@ -239,8 +239,8 @@ class PiData:
     path_of: dict[str, Map]
 
 
-def _points_and_paths(r: RealizerCategory, a) -> tuple[dict, dict]:
-    """The points and paths of a, keyed by their Pi ids."""
+def _build_pi(r: RealizerCategory, a) -> PiData:
+    """Pi(a) by the paper's construction, against the primitives alone."""
     iv = r.interval
     point_maps, path_maps = r.hom(iv.I0, a), r.hom(iv.I1, a)
     points = {r.pi_obj_id(p): p for p in point_maps}
@@ -248,12 +248,6 @@ def _points_and_paths(r: RealizerCategory, a) -> tuple[dict, dict]:
     if len(points) < len(point_maps) or len(paths) < len(path_maps):
         raise StructuralError("fundamental groupoid: two points or two paths "
                               "share an identifier")
-    return points, paths
-
-
-def _build_pi(r: RealizerCategory, a) -> PiData:
-    """Pi(a) by the paper's construction, against the primitives alone."""
-    points, paths = _points_and_paths(r, a)
     mors = {m: (r.pi_obj_id(r.path_src(al)), r.pi_obj_id(r.path_tgt(al)))
             for m, al in paths.items()}
     comp = {(m2, m1): r.pi_mor_id(r.path_compose(paths[m2], paths[m1]))
@@ -503,6 +497,8 @@ class GpdRealizer(RealizerCategory):
 
     `discrete=True` degenerates the interval to the terminal groupoid
     (I1 = I2 = I3 = I0), which recovers the classical discrete situation.
+    What needs the walking isomorphism's generator (filled squares and
+    cells, cylinders, Pi(A) = A) raises CapabilityError there.
     """
 
     def __init__(self, caps: SizeCaps = DEFAULT_CAPS, discrete: bool = False):
@@ -616,7 +612,7 @@ class GpdRealizer(RealizerCategory):
     def fill_square(self, top, bottom, left, right) -> GFunctor:
         """The cylinder of top => bottom, with components left and right."""
         if self.discrete:
-            return top
+            raise CapabilityError("square filling requires the standard interval")
         c = top.cod
         if (left.omap["0"] != top.omap["0"] or right.omap["0"] != top.omap["1"]
                 or left.omap["1"] != bottom.omap["0"]
@@ -632,7 +628,7 @@ class GpdRealizer(RealizerCategory):
         """The unique cell with the given boundary: the cylinder of
         top.body => bottom.body, with the components of left and right."""
         if self.discrete:
-            return sq.top.body
+            raise CapabilityError("cell filling requires the standard interval")
         sq.check()
         pa = self.product(sq.top.a, self.interval.I1).raw
         sides = {"0": nat_iso_from_homotopy(sq.left).components,
@@ -645,22 +641,37 @@ class GpdRealizer(RealizerCategory):
     def build_pi(self, a: FinGroupoid) -> PiData:
         """Pi(a) as a's tables relabelled.
 
-        A path I1 -> a is fixed by the morphism g it sends the generator to,
-        and its id is "path:" + g, so each table of Pi(a) is a's table
-        relabelled, in the entry order `_build_pi` gives it.  The discrete
-        interval has no generator and keeps the generic build.
+        A point I0 -> a is fixed by the object x it picks, and its id is
+        "pt:" + x; a path I1 -> a is fixed by the morphism g it sends the
+        generator to, and its id is "path:" + g.  So the points and paths
+        are built from a's objects and morphisms, in the order
+        `functors_between` lists them, and each table of Pi(a) is a's table
+        relabelled, in the entry order `_build_pi` gives it; the composition
+        table is built on first read.  The discrete interval has no
+        generator and keeps the generic build.
         """
         if self.discrete:
             return super().build_pi(a)
-        points, paths = _points_and_paths(self, a)
-        gen = {m: al.mmap["p01"] for m, al in paths.items()}
-        mors = {m: ("pt:" + al.omap["0"], "pt:" + al.omap["1"])
-                for m, al in paths.items()}
-        comp = {(m2, m1): "path:" + a.compose(gen[m2], gen[m1])
-                for m2, m1 in composable_pairs(mors)}
-        ident = {o: "path:" + a.id_of(p.omap["0"]) for o, p in points.items()}
+        iv = self.interval
+        points, ident, paths, gen, mors = {}, {}, {}, {}, {}
+        for x in sorted(a.objects):
+            points["pt:" + x] = GFunctor(iv.I0, a, {"0": x}, {"id_0": a.id_of(x)})
+            ident["pt:" + x] = "path:" + a.id_of(x)
+            for g in sorted(a.out_of(x)):
+                t, m = a.tgt(g), "path:" + g
+                # entries in I1.morphisms order, as functors_between gives them
+                paths[m] = GFunctor(iv.I1, a, {"0": x, "1": t},
+                                    {"id_0": a.id_of(x), "p01": g,
+                                     "p10": a.inv_of(g), "id_1": a.id_of(t)})
+                gen[m] = g
+                mors[m] = ("pt:" + x, "pt:" + t)
+
+        def build():
+            return {(m2, m1): "path:" + a.compose(gen[m2], gen[m1])
+                    for m2, m1 in composable_pairs(mors)}
+
         inv = {m: "path:" + a.inv_of(g) for m, g in gen.items()}
-        gpd = FinGroupoid(sorted(points), mors, comp, ident, inv)
+        gpd = FinGroupoid(sorted(points), mors, _Deferred(build), ident, inv)
         return PiData(gpd, points, paths)
 
     def pi_map(self, f: GFunctor) -> GFunctor:
@@ -687,22 +698,25 @@ class GpdExp(ExpObj):
 
 def _chain_functor(dom: FinGroupoid, cod: FinGroupoid,
                    omap: dict[str, str], gen: dict[str, str]) -> GFunctor:
-    """Extend generator images p{k}{k+1} to the full chain groupoid table."""
-    mmap: dict[str, str] = {}
+    """Extend generator images p{k}{k+1} to the full chain groupoid table.
+
+    p{i}{j} for i < j is gen[p{j-1}{j}] . p{i}{j-1}, from p{i}{i} the
+    identity, and p{j}{i} is its inverse; the entries come identities
+    first, then i-major.
+    """
     objs = sorted(dom.objects, key=int)
-    for x in objs:
-        mmap[dom.id_of(x)] = cod.id_of(omap[x])
+    mmap = {dom.id_of(x): cod.id_of(omap[x]) for x in objs}
+    up: dict[tuple[int, int], str] = {}
+    for i in range(len(objs)):
+        m = cod.id_of(omap[str(i)])
+        for j in range(i + 1, len(objs)):
+            m = up[i, j] = cod.compose(gen[f"p{j - 1}{j}"], m)
     for i in range(len(objs)):
         for j in range(len(objs)):
-            if i == j:
-                continue
-            lo, hi = min(i, j), max(i, j)
-            m = cod.id_of(omap[str(lo)])
-            for k in range(lo, hi):
-                m = cod.compose(gen[f"p{k}{k + 1}"], m)
-            if i > j:
-                m = cod.inv_of(m)
-            mmap[f"p{i}{j}"] = m
+            if i < j:
+                mmap[f"p{i}{j}"] = up[i, j]
+            elif i > j:
+                mmap[f"p{i}{j}"] = cod.inv_of(up[j, i])
     return GFunctor(dom, cod, omap, mmap)
 
 
@@ -756,7 +770,10 @@ def nat_iso_functor_form(r: GpdRealizer, n: NatIso,
     `i1` is the walking-iso groupoid used for the cylinder; it defaults to
     the realizer interval but may be any chain_groupoid(1) copy.
     """
-    i1 = i1 if i1 is not None else r.interval.I1
+    if i1 is None:
+        if r._i1_gen is None:
+            raise CapabilityError("cylinders require the standard interval")
+        i1 = r.interval.I1
     F, G = n.src, n.tgt
     x, y = F.dom, F.cod
     pa = r.product(x, i1).raw

@@ -4,9 +4,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gral.errors import BoundaryError
+from gral import suites
+from gral.errors import BoundaryError, CapabilityError
+from gral.generators import SuiteConfig
 from gral.groupoids import (
-    NatIso, codiscrete, compose_functors, cyclic_group, disjoint_union,
+    NatIso, Report, codiscrete, compose_functors, cyclic_group, disjoint_union,
     functors_between, identity_functor, is_functor, is_nat_iso,
     nat_isos_between, validate_groupoid,
 )
@@ -200,6 +202,29 @@ def test_pi_iso_base(r):
         assert sorted(iso.mmap.values()) == sorted(a.morphisms)
         assert len(pa.gpd.objects) == len(a.objects)
         assert len(pa.gpd.morphisms) == len(a.morphisms)
+
+
+def test_discrete_interval_refuses_squares_and_cylinders():
+    rd = gpd_discrete_interval()
+    a = codiscrete(["a", "b"])
+    f = identity_functor(a)
+    pt = rd.terminal_map(rd.interval.I1)
+    with pytest.raises(CapabilityError):
+        rd.fill_square(pt, pt, pt, pt)
+    with pytest.raises(CapabilityError):
+        homotopy_from_nat_iso(rd, NatIso(f, f, {x: a.id_of(x) for x in a.objects}))
+
+
+def test_every_suite_reports_or_refuses_under_the_discrete_interval(monkeypatch):
+    # the operations the degenerate interval lacks refuse with
+    # CapabilityError instead of ending in a KeyError traceback
+    monkeypatch.setattr(suites, "gpd_interval", gpd_discrete_interval)
+    for name in suites.SUITES:
+        try:
+            rep = suites.run_suite(name, SuiteConfig(seed=0))
+        except CapabilityError:
+            continue
+        assert isinstance(rep, Report), name
 
 
 def test_discrete_interval_pi_is_discrete():

@@ -16,12 +16,16 @@ replaces, byte for byte.  Every transport along chosen lifts, now one
 conjugation, is held to the hand-written loop it replaces.  Functors and
 natural isos enumerated over a base are held to the full enumeration
 filtered, order included, and a fibre's table, built on first read, to the
-eager filter it replaces.  The fault
+eager filter it replaces.  Functor enumeration, the vertex-group
+homomorphism check, chain functors and `is_functor` out of full products,
+which now work from generators, are held to copies of the per-functor,
+all-pairs, per-entry and whole-table code they replace.  The fault
 injections show that each faster check can still fail, and that a product
 or pullback table, built and checked on its first read, fails there with
 the message eager construction gives.
 """
 
+import itertools
 import json
 import random
 
@@ -39,16 +43,18 @@ from gral.errors import BoundaryError, SizeCapError, StructuralError
 from gral.generators import Gen
 from gral import groupoids
 from gral.groupoids import (
-    EquivalenceFailure, FinGroupoid, GFunctor, NatIso, SizeCaps, _Deferred,
-    codiscrete, compose_functors, cyclic_group, discrete, equivalence_inverse,
-    exponential, functors_between, invert_nat_iso, iso_comma,
-    nat_isos_between, pair_id, product, pullback, triple_id,
-    validate_groupoid, vcompose_nat_isos,
+    EquivalenceFailure, FinGroupoid, GFunctor, NatIso, Report, SizeCaps,
+    _Deferred, _generating_words, _group_homs, codiscrete, compose_functors,
+    cyclic_group, discrete, disjoint_union, equivalence_inverse, exponential,
+    functors_between, identity_functor, invert_nat_iso, is_functor, iso_comma,
+    nat_isos_between, pair_id, product, pullback, triple_id, validate_groupoid,
+    vcompose_nat_isos,
 )
 from gral.generators import SuiteConfig
 from gral.interval import (
-    GpdRealizer, PiData, RealizerCategory, _build_pi, check_cogroupoid,
-    gpd_discrete_interval, gpd_interval, path_of_morphism, restriction_counts,
+    GpdRealizer, PiData, RealizerCategory, _build_pi, _chain_functor,
+    check_cogroupoid, gpd_discrete_interval, gpd_interval, path_of_morphism,
+    restriction_counts,
 )
 from gral.pathcat import (
     FibrationData, as_equivalence, is_fibration, lift_2cell, path_object,
@@ -332,6 +338,133 @@ def naive_eval(raw, target, fun_of, iso_of):
     return GFunctor(raw.p1.dom, target, omap, mmap)
 
 
+def naive_group_homs(dom, base, cod, cobase):
+    """`_group_homs` as it was: the homomorphism law checked on all pairs."""
+    G = dom.hom(base, base)
+    H = cod.hom(cobase, cobase)
+    gens, words = _generating_words(dom, base)
+    out = []
+    for images in itertools.product(H, repeat=len(gens)):
+        table = dict(zip(gens, images))
+        hom_map = {}
+        ok = True
+        for e in G:
+            img = cod.id_of(cobase)
+            for s in words[e]:
+                img = cod.compose(img, table[s])
+            hom_map[e] = img
+        for a in G:
+            for b in G:
+                if cod.compose(hom_map[a], hom_map[b]) != hom_map[dom.compose(a, b)]:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            out.append(hom_map)
+    return out
+
+
+def naive_functors_between(dom, cod, over=None):
+    """`functors_between` as it was: every morphism's normal form, and its
+    component, found again for each functor listed."""
+    if over is not None:
+        g, p = over
+    comps = dom.components()
+    per_comp = []
+    for c in comps:
+        choices = []
+        bases = sorted(cod.objects)
+        if over is not None:
+            bases = [yb for yb in bases if g.omap[yb] == p.omap[c.base]]
+        for yb in bases:
+            rhos = naive_group_homs(dom, c.base, cod, yb)
+            if over is not None:
+                rhos = [rho for rho in rhos
+                        if all(g.mmap[rho[e]] == p.mmap[e] for e in rho)]
+            for rho in rhos:
+                tree_imgs = []
+                for x in c.objects:
+                    if x == c.base:
+                        continue
+                    ms = sorted(cod.out_of(yb))
+                    if over is not None:
+                        px = p.mmap[c.tree[x]]
+                        ms = [m for m in ms if g.mmap[m] == px]
+                    tree_imgs.append([(x, m) for m in ms])
+                for pick in itertools.product(*tree_imgs):
+                    choices.append((yb, rho, dict(pick)))
+        per_comp.append(choices)
+    out = []
+    for combo in itertools.product(*per_comp):
+        omap, tree_map, rho_of = {}, {}, {}
+        for c, (yb, rho, picks) in zip(comps, combo):
+            for x in c.objects:
+                rho_of[x] = rho
+                if x == c.base:
+                    omap[x] = yb
+                    tree_map[x] = cod.id_of(yb)
+                else:
+                    m = picks[x]
+                    omap[x] = cod.tgt(m)
+                    tree_map[x] = m
+        mmap = {}
+        for f in dom.morphisms:
+            s, t = dom.mors[f]
+            c = next(cc for cc in comps if s in cc.objects)
+            e = dom.compose_path(dom.inv_of(c.tree[t]), f, c.tree[s])
+            mmap[f] = cod.compose_path(tree_map[t], rho_of[s][e], cod.inv_of(tree_map[s]))
+        out.append(GFunctor(dom, cod, omap, mmap))
+    return out
+
+
+def naive_is_functor(f):
+    """`is_functor` as it was: composition checked on the domain's whole table."""
+    rep = Report()
+    dom, cod = f.dom, f.cod
+    for x in dom.objects:
+        if f.omap.get(x) not in cod.ident:
+            rep.add("omap", False, f"object {x} maps to nothing in codomain")
+    for m in dom.morphisms:
+        fm = f.mmap.get(m)
+        if fm is None or fm not in cod.mors:
+            rep.add("mmap", False, f"morphism {m} maps to nothing in codomain")
+            continue
+        s, t = dom.mors[m]
+        if cod.mors[fm] != (f.omap.get(s), f.omap.get(t)):
+            rep.add("mmap-typing", False, f"image of {m} has wrong endpoints")
+    if not rep.ok:
+        return rep
+    for x in dom.objects:
+        if f.mmap[dom.id_of(x)] != cod.id_of(f.omap[x]):
+            rep.add("functor-id", False, f"identity at {x} not preserved")
+    for (g, m), h in dom.comp.items():
+        if cod.comp[(f.mmap[g], f.mmap[m])] != f.mmap[h]:
+            rep.add("functor-comp", False, f"composition {g}o{m} not preserved")
+    return rep
+
+
+def naive_chain_functor(dom, cod, omap, gen):
+    """`_chain_functor` as it was: each chain composed again from the
+    generators, and again before it is inverted."""
+    mmap = {}
+    objs = sorted(dom.objects, key=int)
+    for x in objs:
+        mmap[dom.id_of(x)] = cod.id_of(omap[x])
+    for i in range(len(objs)):
+        for j in range(len(objs)):
+            if i == j:
+                continue
+            lo, hi = min(i, j), max(i, j)
+            m = cod.id_of(omap[str(lo)])
+            for k in range(lo, hi):
+                m = cod.compose(gen[f"p{k}{k + 1}"], m)
+            if i > j:
+                m = cod.inv_of(m)
+            mmap[f"p{i}{j}"] = m
+    return GFunctor(dom, cod, omap, mmap)
+
+
 # --- generated inputs -----------------------------------------------------
 
 def _gen(seed):
@@ -503,6 +636,152 @@ def test_nat_isos_over_match_the_vertical_filter(seed):
                for x in dom.objects)]
 
 
+# --- work from generators -------------------------------------------------
+
+def _enumeration_pair(gen):
+    """A domain of up to three components, one of them, half the time,
+    with a vertex group that needs two generators, and a small codomain."""
+    dom = gen.groupoid()
+    if gen.rng.random() < 0.5:
+        klein = product(cyclic_group(2, gen._tag()), cyclic_group(2, gen._tag()))
+        dom = disjoint_union([dom, klein.gpd])
+    return dom, gen.small_groupoid()
+
+
+def _listed(fs):
+    return [(F.dom.serial, F.cod.serial, list(F.omap.items()), list(F.mmap.items()))
+            for F in fs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS)
+def test_functors_between_matches_the_per_functor_loop(seed):
+    dom, cod = _enumeration_pair(_gen(seed))
+    try:
+        fast = functors_between(dom, cod, cap=2000)
+    except SizeCapError:
+        assume(False)
+    assert _listed(fast) == _listed(naive_functors_between(dom, cod))
+
+
+@settings(max_examples=40, deadline=None)
+@given(SEEDS)
+def test_functors_over_match_the_per_functor_loop(seed):
+    gen = _gen(seed)
+    dom, cod, g, every = _over_base(gen)
+    p = compose_functors(g, gen.rng.choice(every)) if gen.rng.random() < 0.5 \
+        else gen.rng.choice(functors_between(dom, g.cod))
+    assert _listed(every) == _listed(naive_functors_between(dom, cod))
+    assert _listed(functors_between(dom, cod, over=(g, p))) == \
+        _listed(naive_functors_between(dom, cod, over=(g, p)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEEDS)
+def test_group_homs_match_the_all_pairs_check(seed):
+    dom, cod = _enumeration_pair(_gen(seed))
+    for c in dom.components():
+        gens_words = _generating_words(dom, c.base)
+        for yb in cod.objects:
+            fast = _group_homs(dom, c.base, cod, yb, gens_words)
+            ref = naive_group_homs(dom, c.base, cod, yb)
+            assert [list(h.items()) for h in fast] == [list(h.items()) for h in ref]
+
+
+def _swap_one_image(gen, F):
+    """F with one morphism's image swapped for a parallel morphism, if any."""
+    cod = F.cod
+    swaps = [(m, v) for m in F.dom.morphisms
+             for v in cod.hom(*cod.mors[F.mmap[m]]) if v != F.mmap[m]]
+    if not swaps:
+        return F
+    m, v = gen.rng.choice(swaps)
+    return GFunctor(F.dom, cod, F.omap, {**F.mmap, m: v})
+
+
+def _product_functor(gen):
+    """A functor out of a fresh full product x * y, its table unbuilt, and
+    often broken: one of the hom-set with, half the time, one image
+    swapped, or a pair of functors out of the factors with, half the time,
+    one image of one of them swapped, so that composition fails along that
+    factor alone."""
+    x, y = gen.small_groupoid(), gen.small_groupoid()
+    if gen.rng.random() < 0.5:
+        try:
+            F = gen.rng.choice(functors_between(product(x, y).gpd,
+                                                gen.small_groupoid(), cap=500))
+        except SizeCapError:
+            pass
+        else:
+            F = GFunctor(product(x, y).gpd, F.cod, F.omap, F.mmap)
+            return _swap_one_image(gen, F) if gen.rng.random() < 0.5 else F
+    legs = [gen.rng.choice(functors_between(x, gen.small_groupoid())),
+            gen.rng.choice(functors_between(y, gen.small_groupoid()))]
+    if gen.rng.random() < 0.5:
+        k = gen.rng.randrange(2)
+        legs[k] = _swap_one_image(gen, legs[k])
+    f, g = legs
+    pr = product(x, y)
+    return product(f.cod, g.cod).pair(compose_functors(f, pr.p1),
+                                      compose_functors(g, pr.p2))
+
+
+def _report_entries(rep):
+    return [(e.name, e.ok, e.detail, e.counterexample) for e in rep.entries]
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS)
+def test_is_functor_on_products_matches_the_whole_table_scan(seed):
+    gen = _gen(seed)
+    F = _product_functor(gen)
+    assert F.dom.factors is not None and F.dom._comp is None
+    built = gen.rng.random() < 0.5
+    if built:
+        F.dom.comp
+    rep = is_functor(F)
+    if rep.ok and not built:
+        assert F.dom._comp is None  # checked on generators alone
+    assert _report_entries(rep) == _report_entries(naive_is_functor(F))
+
+
+@pytest.mark.parametrize("broken", [0, 1])
+def test_is_functor_on_a_product_fails_along_either_factor(broken):
+    # F = f x g with one image of leg `broken` swapped: composition then
+    # fails along that factor's generators alone
+    factors = [cyclic_group(3), codiscrete(["a", "b"])]
+    if broken:
+        factors.reverse()
+    pr = product(*factors)
+    legs = [identity_functor(x) for x in factors]
+    z3 = legs[broken]
+    legs[broken] = GFunctor(z3.dom, z3.cod, z3.omap, {**z3.mmap, "z1": "z2"})
+    bad = product(*factors).pair(compose_functors(legs[0], pr.p1),
+                                 compose_functors(legs[1], pr.p2))
+    assert is_functor(pr.p1).ok and pr.gpd._comp is None
+    rep = is_functor(bad)
+    assert not rep.ok and {e.name for e in rep.entries} == {"functor-comp"}
+    assert _report_entries(rep) == _report_entries(naive_is_functor(bad))
+    # a pullback records no factors and keeps the whole-table scan
+    assert pullback(pr.p1, pr.p1).gpd.factors is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(SEEDS)
+def test_chain_functors_match_the_per_entry_loop(seed):
+    gen = _gen(seed)
+    cod = gen.groupoid()
+    iv = gen.r.interval
+    for dom in (iv.I1, iv.I2, iv.I3):
+        omap, gens = {"0": gen.rng.choice(cod.objects)}, {}
+        for k in range(len(dom.objects) - 1):
+            m = gen.rng.choice(cod.out_of(omap[str(k)]))
+            gens[f"p{k}{k + 1}"] = m
+            omap[str(k + 1)] = cod.tgt(m)
+        _same_functor(_chain_functor(dom, cod, omap, gens),
+                      naive_chain_functor(dom, cod, omap, gens))
+
+
 # --- validation and structure --------------------------------------------
 
 @settings(max_examples=25, deadline=None)
@@ -614,6 +893,26 @@ def test_squares_never_builds_its_largest_product(monkeypatch):
     assert big._comp is None and big._build_comp is not None
 
 
+def test_pgasm_ccc_builds_no_large_table_on_first_read(monkeypatch):
+    built = []
+    read = FinGroupoid.comp.fget
+
+    def spy(self):
+        first = self._comp is None
+        table = read(self)
+        if first:
+            built.append(len(table))
+        return table
+
+    monkeypatch.setattr(FinGroupoid, "comp", property(spy))
+    # the acceptance counts
+    assert run_suite("pgasm-ccc", SuiteConfig(seed=0,
+                                              counts={"beta": 20, "modest": 10})).ok
+    # checking the evaluation functors on generators leaves their product
+    # domains' tables, up to 524,288 entries, unbuilt
+    assert built and max(built) < 16_384
+
+
 def _spy_dependent_products(monkeypatch, caps=SizeCaps()):
     """Run modest-closure at its acceptance counts (seed 0), recording each
     dependent product built and each size-cap refusal of one."""
@@ -669,7 +968,16 @@ def _pi_entries(pd):
 def test_pi_tables_match_the_generic_build(seed):
     gen = _gen(seed)
     a = gen.groupoid()
-    assert _pi_entries(gen.r.pi(a)) == _pi_entries(_build_pi(gen.r, a))
+    fast = gen.r.pi(a)
+    assert fast.gpd._comp is None  # built on first read, not at construction
+    ref = _build_pi(gen.r, a)
+    assert _pi_entries(fast) == _pi_entries(ref)
+    # the points and paths built from a's objects and morphisms are the
+    # functors the generic build enumerates, entry order included
+    for got, want in ((fast.point_of, ref.point_of), (fast.path_of, ref.path_of)):
+        for key, F in want.items():
+            assert got[key] == F
+            _same_functor(got[key], F)
 
 
 @settings(max_examples=25, deadline=None)
