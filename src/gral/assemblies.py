@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Optional
 
 from .errors import BoundaryError, SizeCapError, StructuralError
@@ -281,18 +282,27 @@ class ProductAssembly:
 
 
 def _paired_assembly(x: Assembly, y: Assembly, raw: Any) -> ProductAssembly:
-    """Realize `raw`, a ProductGpd over x.base and y.base, by paired realizers."""
+    """Realize `raw`, a ProductGpd over x.base and y.base, by paired realizers.
+
+    The Pi id of a pair depends only on the two Pi ids paired, so it is read
+    from the memo on the realizer product, shared by every such assembly.
+    """
     r = x.r
     rprod = r.product(x.rtype, y.rtype)
     pix, piy = x.pi, y.pi
+    points, paths = rprod.pi_pairs
     omap = {}
     mmap = {}
     for (a, b), oid in raw.opair.items():
-        omap[oid] = r.pi_obj_id(rprod.pair(pix.point_of[x.rfun.omap[a]],
-                                           piy.point_of[y.rfun.omap[b]]))
+        ab = (x.rfun.omap[a], y.rfun.omap[b])
+        if ab not in points:
+            points[ab] = r.pi_obj_id(rprod.pair(pix.point_of[ab[0]], piy.point_of[ab[1]]))
+        omap[oid] = points[ab]
     for (m, n), mid in raw.mpair.items():
-        mmap[mid] = r.pi_mor_id(rprod.pair(pix.path_of[x.rfun.mmap[m]],
-                                           piy.path_of[y.rfun.mmap[n]]))
+        mn = (x.rfun.mmap[m], y.rfun.mmap[n])
+        if mn not in paths:
+            paths[mn] = r.pi_mor_id(rprod.pair(pix.path_of[mn[0]], piy.path_of[mn[1]]))
+        mmap[mid] = paths[mn]
     pi_xy = r.pi(rprod.obj)
     rfun = GFunctor(raw.gpd, pi_xy.gpd, omap, mmap)
     asm = Assembly(r, raw.gpd, rprod.obj, rfun)
@@ -592,7 +602,10 @@ def twocell_compose(pg: PGAsmInterval, kind: str, c2: TwoCell, c1: TwoCell,
 
 @dataclass
 class WeakExpObject:
-    """The assembly of realized functors with chosen realizer points."""
+    """The assembly of realized functors with chosen realizer points.
+
+    The evaluation `ev` and its source `ev_src` are built on first read.
+    """
 
     asm: Assembly
     exponent: Assembly
@@ -601,8 +614,6 @@ class WeakExpObject:
     mor_data: dict[str, tuple[NatIso, str]]             # id -> (psi, path)
     obj_index: dict[tuple, str]
     mor_index: dict[tuple, str]
-    ev: RealizedMorphism
-    ev_src: ProductAssembly
 
     # eps and psi are given by their components at the exponent's objects,
     # in order: the tuples the indexes are keyed by
@@ -613,14 +624,36 @@ class WeakExpObject:
     def mor_id(self, src_id: str, psi: tuple[str, ...], path_id: str) -> str:
         return self.mor_index[(src_id, psi, path_id)]
 
+    @cached_property
+    def ev_src(self) -> ProductAssembly:
+        return product_assembly(self.asm, self.exponent)
 
-def _eval_path_at_point(r: RealizerCategory, path_f: Map, pt: Map, base, target) -> Map:
-    """Evaluate a path of the exponential at a point of the base."""
+    @cached_property
+    def ev(self) -> RealizedMorphism:
+        raw, data, x, y = self.ev_src.raw_base, self.obj_data, self.exponent, self.target
+        fun = evaluation(raw, y.base, {w: d[0] for w, d in data.items()},
+                         {m: d[0] for m, d in self.mor_data.items()})
+        comps = {oid: data[w][2].components[xo] for (w, xo), oid in raw.opair.items()}
+        e = self.asm.r.exponential(x.rtype, y.rtype).ev
+        return realized(self.ev_src.asm, y, fun, e, comps)
+
+
+def _evaluate_paths(r: RealizerCategory, paths: dict[str, Map],
+                    points: dict[Any, Map], base, target) -> dict[str, dict[Any, str]]:
+    """The Pi id of each path of target^base evaluated at each point of base.
+
+    Each path is uncurried once, to mu: I1 x base -> target, and each point
+    pt gives one leg <id, pt . !>: I1 -> I1 x base; the value is mu . leg.
+    """
     iv = r.interval
-    mu = r.uncurry(path_f, base, target)            # I1 x base -> target
     p = r.product(iv.I1, base)
-    leg = p.pair(r.identity(iv.I1), r.compose(pt, r.terminal_map(iv.I1)))
-    return r.compose(mu, leg)
+    to_i0, ident = r.terminal_map(iv.I1), r.identity(iv.I1)
+    legs = {k: p.pair(ident, r.compose(pt, to_i0)) for k, pt in points.items()}
+    out = {}
+    for mo, pf in paths.items():
+        mu = r.uncurry(pf, base, target)
+        out[mo] = {k: r.pi_mor_id(r.compose(mu, leg)) for k, leg in legs.items()}
+    return out
 
 
 def weak_exponential(x: Assembly, y: Assembly,
@@ -657,13 +690,9 @@ def weak_exponential(x: Assembly, y: Assembly,
                 obj_data[oid] = (F, po, eps)
                 obj_index[(F.key(), po, eps.key())] = oid
 
-    path_eval: dict[str, dict[str, str]] = {}
-    for mo, pf in pie.path_of.items():
-        per_obj = {}
-        for xo in x.base.objects:
-            pt = pix.point_of[x.rfun.omap[xo]]
-            per_obj[xo] = r.pi_mor_id(_eval_path_at_point(r, pf, pt, x.rtype, y.rtype))
-        path_eval[mo] = per_obj
+    path_eval = _evaluate_paths(
+        r, pie.path_of, {xo: pix.point_of[x.rfun.omap[xo]] for xo in x.base.objects},
+        x.rtype, y.rtype)
 
     mors: dict[str, tuple[str, str]] = {}
     mor_data: dict[str, tuple[NatIso, str]] = {}
@@ -692,38 +721,26 @@ def weak_exponential(x: Assembly, y: Assembly,
                     mor_data[mid] = (psi, f)
                     mor_index[(oa, psi.key(), f)] = mid
 
-    # a composite is looked up by its key, whose psi part is the tuple of
-    # components psi2 after psi1 at the objects of x
-    ycomp, ecomp = y.base.comp, pie.gpd.comp
-    comps = {m: [psi.components[xo] for xo in x.base.objects]
-             for m, (psi, _f) in mor_data.items()}
+    # a composite, identity or inverse is looked up by its key, whose psi
+    # part is the tuple of its components at the objects of x
+    ycomp, yident, yinv = y.base.comp, y.base.ident, y.base.inv
+    ecomp, eident, einv = pie.gpd.comp, pie.gpd.ident, pie.gpd.inv
+    comps = {m: (psi.key(), f) for m, (psi, f) in mor_data.items()}
     comp = {}
     for m2, m1 in composable_pairs(mors):
-        comp[(m2, m1)] = mor_index[(
-            mors[m1][0], tuple([ycomp[c] for c in zip(comps[m2], comps[m1])]),
-            ecomp[(mor_data[m2][1], mor_data[m1][1])])]
-    ident = {}
-    for oid, (F, po, eps) in obj_data.items():
-        ident[oid] = mor_index[(oid, identity_nat_iso(F).key(), pie.gpd.id_of(po))]
-    inv = {}
-    for mid, (psi, f) in mor_data.items():
-        inv[mid] = mor_index[(mors[mid][1], invert_nat_iso(psi).key(),
-                              pie.gpd.inv_of(f))]
+        (c2, f2), (c1, f1) = comps[m2], comps[m1]
+        comp[(m2, m1)] = mor_index[(mors[m1][0], tuple(map(ycomp.__getitem__, zip(c2, c1))),
+                                    ecomp[(f2, f1)])]
+    ident = {oid: mor_index[(oid, tuple([yident[F.omap[a]] for a in x.base.objects]),
+                             eident[po])] for oid, (F, po, _eps) in obj_data.items()}
+    inv = {m: mor_index[(mors[m][1], tuple(map(yinv.__getitem__, c)), einv[f])]
+           for m, (c, f) in comps.items()}
     base = FinGroupoid(list(obj_data), mors, comp, ident, inv)
     rfun = GFunctor(base, pie.gpd, {o: obj_data[o][1] for o in obj_data},
                     {m: mor_data[m][1] for m in mor_data})
     asm = Assembly(r, base, exp.obj, rfun)
-
-    ev_src = product_assembly(asm, x)
-    raw = ev_src.raw_base
-    ev_fun = evaluation(raw, y.base, {w: d[0] for w, d in obj_data.items()},
-                        {m: d[0] for m, d in mor_data.items()})
-    comps = {}
-    for (w, xo), oid in raw.opair.items():
-        comps[oid] = obj_data[w][2].components[xo]
-    ev = realized(ev_src.asm, y, ev_fun, exp.ev, comps)
-    return WeakExpObject(asm, x, y, obj_data, mor_data, obj_index, mor_index,
-                         ev, ev_src)
+    r.product(base, x.base)  # the base of ev's source: its size cap refuses this instance here
+    return WeakExpObject(asm, x, y, obj_data, mor_data, obj_index, mor_index)
 
 
 def transpose_morphism(w: WeakExpObject, k: RealizedMorphism,

@@ -18,7 +18,7 @@ from .groupoids import (
     nat_isos_between,
 )
 from .assemblies import (
-    Assembly, ProductAssembly, RealizedMorphism, _eval_path_at_point,
+    Assembly, ProductAssembly, RealizedMorphism, _evaluate_paths,
     _identity_eps, compose_morphisms, is_modest, realized,
 )
 from .interval import Homotopy, RealizerCategory, homotopy_cod, homotopy_dom
@@ -219,13 +219,10 @@ def dependent_product(g: FibrationData, f: FibrationData,
                     obj_index[(z, H.key(), po, eps.key())] = oid
 
     # evaluate exponential paths at the realizer points of fibre objects
-    path_eval: dict[tuple[str, str], str] = {}
-    for mo, pf in pie.path_of.items():
-        for z, hf in fibres.items():
-            for oid2, (y, u) in hf.data_of.items():
-                pt = r.pi(bc).point_of[hf.asm.rfun.omap[oid2]]
-                path_eval[(mo, hf.asm.rfun.omap[oid2])] = r.pi_mor_id(
-                    _eval_path_at_point(r, pf, pt, bc, x_asm.rtype))
+    pib = r.pi(bc)
+    path_eval = _evaluate_paths(r, pie.path_of, {
+        p: pib.point_of[p] for hf in fibres.values() for p in hf.asm.rfun.omap.values()},
+        bc, x_asm.rtype)
 
     fmaps: dict[tuple[str, str], RealizedMorphism] = {}
 
@@ -267,7 +264,7 @@ def dependent_product(g: FibrationData, f: FibrationData,
                     for fpath in pie.gpd.hom(po, po2):
                         ok = all(
                             pxg.compose(zeta1[oid2],
-                                        path_eval[(fpath, hf.asm.rfun.omap[oid2])])
+                                        path_eval[fpath][hf.asm.rfun.omap[oid2]])
                             == pxg.compose(x_asm.rfun.mmap[psi.components[oid2]],
                                            eps.components[oid2])
                             for oid2 in hf.asm.base.objects)

@@ -500,10 +500,8 @@ class GFunctor:
 
     def key(self) -> tuple:
         if self._key is None:
-            self._key = (
-                tuple(self.omap[x] for x in self.dom.objects),
-                tuple(self.mmap[m] for m in self.dom.morphisms),
-            )
+            self._key = (tuple(map(self.omap.__getitem__, self.dom.objects)),
+                         tuple(map(self.mmap.__getitem__, self.dom.morphisms)))
         return self._key
 
     def __eq__(self, other) -> bool:
@@ -624,7 +622,7 @@ class NatIso:
 
     def key(self) -> tuple:
         if self._key is None:
-            self._key = tuple(self.components[x] for x in self.src.dom.objects)
+            self._key = tuple(map(self.components.__getitem__, self.src.dom.objects))
         return self._key
 
     def __eq__(self, other) -> bool:
@@ -1065,8 +1063,12 @@ def exponential(x: FinGroupoid, y: FinGroupoid, caps: SizeCaps = DEFAULT_CAPS) -
     mors: dict[str, tuple[str, str]] = {}
     mor_to_natiso: dict[str, NatIso] = {}
     natiso_to_mor: dict[tuple, str] = {}
+    # composites, identities and inverses are looked up by source object
+    # and the tuple of components at the objects of x, in order
+    mor_index: dict[tuple[str, tuple], str] = {}
     count = 0
     for oa, F in obj_to_functor.items():
+        fkey = F.key()
         for ob, G in obj_to_functor.items():
             for n in nat_isos_between(F, G):
                 mid = f"t{count}"
@@ -1075,19 +1077,17 @@ def exponential(x: FinGroupoid, y: FinGroupoid, caps: SizeCaps = DEFAULT_CAPS) -
                     raise SizeCapError("exponential morphisms", count, caps.max_morphisms)
                 mors[mid] = (oa, ob)
                 mor_to_natiso[mid] = n
-                natiso_to_mor[(F.key(), n.key())] = mid
-    comp = {}
-    for m2, m1 in composable_pairs(mors):
-        n1 = mor_to_natiso[m1]
-        cmp_iso = vcompose_nat_isos(mor_to_natiso[m2], n1)
-        comp[(m2, m1)] = natiso_to_mor[(n1.src.key(), cmp_iso.key())]
-    ident = {}
-    for o, F in obj_to_functor.items():
-        ident[o] = natiso_to_mor[(F.key(), identity_nat_iso(F).key())]
-    inv = {}
-    for m, n in mor_to_natiso.items():
-        ninv = invert_nat_iso(n)
-        inv[m] = natiso_to_mor[(ninv.src.key(), ninv.key())]
+                natiso_to_mor[(fkey, n.key())] = mid
+                mor_index[(oa, n.key())] = mid
+    ycomp, yident, yinv = y.comp, y.ident, y.inv
+    comps = {m: n.key() for m, n in mor_to_natiso.items()}
+    comp = {(m2, m1): mor_index[(mors[m1][0], tuple(map(ycomp.__getitem__,
+                                                        zip(comps[m2], comps[m1]))))]
+            for m2, m1 in composable_pairs(mors)}
+    ident = {o: mor_index[(o, tuple([yident[F.omap[a]] for a in x.objects]))]
+             for o, F in obj_to_functor.items()}
+    inv = {m: mor_index[(mors[m][1], tuple(map(yinv.__getitem__, c)))]
+           for m, c in comps.items()}
     gpd = FinGroupoid(list(obj_to_functor), mors, comp, ident, inv)
     return ExpGpd(gpd, obj_to_functor, mor_to_natiso, functor_to_obj, natiso_to_mor)
 

@@ -12,7 +12,7 @@ internal to the category of assemblies.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from .errors import BoundaryError, CapabilityError, StructuralError
@@ -56,6 +56,9 @@ class ProdObj:
     p1: Map
     p2: Map
     pair: Callable[[Map, Map], Map]
+    # Pi ids of paired points and of paired paths, by the two Pi ids paired
+    pi_pairs: tuple[dict, dict] = field(default_factory=lambda: ({}, {}),
+                                        repr=False, compare=False)
 
 
 @dataclass
@@ -560,7 +563,7 @@ class GpdRealizer(RealizerCategory):
         key = (a.serial, b.serial)
         if key not in self._prod_cache:
             p = gpd_product(a, b, self.caps)
-            self._prod_cache[key] = GpdProd(p.gpd, p.p1, p.p2, p.pair, p)
+            self._prod_cache[key] = GpdProd(p.gpd, p.p1, p.p2, p.pair, raw=p)
         return self._prod_cache[key]
 
     def exponential(self, base: FinGroupoid, target: FinGroupoid) -> ExpObj:

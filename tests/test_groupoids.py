@@ -462,3 +462,13 @@ def test_conjugate_is_a_functor_naturally_isomorphic_to_its_source(seed):
     assert is_functor(G).ok
     assert is_nat_iso(NatIso(F, G, theta)).ok
     assert conjugate(F, {o: y.id_of(F.omap[o]) for o in x.objects}) == F
+
+
+def test_keys_of_partial_tables_raise_key_error():
+    g = codiscrete(["a", "b"])
+    ident = identity_functor(g)
+    for omap, mmap in (({"a": "a"}, dict(ident.mmap)), (dict(ident.omap), {})):
+        with pytest.raises(KeyError):
+            GFunctor(g, g, omap, mmap).key()
+    with pytest.raises(KeyError):
+        NatIso(ident, ident, {"a": g.id_of("a")}).key()

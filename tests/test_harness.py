@@ -649,6 +649,17 @@ def test_cli_suite_refusal_exits_2(argv, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_weak_exponential_cap_refuses_the_same_instance(capsys):
+    # the product under the evaluation is built with the weak exponential,
+    # so a draw whose product exceeds the caps is skipped as before; were it
+    # built only when the evaluation is read, the suite would draw other
+    # instances and exit 0
+    assert main(["--seed", "0", "--max-objects", "8", "--max-morphisms", "200",
+                 "suite", "pgasm-ccc"]) == 2
+    assert capsys.readouterr() == (
+        "", "suite pgasm-ccc: refused: weak exponential objects: 9 exceeds cap 8\n")
+
+
 def test_cli_suite_boundary_error_exits_2(capsys, monkeypatch):
     def mismatched(cfg):
         raise BoundaryError("paths do not match nose to tail")

@@ -22,7 +22,11 @@ which now work from generators, are held to copies of the per-functor,
 all-pairs, per-entry and whole-table code they replace.  The fault
 injections show that each faster check can still fail, and that a product
 or pullback table, built and checked on its first read, fails there with
-the message eager construction gives.
+the message eager construction gives.  The weak exponential's evaluation,
+built on first read, is held to the construction it replaces; paired Pi
+ids, read from a memo, to the pairing done anew; and the tables of weak
+exponentials and dependent products, whose paths are now each evaluated
+once, to the tables that evaluating every path at every point gives.
 """
 
 import itertools
@@ -32,7 +36,7 @@ import random
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from gral import suites
+from gral import assemblies, depprod, suites
 from gral.assemblies import (
     PGAsmRealizer, ProductAssembly, WeakExpObject, compose_morphisms,
     identity_morphism, pgasm_interval, product_assembly, transpose_morphism,
@@ -1617,3 +1621,177 @@ def test_equivalence_inverses_match_the_hand_built_tables(seed):
         _same_entries(got.bwd, bwd_o, bwd_m)
         assert list(got.unit.components.items()) == list(unit_c.items())
         assert list(got.counit.components.items()) == list(theta.items())
+
+
+# --- evaluations, paired realizers and paths evaluated once ---------------
+
+def naive_paired_rfun(x, y, raw):
+    """`_paired_assembly`'s realizer tables as it built them: every pair of
+    points and paths paired anew."""
+    r = x.r
+    rprod = r.product(x.rtype, y.rtype)
+    pix, piy = x.pi, y.pi
+    omap = {}
+    mmap = {}
+    for (a, b), oid in raw.opair.items():
+        omap[oid] = r.pi_obj_id(rprod.pair(pix.point_of[x.rfun.omap[a]],
+                                           piy.point_of[y.rfun.omap[b]]))
+    for (m, n), mid in raw.mpair.items():
+        mmap[mid] = r.pi_mor_id(rprod.pair(pix.path_of[x.rfun.mmap[m]],
+                                           piy.path_of[y.rfun.mmap[n]]))
+    return omap, mmap
+
+
+def naive_weak_evaluation(w):
+    """The evaluation as `weak_exponential` built it at construction: the
+    base product, the evaluation functor, the realizer and the witness."""
+    x, y, r = w.exponent, w.target, w.asm.r
+    raw = r.product(w.asm.base, x.base).raw
+    fun = naive_eval(raw, y.base, {o: d[0] for o, d in w.obj_data.items()},
+                     {m: d[0] for m, d in w.mor_data.items()})
+    comps = {}
+    for (o, xo), oid in raw.opair.items():
+        comps[oid] = w.obj_data[o][2].components[xo]
+    return raw, fun, r.exponential(x.rtype, y.rtype).ev, comps
+
+
+def naive_evaluate_paths(r, paths, points, base, target):
+    """Every path evaluated at every point, one uncurrying per pair, as
+    `_eval_path_at_point` did."""
+    iv = r.interval
+    out = {}
+    for mo, pf in paths.items():
+        per = {}
+        for k, pt in points.items():
+            mu = r.uncurry(pf, base, target)
+            p = r.product(iv.I1, base)
+            leg = p.pair(r.identity(iv.I1), r.compose(pt, r.terminal_map(iv.I1)))
+            per[k] = r.pi_mor_id(r.compose(mu, leg))
+        out[mo] = per
+    return out
+
+
+def _weak_exponential(gen):
+    iv = gen.r.interval
+    x = gen.assembly(base=gen.small_groupoid(2), rtype=iv.I1)
+    y = gen.assembly(base=gen.small_groupoid(2),
+                     rtype=gen.rng.choice([iv.I0, iv.I1]))
+    try:
+        return weak_exponential(x, y)
+    except SizeCapError:
+        return None
+
+
+@settings(max_examples=15, deadline=None)
+@given(SEEDS)
+def test_evaluation_on_first_read_matches_the_eager_construction(seed):
+    w = _weak_exponential(_gen(seed))
+    assume(w is not None)
+    assert "ev" not in vars(w) and "ev_src" not in vars(w)
+    raw, fun, e, comps = naive_weak_evaluation(w)
+    src = w.ev_src
+    assert src.raw_base is raw and src.asm.base is raw.gpd
+    assert src.rprod is w.asm.r.product(w.asm.rtype, w.exponent.rtype)
+    _same_entries(src.asm.rfun, *naive_paired_rfun(w.asm, w.exponent, raw))
+    assert (src.p1.fun, src.p2.fun) == (raw.p1, raw.p2)
+    assert (src.p1.e, src.p2.e) == (src.rprod.p1, src.rprod.p2)
+    _same_realized(w.ev, src.asm, w.target, fun.omap, fun.mmap, e, comps)
+    assert w.ev is w.ev and w.ev_src is src  # built once
+
+
+@settings(max_examples=20, deadline=None)
+@given(SEEDS)
+def test_paired_assemblies_match_the_unmemoized_pairing(seed):
+    gen = _gen(seed)
+    rx, ry = gen.rtype(), gen.rtype()
+    xs = [gen.assembly(rtype=rx) for _ in range(2)]
+    ys = [gen.assembly(rtype=ry) for _ in range(2)]
+    points, paths = gen.r.product(rx, ry).pi_pairs
+    assert not points and not paths
+    # the first product fills the memo; the others over the same realizer
+    # types read what it left there
+    for x, y in ((xs[0], ys[0]), (xs[1], ys[1]), (xs[0], ys[1]), (xs[1], ys[0])):
+        p = product_assembly(x, y)
+        _same_entries(p.asm.rfun, *naive_paired_rfun(x, y, p.raw_base))
+        assert points and paths
+
+
+def _tables_of(asm, mor_data):
+    g = asm.base
+    return (g.objects, list(g.mors.items()), list(g.comp.items()),
+            list(g.ident.items()), list(g.inv.items()),
+            list(asm.rfun.omap.items()), list(asm.rfun.mmap.items()),
+            [(m, d[:-2], d[-2].key(), d[-1]) for m, d in mor_data.items()])
+
+
+def _with_paths_evaluated_per_point(build, module):
+    """build() twice: as it is, and with every path evaluated at every point;
+    the second run records the points evaluated at."""
+    seen = []
+
+    def per_point(r, paths, points, base, target):
+        seen.append(points)
+        return naive_evaluate_paths(r, paths, points, base, target)
+
+    fast = build()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "_evaluate_paths", per_point)
+        ref = build()
+    return fast, ref, seen
+
+
+@settings(max_examples=15, deadline=None)
+@given(SEEDS)
+def test_weak_exponential_tables_match_the_per_point_evaluation(seed):
+    fast, ref, seen = _with_paths_evaluated_per_point(
+        lambda: _weak_exponential(_gen(seed)), assemblies)
+    assume(fast is not None)
+    assert _tables_of(fast.asm, fast.mor_data) == _tables_of(ref.asm, ref.mor_data)
+    # the points are those of the exponent's realizer at its objects
+    x = ref.exponent
+    assert [(xo, pt.omap) for xo, pt in seen[-1].items()] == [
+        (xo, x.pi.point_of[x.rfun.omap[xo]].omap) for xo in x.base.objects]
+
+
+@settings(max_examples=15, deadline=None)
+@given(SEEDS)
+def test_dependent_product_tables_match_the_per_point_evaluation(seed):
+    fast, ref, seen = _with_paths_evaluated_per_point(
+        lambda: _pif(_gen(seed)), depprod)
+    assume(fast is not None)
+    assert _tables_of(fast.asm, fast.mor_data) == _tables_of(ref.asm, ref.mor_data)
+    # every realizer point of every fibre object is evaluated at
+    assert set(seen[-1]) == {hf.asm.rfun.omap[o] for hf in ref.fibres.values()
+                             for o in hf.data_of}
+
+
+def test_path_objects_and_modesty_build_no_evaluation(monkeypatch):
+    evaluated, checked, path_objects = [], [], []
+    build, modest, path_obj = (assemblies.product_assembly, suites.is_modest,
+                               suites.path_object)
+
+    def spy_product(x, y):
+        evaluated.append(x)
+        return build(x, y)
+
+    monkeypatch.setattr(assemblies, "product_assembly", spy_product)
+    monkeypatch.setattr(suites, "is_modest",
+                        lambda a: checked.append(a) or modest(a))
+    monkeypatch.setattr(suites, "path_object",
+                        lambda *args: path_objects.append(path_obj(*args))
+                        or path_objects[-1])
+    # the acceptance counts
+    assert run_suite("pgasm-ccc", SuiteConfig(seed=0,
+                                              counts={"beta": 20, "modest": 10})).ok
+    assert run_suite("path-axioms", SuiteConfig(seed=0, counts={
+        "assemblies": 20, "fibrations": 30, "pc7": 20, "pc8": 20, "brown": 10})).ok
+    assert len(checked) >= 10 and len(path_objects) >= 20
+    # the beta check reads its evaluations, and the spy sees them built ...
+    assert evaluated
+    # ... but no modesty instance builds one, and a path object's assembly
+    # is paired only once, with I1, for the cylinder of its counit, which
+    # the evaluation's source would repeat
+    assert not any(a is b for a in checked for b in evaluated)
+    assert [sum(pod.pobj.asm is b for b in evaluated) for pod in path_objects] == \
+        [1] * len(path_objects)
+    assert not any({"ev", "ev_src"} & set(vars(pod.pobj)) for pod in path_objects)
