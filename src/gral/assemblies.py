@@ -17,7 +17,7 @@ from typing import Any, Optional
 
 from .errors import BoundaryError, SizeCapError, StructuralError
 from .groupoids import (
-    DEFAULT_CAPS, FinGroupoid, GFunctor, NatIso, Report,
+    FinGroupoid, GFunctor, NatIso, Report,
     composable_pairs, compose_functors, curry, evaluation, functors_between,
     identity_functor, identity_nat_iso, invert_nat_iso, is_functor, is_nat_iso,
     nat_isos_between, terminal_groupoid, vcompose_nat_isos, whisker_left,
@@ -560,8 +560,7 @@ def inverse_twocell(pg: PGAsmInterval, c: TwoCell) -> TwoCell:
     return _cell(pg, c.tgt, c.src, invert_nat_iso(c.iso), c.ew, at1, at0)
 
 
-def twocell_compose(pg: PGAsmInterval, kind: str, c2: TwoCell, c1: TwoCell,
-                    h_realizer: Optional[RealizedMorphism] = None) -> TwoCell:
+def twocell_compose(pg: PGAsmInterval, kind: str, c2: TwoCell, c1: TwoCell) -> TwoCell:
     """Vertical or horizontal composition with the pasted witnesses."""
     r = pg.r
     if kind == "vertical":
@@ -575,10 +574,8 @@ def twocell_compose(pg: PGAsmInterval, kind: str, c2: TwoCell, c1: TwoCell,
                for xo, c in at1.items()}
         return _cell(pg, c1.src, c2.tgt, iso, c1.ew, at0, at1)
     if kind == "horizontal":
-        h = h_realizer if h_realizer is not None else c2.src
-        if h != c2.src:
-            raise BoundaryError("supplied realizer is not for the source of the left cell")
-        z = c2.src.tgt
+        h = c2.src
+        z = h.tgt
         iso = vcompose_nat_isos(whisker_right(c2.iso, c1.tgt.fun),
                                 whisker_left(h.fun, c1.iso))
         piz = z.pi.gpd
@@ -656,8 +653,7 @@ def _evaluate_paths(r: RealizerCategory, paths: dict[str, Map],
     return out
 
 
-def weak_exponential(x: Assembly, y: Assembly,
-                     max_objects: Optional[int] = None) -> WeakExpObject:
+def weak_exponential(x: Assembly, y: Assembly) -> WeakExpObject:
     """The assembly Real(Y^X) together with evaluation.
 
     Objects are triples (F, e, eps) where the point e of the realizer
@@ -665,9 +661,7 @@ def weak_exponential(x: Assembly, y: Assembly,
     unique filler is determined by the boundary witnesses.
     """
     r = x.r
-    caps_limit = max_objects
-    if caps_limit is None:
-        caps_limit = getattr(r, "caps", DEFAULT_CAPS).max_objects
+    caps_limit = r.caps.max_objects
     exp = r.exponential(x.rtype, y.rtype)
     pie = r.pi(exp.obj)
     pix, piy = x.pi, y.pi
@@ -834,7 +828,6 @@ class PGAsmRealizer(RealizerCategory):
     """
 
     def __init__(self, gr: RealizerCategory):
-        self.gr = gr
         self.pg = pgasm_interval(gr)
         self.interval = self.pg.data
         self._hom_cache: dict = {}

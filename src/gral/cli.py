@@ -124,7 +124,7 @@ def cmd_build(args) -> int:
             _emit(textfmt.bundle_assembly(pod.pobj.asm), args.out)
             return EXIT_OK
         if args.kind in ("pullback", "pseudopullback"):
-            shared = textfmt.Loader(r)
+            shared = textfmt.Loader()
             m1 = textfmt.load_morphism_bundle(Path(args.inputs[0]).read_text(),
                                               r, shared)
             m2 = textfmt.load_morphism_bundle(Path(args.inputs[1]).read_text(),
@@ -135,7 +135,7 @@ def cmd_build(args) -> int:
             _emit(textfmt.bundle_assembly(res.asm), args.out)
             return EXIT_OK
         # pif
-        shared = textfmt.Loader(r)
+        shared = textfmt.Loader()
         mg = textfmt.load_morphism_bundle(Path(args.inputs[0]).read_text(),
                                           r, shared)
         mf = textfmt.load_morphism_bundle(Path(args.inputs[1]).read_text(),

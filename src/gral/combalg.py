@@ -332,13 +332,12 @@ def term_size(t: Term) -> int:
     return 1
 
 
-def enumerate_normal_forms(tca: TCA, typ: TypeExpr, max_size: int,
-                           pool: Optional[list[TypeExpr]] = None) -> list[Term]:
+def enumerate_normal_forms(tca: TCA, typ: TypeExpr, max_size: int) -> list[Term]:
     """Closed normal forms of the given type, by size then repr (cached)."""
-    pool = pool if pool is not None else type_pool(tca, 2)
-    cache_key = (typ, max_size, tuple(pool))
+    cache_key = (typ, max_size)
     if cache_key in tca._nf_cache:
         return tca._nf_cache[cache_key]
+    pool = type_pool(tca, 2)
     out: dict[Term, None] = {}
 
     # heads with the number of arguments they accept before reducing;
@@ -432,15 +431,17 @@ class FragMorphism:
         raise FragmentError(f"{a!r} is outside the fragment carrier")
 
 
+# normalization fuel for applying a witness inside the fragment
+FRAGMENT_FUEL = 4000
+
+
 @dataclass
 class FragmentCategory:
     """The category of fragment carriers and representable functions."""
 
     tca: TCA
-    objects: list[TypeExpr]
     carrier_size: int
     witness_size: int
-    fuel: int = 4000
     carriers: dict[TypeExpr, list[Term]] = field(default_factory=dict)
 
     def carrier(self, a: TypeExpr) -> list[Term]:
@@ -460,7 +461,7 @@ class FragmentCategory:
             ok = True
             for arg in dom:
                 try:
-                    v = normalize(App(e, arg), self.fuel)
+                    v = normalize(App(e, arg), FRAGMENT_FUEL)
                 except FragmentError:
                     ok = False
                     break
@@ -477,9 +478,9 @@ class FragmentCategory:
 
     def identity(self, a: TypeExpr) -> FragMorphism:
         e = self.tca.i(a)
-        graph = tuple((t, normalize(App(e, t), self.fuel))
+        graph = tuple((t, normalize(App(e, t), FRAGMENT_FUEL))
                       for t in self.carrier(a))
-        return FragMorphism(a, a, graph, normalize(e, self.fuel))
+        return FragMorphism(a, a, graph, normalize(e, FRAGMENT_FUEL))
 
     def compose(self, g: FragMorphism, f: FragMorphism) -> FragMorphism:
         """g . f witnessed by lambda x. g_e (f_e x)."""
@@ -488,22 +489,20 @@ class FragmentCategory:
         x = Var("x", f.dom)
         w = normalize(bracket_abstract(self.tca, App(g.witness,
                                                      App(f.witness, x)), x),
-                      self.fuel)
+                      FRAGMENT_FUEL)
         graph = tuple((a, g.apply(v)) for a, v in f.graph)
         return FragMorphism(f.dom, g.cod, graph, w)
 
     def validate(self, m: FragMorphism) -> bool:
-        return all(normalize(App(m.witness, a), self.fuel) == v
+        return all(normalize(App(m.witness, a), FRAGMENT_FUEL) == v
                    for a, v in m.graph)
 
 
-def realizer_category_of(tca: TCA, objects: Optional[list[TypeExpr]] = None,
-                         carrier_size: int = 3, witness_size: int = 5,
+def realizer_category_of(tca: TCA, carrier_size: int = 3, witness_size: int = 5,
                          ) -> FragmentCategory:
     if not tca.unital:
         raise StructuralError("the realizer category needs a unit type")
-    objs = objects if objects is not None else type_pool(tca, 1)
-    return FragmentCategory(tca, objs, carrier_size, witness_size)
+    return FragmentCategory(tca, carrier_size, witness_size)
 
 
 # -- discrete assemblies and the bridges ----------------------------------------
@@ -534,9 +533,9 @@ class DiscreteMorphism:
     fun: dict[str, str]
     witness: Term
 
-    def validate(self, fuel: int = 4000) -> bool:
+    def validate(self) -> bool:
         for x in self.src.carrier:
-            got = normalize(App(self.witness, self.src.realizer[x]), fuel)
+            got = normalize(App(self.witness, self.src.realizer[x]), FRAGMENT_FUEL)
             if got != self.tgt.realizer[self.fun[x]]:
                 return False
         return True
@@ -583,7 +582,7 @@ def function_realizer_bridge(cat: FragmentCategory,
     tca = cat.tca
     graph = []
     for a in cat.carrier(m.src.rtype):
-        graph.append((a, normalize(App(m.witness, a), cat.fuel)))
+        graph.append((a, normalize(App(m.witness, a), FRAGMENT_FUEL)))
     fn = FragMorphism(m.src.rtype, m.tgt.rtype, tuple(graph), m.witness)
     back = DiscreteMorphism(m.src, m.tgt, dict(m.fun), fn.witness)
     return Prop22Result(m, fn, back)

@@ -13,7 +13,7 @@ from typing import Any, Optional
 
 from .errors import BoundaryError, SizeCapError, StructuralError
 from .groupoids import (
-    Cleavage, DEFAULT_CAPS, FinGroupoid, GFunctor, NatIso, Report, _Deferred,
+    Cleavage, FinGroupoid, GFunctor, NatIso, Report, _Deferred,
     composable_pairs, compose_functors, conjugate, functors_between,
     nat_isos_between,
 )
@@ -186,7 +186,7 @@ def dependent_product(g: FibrationData, f: FibrationData,
     if g.tgt != f.src:
         raise BoundaryError("the fibrations are not composable")
     r = g.src.r
-    caps = getattr(r, "caps", DEFAULT_CAPS)
+    caps = r.caps
     cap = max_objects if max_objects is not None else caps.max_objects
     x_asm, z_asm = g.src, f.tgt
     fibres = {z: homotopy_fibre(f.morphism, z) for z in z_asm.base.objects}
@@ -356,7 +356,7 @@ def dependent_product(g: FibrationData, f: FibrationData,
             if mors[mid][1] != tgt_oid:
                 raise StructuralError("chosen lift misses the forced target")
             lifts[(oid, rmor)] = mid
-    fib = FibrationData(proj, Cleavage(proj_fun, lifts))
+    fib = FibrationData(proj, Cleavage(lifts))
 
     fstar = pullback_assembly(f.morphism, proj)
     ev = _build_ev(r, g, f, fibres, obj_data, mor_data, fstar, exp, bc, rt_prod)

@@ -108,20 +108,18 @@ class Gen:
         funs = functors_between(base, pi.gpd)
         return Assembly(self.r, base, rt, self.rng.choice(funs))
 
-    def morphism(self, x: Assembly, y: Assembly,
-                 attempts: int = 30) -> Optional[RealizedMorphism]:
+    def morphism(self, x: Assembly, y: Assembly) -> Optional[RealizedMorphism]:
         funs = functors_between(x.base, y.base)
         order = self.rng.sample(funs, k=len(funs))
-        for fun in order[:attempts]:
+        for fun in order[:30]:
             m = realize(x, y, fun)
             if m is not None:
                 return m
         return None
 
-    def twocell(self, pg: PGAsmInterval, x: Assembly, y: Assembly,
-                attempts: int = 40) -> Optional[TwoCell]:
+    def twocell(self, pg: PGAsmInterval, x: Assembly, y: Assembly) -> Optional[TwoCell]:
         funs = functors_between(x.base, y.base)
-        for _ in range(attempts):
+        for _ in range(40):
             F = self.rng.choice(funs)
             G = self.rng.choice(funs)
             mf = realize(x, y, F)
@@ -134,12 +132,11 @@ class Gen:
             return twocell_from_iso(pg, self.rng.choice(isos), mf, mg)
         return None
 
-    def twocell_from(self, pg: PGAsmInterval, src: RealizedMorphism,
-                     attempts: int = 40) -> Optional[TwoCell]:
+    def twocell_from(self, pg: PGAsmInterval, src: RealizedMorphism) -> Optional[TwoCell]:
         """A 2-cell whose source is the given realized morphism."""
         x, y = src.src, src.tgt
         funs = functors_between(x.base, y.base)
-        for _ in range(attempts):
+        for _ in range(40):
             G = self.rng.choice(funs)
             mg = realize(x, y, G)
             if mg is None:
@@ -175,10 +172,10 @@ class Gen:
         fib, _total = self.split_fibration(base=y, fibre_base=fb_base, rich=rich)
         return fib
 
-    def modest_assembly(self, max_objects: int = 2) -> Assembly:
+    def modest_assembly(self) -> Assembly:
         """An assembly whose realizability functor is fully faithful."""
         for _ in range(40):
-            a = self.assembly(base=self.small_groupoid(max_objects))
+            a = self.assembly(base=self.small_groupoid(2))
             if is_modest(a)[0]:
                 return a
         # fall back to a point-like assembly, which is always modest
@@ -223,10 +220,9 @@ def _sample(n: int, make: Callable[[], Optional[T]]) -> Iterator[T]:
                 return
 
 
-def generate(kind: str, cfg: SuiteConfig, r: Optional[GpdRealizer] = None,
-             count: Optional[int] = None) -> list:
+def generate(kind: str, cfg: SuiteConfig, count: Optional[int] = None) -> list:
     """Deterministic instances of the named kind under cfg.seed."""
-    r = r if r is not None else gpd_interval(cfg.caps)
+    r = gpd_interval(cfg.caps)
     gen = Gen(r, cfg.seed, cfg.caps)
     n = count if count is not None else cfg.count(kind, 10)
     if kind == "groupoid":

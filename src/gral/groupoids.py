@@ -319,7 +319,6 @@ class _Component:
     base: str
     objects: tuple[str, ...]
     tree: dict[str, str]          # x -> composite morphism base -> x
-    vertex_group: tuple[str, ...]  # hom(base, base)
 
 
 def _split_components(g: FinGroupoid) -> list[_Component]:
@@ -342,7 +341,7 @@ def _split_components(g: FinGroupoid) -> list[_Component]:
                         order.append(t)
                         nxt.append(t)
             frontier = nxt
-        comps.append(_Component(base, tuple(sorted(order)), tree, g.hom(base, base)))
+        comps.append(_Component(base, tuple(sorted(order)), tree))
     return comps
 
 
@@ -1137,7 +1136,6 @@ class Cleavage:
     Lifts of identities are normalized to identities.
     """
 
-    functor: GFunctor
     lifts: dict[tuple[str, str], str]
 
     def lift(self, y: str, q: str) -> str:
@@ -1168,7 +1166,7 @@ def isofibration_cleavage(f: GFunctor):
             if not cands:
                 return LiftFailure(y, q)
             lifts[(y, q)] = cands[0]
-    return Cleavage(f, lifts)
+    return Cleavage(lifts)
 
 
 @dataclass

@@ -79,6 +79,7 @@ class RealizerCategory:
     """
 
     interval: IntervalData
+    caps: SizeCaps = DEFAULT_CAPS
 
     # -- primitives -------------------------------------------------------
 
@@ -515,10 +516,8 @@ class GpdRealizer(RealizerCategory):
             ident = identity_functor(t)
             self.interval = IntervalData(t, t, t, t, ident, ident, ident,
                                          ident, ident, ident, ident, ident, ident)
-            self._i1_gen = None
         else:
             self.interval = _standard_interval()
-            self._i1_gen = "p01"
 
     # primitives
 
@@ -547,8 +546,8 @@ class GpdRealizer(RealizerCategory):
         iv = self.interval
         if f.dom.serial == iv.I0.serial:
             return f.omap[f.dom.objects[0]]
-        if self._i1_gen is not None and f.dom.serial == iv.I1.serial:
-            return f.mmap[self._i1_gen]
+        if f.dom.serial == iv.I1.serial:
+            return f.mmap["p01"]
         objs = ",".join(f"{x}>{f.omap[x]}" for x in f.dom.objects)
         mors = ",".join(f"{m}>{f.mmap[m]}" for m in f.dom.morphisms)
         return f"[{objs}|{mors}]"
@@ -753,14 +752,14 @@ def gpd_interval(caps: SizeCaps = DEFAULT_CAPS) -> GpdRealizer:
     return GpdRealizer(caps=caps)
 
 
-def gpd_discrete_interval(caps: SizeCaps = DEFAULT_CAPS) -> GpdRealizer:
+def gpd_discrete_interval() -> GpdRealizer:
     """Degenerate instance with I1 = I2 = I3 = I0."""
-    return GpdRealizer(caps=caps, discrete=True)
+    return GpdRealizer(discrete=True)
 
 
 def path_of_morphism(r: GpdRealizer, a: FinGroupoid, m: str) -> GFunctor:
     """The path I1 -> a tracing the morphism m."""
-    if r._i1_gen is None:
+    if r.discrete:
         raise CapabilityError("paths require the standard interval")
     s, t = a.mors[m]
     return _chain_functor(r.interval.I1, a, {"0": s, "1": t}, {"p01": m})
@@ -774,7 +773,7 @@ def nat_iso_functor_form(r: GpdRealizer, n: NatIso,
     the realizer interval but may be any chain_groupoid(1) copy.
     """
     if i1 is None:
-        if r._i1_gen is None:
+        if r.discrete:
             raise CapabilityError("cylinders require the standard interval")
         i1 = r.interval.I1
     F, G = n.src, n.tgt
@@ -814,18 +813,17 @@ def nat_iso_from_homotopy(h: Homotopy) -> NatIso:
 
 def pi_base_iso(r: GpdRealizer, a: FinGroupoid) -> GFunctor:
     """The explicit isomorphism Pi(A) -> A in the groupoid instance."""
-    if r._i1_gen is None:
+    if r.discrete:
         raise CapabilityError("Pi(A) = A requires the standard interval")
     pa = r.pi(a)
     omap = {o: p.omap[r.interval.I0.objects[0]] for o, p in pa.point_of.items()}
-    mmap = {m: al.mmap[r._i1_gen] for m, al in pa.path_of.items()}
+    mmap = {m: al.mmap["p01"] for m, al in pa.path_of.items()}
     return GFunctor(pa.gpd, a, omap, mmap)
 
 
 # -- cogroupoid axiom checking ----------------------------------------------
 
-def check_cogroupoid(r: RealizerCategory, iv: Optional[IntervalData] = None,
-                     probes: Optional[list] = None) -> Report:
+def check_cogroupoid(r: RealizerCategory, iv: Optional[IntervalData] = None) -> Report:
     """Scan the interval diagrams and both pushout universal properties.
 
     The second coinverse diagram is checked in its symmetric form with
@@ -834,7 +832,7 @@ def check_cogroupoid(r: RealizerCategory, iv: Optional[IntervalData] = None,
     """
     iv = iv or r.interval
     rep = Report()
-    probes = probes if probes is not None else [iv.I0, iv.I1, iv.I2, iv.I3]
+    probes = [iv.I0, iv.I1, iv.I2, iv.I3]
 
     def check(name: str, run: Callable[[], bool], detail: str = ""):
         # a copair whose legs fail to match is itself an axiom violation

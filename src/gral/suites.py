@@ -17,7 +17,7 @@ import time
 from itertools import takewhile
 from typing import Callable, Optional
 
-from .errors import GralError, StructuralError
+from .errors import GralError, ParseError, StructuralError
 from .groupoids import (
     EquivalenceData, NatIso, Report, codiscrete, compose_functors, discrete,
     equivalence_inverse, functors_between, identity_functor, invert_nat_iso,
@@ -87,17 +87,21 @@ def _counterexample(check: str, bundle: str) -> str:
     return f"GRAL 1 COUNTEREXAMPLE {check}\n{bundle}"
 
 
-def replay_counterexample(payload: str, r: Optional[GpdRealizer] = None) -> bool:
-    """Re-run the named check on the embedded payload; True means it passes."""
+def replay_counterexample(payload: str) -> bool:
+    """Re-run the named check on the embedded payload; True means it passes.
+    A malformed payload raises a GralError."""
     lines = payload.splitlines()
-    head = lines[0].split()
+    head = lines[0].split() if lines else []
     if len(head) != 4 or head[:3] != ["GRAL", "1", "COUNTEREXAMPLE"]:
         raise StructuralError("not a counterexample payload")
     check = head[3]
     body = "\n".join(lines[1:]) + "\n"
-    r = r if r is not None else gpd_interval()
+    r = gpd_interval()
     if check in ("groupoid-axioms", "pi-iso-base"):
-        g = parse_groupoid(next(iter(parse_bundle(body).values())))
+        files = parse_bundle(body)
+        if not files:
+            raise ParseError("the bundle holds no groupoid file", 2)
+        g = parse_groupoid(next(iter(files.values())))
         if check == "pi-iso-base":
             return _pi_iso_base_holds(r, g)
         return validate_groupoid(g).ok

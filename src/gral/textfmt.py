@@ -24,6 +24,7 @@ VERSION = "1"
 _GROUPOID_SECTIONS = ("OBJECTS", "MORPHISMS", "ID", "INV", "COMP")
 _ASSEMBLY_SECTIONS = ("RFUN-OBJ", "RFUN-MOR")
 _MORPHISM_SECTIONS = ("FUN-OBJ", "FUN-MOR", "E-OBJ", "E-MOR", "EPS")
+_MARKER = "--- FILE "  # starts the line before each file of a bundle
 
 # function tables: (arity error, noun of a domain id, noun of a codomain id)
 _TABLES = {
@@ -244,8 +245,7 @@ class Loader:
     morphisms can compose.
     """
 
-    def __init__(self, r):
-        self.r = r
+    def __init__(self):
         self._gpds: dict = {}
 
     def groupoid(self, text: str) -> FinGroupoid:
@@ -267,7 +267,7 @@ def serialize_assembly(a: Assembly, base_name: str, rtype_name: str) -> str:
 
 def parse_assembly(text: str, resolve: Callable[[str], str], r,
                    loader: Optional[Loader] = None) -> Assembly:
-    loader = loader if loader is not None else Loader(r)
+    loader = loader if loader is not None else Loader()
     secs, names, heads = _read(text, "ASSEMBLY", _ASSEMBLY_SECTIONS)
     base = loader.groupoid(resolve(names["BASE"]))
     rtype = loader.groupoid(resolve(names["RTYPE"]))
@@ -298,7 +298,7 @@ def serialize_morphism(m: RealizedMorphism, src_name: str, tgt_name: str) -> str
 
 def parse_morphism(text: str, resolve: Callable[[str], str], r,
                    loader: Optional[Loader] = None) -> RealizedMorphism:
-    loader = loader if loader is not None else Loader(r)
+    loader = loader if loader is not None else Loader()
     secs, names, heads = _read(text, "MORPHISM", _MORPHISM_SECTIONS)
     src = parse_assembly(resolve(names["SRC"]), resolve, r, loader)
     tgt = parse_assembly(resolve(names["TGT"]), resolve, r, loader)
@@ -314,10 +314,16 @@ def parse_morphism(text: str, resolve: Callable[[str], str], r,
 # -- bundles ---------------------------------------------------------------
 
 def serialize_bundle(files: dict[str, str]) -> str:
+    """Each file after a `--- FILE <name>` marker.  Refuses a name that is
+    not a token, and a file line that would read back as a marker."""
+    _check_ids(files)
     lines = [f"GRAL {VERSION} BUNDLE"]
-    for name in files:
-        lines.append(f"--- FILE {name}")
-        lines.append(files[name].rstrip("\n"))
+    for name, text in files.items():
+        if _MARKER in text and any(line.startswith(_MARKER)
+                                   for line in text.splitlines()):
+            raise StructuralError(f"file {name!r} has a line that starts {_MARKER!r}")
+        lines.append(_MARKER + name)
+        lines.append(text.rstrip("\n"))
     return "\n".join(lines) + "\n"
 
 
@@ -329,10 +335,12 @@ def parse_bundle(text: str) -> dict[str, str]:
     name: Optional[str] = None
     chunk: list[str] = []
     for i, line in enumerate(lines[1:], start=2):
-        if line.startswith("--- FILE "):
+        if line.startswith(_MARKER):
             if name is not None:
                 files[name] = "\n".join(chunk) + "\n"
-            name = line[len("--- FILE "):].strip()
+            name = line[len(_MARKER):].strip()
+            if name in files:
+                raise ParseError(f"second file named {name!r}", i)
             chunk = []
         elif name is not None:
             chunk.append(line)
@@ -352,19 +360,18 @@ def bundle_resolver(files: dict[str, str]) -> Callable[[str], str]:
     return resolve
 
 
-def bundle_assembly(a: Assembly, name: str = "main") -> str:
+def bundle_assembly(a: Assembly) -> str:
     files = {
-        f"{name}.base.gpd": serialize_groupoid(a.base),
-        f"{name}.rtype.gpd": serialize_groupoid(a.rtype),
-        f"{name}.asm": serialize_assembly(a, f"{name}.base.gpd",
-                                          f"{name}.rtype.gpd"),
+        "main.base.gpd": serialize_groupoid(a.base),
+        "main.rtype.gpd": serialize_groupoid(a.rtype),
+        "main.asm": serialize_assembly(a, "main.base.gpd", "main.rtype.gpd"),
     }
     return serialize_bundle(files)
 
 
-def load_assembly_bundle(text: str, r, name: str = "main") -> Assembly:
+def load_assembly_bundle(text: str, r) -> Assembly:
     resolve = bundle_resolver(parse_bundle(text))
-    return parse_assembly(resolve(f"{name}.asm"), resolve, r)
+    return parse_assembly(resolve("main.asm"), resolve, r)
 
 
 def bundle_morphism(m: RealizedMorphism) -> str:

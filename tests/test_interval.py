@@ -16,8 +16,8 @@ from gral.interval import (
     GpdRealizer, HSquare, IntervalData, boundary, cell_hcomp, cell_vcomp,
     check_cogroupoid, gpd_discrete_interval, gpd_interval, hcomp,
     homotopy_from_nat_iso, identity_homotopy, inverse_homotopy,
-    nat_iso_from_homotopy, path_of_morphism, pi_base_iso, pi_homotopy,
-    pi_path_diagonal, square_hcomp, square_vcomp, vcomp,
+    nat_iso_from_homotopy, nat_iso_functor_form, path_of_morphism, pi_base_iso,
+    pi_homotopy, pi_path_diagonal, square_hcomp, square_vcomp, vcomp,
 )
 
 
@@ -213,12 +213,29 @@ def test_discrete_interval_refuses_squares_and_cylinders():
         rd.fill_square(pt, pt, pt, pt)
     with pytest.raises(CapabilityError):
         homotopy_from_nat_iso(rd, NatIso(f, f, {x: a.id_of(x) for x in a.objects}))
+    h = identity_homotopy(rd, f)
+    with pytest.raises(CapabilityError):
+        rd.boundary_inv(HSquare(h, h, h, h))
+    with pytest.raises(CapabilityError):
+        path_of_morphism(rd, a, a.id_of("a"))
+    with pytest.raises(CapabilityError):
+        pi_base_iso(rd, a)
+    with pytest.raises(CapabilityError):
+        nat_iso_functor_form(rd, NatIso(f, f, {x: a.id_of(x) for x in a.objects}))
+
+
+def test_label_of_a_path_is_its_morphism(r):
+    # the label of a path I1 -> a is the morphism the generator goes to
+    a = disjoint_union([cyclic_group(3), codiscrete(["a", "b"])])
+    for m in a.morphisms:
+        assert r.label(path_of_morphism(r, a, m)) == m
 
 
 def test_every_suite_reports_or_refuses_under_the_discrete_interval(monkeypatch):
     # the operations the degenerate interval lacks refuse with
     # CapabilityError instead of ending in a KeyError traceback
-    monkeypatch.setattr(suites, "gpd_interval", gpd_discrete_interval)
+    monkeypatch.setattr(suites, "gpd_interval",
+                        lambda caps: GpdRealizer(caps, discrete=True))
     for name in suites.SUITES:
         try:
             rep = suites.run_suite(name, SuiteConfig(seed=0))

@@ -1,0 +1,103 @@
+"""Every parameter with a default in `src/gral` has a call that sets it.
+
+A default that no call overrides is an option nobody uses: it should be
+a constant, or go.  The guard reads the source with `ast`.  A call sets
+a parameter by keyword, by position (a call through an attribute skips
+`self`), or through `*args`/`**kwargs`.  Calls are matched by the bare
+name of the function, after `import ... as` aliases are undone, so a
+name that two functions share pools their calls.  A class's `__init__`
+is matched by calls to the class.
+"""
+
+import ast
+import pathlib
+from collections import defaultdict
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CALLERS = ("src", "tests", "demos", "benchmarks")
+
+
+def _trees(*dirs):
+    for d in dirs:
+        for path in sorted((ROOT / d).rglob("*.py")):
+            yield path, ast.parse(path.read_text(), str(path))
+
+
+def _defaulted(tree):
+    """(call name, label, [(position, parameter)]) for each def with defaults.
+
+    The position counts from the first argument a call writes: it skips
+    `self` on methods, and is None for keyword-only parameters.
+    """
+    out = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                pos = a.posonlyargs + a.args
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in child.decorator_list)
+                skip = int(cls is not None and not static)
+                named = [(i - skip, p.arg) for i, p in enumerate(pos)
+                         if i >= len(pos) - len(a.defaults)]
+                named += [(None, p.arg)
+                          for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                          if d is not None]
+                name = cls if child.name == "__init__" and cls else child.name
+                label = f"{cls}.{child.name}" if cls else child.name
+                if named:
+                    out.append((name, label, named))
+                visit(child, None)
+            else:
+                visit(child, cls)
+    visit(tree, None)
+    return out
+
+
+def _calls(tree):
+    """name -> [(positional count, *args?, keywords, **kwargs?)]."""
+    alias = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for n in node.names:
+                if n.asname:
+                    alias[n.asname] = n.name.rsplit(".", 1)[-1]
+    calls = defaultdict(list)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Name):
+            name = alias.get(f.id, f.id)
+        elif isinstance(f, ast.Attribute):
+            name = f.attr
+        else:
+            continue
+        starred = any(isinstance(a, ast.Starred) for a in node.args)
+        kws = {k.arg for k in node.keywords}
+        calls[name].append((len(node.args), starred, kws - {None},
+                            None in kws))
+    return calls
+
+
+def unset_parameters():
+    calls = defaultdict(list)
+    for _path, tree in _trees(*CALLERS):
+        for name, cs in _calls(tree).items():
+            calls[name].extend(cs)
+    unset = []
+    for path, tree in _trees("src/gral"):
+        for name, label, params in _defaulted(tree):
+            for index, param in params:
+                if not any(star or kwstar or param in kws
+                           or (index is not None and npos > index)
+                           for npos, star, kws, kwstar in calls[name]):
+                    unset.append(f"{path.stem}.{label}({param})")
+    return unset
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    assert unset_parameters() == []
