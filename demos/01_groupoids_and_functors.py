@@ -53,6 +53,6 @@ print("iso-comma of the identity cospan:", len(ic.gpd.objects),
 # Isofibrations come with deterministic cleavages; equivalences come with
 # constructed pseudoinverses.
 cleav = isofibration_cleavage(p.p1)
-print("\nfirst projection cleavage lifts:", len(cleav.lifts))
+print("\nfirst projection cleavage lifts:", len(cleav))
 eq = equivalence_inverse(identity_functor(walking))
 print("identity pseudoinverse found:", eq.bwd == identity_functor(walking))

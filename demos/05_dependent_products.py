@@ -12,9 +12,8 @@ from gral.assemblies import (
 )
 from gral.pathcat import FibrationData, is_fibration, pullback_assembly
 from gral.depprod import (
-    UniversalObjectWitness, dependent_product, dp_transpose, fibre_map,
-    fstar_map, homotopy_fibre, is_modest_fibration, nabla,
-    realize_into_nabla, universal_object_check,
+    dependent_product, dp_transpose, fibre_map, fstar_map, homotopy_fibre,
+    is_modest_fibration, nabla, realize_into_nabla,
 )
 
 r = gpd_interval()
@@ -80,16 +79,3 @@ print("the chaotic assembly is modest:", is_modest(chaotic)[0])
 pfib = is_fibration(product_assembly(mk(["b"]), chaotic).p1)
 got, witness = is_modest_fibration(pfib)
 print("a fibration with chaotic fibre is modest:", got)
-
-# Universal objects are witness-driven: a candidate passes a probe when
-# the supplied section/retraction pair is a pseudoretract, certified by a
-# homotopy into the identity.
-from gral.interval import identity_homotopy
-iv = r.interval
-wit = UniversalObjectWitness(iv.I1)
-key = r.obj_key(iv.I0)
-wit.sections[key] = iv.zero
-wit.retractions[key] = r.terminal_map(iv.I1)
-wit.homotopies[key] = identity_homotopy(r, r.identity(iv.I0))
-print("\nthe interval passes the point probe:",
-      universal_object_check(r, wit, [iv.I0]).ok)

@@ -30,14 +30,12 @@ from .assemblies import (
 )
 from .pathcat import (
     AsmEquivalence, FibrationData, PathObjectData, as_equivalence,
-    finite_limits, is_fibration, lift_2cell, path_object, pc7_section,
-    pc8_pseudoinverse, pullback_assembly, pseudopullback_assembly,
-    transfer_structure,
+    is_fibration, lift_2cell, path_object, pc7_section, pc8_pseudoinverse,
+    pullback_assembly, pseudopullback_assembly, transfer_structure,
 )
 from .depprod import (
-    DepProd, HomotopyFibre, UniversalObjectWitness, check_modest_closure,
-    dependent_product, dp_transpose, fibre_map, homotopy_fibre,
-    is_modest_fibration, nabla, realize_into_nabla, universal_object_check,
+    DepProd, HomotopyFibre, dependent_product, dp_transpose, fibre_map,
+    homotopy_fibre, is_modest_fibration, nabla, realize_into_nabla,
 )
 from .combalg import (
     TCA, DiscreteAssembly, DiscreteMorphism, bracket_abstract, normalize,
@@ -61,13 +59,12 @@ __all__ = [
     "transpose_morphism", "twocell_compose", "validate_assembly",
     "validate_morphism", "validate_twocell", "weak_exponential",
     "AsmEquivalence", "FibrationData", "PathObjectData", "as_equivalence",
-    "finite_limits", "is_fibration", "lift_2cell", "path_object",
-    "pc7_section", "pc8_pseudoinverse", "pullback_assembly",
-    "pseudopullback_assembly", "transfer_structure",
-    "DepProd", "HomotopyFibre", "UniversalObjectWitness",
-    "check_modest_closure", "dependent_product", "dp_transpose", "fibre_map",
-    "homotopy_fibre", "is_modest_fibration", "nabla", "realize_into_nabla",
-    "universal_object_check",
+    "is_fibration", "lift_2cell", "path_object", "pc7_section",
+    "pc8_pseudoinverse", "pullback_assembly", "pseudopullback_assembly",
+    "transfer_structure",
+    "DepProd", "HomotopyFibre", "dependent_product", "dp_transpose",
+    "fibre_map", "homotopy_fibre", "is_modest_fibration", "nabla",
+    "realize_into_nabla",
     "TCA", "DiscreteAssembly", "DiscreteMorphism", "bracket_abstract",
     "normalize", "realizer_category_of", "unit_augmentation",
     "Gen", "SuiteConfig", "generate", "SUITE_NAMES", "run_suite",

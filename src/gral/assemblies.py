@@ -330,18 +330,16 @@ class TwoCell:
     a morphism out of the cylinder assembly.
     """
 
-    __slots__ = ("src", "tgt", "iso", "body", "ew", "epsw", "i1base")
+    __slots__ = ("src", "tgt", "iso", "body", "ew", "epsw")
 
     def __init__(self, src: RealizedMorphism, tgt: RealizedMorphism,
-                 iso: NatIso, body: GFunctor, ew: Map, epsw: NatIso,
-                 i1base: FinGroupoid):
+                 iso: NatIso, body: GFunctor, ew: Map, epsw: NatIso):
         self.src = src
         self.tgt = tgt
         self.iso = iso
         self.body = body
         self.ew = ew
         self.epsw = epsw
-        self.i1base = i1base
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, TwoCell) and self.src == other.src
@@ -360,15 +358,14 @@ class PGAsmInterval:
     data: IntervalData            # assemblies and realized structure maps
     i1base: FinGroupoid
 
+    def __post_init__(self):
+        self._cylinders: dict[Any, ProductAssembly] = {}
+
     def cylinder(self, x: Assembly) -> ProductAssembly:
-        key = ("cyl", x.key())
-        cache = getattr(self.r, "_pgasm_cache", None)
-        if cache is None:
-            cache = {}
-            self.r._pgasm_cache = cache
-        if key not in cache:
-            cache[key] = product_assembly(x, self.data.I1)
-        return cache[key]
+        key = x.key()
+        if key not in self._cylinders:
+            self._cylinders[key] = product_assembly(x, self.data.I1)
+        return self._cylinders[key]
 
 
 def _chain_assembly(r: RealizerCategory, k: int, corners: list[Map],
@@ -520,7 +517,7 @@ def _cell(pg: PGAsmInterval, src: RealizedMorphism, tgt: RealizedMorphism,
         comps[opair[(xo, "0")]] = at0[xo]
         comps[opair[(xo, "1")]] = at1[xo]
     w = realized(cyl.asm, src.tgt, body, ew, comps)
-    return TwoCell(src, tgt, iso, body, ew, w.eps, pg.i1base)
+    return TwoCell(src, tgt, iso, body, ew, w.eps)
 
 
 def _cell_ends(pg: PGAsmInterval, c: TwoCell) -> list[dict[str, str]]:
@@ -816,30 +813,23 @@ def beta_holds(w: WeakExpObject, k: RealizedMorphism, k_src: ProductAssembly,
     return compose_functors(w.ev.fun, lift) == k.fun
 
 
-# -- the (partial) realizer-category structure of assemblies -----------------
+# -- the assembly fragment the cogroupoid checker reads ----------------------
 
-class PGAsmRealizer(RealizerCategory):
-    """Assemblies as a realizer-category fragment.
+class PGAsmRealizer:
+    """Assemblies with their internal interval, as `check_cogroupoid` reads them.
 
-    Supports exactly what the cogroupoid checker consumes: composition,
-    identities, hom enumeration, the internal interval and its copairing
-    witnesses.  Hom-sets contain one realized morphism per realizable
-    functor (morphism equality is functor equality).
+    Provides exactly what that checker consumes: the interval, hom
+    enumeration, composition, identities and the two copairing witnesses.
+    Hom-sets contain one realized morphism per realizable functor
+    (morphism equality is functor equality).  It is not a
+    `RealizerCategory`: it has no products, exponentials or fundamental
+    groupoids.
     """
 
     def __init__(self, gr: RealizerCategory):
         self.pg = pgasm_interval(gr)
         self.interval = self.pg.data
         self._hom_cache: dict = {}
-
-    def obj_key(self, a: Assembly):
-        return a.key()
-
-    def dom(self, f: RealizedMorphism):
-        return f.src
-
-    def cod(self, f: RealizedMorphism):
-        return f.tgt
 
     def identity(self, a: Assembly) -> RealizedMorphism:
         return identity_morphism(a)
@@ -857,13 +847,6 @@ class PGAsmRealizer(RealizerCategory):
                     out.append(m)
             self._hom_cache[key] = out
         return self._hom_cache[key]
-
-    def label(self, f: RealizedMorphism) -> str:
-        objs = ",".join(f"{x}>{f.fun.omap[x]}" for x in f.fun.dom.objects)
-        return f"[{objs}]"
-
-    def terminal_map(self, a: Assembly) -> RealizedMorphism:
-        return bang(a, self.pg.terminal)
 
     def copair2(self, beta: RealizedMorphism, alpha: RealizedMorphism):
         return pgasm_copair2(self.pg, beta, alpha)

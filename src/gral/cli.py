@@ -18,7 +18,8 @@ from .errors import (
 from .groupoids import SizeCaps, exponential, product, validate_groupoid
 from .interval import gpd_interval
 from .assemblies import pgasm_interval, validate_assembly, validate_morphism
-from .pathcat import FibrationData, finite_limits, is_fibration, path_object
+from .pathcat import FibrationData, is_fibration, path_object, \
+    pseudopullback_assembly, pullback_assembly
 from .depprod import dependent_product
 from .generators import SuiteConfig
 from . import textfmt
@@ -129,9 +130,8 @@ def cmd_build(args) -> int:
                                               r, shared)
             m2 = textfmt.load_morphism_bundle(Path(args.inputs[1]).read_text(),
                                               r, shared)
-            res = finite_limits(args.kind, m1, m2,
-                                pgasm_interval(r) if args.kind ==
-                                "pseudopullback" else None)
+            res = (pullback_assembly(m1, m2) if args.kind == "pullback"
+                   else pseudopullback_assembly(m1, m2, pgasm_interval(r)))
             _emit(textfmt.bundle_assembly(res.asm), args.out)
             return EXIT_OK
         # pif

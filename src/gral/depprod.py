@@ -8,23 +8,20 @@ per fibre under the ambient size caps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from .errors import BoundaryError, SizeCapError, StructuralError
 from .groupoids import (
-    Cleavage, FinGroupoid, GFunctor, NatIso, Report, _Deferred,
-    composable_pairs, compose_functors, conjugate, functors_between,
-    nat_isos_between,
+    FinGroupoid, GFunctor, NatIso, composable_pairs, compose_functors,
+    conjugate, functors_between, nat_isos_between,
 )
 from .assemblies import (
     Assembly, ProductAssembly, RealizedMorphism, _evaluate_paths,
     _identity_eps, compose_morphisms, is_modest, realized,
 )
-from .interval import Homotopy, RealizerCategory, homotopy_cod, homotopy_dom
-from .pathcat import (
-    FibrationData, _path_point, _square_path, is_fibration, pullback_assembly,
-)
+from .interval import RealizerCategory
+from .pathcat import FibrationData, _path_point, _square_path, pullback_assembly
 
 
 def _fibre_obj_id(y: str, u: str) -> str:
@@ -199,14 +196,14 @@ def dependent_product(g: FibrationData, f: FibrationData,
     obj_index: dict[tuple, str] = {}
     count = 0
     point_left: dict[tuple[str, str], GFunctor] = {}
+    # Pi of each realizer point, as a map bc -> x_asm.rtype
+    pe_of = {po: r.pi_map(r.point_as_map(pie.point_of[po], bc, x_asm.rtype))
+             for po in pie.gpd.objects}
     for z, hf in fibres.items():
         sections = functors_between(hf.asm.base, x_asm.base,
                                     over=(g.morphism.fun, hf.proj.fun))
         for po in pie.gpd.objects:
-            key = (z, po)
-            point_left[key] = compose_functors(
-                r.pi_map(r.point_as_map(pie.point_of[po], bc, x_asm.rtype)),
-                hf.asm.rfun)
+            point_left[(z, po)] = compose_functors(pe_of[po], hf.asm.rfun)
         for H in sections:
             right = compose_functors(x_asm.rfun, H)
             for po in pie.gpd.objects:
@@ -237,13 +234,6 @@ def dependent_product(g: FibrationData, f: FibrationData,
     mor_index: dict[tuple, str] = {}
     mcount = 0
     pxg = pix.gpd
-    pe_cache: dict[str, GFunctor] = {}
-
-    def point_map(po: str) -> GFunctor:
-        if po not in pe_cache:
-            pe_cache[po] = r.pi_map(r.point_as_map(pie.point_of[po], bc,
-                                                   x_asm.rtype))
-        return pe_cache[po]
 
     # the target functor and the zeta boundary at level 1 depend only on the
     # target object and the base morphism
@@ -254,7 +244,7 @@ def dependent_product(g: FibrationData, f: FibrationData,
             for rmor in z_asm.base.hom(z, z2):
                 if (ob, rmor) not in boundary:
                     fr = fmap(rmor)
-                    pe2 = point_map(po2)
+                    pe2 = pe_of[po2]
                     boundary[(ob, rmor)] = (compose_functors(H2, fr.fun), {
                         oid2: pxg.compose(eps2.components[fr.fun.omap[oid2]],
                                           pe2.mmap[fr.eps.components[oid2]])
@@ -315,7 +305,7 @@ def dependent_product(g: FibrationData, f: FibrationData,
                          for oid2 in fibres[obj_data[tgt][0]].asm.base.objects])
         inv[mid] = mor_index[(tgt, z_asm.base.inv_of(rm), psi_inv,
                               pie.gpd.inv_of(fp))]
-    base = FinGroupoid(list(obj_data), mors, _Deferred(build_comp), ident, inv)
+    base = FinGroupoid(list(obj_data), mors, build_comp, ident, inv)
 
     rt_prod = r.product(z_asm.rtype, exp.obj)
     piz = z_asm.pi
@@ -337,7 +327,7 @@ def dependent_product(g: FibrationData, f: FibrationData,
     # chosen lifts: reindex the section backwards, keep the realizer point
     lifts: dict[tuple[str, str], str] = {}
     for oid, (z, H, po, eps) in obj_data.items():
-        pe = point_map(po)
+        pe = pe_of[po]
         for rmor in z_asm.base.out_of(z):
             if z_asm.base.is_identity(rmor):
                 lifts[(oid, rmor)] = base.id_of(oid)
@@ -356,7 +346,7 @@ def dependent_product(g: FibrationData, f: FibrationData,
             if mors[mid][1] != tgt_oid:
                 raise StructuralError("chosen lift misses the forced target")
             lifts[(oid, rmor)] = mid
-    fib = FibrationData(proj, Cleavage(lifts))
+    fib = FibrationData(proj, lifts)
 
     fstar = pullback_assembly(f.morphism, proj)
     ev = _build_ev(r, g, f, fibres, obj_data, mor_data, fstar, exp, bc, rt_prod)
@@ -523,31 +513,6 @@ def is_modest_fibration(fib: FibrationData):
     return True, None
 
 
-def check_modest_closure(composable: list[tuple[FibrationData, FibrationData]],
-                         pif_inputs: list[tuple[FibrationData, FibrationData]],
-                         ) -> Report:
-    """Composition closure and closure of the dependent product.
-
-    composable: pairs (m2, m1) of modest fibrations with m1.tgt = m2.src;
-    pif_inputs: pairs (g, f) with g modest, checking Pi_F(G) modest.
-    """
-    rep = Report()
-    for i, (m2, m1) in enumerate(composable):
-        comp = is_fibration(compose_morphisms(m2.morphism, m1.morphism))
-        if not isinstance(comp, FibrationData):
-            rep.add("composite-fibration", False, f"pair {i}: composite not a fibration")
-            continue
-        ok, witness = is_modest_fibration(comp)
-        if not ok:
-            rep.add("composite-modest", False, f"pair {i}: {witness}")
-    for i, (g, f) in enumerate(pif_inputs):
-        dp = dependent_product(g, f)
-        ok, witness = is_modest_fibration(dp.fib)
-        if not ok:
-            rep.add("pif-modest", False, f"input {i}: {witness}")
-    return rep
-
-
 # -- the chaotic inclusion -----------------------------------------------------
 
 def nabla(r: RealizerCategory, x: FinGroupoid, rtype, a0: str) -> Assembly:
@@ -568,35 +533,3 @@ def realize_into_nabla(w: Assembly, target: Assembly,
     a0 = next(iter(set(target.rfun.omap.values())))
     e = r.compose(pi_t.point_of[a0], r.terminal_map(w.rtype))
     return _identity_eps(w, target, fun, e)
-
-
-# -- universal objects ---------------------------------------------------------
-
-@dataclass
-class UniversalObjectWitness:
-    """A candidate universal object with per-probe pseudoretract data."""
-
-    candidate: Any
-    sections: dict[Any, Any] = field(default_factory=dict)      # key -> s_A
-    retractions: dict[Any, Any] = field(default_factory=dict)   # key -> r_A
-    homotopies: dict[Any, Homotopy] = field(default_factory=dict)
-
-
-def universal_object_check(r: RealizerCategory, w: UniversalObjectWitness,
-                           probes: list) -> Report:
-    """Verify rho_A: r_A s_A => id_A for every supplied probe."""
-    rep = Report()
-    for a in probes:
-        key = r.obj_key(a)
-        if key not in w.homotopies:
-            rep.add("missing", False, f"no witness supplied for probe {a!r}")
-            continue
-        s_a = w.sections[key]
-        r_a = w.retractions[key]
-        rho = w.homotopies[key]
-        rs = r.compose(r_a, s_a)
-        if not r.map_eq(homotopy_dom(rho), rs):
-            rep.add("rho-dom", False, f"probe {a!r}: homotopy does not start at r.s")
-        if not r.map_eq(homotopy_cod(rho), r.identity(a)):
-            rep.add("rho-cod", False, f"probe {a!r}: homotopy does not end at id")
-    return rep

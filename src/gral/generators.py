@@ -157,11 +157,7 @@ class Gen:
         fb = self.assembly(
             base=fibre_base if fibre_base is not None else self.small_groupoid(2),
             rich=rich)
-        p = product_assembly(y, fb)
-        fib = is_fibration(p.p1)
-        if not isinstance(fib, FibrationData):
-            raise StructuralError("projection failed to be a fibration")
-        return fib, p.asm
+        return _projection(y, fb)
 
     def acyclic_fibration(self, base: Optional[Assembly] = None,
                           rich: bool = True) -> FibrationData:
@@ -189,12 +185,16 @@ class Gen:
                          ) -> tuple[FibrationData, Assembly]:
         """A projection whose fibres are modest assemblies."""
         y = base if base is not None else self.assembly(rich=False)
-        fb = self.modest_assembly()
-        p = product_assembly(y, fb)
-        fib = is_fibration(p.p1)
-        if not isinstance(fib, FibrationData):
-            raise StructuralError("projection failed to be a fibration")
-        return fib, p.asm
+        return _projection(y, self.modest_assembly())
+
+
+def _projection(y: Assembly, fb: Assembly) -> tuple[FibrationData, Assembly]:
+    """The projection Y x F -> Y as a fibration, with its total assembly."""
+    p = product_assembly(y, fb)
+    fib = is_fibration(p.p1)
+    if not isinstance(fib, FibrationData):
+        raise StructuralError("projection failed to be a fibration")
+    return fib, p.asm
 
 
 def _sample(n: int, make: Callable[[], Optional[T]]) -> Iterator[T]:

@@ -100,16 +100,6 @@ class Report:
         }, indent=2, sort_keys=True)
 
 
-class _Deferred:
-    """A `comp` table that `FinGroupoid` builds with `build()`, and checks,
-    on the first read of its `comp`."""
-
-    __slots__ = ("build",)
-
-    def __init__(self, build: Callable[[], dict[tuple[str, str], str]]):
-        self.build = build
-
-
 class FinGroupoid:
     """A finite groupoid given by total composition/identity/inverse tables.
 
@@ -119,8 +109,8 @@ class FinGroupoid:
     identifiers, total tables).  The `comp` table (no dangling or
     non-composable entry, one entry per composable pair) is checked at
     construction when it is given as a dict, and at the first read of
-    `comp`, before any entry is returned, when it is given as
-    `_Deferred(build)` and built then.  The groupoid axioms themselves are
+    `comp`, before any entry is returned, when it is given as a zero-argument
+    function that builds it then.  The groupoid axioms themselves are
     checked by `validate_groupoid`, so deliberately broken tables can be
     built for fault-injection tests.  `factors` is the pair (X, Y) when
     `product` made this groupoid as the full product X x Y, and else None.
@@ -140,7 +130,7 @@ class FinGroupoid:
         self,
         objects: Iterable[str],
         mors: dict[str, tuple[str, str]],
-        comp: dict[tuple[str, str], str],
+        comp: dict[tuple[str, str], str] | Callable[[], dict],
         ident: dict[str, str],
         inv: dict[str, str],
     ):
@@ -156,9 +146,9 @@ class FinGroupoid:
         self._key = None
         self.factors: Optional[tuple[FinGroupoid, FinGroupoid]] = None
         self._check_structure()
-        if type(comp) is _Deferred:
+        if callable(comp):
             self._comp = None  # built and checked on the first read of `comp`
-            self._build_comp = comp.build
+            self._build_comp = comp
         else:
             self._comp = self._checked_comp(dict(comp))
             self._build_comp = None
@@ -941,8 +931,7 @@ def _paired(x: FinGroupoid, y: FinGroupoid, objs: list[tuple[str, str]],
 
     ident = {opair[(a, b)]: mpair[(x.ident[a], y.ident[b])] for (a, b) in objs}
     inv = {mpair[(m, n)]: mpair[(x.inv[m], y.inv[n])] for (m, n) in ms}
-    gpd = FinGroupoid([opair[ab] for ab in objs], mors, _Deferred(build_comp),
-                      ident, inv)
+    gpd = FinGroupoid([opair[ab] for ab in objs], mors, build_comp, ident, inv)
     p1 = GFunctor(gpd, x, {opair[ab]: ab[0] for ab in objs}, {mpair[mn]: mn[0] for mn in ms})
     p2 = GFunctor(gpd, y, {opair[ab]: ab[1] for ab in objs}, {mpair[mn]: mn[1] for mn in ms})
     return ProductGpd(gpd, p1, p2, opair, mpair)
@@ -1130,29 +1119,17 @@ def curry(k: GFunctor, raw: ProductGpd, base: FinGroupoid
 # -- isofibrations and equivalences ----------------------------------------
 
 @dataclass
-class Cleavage:
-    """Deterministic lifts: for (y, q: F y -> z') a morphism from y over q.
-
-    Lifts of identities are normalized to identities.
-    """
-
-    lifts: dict[tuple[str, str], str]
-
-    def lift(self, y: str, q: str) -> str:
-        return self.lifts[(y, q)]
-
-
-@dataclass
 class LiftFailure:
     obj: str
     arrow: str
 
 
 def isofibration_cleavage(f: GFunctor):
-    """Cleavage if f is an isofibration, else the witnessing failure.
+    """Deterministic lifts if f is an isofibration, else the witnessing failure.
 
-    The chosen lift is the lexicographically least candidate, except that
-    identities lift to identities.
+    The lifts map (y, q: f y -> z') to a morphism from y over q: the
+    lexicographically least candidate, except that identities lift to
+    identities.
     """
     dom, cod = f.dom, f.cod
     lifts: dict[tuple[str, str], str] = {}
@@ -1166,7 +1143,7 @@ def isofibration_cleavage(f: GFunctor):
             if not cands:
                 return LiftFailure(y, q)
             lifts[(y, q)] = cands[0]
-    return Cleavage(lifts)
+    return lifts
 
 
 @dataclass

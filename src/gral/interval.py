@@ -4,9 +4,9 @@ The constructions here are written against an abstract realizer-category
 interface (`RealizerCategory`): a cartesian closed category presented by
 operations with enumerable hom-sets, carrying an interval object family
 I0..I3 with structure maps and copairing witnesses for the two interval
-pushouts.  The groupoid instance (`GpdRealizer`) is the one that ships;
-a partial second instance lives in `assemblies` for checking the interval
-internal to the category of assemblies.
+pushouts.  The groupoid instance (`GpdRealizer`) is its one implementation;
+the interval-diagram checker also runs on `assemblies.PGAsmRealizer`, which
+provides only what that checker reads, for the assemblies' own interval.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Any, Callable, Optional
 from .errors import BoundaryError, CapabilityError, StructuralError
 from .groupoids import (
     DEFAULT_CAPS, ExpGpd, FinGroupoid, GFunctor, NatIso, ProductGpd, Report,
-    SizeCaps, _Deferred, _codiscrete, composable_pairs, compose_functors, curry,
+    SizeCaps, _codiscrete, composable_pairs, compose_functors, curry,
     evaluation, exponential as gpd_exponential, functors_between, identity_functor,
     product as gpd_product, terminal_groupoid,
 )
@@ -71,15 +71,20 @@ class ExpObj:
 class RealizerCategory:
     """Operations of a realizer category; subclasses provide primitives.
 
-    Derived combinators (swap, binary map product, uncurrying, path algebra)
-    are implemented here once, against the primitives, and so are the
-    fundamental groupoid's cache and its generic table build.  The groupoid
-    instance overrides only that table build (`build_pi`, `pi_map`); the
-    generic build stays the paper's construction and the checked reference.
+    `GpdRealizer` is the one subclass.  Derived combinators (swap, binary
+    map product, uncurrying, path algebra) are implemented here once,
+    against the primitives, and so are the fundamental groupoid's cache
+    (made by `__init__`) and its generic table build.  Maps are compared
+    with `==`.  The groupoid instance overrides only that table build
+    (`build_pi`, `pi_map`); the generic build stays the paper's
+    construction and the checked reference.
     """
 
     interval: IntervalData
     caps: SizeCaps = DEFAULT_CAPS
+
+    def __init__(self):
+        self._pi_cache: dict = {}
 
     # -- primitives -------------------------------------------------------
 
@@ -145,9 +150,6 @@ class RealizerCategory:
 
     # -- derived combinators ----------------------------------------------
 
-    def map_eq(self, f: Map, g: Map) -> bool:
-        return f == g
-
     def swap(self, a, b) -> Map:
         pab = self.product(a, b)
         return self.product(b, a).pair(pab.p2, pab.p1)
@@ -193,7 +195,7 @@ class RealizerCategory:
 
     def concat(self, beta: Map, alpha: Map) -> Map:
         """[beta, alpha]: I2 -> A for nose-to-tail paths (beta.0 = alpha.1)."""
-        if not self.map_eq(self.path_src(beta), self.path_tgt(alpha)):
+        if self.path_src(beta) != self.path_tgt(alpha):
             raise BoundaryError("paths do not match nose to tail")
         return self.copair2(beta, alpha)
 
@@ -205,10 +207,7 @@ class RealizerCategory:
 
     def pi(self, a) -> "PiData":
         key = self.obj_key(a)
-        cache = getattr(self, "_pi_cache", None)
-        if cache is None:
-            cache = {}
-            self._pi_cache = cache
+        cache = self._pi_cache
         if key not in cache:
             cache[key] = self.build_pi(a)
         return cache[key]
@@ -286,12 +285,12 @@ class Homotopy:
         return self.r.cod(self.lhs)
 
     def check(self) -> None:
-        if not (self.r.map_eq(homotopy_dom(self), self.lhs)
-                and self.r.map_eq(homotopy_cod(self), self.rhs)):
+        if not (homotopy_dom(self) == self.lhs
+                and homotopy_cod(self) == self.rhs):
             raise BoundaryError("homotopy body does not restrict to its boundary")
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Homotopy) and self.r.map_eq(self.body, other.body)
+        return isinstance(other, Homotopy) and self.body == other.body
 
 
 def _end_section(r: RealizerCategory, a, end: Map) -> Map:
@@ -335,7 +334,7 @@ def homotopy_copair(h2: Homotopy, h1: Homotopy) -> Map:
 def vcomp(h2: Homotopy, h1: Homotopy) -> Homotopy:
     """Vertical composition h2 . h1 (requires dom(h2) = cod(h1))."""
     r = h1.r
-    if not r.map_eq(h2.lhs, h1.rhs):
+    if h2.lhs != h1.rhs:
         raise BoundaryError("vertical composition: boundaries do not match")
     body = r.compose(homotopy_copair(h2, h1),
                      r.times(r.identity(h1.a), r.interval.two))
@@ -401,11 +400,10 @@ class HSquare:
     right: Homotopy
 
     def check(self) -> None:
-        r = self.top.r
-        if not (r.map_eq(self.top.lhs, self.left.lhs)
-                and r.map_eq(self.top.rhs, self.right.lhs)
-                and r.map_eq(self.bottom.lhs, self.left.rhs)
-                and r.map_eq(self.bottom.rhs, self.right.rhs)):
+        if not (self.top.lhs == self.left.lhs
+                and self.top.rhs == self.right.lhs
+                and self.bottom.lhs == self.left.rhs
+                and self.bottom.rhs == self.right.rhs):
             raise BoundaryError("square corners do not match")
         if vcomp(self.right, self.top) != vcomp(self.bottom, self.left):
             raise BoundaryError("square does not commute")
@@ -438,7 +436,7 @@ def homotopy_from_body(r: RealizerCategory, body: Map, base) -> Homotopy:
     return Homotopy(r, lhs, rhs, body)
 
 
-def boundary(r: RealizerCategory, cell: Map, a, b) -> HSquare:
+def boundary(r: RealizerCategory, cell: Map, a) -> HSquare:
     """The four edges of a cell (a x I1) x I1 -> b."""
     iv = r.interval
 
@@ -449,7 +447,7 @@ def boundary(r: RealizerCategory, cell: Map, a, b) -> HSquare:
                    edge(iv.zero, None), edge(iv.one, None))
 
 
-def cell_vcomp(r: RealizerCategory, c2: Map, c1: Map, a, b) -> Map:
+def cell_vcomp(r: RealizerCategory, c2: Map, c1: Map, a) -> Map:
     """Compose cells in the second interval direction (as homotopies over a x I1)."""
     pa = r.product(a, r.interval.I1)
     return vcomp(homotopy_from_body(r, c2, pa.obj),
@@ -466,10 +464,10 @@ def _swap_cell_coords(r: RealizerCategory, a) -> Map:
     return outer.pair(leg1, leg2)
 
 
-def cell_hcomp(r: RealizerCategory, c2: Map, c1: Map, a, b) -> Map:
+def cell_hcomp(r: RealizerCategory, c2: Map, c1: Map, a) -> Map:
     """Compose cells in the first interval direction."""
     sw = _swap_cell_coords(r, a)
-    out = cell_vcomp(r, r.compose(c2, sw), r.compose(c1, sw), a, b)
+    out = cell_vcomp(r, r.compose(c2, sw), r.compose(c1, sw), a)
     return r.compose(out, sw)
 
 
@@ -506,6 +504,7 @@ class GpdRealizer(RealizerCategory):
     """
 
     def __init__(self, caps: SizeCaps = DEFAULT_CAPS, discrete: bool = False):
+        super().__init__()
         self.caps = caps
         self.discrete = discrete
         self._hom_cache: dict = {}
@@ -673,7 +672,7 @@ class GpdRealizer(RealizerCategory):
                     for m2, m1 in composable_pairs(mors)}
 
         inv = {m: "path:" + a.inv_of(g) for m, g in gen.items()}
-        gpd = FinGroupoid(sorted(points), mors, _Deferred(build), ident, inv)
+        gpd = FinGroupoid(sorted(points), mors, build, ident, inv)
         return PiData(gpd, points, paths)
 
     def pi_map(self, f: GFunctor) -> GFunctor:
@@ -826,7 +825,8 @@ def pi_base_iso(r: GpdRealizer, a: FinGroupoid) -> GFunctor:
 def check_cogroupoid(r: RealizerCategory, iv: Optional[IntervalData] = None) -> Report:
     """Scan the interval diagrams and both pushout universal properties.
 
-    The second coinverse diagram is checked in its symmetric form with
+    Reads of `r` only `interval`, `hom`, `compose`, `identity`, `copair2`
+    and `copair3`.  The second coinverse diagram is checked in its symmetric form with
     codomain I1 (the asymmetric printed form does not typecheck); the
     detail of its entry says so.
     """
@@ -848,35 +848,34 @@ def check_cogroupoid(r: RealizerCategory, iv: Optional[IntervalData] = None) -> 
     check("I0-terminal", lambda: all(len(r.hom(x, iv.I0)) == 1 for x in probes),
           "hom(X, I0) is a singleton for every probe")
     check("endpoint-cocomposition-0",
-          lambda: r.map_eq(c(iv.two, iv.zero), c(iv.i0, iv.zero)))
+          lambda: c(iv.two, iv.zero) == c(iv.i0, iv.zero))
     check("endpoint-cocomposition-1",
-          lambda: r.map_eq(c(iv.two, iv.one), c(iv.i1, iv.one)))
+          lambda: c(iv.two, iv.one) == c(iv.i1, iv.one))
     check("coidentity-endpoints",
-          lambda: r.map_eq(c(iv.star, iv.zero), ident(iv.I0))
-          and r.map_eq(c(iv.star, iv.one), ident(iv.I0)),
+          lambda: c(iv.star, iv.zero) == ident(iv.I0)
+          and c(iv.star, iv.one) == ident(iv.I0),
           "star absorbs both endpoints")
     check("sigma-endpoints",
-          lambda: r.map_eq(c(iv.sigma, iv.zero), iv.one)
-          and r.map_eq(c(iv.sigma, iv.one), iv.zero),
+          lambda: c(iv.sigma, iv.zero) == iv.one
+          and c(iv.sigma, iv.one) == iv.zero,
           "sigma swaps the endpoints")
     check("sigma-involution",
-          lambda: r.map_eq(c(iv.sigma, iv.sigma), ident(iv.I1)))
+          lambda: c(iv.sigma, iv.sigma) == ident(iv.I1))
     check("coidentity",
-          lambda: r.map_eq(c(r.copair2(ident(iv.I1), c(iv.zero, iv.star)), iv.two),
-                           ident(iv.I1))
-          and r.map_eq(c(r.copair2(c(iv.one, iv.star), ident(iv.I1)), iv.two),
-                       ident(iv.I1)),
+          lambda: c(r.copair2(ident(iv.I1), c(iv.zero, iv.star)), iv.two)
+          == ident(iv.I1)
+          and c(r.copair2(c(iv.one, iv.star), ident(iv.I1)), iv.two)
+          == ident(iv.I1),
           "copairing with a degenerate path is neutral")
     check("coassociativity",
-          lambda: r.map_eq(
-              c(r.copair2(c(iv.j1, iv.two), c(iv.j0, iv.i0)), iv.two),
-              c(r.copair2(c(iv.j1, iv.i1), c(iv.j0, iv.two)), iv.two)))
+          lambda: c(r.copair2(c(iv.j1, iv.two), c(iv.j0, iv.i0)), iv.two)
+          == c(r.copair2(c(iv.j1, iv.i1), c(iv.j0, iv.two)), iv.two))
     check("coinverse-left",
-          lambda: r.map_eq(c(r.copair2(ident(iv.I1), iv.sigma), iv.two),
-                           c(iv.one, iv.star)))
+          lambda: c(r.copair2(ident(iv.I1), iv.sigma), iv.two)
+          == c(iv.one, iv.star))
     check("coinverse-right",
-          lambda: r.map_eq(c(r.copair2(iv.sigma, ident(iv.I1)), iv.two),
-                           c(iv.zero, iv.star)),
+          lambda: c(r.copair2(iv.sigma, ident(iv.I1)), iv.two)
+          == c(iv.zero, iv.star),
           "checked with codomain I1 (symmetric form)")
     _check_pushout(rep, "pushout-I2", r, probes, iv.I1, iv.I2, iv.i0, iv.i1,
                    iv.one, iv.zero, lambda u, v: r.copair2(v, u))
@@ -889,8 +888,8 @@ def restriction_counts(r: RealizerCategory, cands, e0: Map, e1: Map) -> Counter:
     """How many of `cands` restrict along (e0, e1) to each pair of legs.
 
     The pushout checks look up every pair of legs here, so each candidate is
-    composed once per probe.  Lookup stands in for `map_eq`, which is `==`:
-    maps hash consistently with it.
+    composed once per probe.  Lookup stands in for `==`: maps hash
+    consistently with it.
     """
     return Counter((r.compose(m, e0), r.compose(m, e1)) for m in cands)
 
@@ -910,11 +909,11 @@ def _check_pushout(rep: Report, name: str, r: RealizerCategory, probes, legs,
         counts = restriction_counts(r, r.hom(cop, x), e0, e1)
         for u, (ua, _ub) in zip(us, ends):
             for v, (_va, vb) in zip(us, ends):
-                if not r.map_eq(ua, vb):
+                if ua != vb:
                     continue
                 cp = copair(u, v)
-                if not (r.map_eq(r.compose(cp, e0), u)
-                        and r.map_eq(r.compose(cp, e1), v)):
+                if not (r.compose(cp, e0) == u
+                        and r.compose(cp, e1) == v):
                     rep.add(name, False, "copair does not restrict to its legs")
                     return
                 n = counts[(u, v)]

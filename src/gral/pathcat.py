@@ -14,8 +14,8 @@ from typing import Callable, Optional
 
 from .errors import BoundaryError, StructuralError
 from .groupoids import (
-    Cleavage, EquivalenceData, FinGroupoid, GFunctor, LiftFailure, NatIso,
-    Report, _Deferred, compose_functors, conjugate, equivalence_inverse,
+    EquivalenceData, FinGroupoid, GFunctor, LiftFailure, NatIso, Report,
+    compose_functors, conjugate, equivalence_inverse,
     identity_functor, identity_nat_iso, invert_nat_iso, iso_comma,
     isofibration_cleavage, pullback as gpd_pullback,
 )
@@ -31,12 +31,12 @@ from .assemblies import (
 class FibrationData:
     """A realized morphism with a deterministic cleavage.
 
-    lift(x, q) is the chosen morphism over q with source x; transports
+    lifts[(x, q)] is the chosen morphism over q with source x; transports
     between fibres are realized by (identity, lift-image) witnesses.
     """
 
     morphism: RealizedMorphism
-    cleavage: Cleavage
+    lifts: dict[tuple[str, str], str]
 
     def __post_init__(self):
         self._fibres: dict[str, Assembly] = {}
@@ -50,7 +50,7 @@ class FibrationData:
         return self.morphism.tgt
 
     def lift(self, x: str, q: str) -> str:
-        return self.cleavage.lifts[(x, q)]
+        return self.lifts[(x, q)]
 
     def fibre(self, y: str) -> Assembly:
         """The fibre assembly over a base object, with restricted realizers."""
@@ -61,11 +61,11 @@ class FibrationData:
             idy = self.tgt.base.id_of(y)
             objs = [o for o in base.objects if fun.omap[o] == y]
             mors = {m: base.mors[m] for m in base.morphisms if fun.mmap[m] == idy}
-            comp = _Deferred(lambda: {(g, f): h for (g, f), h in base.comp.items()
-                                      if g in mors and f in mors})
             ident = {o: base.ident[o] for o in objs}
             inv = {m: base.inv[m] for m in mors}
-            fb = FinGroupoid(objs, mors, comp, ident, inv)
+            fb = FinGroupoid(objs, mors, lambda: {
+                (g, f): h for (g, f), h in base.comp.items()
+                if g in mors and f in mors}, ident, inv)
             rfun = GFunctor(fb, total.pi.gpd,
                             {o: total.rfun.omap[o] for o in objs},
                             {m: total.rfun.mmap[m] for m in mors})
@@ -427,18 +427,6 @@ def pseudopullback_assembly(f: RealizedMorphism, g: RealizedMorphism,
     conn = _cell(pg, compose_morphisms(f, p1), compose_morphisms(g, p2),
                  raw.generic, ew, at0, at1)
     return PseudoPullbackAssembly(asm, p1, p2, conn, raw, rab, rtriple, f, g)
-
-
-def finite_limits(kind: str, f: RealizedMorphism, g: RealizedMorphism,
-                  pg: Optional[PGAsmInterval] = None):
-    """Realized pullback or pseudopullback of a cospan."""
-    if kind == "pullback":
-        return pullback_assembly(f, g)
-    if kind == "pseudopullback":
-        if pg is None:
-            raise StructuralError("pseudopullback needs the interval structure")
-        return pseudopullback_assembly(f, g, pg)
-    raise StructuralError(f"unknown limit kind {kind!r}")
 
 
 # -- PC8 -----------------------------------------------------------------------

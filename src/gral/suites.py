@@ -225,8 +225,8 @@ def suite_squares(cfg: SuiteConfig) -> Report:
     squares = []
     for sq in _sample(target, lambda: _gen_square(r, gen, x, y)):
         cell = r.boundary_inv(sq)
-        if boundary(r, cell, x, y) != sq \
-                or r.boundary_inv(boundary(r, cell, x, y)) != cell:
+        if boundary(r, cell, x) != sq \
+                or r.boundary_inv(boundary(r, cell, x)) != cell:
             break
         squares.append(sq)
     rep.add("boundary-roundtrip", len(squares) == target,
@@ -238,13 +238,13 @@ def suite_squares(cfg: SuiteConfig) -> Report:
         for s2 in squares[:40]:
             if vchecked < 10 and s1.bottom == s2.top:
                 c1, c2 = r.boundary_inv(s1), r.boundary_inv(s2)
-                if boundary(r, cell_vcomp(r, c2, c1, x, y), x, y) \
+                if boundary(r, cell_vcomp(r, c2, c1, x), x) \
                         != square_vcomp(s2, s1):
                     ok = False
                 vchecked += 1
             if hchecked < 10 and s1.right == s2.left:
                 c1, c2 = r.boundary_inv(s1), r.boundary_inv(s2)
-                if boundary(r, cell_hcomp(r, c2, c1, x, y), x, y) \
+                if boundary(r, cell_hcomp(r, c2, c1, x), x) \
                         != square_hcomp(s2, s1):
                     ok = False
                 hchecked += 1
@@ -655,7 +655,7 @@ def suite_weak_pi(cfg: SuiteConfig) -> Report:
                        dp.ev.fun, fstar_map(dp, fw, t).fun) == S)
         fib_ok = (isinstance(is_fibration(dp.fib.morphism), FibrationData)
                   and validate_morphism(dp.fib.morphism).ok)
-        for (oid, rm), mid in list(dp.fib.cleavage.lifts.items())[:20]:
+        for (oid, rm), mid in list(dp.fib.lifts.items())[:20]:
             fib_ok = fib_ok and dp.fib.morphism.fun.mmap[mid] == rm
             if ffib.tgt.base.is_identity(rm):
                 fib_ok = fib_ok and dp.asm.base.is_identity(mid)

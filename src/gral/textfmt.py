@@ -38,13 +38,18 @@ _TABLES = {
 }
 
 
+def _is_token(i: str) -> bool:
+    """Whether the reader gives `i` back as itself: it is not empty, holds
+    no whitespace and does not start with `#`."""
+    return i.split() == [i] and i[0] != "#"
+
+
 def _check_ids(*groups: Iterable[str], alone: tuple[str, ...] = ()) -> None:
-    """Refuse an id the reader would not give back as itself: one that is
-    empty, holds whitespace or starts with `#`, or that is a keyword in
-    `alone` when the id makes a row by itself."""
+    """Refuse an id that is not a token, or that is a keyword in `alone`
+    when the id makes a row by itself."""
     for ids in groups:
         for i in ids:
-            if i.split() != [i] or i[0] == "#" or i in alone:
+            if not _is_token(i) or i in alone:
                 raise StructuralError(f"id {i!r} cannot be written as a token")
 
 
@@ -329,7 +334,7 @@ def serialize_bundle(files: dict[str, str]) -> str:
 
 def parse_bundle(text: str) -> dict[str, str]:
     lines = text.splitlines()
-    if not lines or not lines[0].startswith(f"GRAL {VERSION} BUNDLE"):
+    if not lines or lines[0].split() != ["GRAL", VERSION, "BUNDLE"]:
         raise ParseError("expected a bundle header", 1)
     files: dict[str, str] = {}
     name: Optional[str] = None
@@ -339,6 +344,8 @@ def parse_bundle(text: str) -> dict[str, str]:
             if name is not None:
                 files[name] = "\n".join(chunk) + "\n"
             name = line[len(_MARKER):].strip()
+            if not _is_token(name):
+                raise ParseError(f"file name {name!r} is not a token", i)
             if name in files:
                 raise ParseError(f"second file named {name!r}", i)
             chunk = []

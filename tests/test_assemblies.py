@@ -15,7 +15,7 @@ from gral.assemblies import (
     validate_twocell, weak_exponential,
 )
 from gral.errors import StructuralError
-from gral.interval import check_cogroupoid, gpd_interval
+from gral.interval import RealizerCategory, check_cogroupoid, gpd_interval
 
 
 @pytest.fixture(scope="module")
@@ -314,17 +314,21 @@ def test_pgasm_cogroupoid(r):
 
 
 def test_pgasm_pi_refuses_colliding_path_ids(r):
-    # a constant realizer functor leaves the three paths I1 -> x, one per
-    # element of Z_3, with the same object-only label
+    # a constant realizer functor leaves three paths I1 -> x, one per
+    # element of Z_3, that agree on objects; the assembly fragment has no
+    # object-only label and no fundamental groupoid to conflate them in
     base = cyclic_group(3)
     const = next(f for f in functors_between(base, r.pi(r.interval.I1).gpd)
                  if len(set(f.mmap.values())) == 1)
     x = Assembly(r, base, r.interval.I1, const)
     pr = PGAsmRealizer(r)
     paths = pr.hom(pr.interval.I1, x)
-    assert len(paths) == 3 and len({pr.pi_mor_id(p) for p in paths}) == 1
-    with pytest.raises(StructuralError):
-        pr.pi(x)
+    assert len(paths) == 3
+    assert len({tuple(p.fun.omap.items()) for p in paths}) == 1
+    assert len({tuple(p.fun.mmap.items()) for p in paths}) == 3
+    assert not isinstance(pr, RealizerCategory)
+    for name in ("pi", "pi_map", "label", "path_compose", "product"):
+        assert not hasattr(pr, name)
 
 
 def test_pgasm_copair_validates(r, pg):

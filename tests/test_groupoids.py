@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from gral.errors import SizeCapError, StructuralError
 from gral.groupoids import (
-    Cleavage, EquivalenceData, EquivalenceFailure, FinGroupoid, GFunctor,
+    EquivalenceData, EquivalenceFailure, FinGroupoid, GFunctor,
     LiftFailure, NatIso, codiscrete, compose_functors, conjugate, cyclic_group,
     discrete, disjoint_union, equivalence_inverse, exponential, functors_between,
     identity_functor, is_functor, is_nat_iso, iso_comma,
@@ -325,7 +325,7 @@ def test_cleavage_into_terminal():
     t = terminal_groupoid()
     bang = GFunctor(i1, t, {o: "*" for o in i1.objects},
                     {m: "id_*" for m in i1.morphisms})
-    assert isinstance(isofibration_cleavage(bang), Cleavage)
+    assert isinstance(isofibration_cleavage(bang), dict)
 
 
 def test_cleavage_endpoint_of_exponential():
@@ -337,8 +337,8 @@ def test_cleavage_endpoint_of_exponential():
                    {m: e.mor_to_natiso[m].components["0"] for m in e.gpd.morphisms})
     assert is_functor(ev0).ok
     c = isofibration_cleavage(ev0)
-    assert isinstance(c, Cleavage)
-    for (y, q), m in c.lifts.items():
+    assert isinstance(c, dict)
+    for (y, q), m in c.items():
         assert ev0.mmap[m] == q
         assert e.gpd.src(m) == y
         if i1.is_identity(q):
@@ -423,7 +423,7 @@ def test_cleavage_laws_on_generated_projections(seed):
     y = gen.small_groupoid()
     p = product(x, y)
     c = isofibration_cleavage(p.p1)
-    for (o, q), m in c.lifts.items():
+    for (o, q), m in c.items():
         assert p.p1.mmap[m] == q
         assert p.gpd.src(m) == o
         if x.is_identity(q):

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import pathlib
 import subprocess
@@ -673,6 +674,22 @@ def test_cli_build_pif(tmp_path, r, capsys):
     assert capsys.readouterr() == (
         "", "build: structural error: the fibrations are not composable\n")
 
+
+
+@pytest.mark.parametrize("kind,digest", [
+    ("pullback", "9040ea3c7651dffc"), ("pseudopullback", "2c095cda8a6760d8"),
+])
+def test_cli_build_pullback_and_pseudopullback(kind, digest, tmp_path, r, capsys):
+    gp, fp = _pif_inputs(tmp_path, r)
+    out = tmp_path / f"{kind}.bundle"
+    assert main(["build", kind, str(fp), str(fp), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest
+    assert main(["check", str(out)]) == 0
+    capsys.readouterr()
+    # g and f have different codomains
+    assert main(["build", kind, str(gp), str(fp)]) == 2
+    assert capsys.readouterr() == (
+        "", f"build: structural error: {kind}: codomain mismatch\n")
 
 def test_cli_build_pif_refuses_more_morphisms_than_the_cap(tmp_path, r, capsys):
     # the product has 64 morphisms, more than any groupoid built before it

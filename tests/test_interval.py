@@ -338,7 +338,7 @@ def test_boundary_roundtrip(r):
     for sq in _sample_squares(r, x, y, 10, seed=8):
         cell = r.boundary_inv(sq)
         assert is_functor(cell).ok
-        back = boundary(r, cell, x, y)
+        back = boundary(r, cell, x)
         assert back == sq
         assert r.boundary_inv(back) == cell
 
@@ -354,12 +354,12 @@ def test_boundary_double_functoriality(r):
     assert vpairs and hpairs
     for s1, s2 in vpairs[:5]:
         c1, c2 = r.boundary_inv(s1), r.boundary_inv(s2)
-        comp = cell_vcomp(r, c2, c1, x, y)
-        assert boundary(r, comp, x, y) == square_vcomp(s2, s1)
+        comp = cell_vcomp(r, c2, c1, x)
+        assert boundary(r, comp, x) == square_vcomp(s2, s1)
     for s1, s2 in hpairs[:5]:
         c1, c2 = r.boundary_inv(s1), r.boundary_inv(s2)
-        comp = cell_hcomp(r, c2, c1, x, y)
-        assert boundary(r, comp, x, y) == square_hcomp(s2, s1)
+        comp = cell_hcomp(r, c2, c1, x)
+        assert boundary(r, comp, x) == square_hcomp(s2, s1)
 
 
 def test_constant_cell_boundary(r):
@@ -369,7 +369,7 @@ def test_constant_cell_boundary(r):
     pa = r.product(x, r.interval.I1)
     outer = r.product(pa.obj, r.interval.I1)
     cell = r.compose(f, r.compose(pa.p1, outer.p1))
-    sq = boundary(r, cell, x, y)
+    sq = boundary(r, cell, x)
     idh = identity_homotopy(r, f)
     assert sq.top == idh and sq.bottom == idh
     assert sq.left == idh and sq.right == idh

@@ -1,4 +1,5 @@
-"""Every parameter with a default in `src/gral` has a call that sets it.
+"""Every parameter in `src/gral` is used: read by its body, and, when it
+has a default, set by some call.
 
 A default that no call overrides is an option nobody uses: it should be
 a constant, or go.  The guard reads the source with `ast`.  A call sets
@@ -7,6 +8,9 @@ a parameter by keyword, by position (a call through an attribute skips
 name of the function, after `import ... as` aliases are undone, so a
 name that two functions share pools their calls.  A class's `__init__`
 is matched by calls to the class.
+
+A parameter no body reads is passed for nothing.  A method's `self` and
+interface stubs, whose body only raises, are exempt.
 """
 
 import ast
@@ -101,3 +105,54 @@ def unset_parameters():
 
 def test_every_defaulted_parameter_is_set_by_some_call():
     assert unset_parameters() == []
+
+
+def _only_raises(fn) -> bool:
+    """An interface stub: a body of a docstring and one `raise`."""
+    body = fn.body
+    if body and isinstance(body[0], ast.Expr) \
+            and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    return len(body) == 1 and isinstance(body[0], ast.Raise)
+
+
+def _unread(tree):
+    """(label, parameter) for each parameter its function's body never reads.
+
+    A method's first parameter (`self`) is exempt, and so are stubs whose
+    body only raises.
+    """
+    out = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                params = a.posonlyargs + a.args + a.kwonlyargs
+                params += [p for p in (a.vararg, a.kwarg) if p is not None]
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in child.decorator_list)
+                if cls is not None and not static:
+                    params = params[1:]
+                read = {n.id for stmt in child.body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                label = f"{cls}.{child.name}" if cls else child.name
+                if not _only_raises(child):
+                    out.extend((label, p.arg) for p in params if p.arg not in read)
+                visit(child, None)
+            else:
+                visit(child, cls)
+    visit(tree, None)
+    return out
+
+
+def unread_parameters():
+    return [f"{path.stem}.{label}({param})"
+            for path, tree in _trees("src/gral")
+            for label, param in _unread(tree)]
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters() == []

@@ -67,7 +67,7 @@ def test_transport_realizers_validate(r):
         t = fib.transport(q)
         assert validate_morphism(t).ok
         # lifts project correctly
-        for (xo, qq), m in fib.cleavage.lifts.items():
+        for (xo, qq), m in fib.lifts.items():
             assert fib.morphism.fun.mmap[m] == qq
             assert fib.src.base.src(m) == xo
             if y.base.is_identity(qq):
@@ -228,8 +228,7 @@ def test_nested_validator_failures_keep_names_and_order(r, pg):
     f, u = e.fwd, e.unit
     bad_asm = replace(
         e, fwd=RealizedMorphism(f.src, f.tgt, f.fun, f.e, _mistyped(f.eps)),
-        unit=TwoCell(u.src, u.tgt, u.iso, u.body, u.ew, _mistyped(u.epsw),
-                     u.i1base))
+        unit=TwoCell(u.src, u.tgt, u.iso, u.body, u.ew, _mistyped(u.epsw)))
     assert validate_asm_equivalence(pg, bad_asm).failures == [
         ("fwd-component-typing", "component at a has wrong endpoints"),
         ("unit-component-typing", "component at (a,0) has wrong endpoints"),

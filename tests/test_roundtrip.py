@@ -129,3 +129,39 @@ def test_morphism_bundle_round_trip(base, rtype):
     text, refused = _write(textfmt.bundle_morphism, m)
     assert _reads_back(lambda: textfmt.load_morphism_bundle(text, R), same) != refused
     _check_cli(text, refused)
+
+
+# a bundle's reader refuses what its writer refuses: a file name that is not
+# one token, and a header other than `GRAL 1 BUNDLE`
+
+def _bundle_error(text: str) -> str:
+    try:
+        textfmt.parse_bundle(text)
+    except ParseError as exc:
+        return str(exc)
+    return "read"
+
+
+def test_bundle_reader_refuses_a_name_of_two_tokens():
+    assert _bundle_error("GRAL 1 BUNDLE\n--- FILE a b\nx\n") == \
+        "line 2, col 0: file name 'a b' is not a token"
+
+
+def test_bundle_reader_refuses_an_empty_name():
+    assert _bundle_error("GRAL 1 BUNDLE\n--- FILE a\nx\n--- FILE \ny\n") == \
+        "line 4, col 0: file name '' is not a token"
+
+
+def test_bundle_reader_refuses_a_name_starting_with_a_hash():
+    assert _bundle_error("GRAL 1 BUNDLE\n--- FILE #c\nx\n") == \
+        "line 2, col 0: file name '#c' is not a token"
+
+
+def test_bundle_reader_refuses_a_longer_kind_in_the_header():
+    assert _bundle_error("GRAL 1 BUNDLES\n--- FILE a\nx\n") == \
+        "line 1, col 0: expected a bundle header"
+
+
+def test_bundle_reader_refuses_an_extra_header_token():
+    assert _bundle_error("GRAL 1 BUNDLE extra\n--- FILE a\nx\n") == \
+        "line 1, col 0: expected a bundle header"
