@@ -17,9 +17,8 @@ from .groupoids import (
     terminal_groupoid, discrete, codiscrete, cyclic_group, disjoint_union,
 )
 from .interval import (
-    GpdRealizer, Homotopy, IntervalData, check_cogroupoid,
-    gpd_discrete_interval, gpd_interval, hcomp, identity_homotopy,
-    inverse_homotopy, pi_base_iso, pi_homotopy, vcomp,
+    GpdRealizer, Homotopy, IntervalData, check_cogroupoid, gpd_interval,
+    identity_homotopy, inverse_homotopy, pi_base_iso, pi_homotopy, vcomp,
 )
 from .assemblies import (
     Assembly, PGAsmRealizer, RealizedMorphism, TwoCell, WeakExpObject,
@@ -30,8 +29,8 @@ from .assemblies import (
 )
 from .pathcat import (
     AsmEquivalence, FibrationData, PathObjectData, as_equivalence,
-    is_fibration, lift_2cell, path_object, pc7_section, pc8_pseudoinverse,
-    pullback_assembly, pseudopullback_assembly, transfer_structure,
+    is_fibration, path_object, pc7_section, pc8_pseudoinverse,
+    pullback_assembly, pseudopullback_assembly,
 )
 from .depprod import (
     DepProd, HomotopyFibre, dependent_product, dp_transpose, fibre_map,
@@ -51,17 +50,16 @@ __all__ = [
     "terminal_groupoid", "discrete", "codiscrete", "cyclic_group",
     "disjoint_union",
     "GpdRealizer", "Homotopy", "IntervalData", "check_cogroupoid",
-    "gpd_discrete_interval", "gpd_interval", "hcomp", "identity_homotopy",
-    "inverse_homotopy", "pi_base_iso", "pi_homotopy", "vcomp",
+    "gpd_interval", "identity_homotopy", "inverse_homotopy", "pi_base_iso",
+    "pi_homotopy", "vcomp",
     "Assembly", "PGAsmRealizer", "RealizedMorphism", "TwoCell",
     "WeakExpObject", "compose_morphisms", "identity_morphism", "is_modest",
     "pgasm_interval", "product_assembly", "realize", "terminal_assembly",
     "transpose_morphism", "twocell_compose", "validate_assembly",
     "validate_morphism", "validate_twocell", "weak_exponential",
     "AsmEquivalence", "FibrationData", "PathObjectData", "as_equivalence",
-    "is_fibration", "lift_2cell", "path_object", "pc7_section",
-    "pc8_pseudoinverse", "pullback_assembly", "pseudopullback_assembly",
-    "transfer_structure",
+    "is_fibration", "path_object", "pc7_section", "pc8_pseudoinverse",
+    "pullback_assembly", "pseudopullback_assembly",
     "DepProd", "HomotopyFibre", "dependent_product", "dp_transpose",
     "fibre_map", "homotopy_fibre", "is_modest_fibration", "nabla",
     "realize_into_nabla",

@@ -356,7 +356,6 @@ class PGAsmInterval:
     r: RealizerCategory
     terminal: Assembly
     data: IntervalData            # assemblies and realized structure maps
-    i1base: FinGroupoid
 
     def __post_init__(self):
         self._cylinders: dict[Any, ProductAssembly] = {}
@@ -424,7 +423,7 @@ def pgasm_interval(r: RealizerCategory) -> PGAsmInterval:
                     {"p01": "p12", "p12": "p23"}, iv.j1)
     data = IntervalData(term, i1a, i2a, i3a, zero, one, star, sigma, two,
                         i0m, i1m, j0m, j1m)
-    return PGAsmInterval(r, term, data, i1a.base)
+    return PGAsmInterval(r, term, data)
 
 
 def pgasm_copair2(pg: PGAsmInterval, beta: RealizedMorphism,
@@ -509,7 +508,7 @@ def _cell(pg: PGAsmInterval, src: RealizedMorphism, tgt: RealizedMorphism,
     components at (x, 0) and (x, 1) are at0[x] and at1[x].
     """
     x = src.src
-    body = nat_iso_functor_form(pg.r, iso, pg.i1base)
+    body = nat_iso_functor_form(pg.r, iso, pg.data.I1.base)
     cyl = pg.cylinder(x)
     opair = cyl.raw_base.opair
     comps = {}

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .errors import FragmentError, StructuralError
-from .groupoids import GFunctor, Report, discrete
-from .assemblies import Assembly
+from .groupoids import Report
 
 # -- types ---------------------------------------------------------------------
 
@@ -619,26 +618,3 @@ def assembly_bridges(cat: FragmentCategory,
                     != m.tgt.realizer[m.fun[x]]:
                 rep.add("function-graph", False, f"morphism {i}: graph disagrees at {x}")
     return rep
-
-
-def embed_discrete(dasm: DiscreteAssembly, gr) -> "object":
-    """View a discrete assembly as a groupoidal one over a discrete interval.
-
-    The realizer object is the discrete groupoid on the fragment's term
-    names; modesty then agrees with injectivity of the realizer map.
-    """
-    names = sorted({repr(dasm.realizer[x]) for x in dasm.carrier})
-    robj = discrete([f"t{i}" for i in range(len(names))])
-    name_to_obj = {n: f"t{i}" for i, n in enumerate(names)}
-    base = discrete(list(dasm.carrier))
-    pi = gr.pi(robj)
-    omap = {}
-    mmap = {}
-    for x in dasm.carrier:
-        o = name_to_obj[repr(dasm.realizer[x])]
-        pt = next(pid for pid, p in pi.point_of.items()
-                  if p.omap[p.dom.objects[0]] == o)
-        omap[x] = pt
-        mmap[base.id_of(x)] = pi.gpd.id_of(pt)
-    rfun = GFunctor(base, pi.gpd, omap, mmap)
-    return Assembly(gr, base, robj, rfun)

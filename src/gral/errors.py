@@ -27,10 +27,6 @@ class BoundaryError(GralError):
     """Endpoints or boundaries of composed data do not match."""
 
 
-class CapabilityError(GralError):
-    """A realizer-category capability (e.g. square filling) is unavailable."""
-
-
 class FragmentError(GralError):
     """A combinatory-term computation left the finite fragment."""
 

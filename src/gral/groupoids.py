@@ -1165,21 +1165,6 @@ class EquivalenceFailure:
     detail: str
 
 
-def validate_equivalence(e: EquivalenceData) -> Report:
-    rep = Report()
-    for n, name in ((e.unit, "unit"), (e.counit, "counit")):
-        rep.merge(is_nat_iso(n), f"{name}-")
-    if e.unit.src != identity_functor(e.fwd.dom):
-        rep.add("unit-src", False, "unit does not start at the identity functor")
-    if e.unit.tgt != compose_functors(e.bwd, e.fwd):
-        rep.add("unit-tgt", False, "unit does not end at bwd o fwd")
-    if e.counit.src != identity_functor(e.bwd.dom):
-        rep.add("counit-src", False, "counit does not start at the identity functor")
-    if e.counit.tgt != compose_functors(e.fwd, e.bwd):
-        rep.add("counit-tgt", False, "counit does not end at fwd o bwd")
-    return rep
-
-
 def equivalence_inverse(f: GFunctor):
     """Pseudoinverse data if f is an equivalence, else the failing condition.
 

@@ -4,9 +4,10 @@ The constructions here are written against an abstract realizer-category
 interface (`RealizerCategory`): a cartesian closed category presented by
 operations with enumerable hom-sets, carrying an interval object family
 I0..I3 with structure maps and copairing witnesses for the two interval
-pushouts.  The groupoid instance (`GpdRealizer`) is its one implementation;
-the interval-diagram checker also runs on `assemblies.PGAsmRealizer`, which
-provides only what that checker reads, for the assemblies' own interval.
+pushouts.  The groupoid instance (`GpdRealizer`), whose interval is the
+walking isomorphism, is its one implementation; the interval-diagram
+checker also runs on `assemblies.PGAsmRealizer`, which provides only what
+that checker reads, for the assemblies' own interval.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from .errors import BoundaryError, CapabilityError, StructuralError
+from .errors import BoundaryError, StructuralError
 from .groupoids import (
     DEFAULT_CAPS, ExpGpd, FinGroupoid, GFunctor, NatIso, ProductGpd, Report,
     SizeCaps, _codiscrete, composable_pairs, compose_functors, curry,
@@ -142,11 +143,11 @@ class RealizerCategory:
         first coordinate 0/1 is left/right; requires right.top = bottom.left
         as path composites.
         """
-        raise CapabilityError("square filling unavailable in this instance")
+        raise NotImplementedError
 
     def boundary_inv(self, sq: "HSquare") -> Map:
         """The unique cell with the given boundary square of homotopies."""
-        raise CapabilityError("cell filling unavailable in this instance")
+        raise NotImplementedError
 
     # -- derived combinators ----------------------------------------------
 
@@ -341,28 +342,6 @@ def vcomp(h2: Homotopy, h1: Homotopy) -> Homotopy:
     return Homotopy(r, h1.lhs, h2.rhs, body)
 
 
-def hcomp(h2: Homotopy, h1: Homotopy) -> Homotopy:
-    """Horizontal composition of h1: f => g (a -> b) with h2: h => k (b -> c)."""
-    r = h1.r
-    iv = r.interval
-    if r.obj_key(h1.b) != r.obj_key(r.dom(h2.lhs)):
-        raise BoundaryError("horizontal composition: middle object mismatch")
-    a = h1.a
-    pa = r.product(a, iv.I1)
-    pii = r.product(iv.I1, iv.I1)
-    diag = pii.pair(r.identity(iv.I1), r.identity(iv.I1))
-    spread = r.times(r.identity(a), diag)            # a x I1 -> a x (I1 x I1)
-    pa_ii = r.product(a, pii.obj)
-    inner = r.product(pa.obj, iv.I1)
-    assoc = inner.pair(
-        pa.pair(pa_ii.p1, r.compose(pii.p1, pa_ii.p2)),
-        r.compose(pii.p2, pa_ii.p2),
-    )                                                # a x (I1 x I1) -> (a x I1) x I1
-    body = r.compose(h2.body, r.compose(r.times(h1.body, r.identity(iv.I1)),
-                                        r.compose(assoc, spread)))
-    return Homotopy(r, r.compose(h2.lhs, h1.lhs), r.compose(h2.rhs, h1.rhs), body)
-
-
 def pi_homotopy(h: Homotopy) -> NatIso:
     """The natural isomorphism Pi(lhs) => Pi(rhs) induced by a homotopy."""
     r = h.r
@@ -495,28 +474,15 @@ def _chain_mid(a: str, b: str) -> str:
 
 
 class GpdRealizer(RealizerCategory):
-    """Finite groupoids with the walking-isomorphism interval.
+    """Finite groupoids with the walking-isomorphism interval."""
 
-    `discrete=True` degenerates the interval to the terminal groupoid
-    (I1 = I2 = I3 = I0), which recovers the classical discrete situation.
-    What needs the walking isomorphism's generator (filled squares and
-    cells, cylinders, Pi(A) = A) raises CapabilityError there.
-    """
-
-    def __init__(self, caps: SizeCaps = DEFAULT_CAPS, discrete: bool = False):
+    def __init__(self, caps: SizeCaps = DEFAULT_CAPS):
         super().__init__()
         self.caps = caps
-        self.discrete = discrete
         self._hom_cache: dict = {}
         self._prod_cache: dict = {}
         self._exp_cache: dict = {}
-        if discrete:
-            t = terminal_groupoid("0")
-            ident = identity_functor(t)
-            self.interval = IntervalData(t, t, t, t, ident, ident, ident,
-                                         ident, ident, ident, ident, ident, ident)
-        else:
-            self.interval = _standard_interval()
+        self.interval = _standard_interval()
 
     # primitives
 
@@ -585,10 +551,6 @@ class GpdRealizer(RealizerCategory):
 
     def copair2(self, beta: GFunctor, alpha: GFunctor) -> GFunctor:
         iv = self.interval
-        if self.discrete:
-            if alpha != beta:
-                raise BoundaryError("degenerate copair needs equal legs")
-            return alpha
         if self.compose(beta, iv.zero) != self.compose(alpha, iv.one):
             raise BoundaryError("copair legs do not match nose to tail")
         a = alpha.cod
@@ -598,10 +560,6 @@ class GpdRealizer(RealizerCategory):
 
     def copair3(self, u: GFunctor, v: GFunctor) -> GFunctor:
         iv = self.interval
-        if self.discrete:
-            if u != v:
-                raise BoundaryError("degenerate copair needs equal legs")
-            return u
         if self.compose(u, iv.i1) != self.compose(v, iv.i0):
             raise BoundaryError("copair legs do not agree on the shared half")
         a = u.cod
@@ -612,8 +570,6 @@ class GpdRealizer(RealizerCategory):
 
     def fill_square(self, top, bottom, left, right) -> GFunctor:
         """The cylinder of top => bottom, with components left and right."""
-        if self.discrete:
-            raise CapabilityError("square filling requires the standard interval")
         c = top.cod
         if (left.omap["0"] != top.omap["0"] or right.omap["0"] != top.omap["1"]
                 or left.omap["1"] != bottom.omap["0"]
@@ -628,8 +584,6 @@ class GpdRealizer(RealizerCategory):
     def boundary_inv(self, sq: HSquare) -> GFunctor:
         """The unique cell with the given boundary: the cylinder of
         top.body => bottom.body, with the components of left and right."""
-        if self.discrete:
-            raise CapabilityError("cell filling requires the standard interval")
         sq.check()
         pa = self.product(sq.top.a, self.interval.I1).raw
         sides = {"0": nat_iso_from_homotopy(sq.left).components,
@@ -648,11 +602,8 @@ class GpdRealizer(RealizerCategory):
         are built from a's objects and morphisms, in the order
         `functors_between` lists them, and each table of Pi(a) is a's table
         relabelled, in the entry order `_build_pi` gives it; the composition
-        table is built on first read.  The discrete interval has no
-        generator and keeps the generic build.
+        table is built on first read.
         """
-        if self.discrete:
-            return super().build_pi(a)
         iv = self.interval
         points, ident, paths, gen, mors = {}, {}, {}, {}, {}
         for x in sorted(a.objects):
@@ -677,8 +628,6 @@ class GpdRealizer(RealizerCategory):
 
     def pi_map(self, f: GFunctor) -> GFunctor:
         """Pi(f) as f relabelled, in the entry order of the generic map."""
-        if self.discrete:
-            return super().pi_map(f)
         pa, pb = self.pi(f.dom), self.pi(f.cod)
         omap = {o: "pt:" + f.omap[pa.point_of[o].omap["0"]]
                 for o in pa.gpd.objects}
@@ -751,15 +700,8 @@ def gpd_interval(caps: SizeCaps = DEFAULT_CAPS) -> GpdRealizer:
     return GpdRealizer(caps=caps)
 
 
-def gpd_discrete_interval() -> GpdRealizer:
-    """Degenerate instance with I1 = I2 = I3 = I0."""
-    return GpdRealizer(discrete=True)
-
-
 def path_of_morphism(r: GpdRealizer, a: FinGroupoid, m: str) -> GFunctor:
     """The path I1 -> a tracing the morphism m."""
-    if r.discrete:
-        raise CapabilityError("paths require the standard interval")
     s, t = a.mors[m]
     return _chain_functor(r.interval.I1, a, {"0": s, "1": t}, {"p01": m})
 
@@ -772,8 +714,6 @@ def nat_iso_functor_form(r: GpdRealizer, n: NatIso,
     the realizer interval but may be any chain_groupoid(1) copy.
     """
     if i1 is None:
-        if r.discrete:
-            raise CapabilityError("cylinders require the standard interval")
         i1 = r.interval.I1
     F, G = n.src, n.tgt
     x, y = F.dom, F.cod
@@ -812,8 +752,6 @@ def nat_iso_from_homotopy(h: Homotopy) -> NatIso:
 
 def pi_base_iso(r: GpdRealizer, a: FinGroupoid) -> GFunctor:
     """The explicit isomorphism Pi(A) -> A in the groupoid instance."""
-    if r.discrete:
-        raise CapabilityError("Pi(A) = A requires the standard interval")
     pa = r.pi(a)
     omap = {o: p.omap[r.interval.I0.objects[0]] for o, p in pa.point_of.items()}
     mmap = {m: al.mmap["p01"] for m, al in pa.path_of.items()}

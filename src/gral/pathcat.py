@@ -152,22 +152,6 @@ def as_equivalence(pg: PGAsmInterval, m: RealizedMorphism) -> Optional[AsmEquiva
     return AsmEquivalence(m, bwd, unit, counit)
 
 
-# -- the fibration <=> isofibration lemma, constructively ---------------------
-
-def lift_2cell(p: FibrationData, phi: TwoCell, f: RealizedMorphism,
-               pg: PGAsmInterval) -> tuple[RealizedMorphism, TwoCell]:
-    """Lift phi: P.F => G through the fibration P, with realizers.
-
-    Returns (phi*F, lifted) where P . phi*F = G exactly and the lifted
-    2-cell runs F => phi*F over phi.
-    """
-    if phi.src.fun != compose_functors(p.morphism.fun, f.fun):
-        raise BoundaryError("2-cell source does not factor as P . F")
-    phi_star, lifts = _lift(p, f, phi.iso.components)
-    lifted = twocell_from_iso(pg, NatIso(f.fun, phi_star.fun, lifts), f, phi_star)
-    return phi_star, lifted
-
-
 # -- PC6: path objects --------------------------------------------------------
 
 @dataclass
@@ -462,37 +446,6 @@ def pc8_pseudoinverse(g: FibrationData, g_equiv: AsmEquivalence,
     sigma_iso = NatIso(identity_functor(pb.asm.base), comp.fun, sigma_comps)
     sigma = twocell_from_iso(pg, sigma_iso, identity_morphism(pb.asm), comp)
     return pb, s_mor, sigma
-
-
-# -- structure transfer along an equivalence ----------------------------------
-
-@dataclass
-class TransferResult:
-    asm: Assembly
-    fwd: RealizedMorphism      # base(x) -> Y, realized
-    bwd: RealizedMorphism      # Y -> base(x), realized by (id, id)
-    unit: TwoCell              # id => bwd . fwd
-    counit: TwoCell            # id => fwd . bwd
-
-
-def transfer_structure(x: Assembly, eq: EquivalenceData,
-                       pg: PGAsmInterval) -> TransferResult:
-    """Equip the equivalent groupoid with x's realizers along the inverse."""
-    if eq.fwd.dom.serial != x.base.serial:
-        raise BoundaryError("equivalence must start at the base of the assembly")
-    r = x.r
-    y = eq.fwd.cod
-    rfun = compose_functors(x.rfun, eq.bwd)
-    y_asm = Assembly(r, y, x.rtype, rfun)
-    e_id = r.identity(x.rtype)
-    bwd = _identity_eps(y_asm, x, eq.bwd, e_id)
-    comps = {xo: x.rfun.mmap[eq.unit.components[xo]] for xo in x.base.objects}
-    fwd = realized(x, y_asm, eq.fwd, e_id, comps)
-    unit = twocell_from_iso(pg, eq.unit, identity_morphism(x),
-                            compose_morphisms(bwd, fwd))
-    counit = twocell_from_iso(pg, eq.counit, identity_morphism(y_asm),
-                              compose_morphisms(fwd, bwd))
-    return TransferResult(y_asm, fwd, bwd, unit, counit)
 
 
 # -- PC1-PC5 and Brown's lemma as checkable predicates -------------------------

@@ -320,15 +320,19 @@ def parse_morphism(text: str, resolve: Callable[[str], str], r,
 
 def serialize_bundle(files: dict[str, str]) -> str:
     """Each file after a `--- FILE <name>` marker.  Refuses a name that is
-    not a token, and a file line that would read back as a marker."""
+    not a token, a file line that would read back as a marker, and a file
+    that does not end in exactly one newline (the reader gives each file
+    one)."""
     _check_ids(files)
     lines = [f"GRAL {VERSION} BUNDLE"]
     for name, text in files.items():
         if _MARKER in text and any(line.startswith(_MARKER)
                                    for line in text.splitlines()):
             raise StructuralError(f"file {name!r} has a line that starts {_MARKER!r}")
+        if not text.endswith("\n") or text.endswith("\n\n"):
+            raise StructuralError(f"file {name!r} does not end in exactly one newline")
         lines.append(_MARKER + name)
-        lines.append(text.rstrip("\n"))
+        lines.append(text[:-1])
     return "\n".join(lines) + "\n"
 
 

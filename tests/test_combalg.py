@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 from gral.errors import StructuralError
 from gral.combalg import (
     App, DiscreteAssembly, DiscreteMorphism, KConst, STAR, TCA, UNIT, Var,
-    bracket_abstract, constant_realizer_iso, embed_discrete,
-    enumerate_normal_forms, free_vars, function_realizer_bridge, normalize,
-    realizer_category_of, substitute, term_size, unit_augmentation,
+    bracket_abstract, constant_realizer_iso, enumerate_normal_forms,
+    free_vars, function_realizer_bridge, normalize, realizer_category_of,
+    substitute, term_size, unit_augmentation,
 )
 
 
@@ -249,23 +249,6 @@ def test_prop22_roundtrip(utca):
         if checked >= 10:
             break
     assert checked >= 10
-
-
-def test_discrete_modesty_agrees_with_groupoidal(utca):
-    from gral.assemblies import is_modest
-    from gral.interval import gpd_discrete_interval
-    gr = gpd_discrete_interval()
-    o = utca.base("o")
-    cat = realizer_category_of(utca, carrier_size=3, witness_size=3)
-    carrier = cat.carrier(o)
-    inj = DiscreteAssembly(utca, ("m0", "m1"), o,
-                           {"m0": carrier[0], "m1": carrier[1]})
-    non = DiscreteAssembly(utca, ("n0", "n1"), o,
-                           {"n0": carrier[0], "n1": carrier[0]})
-    for dasm in (inj, non):
-        emb = embed_discrete(dasm, gr)
-        ok, _ = is_modest(emb)
-        assert ok == dasm.modest()
 
 
 def test_assembly_bridges_report(utca):

@@ -4,19 +4,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gral import suites
-from gral.errors import BoundaryError, CapabilityError
-from gral.generators import SuiteConfig
+from gral.errors import BoundaryError
 from gral.groupoids import (
-    NatIso, Report, codiscrete, compose_functors, cyclic_group, disjoint_union,
+    codiscrete, compose_functors, cyclic_group, disjoint_union,
     functors_between, identity_functor, is_functor, is_nat_iso,
     nat_isos_between, validate_groupoid,
 )
 from gral.interval import (
     GpdRealizer, HSquare, IntervalData, boundary, cell_hcomp, cell_vcomp,
-    check_cogroupoid, gpd_discrete_interval, gpd_interval, hcomp,
-    homotopy_from_nat_iso, identity_homotopy, inverse_homotopy,
-    nat_iso_from_homotopy, nat_iso_functor_form, path_of_morphism, pi_base_iso,
+    check_cogroupoid, gpd_interval, homotopy_from_nat_iso, identity_homotopy,
+    inverse_homotopy, nat_iso_from_homotopy, path_of_morphism, pi_base_iso,
     pi_homotopy, pi_path_diagonal, square_hcomp, square_vcomp, vcomp,
 )
 
@@ -55,12 +52,6 @@ def test_mutated_sigma_fails_only_inverse_family(r):
                        identity_functor(iv.I1), iv.two, iv.i0, iv.i1, iv.j0, iv.j1)
     rep = check_cogroupoid(r, bad)
     assert set(rep.failed()) == {"sigma-endpoints", "coinverse-left", "coinverse-right"}
-
-
-def test_degenerate_interval_passes():
-    rd = gpd_discrete_interval()
-    rep = check_cogroupoid(rd)
-    assert rep.ok, rep.failed()
 
 
 def test_path_compose_is_groupoid_composition(r):
@@ -146,45 +137,6 @@ def test_vcomp_associative(r):
         assert vcomp(h3, vcomp(h2, h1)) == vcomp(vcomp(h3, h2), h1)
 
 
-def test_hcomp_identities_and_whiskering(r):
-    x = codiscrete(["a", "b"])
-    y = codiscrete(["u", "v"])
-    z = codiscrete(["p", "q"])
-    rng = random.Random(2)
-    fxy = functors_between(x, y)
-    fyz = functors_between(y, z)
-    f = rng.choice(fxy)
-    g = rng.choice(fyz)
-    assert hcomp(identity_homotopy(r, g), identity_homotopy(r, f)) \
-        == identity_homotopy(r, compose_functors(g, f))
-    # whiskering: constant left factor
-    for h in _sample_homotopies(r, x, y, 3, seed=3):
-        w = hcomp(identity_homotopy(r, g), h)
-        n = nat_iso_from_homotopy(h)
-        expected = NatIso(compose_functors(g, n.src), compose_functors(g, n.tgt),
-                          {o: g.mmap[n.components[o]] for o in x.objects})
-        assert nat_iso_from_homotopy(w) == expected
-
-
-def test_interchange(r):
-    x = codiscrete(["a", "b"])
-    y = codiscrete(["u", "v"])
-    z = codiscrete(["p", "q"])
-    rng = random.Random(4)
-    fxy = functors_between(x, y)
-    fyz = functors_between(y, z)
-    for _ in range(5):
-        F, G, H = (rng.choice(fxy) for _ in range(3))
-        K, L, M = (rng.choice(fyz) for _ in range(3))
-        phi = homotopy_from_nat_iso(r, rng.choice(nat_isos_between(F, G)))
-        phi2 = homotopy_from_nat_iso(r, rng.choice(nat_isos_between(G, H)))
-        psi = homotopy_from_nat_iso(r, rng.choice(nat_isos_between(K, L)))
-        psi2 = homotopy_from_nat_iso(r, rng.choice(nat_isos_between(L, M)))
-        lhs = hcomp(vcomp(psi2, psi), vcomp(phi2, phi))
-        rhs = vcomp(hcomp(psi2, phi2), hcomp(psi, phi))
-        assert lhs == rhs
-
-
 def test_fundamental_groupoid_terminal(r):
     p = r.pi(r.interval.I0)
     assert len(p.gpd.objects) == 1
@@ -204,57 +156,11 @@ def test_pi_iso_base(r):
         assert len(pa.gpd.morphisms) == len(a.morphisms)
 
 
-def test_discrete_interval_refuses_squares_and_cylinders():
-    rd = gpd_discrete_interval()
-    a = codiscrete(["a", "b"])
-    f = identity_functor(a)
-    pt = rd.terminal_map(rd.interval.I1)
-    with pytest.raises(CapabilityError):
-        rd.fill_square(pt, pt, pt, pt)
-    with pytest.raises(CapabilityError):
-        homotopy_from_nat_iso(rd, NatIso(f, f, {x: a.id_of(x) for x in a.objects}))
-    h = identity_homotopy(rd, f)
-    with pytest.raises(CapabilityError):
-        rd.boundary_inv(HSquare(h, h, h, h))
-    with pytest.raises(CapabilityError):
-        path_of_morphism(rd, a, a.id_of("a"))
-    with pytest.raises(CapabilityError):
-        pi_base_iso(rd, a)
-    with pytest.raises(CapabilityError):
-        nat_iso_functor_form(rd, NatIso(f, f, {x: a.id_of(x) for x in a.objects}))
-
-
 def test_label_of_a_path_is_its_morphism(r):
     # the label of a path I1 -> a is the morphism the generator goes to
     a = disjoint_union([cyclic_group(3), codiscrete(["a", "b"])])
     for m in a.morphisms:
         assert r.label(path_of_morphism(r, a, m)) == m
-
-
-def test_every_suite_reports_or_refuses_under_the_discrete_interval(monkeypatch):
-    # the operations the degenerate interval lacks refuse with
-    # CapabilityError instead of ending in a KeyError traceback
-    monkeypatch.setattr(suites, "gpd_interval",
-                        lambda caps: GpdRealizer(caps, discrete=True))
-    for name in suites.SUITES:
-        try:
-            rep = suites.run_suite(name, SuiteConfig(seed=0))
-        except CapabilityError:
-            continue
-        assert isinstance(rep, Report), name
-
-
-def test_discrete_interval_pi_is_discrete():
-    r = gpd_discrete_interval()
-    a = disjoint_union([cyclic_group(2), codiscrete(["a", "b"])])
-    pa = r.pi(a)
-    assert pa.gpd.objects == tuple(sorted("pt:" + x for x in a.objects))
-    assert pa.gpd.ident == {"pt:" + x: "path:" + x for x in a.objects}
-    assert sorted(pa.gpd.morphisms) == sorted(pa.gpd.ident.values())
-    f = next(f for f in functors_between(a, a) if f != identity_functor(a))
-    pf = r.pi_map(f)
-    assert pf.omap == {"pt:" + x: "pt:" + f.omap[x] for x in a.objects}
-    assert pf.mmap == {"path:" + x: "path:" + f.omap[x] for x in a.objects}
 
 
 def test_pi_functor_laws(r):

@@ -57,12 +57,11 @@ from gral.groupoids import (
 from gral.generators import SuiteConfig
 from gral.interval import (
     GpdRealizer, PiData, RealizerCategory, _build_pi, _chain_functor,
-    check_cogroupoid, gpd_discrete_interval, gpd_interval, path_of_morphism,
-    restriction_counts,
+    check_cogroupoid, gpd_interval, path_of_morphism, restriction_counts,
 )
 from gral.pathcat import (
-    FibrationData, as_equivalence, is_fibration, lift_2cell, path_object,
-    pc7_section, pc8_pseudoinverse,
+    FibrationData, as_equivalence, is_fibration, path_object, pc7_section,
+    pc8_pseudoinverse,
 )
 from gral.suites import _gen_square, replay_counterexample, run_suite
 from gral.textfmt import groupoid_from_json, groupoid_to_json
@@ -1256,8 +1255,8 @@ COGROUPOID_ENTRIES = [
 
 
 @pytest.mark.parametrize("make", [
-    gpd_interval, gpd_discrete_interval, lambda: PGAsmRealizer(gpd_interval()),
-], ids=["groupoids", "discrete", "assemblies"])
+    gpd_interval, lambda: PGAsmRealizer(gpd_interval()),
+], ids=["groupoids", "assemblies"])
 def test_cogroupoid_entries_are_pinned(make):
     rep = check_cogroupoid(make())
     assert [(e.name, e.ok, e.detail) for e in rep.entries] == COGROUPOID_ENTRIES
@@ -1313,22 +1312,6 @@ def naive_transport(fib, q):
                                     base.inv_of(fib.lift(s, q)))
     comps = {o: fib.src.rfun.mmap[fib.lift(o, q)] for o in fy.base.objects}
     return fy, fy2, omap, mmap, comps
-
-
-def naive_lift_2cell(p, phi, f):
-    x = f.src
-    ybase = p.src.base
-    lifts = {xo: p.lift(f.fun.omap[xo], phi.iso.components[xo])
-             for xo in x.base.objects}
-    omap = {xo: ybase.tgt(lifts[xo]) for xo in x.base.objects}
-    mmap = {}
-    for m in x.base.morphisms:
-        s, t = x.base.mors[m]
-        mmap[m] = ybase.compose_path(lifts[t], f.fun.mmap[m], ybase.inv_of(lifts[s]))
-    piy = p.src.pi.gpd
-    comps = {xo: piy.compose(p.src.rfun.mmap[lifts[xo]], f.eps.components[xo])
-             for xo in x.base.objects}
-    return omap, mmap, comps, lifts
 
 
 def naive_pc7_section(f, pinv, psi):
@@ -1479,28 +1462,6 @@ def test_transports_match_the_hand_built_tables(seed):
         fy, fy2, omap, mmap, comps = naive_transport(fib, q)
         _same_realized(fib.transport(q), fy, fy2, omap, mmap,
                        r.identity(fib.src.rtype), comps)
-
-
-@settings(max_examples=15, deadline=None)
-@given(SEEDS)
-def test_lifted_2cells_match_the_hand_built_tables(seed):
-    gen = _gen(seed)
-    pg = pgasm_interval(gen.r)
-    fib, _total = gen.split_fibration(base=gen.assembly(base=gen.small_groupoid(2)))
-    x = gen.assembly(base=gen.small_groupoid(2))
-    f = gen.morphism(x, fib.src)
-    assume(f is not None)
-    pf = compose_morphisms(fib.morphism, f)
-    g = gen.morphism(x, fib.tgt)
-    isos = [] if g is None else nat_isos_between(pf.fun, g.fun)
-    if not isos:
-        g, isos = pf, nat_isos_between(pf.fun, pf.fun)
-    phi = twocell_from_iso(pg, gen.rng.choice(isos), pf, g)
-    omap, mmap, comps, lifts = naive_lift_2cell(fib, phi, f)
-    phi_star, lifted = lift_2cell(fib, phi, f, pg)
-    _same_realized(phi_star, x, fib.src, omap, mmap, f.e, comps)
-    assert lifted.iso.src == f.fun and lifted.iso.tgt is phi_star.fun
-    assert list(lifted.iso.components.items()) == list(lifts.items())
 
 
 @settings(max_examples=15, deadline=None)

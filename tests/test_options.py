@@ -1,5 +1,5 @@
 """Every parameter in `src/gral` is used: read by its body, and, when it
-has a default, set by some call.
+has a default, set by some call.  Every top-level definition is used too.
 
 A default that no call overrides is an option nobody uses: it should be
 a constant, or go.  The guard reads the source with `ast`.  A call sets
@@ -11,6 +11,12 @@ is matched by calls to the class.
 
 A parameter no body reads is passed for nothing.  A method's `self` and
 interface stubs, whose body only raises, are exempt.
+
+A top-level `def` or `class` must be named by code in `src/gral` outside
+its own body, or in `demos/` or `benchmarks/`.  Re-exports in `__init__.py`
+and imports do not count, and neither do tests: a definition only tests
+reach is checked for nothing that the library does.  Names are matched
+bare, like calls above.
 """
 
 import ast
@@ -156,3 +162,38 @@ def unread_parameters():
 
 def test_every_parameter_is_read():
     assert unread_parameters() == []
+
+
+# `replay_counterexample` re-runs the counterexample payloads that failing
+# report entries carry, so its input comes from outside the library; its
+# caller is to be the `gral replay` command that ROADMAP.md plans.
+UNREACHED = {"suites.replay_counterexample"}
+
+
+def _named(node) -> set:
+    """Every identifier `node` reads, as a name or an attribute."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))
+            and isinstance(n.ctx, ast.Load)}
+
+
+def unreached_definitions():
+    named, defs = set(), []
+    for path, tree in _trees("src/gral"):
+        if path.name == "__init__.py":
+            continue
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defs.append((f"{path.stem}.{stmt.name}", stmt.name))
+                named |= _named(stmt) - {stmt.name}
+            else:
+                named |= _named(stmt)
+    for _path, tree in _trees("demos", "benchmarks"):
+        named |= _named(tree)
+    return [label for label, name in defs
+            if name not in named and label not in UNREACHED]
+
+
+def test_every_definition_is_reached_from_outside_the_tests():
+    assert unreached_definitions() == []

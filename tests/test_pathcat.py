@@ -5,21 +5,20 @@ import pytest
 
 from gral.groupoids import (
     GFunctor, LiftFailure, NatIso, codiscrete, compose_functors, cyclic_group,
-    equivalence_inverse, functors_between, identity_functor,
-    nat_isos_between, terminal_groupoid, validate_equivalence,
+    functors_between, identity_functor, nat_isos_between,
 )
 from gral.assemblies import (
     Assembly, RealizedMorphism, TwoCell, bang, compose_morphisms,
-    identity_morphism, is_modest, pgasm_interval, product_assembly, realize,
+    identity_morphism, pgasm_interval, product_assembly, realize,
     terminal_assembly, twocell_from_iso, validate_morphism, validate_twocell,
 )
 from gral.interval import gpd_interval
 from gral.pathcat import (
     FibrationData, as_equivalence, brown_factor_check, is_fibration,
-    lift_2cell, path_object, pc1_isos_are_fibrations, pc3_terminal_fibration,
+    path_object, pc1_isos_are_fibrations, pc3_terminal_fibration,
     pc4_isos_are_equivalences, pc5_two_out_of_six, pc7_section,
     pc8_pseudoinverse, pullback_assembly, pseudopullback_assembly,
-    transfer_structure, validate_asm_equivalence,
+    validate_asm_equivalence,
 )
 
 
@@ -72,77 +71,6 @@ def test_transport_realizers_validate(r):
             assert fib.src.base.src(m) == xo
             if y.base.is_identity(qq):
                 assert fib.src.base.is_identity(m)
-
-
-def test_lift_2cell_identity(r, pg):
-    y = mk_assembly(r, codiscrete(["u", "v"]), r.interval.I1, 1)
-    z = mk_assembly(r, codiscrete(["p", "q"]), r.interval.I1, 2)
-    fib, prod, fb = proj_fibration(r, y, codiscrete(["s", "t"]))
-    # P: prod -> y ; F: X -> prod along the identity; phi = identity 2-cell
-    x = prod.asm
-    f = identity_morphism(x)
-    P = fib.morphism
-    pf = compose_morphisms(P, f)
-    from gral.groupoids import identity_nat_iso
-    phi = twocell_from_iso(pg, identity_nat_iso(pf.fun), pf, pf)
-    phi_star, lifted = lift_2cell(fib, phi, f, pg)
-    assert phi_star.fun == f.fun
-    assert lifted.iso == identity_nat_iso(f.fun)
-    assert validate_morphism(phi_star).ok
-    assert validate_twocell(pg, lifted).ok
-
-
-def test_lift_2cell_generic(r, pg):
-    rng = random.Random(0)
-    y = mk_assembly(r, codiscrete(["u", "v"]), r.interval.I1, 1)
-    fib, prod, fb = proj_fibration(r, y, codiscrete(["s", "t"]))
-    P = fib.morphism
-    x = mk_assembly(r, codiscrete(["a", "b"]), r.interval.I1, 0)
-    fs = [m for m in (realize(x, prod.asm, F)
-                      for F in functors_between(x.base, prod.asm.base))
-          if m is not None]
-    checked = 0
-    for f in fs:
-        pf = compose_morphisms(P, f)
-        for G in functors_between(x.base, y.base):
-            g = realize(x, y, G)
-            if g is None:
-                continue
-            for iso in nat_isos_between(pf.fun, G):
-                phi = twocell_from_iso(pg, iso, pf, g)
-                phi_star, lifted = lift_2cell(fib, phi, f, pg)
-                assert compose_functors(P.fun, phi_star.fun) == G
-                assert validate_morphism(phi_star).ok
-                assert validate_twocell(pg, lifted).ok
-                # the projected lift is the original 2-cell
-                proj = {xo: P.fun.mmap[lifted.iso.components[xo]]
-                        for xo in x.base.objects}
-                assert proj == iso.components
-                checked += 1
-                if checked >= 5:
-                    return
-    assert checked > 0
-
-
-def test_lift_2cell_terminal_target_recovers_transport(r, pg):
-    """Lifting through a fibration onto the terminal assembly transports
-    componentwise."""
-    t = pg.terminal
-    x = mk_assembly(r, codiscrete(["a", "b"]), r.interval.I1, 1)
-    fib = is_fibration(bang(x, t))
-    assert isinstance(fib, FibrationData)
-    w = mk_assembly(r, codiscrete(["w1", "w2"]), r.interval.I1, 0)
-    f = next(m for m in (realize(w, x, F)
-                         for F in functors_between(w.base, x.base)) if m)
-    pf = compose_morphisms(fib.morphism, f)
-    from gral.groupoids import identity_nat_iso
-    phi = twocell_from_iso(pg, identity_nat_iso(pf.fun), pf, pf)
-    phi_star, lifted = lift_2cell(fib, phi, f, pg)
-    # the 2-cell is trivial downstairs, so each lift is the chosen one
-    for wo in w.base.objects:
-        assert lifted.iso.components[wo] == fib.lift(
-            f.fun.omap[wo], t.base.id_of("T"))
-    assert validate_twocell(pg, lifted).ok
 
 
 def test_pc8_identity_pullback_matches_pc7_section(r, pg):
@@ -210,17 +138,6 @@ def test_nested_validator_failures_keep_names_and_order(r, pg):
         ("functor-comp", "composition z1oid_z* not preserved"),
         ("functor-comp", "composition z1oz1 not preserved"),
         ("component-typing", "component at z* has wrong endpoints"),
-    ]
-    # validate_equivalence: unit-/counit- prefixes ahead of its own checks
-    i1 = r.interval.I1
-    eq = equivalence_inverse(GFunctor(terminal_groupoid(), i1, {"*": "0"},
-                                      {"id_*": "id_0"}))
-    bad_eq = replace(eq, unit=NatIso(eq.fwd, eq.unit.tgt, eq.unit.components),
-                     counit=_mistyped(eq.counit))
-    assert validate_equivalence(bad_eq).failures == [
-        ("unit-parallel", "source and target functors are not parallel"),
-        ("counit-component-typing", "component at 0 has wrong endpoints"),
-        ("unit-src", "unit does not start at the identity functor"),
     ]
     # validate_asm_equivalence: fwd- and unit- prefixes over nested reports
     x = mk_assembly(r, codiscrete(["a", "b"]), r.interval.I1, 1)
@@ -402,32 +319,6 @@ def test_pseudopullback_universal(r, pg):
     assert checked > 0
 
 
-def test_transfer_structure(r, pg):
-    x = mk_assembly(r, codiscrete(["a", "b"]), r.interval.I1, 1)
-    # equivalence from the base onto a larger codiscrete groupoid
-    ybase = codiscrete(["a2", "b2", "c2"])
-    fwd = next(F for F in functors_between(x.base, ybase)
-               if len(set(F.omap.values())) == 2)
-    eq = equivalence_inverse(fwd)
-    # need an equivalence *from* x.base: fwd must be an equivalence
-    from gral.groupoids import EquivalenceData
-    assert isinstance(eq, EquivalenceData)
-    res = transfer_structure(x, eq, pg)
-    assert validate_morphism(res.fwd).ok
-    assert validate_morphism(res.bwd).ok
-    assert validate_twocell(pg, res.unit).ok
-    assert validate_twocell(pg, res.counit).ok
-    if is_modest(x)[0]:
-        assert is_modest(res.asm)[0]
-
-
-def test_transfer_identity(r, pg):
-    x = mk_assembly(r, codiscrete(["a", "b"]), r.interval.I1, 1)
-    eq = equivalence_inverse(identity_functor(x.base))
-    res = transfer_structure(x, eq, pg)
-    assert res.asm.rfun == x.rfun
-
-
 def test_pc1_pc4_pc5(r, pg):
     x = mk_assembly(r, codiscrete(["a", "b"]), r.interval.I1, 1)
     y = mk_assembly(r, codiscrete(["u", "v"]), r.interval.I1, 2)
@@ -447,27 +338,14 @@ def test_pc1_pc4_pc5(r, pg):
 def test_pc5_nontrivial_triple(r, pg):
     """2-out-of-6 on a genuine equivalence pair, not identity-bookended."""
     x = mk_assembly(r, codiscrete(["a", "b"]), r.interval.I1, 1)
-    ybase = codiscrete(["a2", "b2", "c2"])
-    fwd_fun = next(F for F in functors_between(x.base, ybase)
-                   if len(set(F.omap.values())) == 2)
-    eq = equivalence_inverse(fwd_fun)
-    res = transfer_structure(x, eq, pg)
-    f = res.fwd                      # X -> Y, an equivalence
-    g = res.bwd                      # Y -> X
-    h = res.fwd
+    e = path_object(x, pg).r_equiv
+    f = e.fwd                        # X -> PX, an equivalence
+    g = e.bwd                        # PX -> X
+    h = e.fwd
+    assert len(f.tgt.base.objects) > len(x.base.objects)
     assert as_equivalence(pg, compose_morphisms(g, f)) is not None
     assert as_equivalence(pg, compose_morphisms(h, g)) is not None
     assert pc5_two_out_of_six((f, g, h), pg)
-
-
-def test_pgasm_cogroupoid_discrete_instance():
-    """The assembly-level interval also degenerates coherently."""
-    from gral.assemblies import PGAsmRealizer
-    from gral.interval import check_cogroupoid, gpd_discrete_interval
-    rd = gpd_discrete_interval()
-    pr = PGAsmRealizer(rd)
-    rep = check_cogroupoid(pr)
-    assert rep.ok, rep.failed()
 
 
 def test_brown(r, pg):

@@ -15,6 +15,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gral import textfmt
@@ -165,3 +166,17 @@ def test_bundle_reader_refuses_a_longer_kind_in_the_header():
 def test_bundle_reader_refuses_an_extra_header_token():
     assert _bundle_error("GRAL 1 BUNDLE extra\n--- FILE a\nx\n") == \
         "line 1, col 0: expected a bundle header"
+
+
+# the bundle writer refuses a file it would read back changed: the reader
+# ends each file in exactly one newline
+
+@pytest.mark.parametrize("text", ["x\n\n", "x", ""])
+def test_bundle_writer_refuses_a_file_not_ending_in_one_newline(text):
+    with pytest.raises(StructuralError):
+        textfmt.serialize_bundle({"a": text})
+
+
+def test_bundle_file_ending_in_one_newline_round_trips():
+    files = {"a": "x\n"}
+    assert textfmt.parse_bundle(textfmt.serialize_bundle(files)) == files
