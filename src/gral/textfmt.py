@@ -7,13 +7,18 @@ morphisms reference their constituents by file name, on `BASE`/`RTYPE` and
 and the first section; a bundle stitches several files into a single
 replayable payload.  Writers refuse an id that would not read back as
 itself, rather than quote it.
+
+A row scan defines the format and names every error.  A file laid out as
+the writers lay it out is read a section at a time instead, each section
+split once with string methods; the scan reads every other file.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .errors import ParseError, StructuralError
 from .groupoids import FinGroupoid, GFunctor
@@ -75,7 +80,21 @@ def serialize_groupoid(g: FinGroupoid) -> str:
 _REFERENCES = {"GROUPOID": (), "ASSEMBLY": ("BASE", "RTYPE"),
                "MORPHISM": ("SRC", "TGT")}
 
+# tokens in each row of a section
+_WIDTHS = {**dict(zip(_GROUPOID_SECTIONS, (1, 3, 2, 2, 3))),
+           **dict.fromkeys(_TABLES, 2)}
+
 _Rows = list[tuple[list[str], int]]
+
+
+def _lines(text: str):
+    """`text.splitlines()`, one line at a time: each newline-ended piece
+    is split on its own, and no CRLF pair straddles two pieces."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
 
 
 def _header(numbered) -> Optional[tuple[int, list[str]]]:
@@ -88,14 +107,26 @@ def _header(numbered) -> Optional[tuple[int, list[str]]]:
     return None
 
 
-def _read(text: str, kind: str, known: tuple[str, ...]
-          ) -> tuple[dict[str, _Rows], dict[str, str], dict[str, int]]:
+class _File(NamedTuple):
+    """A file as read: the file each reference line names, and its sections.
+
+    Read in bulk, `tokens` holds each section's tokens and `rows` is None.
+    Read by the row scan, `rows` holds each section's `(tokens, line
+    number)` rows and `heads` the line of its first header.
+    """
+    names: dict[str, str]
+    tokens: dict[str, list[str]]
+    rows: Optional[dict[str, _Rows]] = None
+    heads: Optional[dict[str, int]] = None
+
+
+def _scan(text: str, kind: str, known: tuple[str, ...]) -> _File:
     """Scan a `kind` file once: its header, then rows by section up to END.
 
-    Blank and `#` lines are skipped and each line is split once.  Returns
-    the `(tokens, line number)` rows of every section in `known`, the file
-    named by each of the kind's reference lines, and the line of each
-    section's first header.
+    This is the definition of the format.  Blank and `#` lines are skipped
+    and each line is split once.  Returns the rows of every section in
+    `known`, the file named by each of the kind's reference lines, and the
+    line of each section's first header.
     """
     refs = _REFERENCES[kind]
     sections: dict[str, _Rows] = {}
@@ -126,7 +157,7 @@ def _read(text: str, kind: str, known: tuple[str, ...]
                 for s in refs + known:
                     if s not in names and s not in sections:
                         raise ParseError(f"missing section {s}", ln + 1)
-                return sections, names, heads
+                return _File(names, {}, sections, heads)
             if word in known:
                 rows = sections.setdefault(word, [])
                 heads.setdefault(word, ln)
@@ -137,68 +168,150 @@ def _read(text: str, kind: str, known: tuple[str, ...]
     raise ParseError("unexpected end of file", len(lines) + 1)
 
 
-def _columns(rows: _Rows, width: int, message: str, column: int = 0
-             ) -> list[list[str]]:
-    """The rows' tokens, once every row is checked to have `width` of them."""
-    for toks, ln in rows:
+class _Unread(Exception):
+    """The bulk reader cannot vouch for a file; the row scan reads it."""
+
+
+def _block(rows: list[str], width: int, stops: set[str]) -> list[str]:
+    """The tokens of a section's rows, split at once, when each row is
+    `width` tokens separated by single spaces, no token starts with `#`,
+    and a one-token row is none of the `stops` keywords; else `_Unread`.
+
+    `isprintable` refuses every whitespace character but the space, so
+    such a row splits on spaces exactly as `str.split()` splits it.
+    """
+    if not rows:
+        return []
+    joined = " ".join(rows)
+    tokens = joined.split(" ")
+    if ("" in tokens or not joined.isprintable()
+            or joined[0] == "#" or " #" in joined
+            or set(map(str.count, rows, repeat(" "))) != {width - 1}
+            or width == 1 and not stops.isdisjoint(rows)):
+        raise _Unread
+    return tokens
+
+
+def _bulk(text: str, kind: str, known: tuple[str, ...]) -> _File:
+    """Read a file laid out as the writers lay it out, a section at a time.
+
+    The header is the first line, the kind's reference lines follow in
+    order, then each section of `known` in order and END, every section a
+    block that `_block` vouches for.  The row scan reads such a file to
+    the same rows, none of them wrong in width.  Any other file raises
+    `_Unread`.
+    """
+    lines = text.splitlines()
+    if lines[:1] != [f"GRAL {VERSION} {kind}"]:
+        raise _Unread
+    refs = _REFERENCES[kind]
+    names: dict[str, str] = {}
+    for ref, line in zip(refs, lines[1:1 + len(refs)]):
+        key, _, name = line.partition(" ")
+        if key != ref or not _is_token(name):
+            raise _Unread
+        names[key] = name
+    at = len(names) + 1
+    stops = {*known, "END"}
+    tokens: dict[str, list[str]] = {}
+    for name, after in zip(known, (*known[1:], "END")):
+        if lines[at:at + 1] != [name]:
+            raise _Unread
+        try:
+            end = lines.index(after, at + 1)
+        except ValueError:
+            raise _Unread from None
+        tokens[name] = _block(lines[at + 1:end], _WIDTHS[name], stops)
+        at = end
+    return _File(names, tokens)
+
+
+def _read(text: str, kind: str, known: tuple[str, ...],
+          build: Callable[[_File], object]):
+    """`build` applied to the file as read in bulk, or, when the bulk reader
+    cannot vouch for the file or `build` refuses what it read, as read by
+    the row scan, so that every error is the scan's."""
+    try:
+        return build(_bulk(text, kind, known))
+    except _Unread:
+        return build(_scan(text, kind, known))
+
+
+def _columns(f: _File, name: str, message: str, column: int = 0) -> list[str]:
+    """A section's tokens, once every row is checked to hold the section's
+    width of them."""
+    if f.rows is None:
+        return f.tokens[name]
+    width = _WIDTHS[name]
+    for toks, ln in f.rows[name]:
         if len(toks) != width:
             raise ParseError(message, ln, column or len(toks) + 1)
-    return [toks for toks, _ in rows]
+    return [t for toks, _ in f.rows[name] for t in toks]
 
 
-def _no_repeats(rows: _Rows, table: dict, noun: str, width: int = 1) -> None:
-    """Refuse the first row that repeats an earlier row's key, its first
-    `width` tokens.  `table`, built from `rows`, is keyed by them, so it is
-    shorter than `rows` exactly when some key repeats."""
-    if len(table) == len(rows):
-        return
-    seen = set()
-    for toks, ln in rows:
-        key = " ".join(toks[:width])
-        if key in seen:
-            raise ParseError(f"duplicate row for {noun} {key!r}", ln, 1)
-        seen.add(key)
+def _keyed(f: _File, name: str, keys: list, values: Iterable, noun: str,
+           width: int = 1) -> dict:
+    """`dict(zip(keys, values))` of a section's rows, refusing the first
+    row that repeats an earlier row's key, its first `width` tokens."""
+    table = dict(zip(keys, values))
+    if len(table) != len(keys):
+        if f.rows is None:
+            raise _Unread
+        seen = set()
+        for toks, ln in f.rows[name]:
+            key = " ".join(toks[:width])
+            if key in seen:
+                raise ParseError(f"duplicate row for {noun} {key!r}", ln, 1)
+            seen.add(key)
+    return table
 
 
-def _table(secs: dict[str, _Rows], heads: dict[str, int], name: str,
-           dom: tuple[str, ...], cod: tuple[str, ...]) -> dict[str, str]:
+def _table(f: _File, name: str, dom: Iterable[str], cod: Iterable[str]
+           ) -> dict[str, str]:
     """Function table `name`, read as a map from the ids `dom` to the ids `cod`.
 
     Each row is a `dom` id and a `cod` id, and each `dom` id has one row; a
     missing row is reported on the section's header line.
     """
+    if f.rows is None:
+        keys, values = f.tokens[name][::2], f.tokens[name][1::2]
+        table = dict(zip(keys, values))
+        if (len(table) == len(keys) and table.keys() == set(dom)
+                and set(cod).issuperset(values)):
+            return table
+        raise _Unread
     message, *nouns = _TABLES[name]
     known = (set(dom), set(cod))
-    table = {}
-    for toks, ln in secs[name]:
+    rows = f.rows[name]
+    for toks, ln in rows:
         if len(toks) != 2:
             raise ParseError(message, ln, len(toks) + 1)
         for col in (0, 1):
             if toks[col] not in known[col]:
                 raise ParseError(f"unknown {nouns[col]} {toks[col]!r}", ln, col + 1)
-        table[toks[0]] = toks[1]
-    _no_repeats(secs[name], table, nouns[0])
+    table = _keyed(f, name, [toks[0] for toks, _ in rows],
+                   [toks[1] for toks, _ in rows], nouns[0])
     for x in dom:
         if x not in table:
-            raise ParseError(f"{name} has no row for {nouns[0]} {x!r}", heads[name])
+            raise ParseError(f"{name} has no row for {nouns[0]} {x!r}", f.heads[name])
     return table
 
 
-def parse_groupoid(text: str) -> FinGroupoid:
-    secs, _, _ = _read(text, "GROUPOID", _GROUPOID_SECTIONS)
-    objects = [row[0] for row in _columns(secs["OBJECTS"], 1,
-                                          "expected one object identifier", 2)]
-    mors = {m: (s, t) for m, s, t in _columns(secs["MORPHISMS"], 3,
-                                               "expected 'id src tgt'")}
-    _no_repeats(secs["MORPHISMS"], mors, "morphism")
-    ident = dict(_columns(secs["ID"], 2, "expected 'object identity'"))
-    _no_repeats(secs["ID"], ident, "object")
-    inv = dict(_columns(secs["INV"], 2, "expected 'morphism inverse'"))
-    _no_repeats(secs["INV"], inv, "morphism")
-    comp = {(g, f): c for g, f, c in _columns(secs["COMP"], 3,
-                                               "expected 'g f composite'")}
-    _no_repeats(secs["COMP"], comp, "pair", 2)
+def _groupoid(f: _File) -> FinGroupoid:
+    objects = _columns(f, "OBJECTS", "expected one object identifier", 2)
+    t = _columns(f, "MORPHISMS", "expected 'id src tgt'")
+    mors = _keyed(f, "MORPHISMS", t[::3], zip(t[1::3], t[2::3]), "morphism")
+    t = _columns(f, "ID", "expected 'object identity'")
+    ident = _keyed(f, "ID", t[::2], t[1::2], "object")
+    t = _columns(f, "INV", "expected 'morphism inverse'")
+    inv = _keyed(f, "INV", t[::2], t[1::2], "morphism")
+    t = _columns(f, "COMP", "expected 'g f composite'")
+    comp = _keyed(f, "COMP", list(zip(t[::3], t[1::3])), t[2::3], "pair", 2)
     return FinGroupoid(objects, mors, comp, ident, inv)
+
+
+def parse_groupoid(text: str) -> FinGroupoid:
+    return _read(text, "GROUPOID", _GROUPOID_SECTIONS, _groupoid)
 
 
 def _json_block(items: list[str], open_: str = "[", close: str = "]") -> str:
@@ -273,13 +386,15 @@ def serialize_assembly(a: Assembly, base_name: str, rtype_name: str) -> str:
 def parse_assembly(text: str, resolve: Callable[[str], str], r,
                    loader: Optional[Loader] = None) -> Assembly:
     loader = loader if loader is not None else Loader()
-    secs, names, heads = _read(text, "ASSEMBLY", _ASSEMBLY_SECTIONS)
-    base = loader.groupoid(resolve(names["BASE"]))
-    rtype = loader.groupoid(resolve(names["RTYPE"]))
-    pi = r.pi(rtype).gpd
-    omap = _table(secs, heads, "RFUN-OBJ", base.objects, pi.objects)
-    mmap = _table(secs, heads, "RFUN-MOR", base.morphisms, pi.morphisms)
-    return Assembly(r, base, rtype, GFunctor(base, pi, omap, mmap))
+
+    def build(f: _File) -> Assembly:
+        base = loader.groupoid(resolve(f.names["BASE"]))
+        rtype = loader.groupoid(resolve(f.names["RTYPE"]))
+        pi = r.pi(rtype).gpd
+        omap = _table(f, "RFUN-OBJ", base.objects, pi.objects)
+        mmap = _table(f, "RFUN-MOR", base.morphisms, pi.morphisms)
+        return Assembly(r, base, rtype, GFunctor(base, pi, omap, mmap))
+    return _read(text, "ASSEMBLY", _ASSEMBLY_SECTIONS, build)
 
 
 def serialize_morphism(m: RealizedMorphism, src_name: str, tgt_name: str) -> str:
@@ -304,33 +419,43 @@ def serialize_morphism(m: RealizedMorphism, src_name: str, tgt_name: str) -> str
 def parse_morphism(text: str, resolve: Callable[[str], str], r,
                    loader: Optional[Loader] = None) -> RealizedMorphism:
     loader = loader if loader is not None else Loader()
-    secs, names, heads = _read(text, "MORPHISM", _MORPHISM_SECTIONS)
-    src = parse_assembly(resolve(names["SRC"]), resolve, r, loader)
-    tgt = parse_assembly(resolve(names["TGT"]), resolve, r, loader)
-    sb, tb, sr, tr = src.base, tgt.base, src.rtype, tgt.rtype
-    fun = GFunctor(sb, tb, _table(secs, heads, "FUN-OBJ", sb.objects, tb.objects),
-                   _table(secs, heads, "FUN-MOR", sb.morphisms, tb.morphisms))
-    e = GFunctor(sr, tr, _table(secs, heads, "E-OBJ", sr.objects, tr.objects),
-                 _table(secs, heads, "E-MOR", sr.morphisms, tr.morphisms))
-    eps = _table(secs, heads, "EPS", sb.objects, tgt.pi.gpd.morphisms)
-    return realized(src, tgt, fun, e, eps)
+
+    def build(f: _File) -> RealizedMorphism:
+        src = parse_assembly(resolve(f.names["SRC"]), resolve, r, loader)
+        tgt = parse_assembly(resolve(f.names["TGT"]), resolve, r, loader)
+        sb, tb, sr, tr = src.base, tgt.base, src.rtype, tgt.rtype
+        fun = GFunctor(sb, tb, _table(f, "FUN-OBJ", sb.objects, tb.objects),
+                       _table(f, "FUN-MOR", sb.morphisms, tb.morphisms))
+        e = GFunctor(sr, tr, _table(f, "E-OBJ", sr.objects, tr.objects),
+                     _table(f, "E-MOR", sr.morphisms, tr.morphisms))
+        eps = _table(f, "EPS", sb.objects, tgt.pi.gpd.morphisms)
+        return realized(src, tgt, fun, e, eps)
+    return _read(text, "MORPHISM", _MORPHISM_SECTIONS, build)
 
 
 # -- bundles ---------------------------------------------------------------
 
+def _check_file(name: str, text: str) -> None:
+    """Refuse a file that a bundle would give back changed: one with a line
+    that would read back as a marker, one that does not end in exactly one
+    newline (the reader gives each file one), and one holding a line break
+    other than a newline (the reader splits lines with `str.splitlines`)."""
+    lines = text.splitlines()
+    if _MARKER in text and any(line.startswith(_MARKER) for line in lines):
+        raise StructuralError(f"file {name!r} has a line that starts {_MARKER!r}")
+    if not text.endswith("\n") or text.endswith("\n\n"):
+        raise StructuralError(f"file {name!r} does not end in exactly one newline")
+    if "\r" in text or len(lines) != text.count("\n"):
+        raise StructuralError(f"file {name!r} has a line break other than '\\n'")
+
+
 def serialize_bundle(files: dict[str, str]) -> str:
     """Each file after a `--- FILE <name>` marker.  Refuses a name that is
-    not a token, a file line that would read back as a marker, and a file
-    that does not end in exactly one newline (the reader gives each file
-    one)."""
+    not a token, and a file that `_check_file` refuses."""
     _check_ids(files)
     lines = [f"GRAL {VERSION} BUNDLE"]
     for name, text in files.items():
-        if _MARKER in text and any(line.startswith(_MARKER)
-                                   for line in text.splitlines()):
-            raise StructuralError(f"file {name!r} has a line that starts {_MARKER!r}")
-        if not text.endswith("\n") or text.endswith("\n\n"):
-            raise StructuralError(f"file {name!r} does not end in exactly one newline")
+        _check_file(name, text)
         lines.append(_MARKER + name)
         lines.append(text[:-1])
     return "\n".join(lines) + "\n"
@@ -405,8 +530,9 @@ def load_morphism_bundle(text: str, r,
 
 
 def detect_kind(text: str) -> str:
-    """The kind named by the header, found as `_read` finds it."""
-    head = _header(enumerate(text.splitlines(), 1))
+    """The kind named by the header, found as the row scan finds it,
+    reading no further."""
+    head = _header(enumerate(_lines(text), 1))
     if head is not None and len(head[1]) == 3 and head[1][0] == "GRAL":
         return head[1][2]
     raise ParseError("not a gral file", 1)

@@ -268,6 +268,19 @@ def test_assembly_bridges_report(utca):
     assert idw == normalize(m.witness)
 
 
+def test_assembly_bridges_report_a_wrong_graph(utca):
+    # the identity witness sends a0's realizer to itself, not to b0's
+    from gral.combalg import assembly_bridges
+    cat = realizer_category_of(utca, carrier_size=3, witness_size=3)
+    o = utca.base("o")
+    carrier = cat.carrier(o)
+    src = DiscreteAssembly(utca, ("a0",), o, {"a0": carrier[0]})
+    tgt = DiscreteAssembly(utca, ("b0",), o, {"b0": carrier[1]})
+    rep = assembly_bridges(cat, [], [DiscreteMorphism(src, tgt, {"a0": "b0"},
+                                                      utca.i(o))])
+    assert ("function-graph", "morphism 0: graph disagrees at a0") in rep.failures
+
+
 def test_recursive_one_type_presentation():
     u = TCA(("U",), recursive=True)
     t = u.base("U")

@@ -375,6 +375,46 @@ def test_check_refuses_a_repeated_row(before, row, line, message, tmp_path, caps
         "", f"{path}: structural error: line {line}, col 1: {message}\n")
 
 
+def _noncanonical(text: str) -> str:
+    """A groupoid file read as `text` reads: after a comment, its rows
+    separated by tabs, its sections in reverse order, CRLF line breaks."""
+    lines = text.splitlines()
+    heads = [lines.index(s) for s in textfmt._GROUPOID_SECTIONS]
+    bounds = heads + [lines.index("END")]
+    blocks = [lines[a:b] for a, b in zip(bounds, bounds[1:])]
+    body = [row.replace(" ", "\t") for block in reversed(blocks) for row in block]
+    return "".join(f"{line}\r\n" for line in ["# tabs, CRLF, sections reversed",
+                                              lines[0], "", *body, "END"])
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_fmt_reads_a_noncanonical_file_as_its_canonical_form(flags, tmp_path, capsys):
+    g = cyclic_group(4)
+    canonical = textfmt.serialize_groupoid(g)
+    outputs = []
+    for name, text in (("canonical.gpd", canonical),
+                       ("other.gpd", _noncanonical(canonical))):
+        path = tmp_path / name
+        path.write_bytes(text.encode())
+        assert main(["fmt", str(path), *flags]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].err == ""
+    if not flags:
+        assert outputs[0].out == canonical
+
+
+def test_check_refuses_a_groupoid_missing_a_comp_line(tmp_path, capsys):
+    # as the benchmark's `check:broken` file: one COMP line removed
+    lines = textfmt.serialize_groupoid(cyclic_group(3)).splitlines(keepends=True)
+    drop = lines.index("COMP\n") + 5
+    path = tmp_path / "broken.gpd"
+    path.write_text("".join(lines[:drop] + lines[drop + 1:]))
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", f"{path}: structural error: comp table missing entry ('z1','z1')\n")
+
+
 @pytest.mark.parametrize("kind", list(BUILD_INPUTS))
 @pytest.mark.parametrize("extra", [-1, 1], ids=["too-few", "too-many"])
 def test_build_refuses_a_wrong_input_count(kind, extra, capsys):

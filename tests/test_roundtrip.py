@@ -21,8 +21,11 @@ from hypothesis import assume, given, settings, strategies as st
 from gral import textfmt
 from gral.assemblies import Assembly, identity_morphism
 from gral.cli import main
-from gral.errors import ParseError, StructuralError
-from gral.groupoids import codiscrete, discrete, functors_between
+from gral.errors import GralError, ParseError, StructuralError
+from gral.generators import Gen
+from gral.groupoids import (
+    SizeCaps, codiscrete, cyclic_group, discrete, disjoint_union, functors_between,
+)
 from gral.interval import gpd_interval
 
 R = gpd_interval()
@@ -62,7 +65,8 @@ def _write(write, value):
     try:
         return write(value), False
     except StructuralError:
-        with mock.patch.object(textfmt, "_check_ids", lambda *a, **k: None):
+        with mock.patch.object(textfmt, "_check_ids", lambda *a, **k: None), \
+                mock.patch.object(textfmt, "_check_file", lambda *a: None):
             return write(value), True
 
 
@@ -180,3 +184,197 @@ def test_bundle_writer_refuses_a_file_not_ending_in_one_newline(text):
 def test_bundle_file_ending_in_one_newline_round_trips():
     files = {"a": "x\n"}
     assert textfmt.parse_bundle(textfmt.serialize_bundle(files)) == files
+
+
+# the reader splits a bundle's lines with `str.splitlines`, so the writer
+# refuses any other line break; written as it stands, the file would read
+# back changed
+
+@pytest.mark.parametrize("text", ["a\rb\n", "a\r\n", "a\x0cb\n", "a\u2028b\n",
+                                  "a\x85\n"])
+def test_bundle_writer_refuses_a_line_break_other_than_newline(text):
+    with pytest.raises(StructuralError, match="line break other than"):
+        textfmt.serialize_bundle({"f": text})
+    assert textfmt.parse_bundle(f"GRAL 1 BUNDLE\n--- FILE f\n{text}") != {"f": text}
+
+
+# -- bulk reading ----------------------------------------------------------
+# A file laid out as the writers lay it out is read a section at a time;
+# the row scan reads every other file.  Either way the reader gives the
+# same tables in the same order, or the scan's error.
+
+SEEDS = st.integers(0, 2 ** 16)
+
+
+def _gen(seed: int) -> Gen:
+    return Gen(R, seed, SizeCaps())
+
+
+def _insert(row):
+    return lambda lines, i: lines[:i] + [row] + lines[i:]
+
+
+def _edit(change):
+    def edit(lines, i):
+        i = min(i, len(lines) - 1)
+        return lines[:i] + [change(lines[i])] + lines[i + 1:]
+    return edit
+
+
+def _reorder(lines, i):
+    """The sections rotated by i, the header before and END after them."""
+    heads = [k for k, line in enumerate(lines) if line in KEYWORDS[2:]]
+    if not heads or "END" not in lines[heads[-1]:]:
+        return lines
+    bounds = heads + [lines.index("END", heads[-1])]
+    blocks = [lines[a:b] for a, b in zip(bounds, bounds[1:])]
+    k = i % len(blocks)
+    body = [row for block in blocks[k:] + blocks[:k] for row in block]
+    return lines[:bounds[0]] + body + lines[bounds[-1]:]
+
+
+MUTATIONS = [
+    # comment and blank lines
+    _insert("# a comment"), _insert("  #x y z"), _insert(""), _insert(" \t "),
+    _edit(lambda line: "#" + line), _edit(lambda line: line + " #c"),
+    # other separators, in place of a space or beside it, and leading and
+    # trailing spaces
+    *(_edit(lambda line, sep=sep: line.replace(" ", sep, 1))
+      for sep in ("\t", "\x1f", "\xa0", "  ")),
+    *(_edit(lambda line, sep=sep: line.replace(" ", " " + sep, 1))
+      for sep in ("\t", "\x1f", "\xa0")),
+    *(_edit(lambda line, sep=sep: line + sep + "x") for sep in ("\t", "\x1f", "\xa0")),
+    _edit(lambda line: " " + line), _edit(lambda line: line + " "),
+    # other line breaks inside a file
+    *(_edit(lambda line, br=br: line.replace(" ", br, 1))
+      for br in ("\r\n", "\r", "\u2028", "\x0c")),
+    # a token too many or too few
+    _edit(lambda line: line + " x"), _edit(lambda line: line.rpartition(" ")[0]),
+    # keyword rows: END, a second head, END before a head
+    *(_insert(word) for word in ("END", " COMP", "COMP ", *KEYWORDS[2:])),
+    _reorder,
+]
+# what a function table refuses: an unknown id, a repeated or missing row
+TABLE_MUTATIONS = [
+    _edit(lambda line: line.rpartition(" ")[0] + " nowhere"),
+    _edit(lambda line: "nowhere " + line.partition(" ")[2]),
+    lambda lines, i: lines[:i] + lines[i:i + 1] + lines[i:],
+    lambda lines, i: lines[:i] + lines[i + 1:],
+]
+MUTATIONS += TABLE_MUTATIONS
+
+
+@st.composite
+def _mutated(draw, text: str, mutations=MUTATIONS) -> str:
+    """`text` with up to two `mutations`, its lines ending in one break.
+    A mutation falls anywhere, or within a few lines after a keyword."""
+    lines = text.splitlines()
+    for mutate in draw(st.lists(st.sampled_from(mutations), max_size=2)):
+        anchors = [k for k, line in enumerate(lines) if line in KEYWORDS]
+        near = st.sampled_from(anchors).flatmap(lambda k: st.integers(k, k + 3))
+        i = draw(st.one_of(st.integers(0, len(lines)), near))
+        lines = mutate(lines, min(i, len(lines)))
+    br = draw(st.sampled_from(["\n", "\r\n", "\r", "\u2028"]))
+    return "".join(line + br for line in lines)
+
+
+def _outcome(read, tables):
+    """`tables` of what `read()` returns, or the error it raises."""
+    try:
+        value = read()
+    except GralError as exc:
+        return (type(exc), str(exc), getattr(exc, "line", None),
+                getattr(exc, "column", None))
+    return tables(value)
+
+
+def _gpd_tables(g):
+    return (g.objects, list(g.mors.items()), list(g.ident.items()),
+            list(g.inv.items()), list(g.comp.items()))
+
+
+@settings(max_examples=500, deadline=None)
+@given(SEEDS, st.data())
+def test_bulk_reader_agrees_with_the_row_scan(seed, data):
+    text = data.draw(_mutated(textfmt.serialize_groupoid(_gen(seed).groupoid())))
+    sections = ("GROUPOID", textfmt._GROUPOID_SECTIONS)
+    scan = _outcome(lambda: textfmt._groupoid(textfmt._scan(text, *sections)),
+                    _gpd_tables)
+    assert _outcome(lambda: textfmt.parse_groupoid(text), _gpd_tables) == scan
+    try:
+        bulk = _outcome(lambda: textfmt._groupoid(textfmt._bulk(text, *sections)),
+                        _gpd_tables)
+    except textfmt._Unread:  # left to the scan
+        return
+    assert bulk == scan
+
+
+ROWS = st.lists(
+    st.tuples(st.sampled_from(["", " ", "\t"]),
+              st.lists(st.sampled_from(["a", "b", "#c", "d#", "END", "ID", ""]),
+                       min_size=1, max_size=4),
+              st.sampled_from([" ", " ", " ", "  ", "\t", "\x1f", "\xa0", "\x85"]),
+              st.sampled_from(["", " ", "\xa0"]))
+    .map(lambda r: r[0] + r[2].join(r[1]) + r[3]), max_size=4)
+
+
+@settings(max_examples=500, deadline=None)
+@given(ROWS, st.integers(1, 3))
+def test_a_block_splits_as_the_row_scan_splits_its_rows(rows, width):
+    stops = {*textfmt._GROUPOID_SECTIONS, "END"}
+    try:
+        tokens = textfmt._block(rows, width, stops)
+    except textfmt._Unread:
+        return
+    for row in rows:
+        toks = row.split()
+        assert len(toks) == width and toks[0][0] != "#"
+        assert width > 1 or toks[0] not in stops
+    assert tokens == [t for row in rows for t in row.split()]
+
+
+def _assembly_tables(a):
+    return (a.base.key(), a.rtype.key(), list(a.rfun.omap.items()),
+            list(a.rfun.mmap.items()))
+
+
+def _morphism_tables(m):
+    return (_assembly_tables(m.src), _assembly_tables(m.tgt),
+            list(m.fun.omap.items()), list(m.fun.mmap.items()),
+            list(m.e.omap.items()), list(m.e.mmap.items()),
+            list(m.eps.components.items()))
+
+
+@settings(max_examples=400, deadline=None)
+@given(SEEDS, st.sampled_from(["main.mor", "src.asm"]), st.data())
+def test_bulk_reader_agrees_with_the_row_scan_on_assemblies_and_morphisms(
+        seed, name, data):
+    gen = _gen(seed)
+    x, y = gen.assembly(), gen.assembly()
+    m = gen.morphism(x, y) or identity_morphism(x)
+    files = textfmt.parse_bundle(textfmt.bundle_morphism(m))
+    text = files[name]
+    files[name] = data.draw(st.one_of(_mutated(text), _mutated(text, TABLE_MUTATIONS)))
+
+    def read():
+        return textfmt.parse_morphism(files["main.mor"],
+                                      textfmt.bundle_resolver(files), R)
+    # the bulk reader vouching for no file, the scan reads them all
+    with mock.patch.object(textfmt, "_bulk", mock.Mock(side_effect=textfmt._Unread)):
+        scan = _outcome(read, _morphism_tables)
+    assert _outcome(read, _morphism_tables) == scan
+
+
+def test_files_the_writers_write_never_reach_the_row_scan():
+    gen = _gen(0)
+    groupoids = [gen.groupoid() for _ in range(40)]
+    groupoids += [cyclic_group(40),
+                  disjoint_union([cyclic_group(12), codiscrete(["a", "b", "c"])])]
+    morphisms = [m for m in (gen.morphism(gen.assembly(), gen.assembly())
+                             for _ in range(20)) if m is not None]
+    with mock.patch.object(textfmt, "_scan", side_effect=AssertionError("row scan")):
+        for g in groupoids:
+            assert textfmt.parse_groupoid(textfmt.serialize_groupoid(g)) == g
+        for m in morphisms:
+            back = textfmt.load_morphism_bundle(textfmt.bundle_morphism(m), R)
+            assert _morphism_tables(back) == _morphism_tables(m)
