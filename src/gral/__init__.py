@@ -24,8 +24,8 @@ from .assemblies import (
     Assembly, PGAsmRealizer, RealizedMorphism, TwoCell, WeakExpObject,
     compose_morphisms, identity_morphism, is_modest, pgasm_interval,
     product_assembly, realize, terminal_assembly, transpose_morphism,
-    twocell_compose, validate_assembly, validate_morphism, validate_twocell,
-    weak_exponential,
+    twocell_hcompose, twocell_vcompose, validate_assembly, validate_morphism,
+    validate_twocell, weak_exponential,
 )
 from .pathcat import (
     AsmEquivalence, FibrationData, PathObjectData, as_equivalence,
@@ -55,8 +55,9 @@ __all__ = [
     "Assembly", "PGAsmRealizer", "RealizedMorphism", "TwoCell",
     "WeakExpObject", "compose_morphisms", "identity_morphism", "is_modest",
     "pgasm_interval", "product_assembly", "realize", "terminal_assembly",
-    "transpose_morphism", "twocell_compose", "validate_assembly",
-    "validate_morphism", "validate_twocell", "weak_exponential",
+    "transpose_morphism", "twocell_hcompose", "twocell_vcompose",
+    "validate_assembly", "validate_morphism", "validate_twocell",
+    "weak_exponential",
     "AsmEquivalence", "FibrationData", "PathObjectData", "as_equivalence",
     "is_fibration", "path_object", "pc7_section", "pc8_pseudoinverse",
     "pullback_assembly", "pseudopullback_assembly",

@@ -18,10 +18,10 @@ from typing import Any, Optional
 from .errors import BoundaryError, SizeCapError, StructuralError
 from .groupoids import (
     FinGroupoid, GFunctor, NatIso, Report,
-    composable_pairs, compose_functors, curry, evaluation, functors_between,
-    identity_functor, identity_nat_iso, invert_nat_iso, is_functor, is_nat_iso,
-    nat_isos_between, terminal_groupoid, vcompose_nat_isos, whisker_left,
-    whisker_right,
+    check_product_caps, composable_pairs, compose_functors, curry, evaluation,
+    functors_between, identity_functor, identity_nat_iso, invert_nat_iso,
+    is_functor, is_nat_iso, nat_isos_between, terminal_groupoid,
+    vcompose_nat_isos, whisker_left, whisker_right,
 )
 from .interval import (
     IntervalData, Map, RealizerCategory, _chain_functor, chain_groupoid,
@@ -556,39 +556,40 @@ def inverse_twocell(pg: PGAsmInterval, c: TwoCell) -> TwoCell:
     return _cell(pg, c.tgt, c.src, invert_nat_iso(c.iso), c.ew, at1, at0)
 
 
-def twocell_compose(pg: PGAsmInterval, kind: str, c2: TwoCell, c1: TwoCell) -> TwoCell:
-    """Vertical or horizontal composition with the pasted witnesses."""
+def twocell_vcompose(pg: PGAsmInterval, c2: TwoCell, c1: TwoCell) -> TwoCell:
+    """Vertical composition c2 . c1 with the pasted witnesses."""
+    if c2.src != c1.tgt:
+        raise BoundaryError("vertical composition boundary mismatch")
+    iso = vcompose_nat_isos(c2.iso, c1.iso)
+    y = c1.src.tgt
+    piy = y.pi.gpd
+    at0, at1 = _cell_ends(pg, c1)
+    at1 = {xo: piy.compose(y.rfun.mmap[c2.iso.components[xo]], c)
+           for xo, c in at1.items()}
+    return _cell(pg, c1.src, c2.tgt, iso, c1.ew, at0, at1)
+
+
+def twocell_hcompose(pg: PGAsmInterval, c2: TwoCell, c1: TwoCell) -> TwoCell:
+    """Horizontal composition c2 * c1 with the pasted witnesses."""
     r = pg.r
-    if kind == "vertical":
-        if c2.src != c1.tgt:
-            raise BoundaryError("vertical composition boundary mismatch")
-        iso = vcompose_nat_isos(c2.iso, c1.iso)
-        y = c1.src.tgt
-        piy = y.pi.gpd
-        at0, at1 = _cell_ends(pg, c1)
-        at1 = {xo: piy.compose(y.rfun.mmap[c2.iso.components[xo]], c)
-               for xo, c in at1.items()}
-        return _cell(pg, c1.src, c2.tgt, iso, c1.ew, at0, at1)
-    if kind == "horizontal":
-        h = c2.src
-        z = h.tgt
-        iso = vcompose_nat_isos(whisker_right(c2.iso, c1.tgt.fun),
-                                whisker_left(h.fun, c1.iso))
-        piz = z.pi.gpd
-        pih = r.pi_map(h.e)
-        ends0, ends1 = _cell_ends(pg, c1)
-        at0, at1 = {}, {}
-        for xo in c1.src.src.base.objects:
-            at0[xo] = piz.compose(h.eps.components[c1.src.fun.omap[xo]],
-                                  pih.mmap[ends0[xo]])
-            fxo = c1.tgt.fun.omap[xo]
-            at1[xo] = piz.compose(z.rfun.mmap[c2.iso.components[fxo]],
-                                  piz.compose(h.eps.components[fxo],
-                                              pih.mmap[ends1[xo]]))
-        return _cell(pg, compose_morphisms(c2.src, c1.src),
-                     compose_morphisms(c2.tgt, c1.tgt), iso,
-                     r.compose(h.e, c1.ew), at0, at1)
-    raise StructuralError(f"unknown composition kind {kind!r}")
+    h = c2.src
+    z = h.tgt
+    iso = vcompose_nat_isos(whisker_right(c2.iso, c1.tgt.fun),
+                            whisker_left(h.fun, c1.iso))
+    piz = z.pi.gpd
+    pih = r.pi_map(h.e)
+    ends0, ends1 = _cell_ends(pg, c1)
+    at0, at1 = {}, {}
+    for xo in c1.src.src.base.objects:
+        at0[xo] = piz.compose(h.eps.components[c1.src.fun.omap[xo]],
+                              pih.mmap[ends0[xo]])
+        fxo = c1.tgt.fun.omap[xo]
+        at1[xo] = piz.compose(z.rfun.mmap[c2.iso.components[fxo]],
+                              piz.compose(h.eps.components[fxo],
+                                          pih.mmap[ends1[xo]]))
+    return _cell(pg, compose_morphisms(c2.src, c1.src),
+                 compose_morphisms(c2.tgt, c1.tgt), iso,
+                 r.compose(h.e, c1.ew), at0, at1)
 
 
 # -- weak exponentials --------------------------------------------------------
@@ -729,7 +730,7 @@ def weak_exponential(x: Assembly, y: Assembly) -> WeakExpObject:
     rfun = GFunctor(base, pie.gpd, {o: obj_data[o][1] for o in obj_data},
                     {m: mor_data[m][1] for m in mor_data})
     asm = Assembly(r, base, exp.obj, rfun)
-    r.product(base, x.base)  # the base of ev's source: its size cap refuses this instance here
+    check_product_caps(base, x.base, r.caps)  # the base of ev's source
     return WeakExpObject(asm, x, y, obj_data, mor_data, obj_index, mor_index)
 
 

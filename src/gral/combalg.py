@@ -520,10 +520,6 @@ class DiscreteAssembly:
                    and _step(self.realizer[x]) is None
                    for x in self.carrier)
 
-    def modest(self) -> bool:
-        vals = [self.realizer[x] for x in self.carrier]
-        return len(set(vals)) == len(vals)
-
 
 @dataclass
 class DiscreteMorphism:

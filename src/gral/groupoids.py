@@ -937,13 +937,19 @@ def _paired(x: FinGroupoid, y: FinGroupoid, objs: list[tuple[str, str]],
     return ProductGpd(gpd, p1, p2, opair, mpair)
 
 
-def product(x: FinGroupoid, y: FinGroupoid, caps: SizeCaps = DEFAULT_CAPS) -> ProductGpd:
+def check_product_caps(x: FinGroupoid, y: FinGroupoid, caps: SizeCaps) -> None:
+    """Refuse, with SizeCapError, a product x * y with more objects or
+    morphisms than `caps` allows."""
     n_obj = len(x.objects) * len(y.objects)
     n_mor = len(x.morphisms) * len(y.morphisms)
     if n_obj > caps.max_objects:
         raise SizeCapError("product objects", n_obj, caps.max_objects)
     if n_mor > caps.max_morphisms:
         raise SizeCapError("product morphisms", n_mor, caps.max_morphisms)
+
+
+def product(x: FinGroupoid, y: FinGroupoid, caps: SizeCaps = DEFAULT_CAPS) -> ProductGpd:
+    check_product_caps(x, y, caps)
     p = _paired(x, y, [(a, b) for a in x.objects for b in y.objects],
                 [(m, n) for m in x.morphisms for n in y.morphisms])
     p.gpd.factors = (x, y)

@@ -34,8 +34,8 @@ from .assemblies import (
     Assembly, RealizedMorphism, _identity_eps, bang, compose_morphisms,
     identity_morphism, is_modest, pgasm_interval, product_assembly, realize,
     terminal_assembly, transpose_morphism, twocell_from_iso, identity_twocell,
-    inverse_twocell, twocell_compose, validate_morphism, validate_twocell,
-    weak_exponential, weakexp_cell, beta_holds,
+    inverse_twocell, twocell_hcompose, twocell_vcompose, validate_morphism,
+    validate_twocell, weak_exponential, weakexp_cell, beta_holds,
 )
 from .pathcat import (
     FibrationData, as_equivalence, brown_factor_check, is_fibration,
@@ -276,15 +276,14 @@ def suite_two_one_axioms(cfg: SuiteConfig) -> Report:
             # complete to a composable configuration via an inverse cell
             c1b = inverse_twocell(pg, c1)
             c2b = inverse_twocell(pg, c2)
-        v1 = twocell_compose(pg, "vertical", c1b, c1)
-        v2 = twocell_compose(pg, "vertical", c2b, c2)
+        v1 = twocell_vcompose(pg, c1b, c1)
+        v2 = twocell_vcompose(pg, c2b, c2)
         vert = validate_twocell(pg, v1).ok and validate_twocell(pg, v2).ok
-        h = twocell_compose(pg, "horizontal", c2, c1)
+        h = twocell_hcompose(pg, c2, c1)
         horiz = validate_twocell(pg, h).ok
-        lhs = twocell_compose(pg, "horizontal", v2, v1)
-        rhs = twocell_compose(pg, "vertical",
-                              twocell_compose(pg, "horizontal", c2b, c1b),
-                              twocell_compose(pg, "horizontal", c2, c1))
+        lhs = twocell_hcompose(pg, v2, v1)
+        rhs = twocell_vcompose(pg, twocell_hcompose(pg, c2b, c1b),
+                               twocell_hcompose(pg, c2, c1))
         idc = identity_twocell(pg, c1.src)
         inv = inverse_twocell(pg, c1)
         cyl = pg.cylinder(x)

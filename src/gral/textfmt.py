@@ -8,15 +8,17 @@ and the first section; a bundle stitches several files into a single
 replayable payload.  Writers refuse an id that would not read back as
 itself, rather than quote it.
 
-A row scan defines the format and names every error.  A file laid out as
-the writers lay it out is read a section at a time instead, each section
-split once with string methods; the scan reads every other file.
+A file is read in one structural pass over its header, reference lines
+and keyword rows, then a section at a time: a section laid out as the
+writers lay it out is split once with string methods, any other one row
+by row.  Rows are walked one by one, with their line numbers, only to
+name an error.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import repeat
+from itertools import compress, count, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -58,33 +60,40 @@ def _check_ids(*groups: Iterable[str], alone: tuple[str, ...] = ()) -> None:
                 raise StructuralError(f"id {i!r} cannot be written as a token")
 
 
-def serialize_groupoid(g: FinGroupoid) -> str:
-    _check_ids(g.morphisms)
-    _check_ids(g.objects, alone=_GROUPOID_SECTIONS + ("END",))
-    lines = [f"GRAL {VERSION} GROUPOID", "OBJECTS"]
-    lines.extend(g.objects)
-    lines.append("MORPHISMS")
-    lines.extend(f"{m} {s} {t}" for m, (s, t) in
-                 ((m, g.mors[m]) for m in g.morphisms))
-    lines.append("ID")
-    lines.extend(f"{x} {g.ident[x]}" for x in g.objects)
-    lines.append("INV")
-    lines.extend(f"{m} {g.inv[m]}" for m in g.morphisms)
-    lines.append("COMP")
-    lines.extend(f"{a} {b} {c}" for (a, b), c in sorted(g.comp.items()))
-    lines.append("END")
-    return "\n".join(lines) + "\n"
-
-
-# reference lines each kind recognises: `<KEYWORD> <file name>`
-_REFERENCES = {"GROUPOID": (), "ASSEMBLY": ("BASE", "RTYPE"),
-               "MORPHISM": ("SRC", "TGT")}
+# each kind's reference lines, `<KEYWORD> <file name>`, and its sections,
+# in the order the writers write them
+_LAYOUTS = {"GROUPOID": ((), _GROUPOID_SECTIONS),
+            "ASSEMBLY": (("BASE", "RTYPE"), _ASSEMBLY_SECTIONS),
+            "MORPHISM": (("SRC", "TGT"), _MORPHISM_SECTIONS)}
 
 # tokens in each row of a section
 _WIDTHS = {**dict(zip(_GROUPOID_SECTIONS, (1, 3, 2, 2, 3))),
            **dict.fromkeys(_TABLES, 2)}
 
-_Rows = list[tuple[list[str], int]]
+
+def _write(kind: str, names: tuple[str, ...],
+           sections: tuple[Iterable[str], ...]) -> str:
+    """A `kind` file: the header, a reference line for each of `names`,
+    each section's head and rows, and END."""
+    refs, heads = _LAYOUTS[kind]
+    lines = [f"GRAL {VERSION} {kind}"]
+    lines.extend(f"{ref} {name}" for ref, name in zip(refs, names))
+    for head, rows in zip(heads, sections):
+        lines.append(head)
+        lines.extend(rows)
+    lines.append("END")
+    return "\n".join(lines) + "\n"
+
+
+def serialize_groupoid(g: FinGroupoid) -> str:
+    _check_ids(g.morphisms)
+    _check_ids(g.objects, alone=_GROUPOID_SECTIONS + ("END",))
+    return _write("GROUPOID", (), (
+        g.objects,
+        (f"{m} {s} {t}" for m, (s, t) in ((m, g.mors[m]) for m in g.morphisms)),
+        (f"{x} {g.ident[x]}" for x in g.objects),
+        (f"{m} {g.inv[m]}" for m in g.morphisms),
+        (f"{a} {b} {c}" for (a, b), c in sorted(g.comp.items()))))
 
 
 def _lines(text: str):
@@ -108,145 +117,109 @@ def _header(numbered) -> Optional[tuple[int, list[str]]]:
 
 
 class _File(NamedTuple):
-    """A file as read: the file each reference line names, and its sections.
-
-    Read in bulk, `tokens` holds each section's tokens and `rows` is None.
-    Read by the row scan, `rows` holds each section's `(tokens, line
-    number)` rows and `heads` the line of its first header.
-    """
+    """A file as read: its lines, the file each reference line names, and
+    each section's rows as `(start, end)` ranges of `lines`, one range
+    after each of its heads.  The first range starts at the line number
+    of the section's first head."""
+    lines: list[str]
     names: dict[str, str]
-    tokens: dict[str, list[str]]
-    rows: Optional[dict[str, _Rows]] = None
-    heads: Optional[dict[str, int]] = None
+    sections: dict[str, list[tuple[int, int]]]
 
 
-def _scan(text: str, kind: str, known: tuple[str, ...]) -> _File:
-    """Scan a `kind` file once: its header, then rows by section up to END.
+def _read(text: str, kind: str) -> _File:
+    """Read a `kind` file's structure: its header, then its reference lines
+    and sections up to END.
 
-    This is the definition of the format.  Blank and `#` lines are skipped
-    and each line is split once.  Returns the rows of every section in
-    `known`, the file named by each of the kind's reference lines, and the
-    line of each section's first header.
+    Blank and `#` lines are skipped.  A keyword row, a section head or END,
+    is a line of one token, so it equals its stripped line; only the lines
+    before the first keyword row are split.  A section may come in any
+    order, and repeat its head to take more rows.
     """
-    refs = _REFERENCES[kind]
-    sections: dict[str, _Rows] = {}
-    names: dict[str, str] = {}
-    heads: dict[str, int] = {}
-    rows: Optional[_Rows] = None
+    refs, known = _LAYOUTS[kind]
     lines = text.splitlines()
-    numbered = enumerate(lines, 1)
-    head = _header(numbered)
-    if head is not None:
-        ln, toks = head
-        if len(toks) != 3 or toks[0] != "GRAL" or toks[2] != kind:
-            raise ParseError(f"expected 'GRAL <version> {kind}' header", ln)
-        if toks[1] != VERSION:
-            raise ParseError(f"unsupported format version {toks[1]}", ln)
-    for ln, line in numbered:
+    head = _header(enumerate(lines, 1))
+    if head is None:
+        raise ParseError("unexpected end of file", len(lines) + 1)
+    start, toks = head
+    if len(toks) != 3 or toks[0] != "GRAL" or toks[2] != kind:
+        raise ParseError(f"expected 'GRAL <version> {kind}' header", start)
+    if toks[1] != VERSION:
+        raise ParseError(f"unsupported format version {toks[1]}", start)
+    stops = {*known, "END"}
+    heads = []  # the index of each section head, and its section
+    end = len(lines)  # END's index; with no END, the file is refused below
+    for at in compress(count(start), map(stops.__contains__,
+                                         map(str.strip, lines[start:]))):
+        word = lines[at].strip()
+        if word == "END":
+            end = at
+            break
+        heads.append((at, word))
+    names: dict[str, str] = {}
+    first = heads[0][0] if heads else end
+    for ln, line in enumerate(lines[start:first], start + 1):
         toks = line.split()
         if not toks or toks[0][0] == "#":
             continue
-        if rows is None and toks[0] in refs:
-            if len(toks) != 2:
-                raise ParseError(f"expected '{toks[0]} <file>'", ln, len(toks) + 1)
-            names.setdefault(toks[0], toks[1])
-            continue
-        if len(toks) == 1:
-            word = toks[0]
-            if word == "END":
-                for s in refs + known:
-                    if s not in names and s not in sections:
-                        raise ParseError(f"missing section {s}", ln + 1)
-                return _File(names, {}, sections, heads)
-            if word in known:
-                rows = sections.setdefault(word, [])
-                heads.setdefault(word, ln)
-                continue
-        if rows is None:
+        if toks[0] not in refs:
             raise ParseError(f"content outside any section: {line.strip()!r}", ln)
-        rows.append((toks, ln))
-    raise ParseError("unexpected end of file", len(lines) + 1)
+        if len(toks) != 2:
+            raise ParseError(f"expected '{toks[0]} <file>'", ln, len(toks) + 1)
+        names.setdefault(toks[0], toks[1])
+    if end == len(lines):
+        raise ParseError("unexpected end of file", len(lines) + 1)
+    sections: dict[str, list[tuple[int, int]]] = {}
+    for (at, name), stop in zip(heads, [at for at, _ in heads[1:]] + [end]):
+        sections.setdefault(name, []).append((at + 1, stop))
+    for s in refs + known:
+        if s not in names and s not in sections:
+            raise ParseError(f"missing section {s}", end + 2)
+    return _File(lines, names, sections)
 
 
-class _Unread(Exception):
-    """The bulk reader cannot vouch for a file; the row scan reads it."""
+def _rows(f: _File, name: str):
+    """The `(tokens, line number)` of each row of section `name`: each of
+    its lines, split, that is neither blank nor a `#` comment."""
+    for at, end in f.sections[name]:
+        for ln, line in enumerate(f.lines[at:end], at + 1):
+            toks = line.split()
+            if toks and toks[0][0] != "#":
+                yield toks, ln
 
 
-def _block(rows: list[str], width: int, stops: set[str]) -> list[str]:
-    """The tokens of a section's rows, split at once, when each row is
-    `width` tokens separated by single spaces, no token starts with `#`,
-    and a one-token row is none of the `stops` keywords; else `_Unread`.
+def _tokens(f: _File, name: str) -> Optional[list[str]]:
+    """The tokens of section `name`'s rows, or None when a row does not
+    hold the section's width of them.
 
-    `isprintable` refuses every whitespace character but the space, so
-    such a row splits on spaces exactly as `str.split()` splits it.
+    A section whose rows are each that many tokens between single spaces,
+    none holding `#`, is split at once: `isprintable` refuses every
+    whitespace character but the space, so its rows split on spaces
+    exactly as `str.split()` splits them.  Any other is split row by row.
     """
-    if not rows:
-        return []
-    joined = " ".join(rows)
+    width = _WIDTHS[name]
+    block: list[str] = []
+    for at, end in f.sections[name]:
+        block += f.lines[at:end]
+    joined = " ".join(block)
     tokens = joined.split(" ")
-    if ("" in tokens or not joined.isprintable()
-            or joined[0] == "#" or " #" in joined
-            or set(map(str.count, rows, repeat(" "))) != {width - 1}
-            or width == 1 and not stops.isdisjoint(rows)):
-        raise _Unread
+    if ("" in tokens or "#" in joined or not joined.isprintable()
+            or set(map(str.count, block, repeat(" "))) != {width - 1}):
+        rows = [toks for toks, _ in _rows(f, name)]
+        if any(len(toks) != width for toks in rows):
+            return None
+        tokens = [t for toks in rows for t in toks]
     return tokens
-
-
-def _bulk(text: str, kind: str, known: tuple[str, ...]) -> _File:
-    """Read a file laid out as the writers lay it out, a section at a time.
-
-    The header is the first line, the kind's reference lines follow in
-    order, then each section of `known` in order and END, every section a
-    block that `_block` vouches for.  The row scan reads such a file to
-    the same rows, none of them wrong in width.  Any other file raises
-    `_Unread`.
-    """
-    lines = text.splitlines()
-    if lines[:1] != [f"GRAL {VERSION} {kind}"]:
-        raise _Unread
-    refs = _REFERENCES[kind]
-    names: dict[str, str] = {}
-    for ref, line in zip(refs, lines[1:1 + len(refs)]):
-        key, _, name = line.partition(" ")
-        if key != ref or not _is_token(name):
-            raise _Unread
-        names[key] = name
-    at = len(names) + 1
-    stops = {*known, "END"}
-    tokens: dict[str, list[str]] = {}
-    for name, after in zip(known, (*known[1:], "END")):
-        if lines[at:at + 1] != [name]:
-            raise _Unread
-        try:
-            end = lines.index(after, at + 1)
-        except ValueError:
-            raise _Unread from None
-        tokens[name] = _block(lines[at + 1:end], _WIDTHS[name], stops)
-        at = end
-    return _File(names, tokens)
-
-
-def _read(text: str, kind: str, known: tuple[str, ...],
-          build: Callable[[_File], object]):
-    """`build` applied to the file as read in bulk, or, when the bulk reader
-    cannot vouch for the file or `build` refuses what it read, as read by
-    the row scan, so that every error is the scan's."""
-    try:
-        return build(_bulk(text, kind, known))
-    except _Unread:
-        return build(_scan(text, kind, known))
 
 
 def _columns(f: _File, name: str, message: str, column: int = 0) -> list[str]:
     """A section's tokens, once every row is checked to hold the section's
     width of them."""
-    if f.rows is None:
-        return f.tokens[name]
-    width = _WIDTHS[name]
-    for toks, ln in f.rows[name]:
-        if len(toks) != width:
-            raise ParseError(message, ln, column or len(toks) + 1)
-    return [t for toks, _ in f.rows[name] for t in toks]
+    tokens = _tokens(f, name)
+    if tokens is None:
+        for toks, ln in _rows(f, name):
+            if len(toks) != _WIDTHS[name]:
+                raise ParseError(message, ln, column or len(toks) + 1)
+    return tokens
 
 
 def _keyed(f: _File, name: str, keys: list, values: Iterable, noun: str,
@@ -255,10 +228,8 @@ def _keyed(f: _File, name: str, keys: list, values: Iterable, noun: str,
     row that repeats an earlier row's key, its first `width` tokens."""
     table = dict(zip(keys, values))
     if len(table) != len(keys):
-        if f.rows is None:
-            raise _Unread
         seen = set()
-        for toks, ln in f.rows[name]:
+        for toks, ln in _rows(f, name):
             key = " ".join(toks[:width])
             if key in seen:
                 raise ParseError(f"duplicate row for {noun} {key!r}", ln, 1)
@@ -273,16 +244,16 @@ def _table(f: _File, name: str, dom: Iterable[str], cod: Iterable[str]
     Each row is a `dom` id and a `cod` id, and each `dom` id has one row; a
     missing row is reported on the section's header line.
     """
-    if f.rows is None:
-        keys, values = f.tokens[name][::2], f.tokens[name][1::2]
+    tokens = _tokens(f, name)
+    if tokens is not None:
+        keys, values = tokens[::2], tokens[1::2]
         table = dict(zip(keys, values))
         if (len(table) == len(keys) and table.keys() == set(dom)
                 and set(cod).issuperset(values)):
             return table
-        raise _Unread
     message, *nouns = _TABLES[name]
     known = (set(dom), set(cod))
-    rows = f.rows[name]
+    rows = list(_rows(f, name))
     for toks, ln in rows:
         if len(toks) != 2:
             raise ParseError(message, ln, len(toks) + 1)
@@ -293,11 +264,13 @@ def _table(f: _File, name: str, dom: Iterable[str], cod: Iterable[str]
                    [toks[1] for toks, _ in rows], nouns[0])
     for x in dom:
         if x not in table:
-            raise ParseError(f"{name} has no row for {nouns[0]} {x!r}", f.heads[name])
+            raise ParseError(f"{name} has no row for {nouns[0]} {x!r}",
+                             f.sections[name][0][0])
     return table
 
 
-def _groupoid(f: _File) -> FinGroupoid:
+def parse_groupoid(text: str) -> FinGroupoid:
+    f = _read(text, "GROUPOID")
     objects = _columns(f, "OBJECTS", "expected one object identifier", 2)
     t = _columns(f, "MORPHISMS", "expected 'id src tgt'")
     mors = _keyed(f, "MORPHISMS", t[::3], zip(t[1::3], t[2::3]), "morphism")
@@ -308,10 +281,6 @@ def _groupoid(f: _File) -> FinGroupoid:
     t = _columns(f, "COMP", "expected 'g f composite'")
     comp = _keyed(f, "COMP", list(zip(t[::3], t[1::3])), t[2::3], "pair", 2)
     return FinGroupoid(objects, mors, comp, ident, inv)
-
-
-def parse_groupoid(text: str) -> FinGroupoid:
-    return _read(text, "GROUPOID", _GROUPOID_SECTIONS, _groupoid)
 
 
 def _json_block(items: list[str], open_: str = "[", close: str = "]") -> str:
@@ -374,63 +343,48 @@ class Loader:
 def serialize_assembly(a: Assembly, base_name: str, rtype_name: str) -> str:
     _check_ids(a.base.objects, a.base.morphisms, a.rfun.omap.values(),
                a.rfun.mmap.values())
-    lines = [f"GRAL {VERSION} ASSEMBLY", f"BASE {base_name}",
-             f"RTYPE {rtype_name}", "RFUN-OBJ"]
-    lines.extend(f"{x} {a.rfun.omap[x]}" for x in a.base.objects)
-    lines.append("RFUN-MOR")
-    lines.extend(f"{m} {a.rfun.mmap[m]}" for m in a.base.morphisms)
-    lines.append("END")
-    return "\n".join(lines) + "\n"
+    return _write("ASSEMBLY", (base_name, rtype_name), (
+        (f"{x} {a.rfun.omap[x]}" for x in a.base.objects),
+        (f"{m} {a.rfun.mmap[m]}" for m in a.base.morphisms)))
 
 
 def parse_assembly(text: str, resolve: Callable[[str], str], r,
                    loader: Optional[Loader] = None) -> Assembly:
     loader = loader if loader is not None else Loader()
-
-    def build(f: _File) -> Assembly:
-        base = loader.groupoid(resolve(f.names["BASE"]))
-        rtype = loader.groupoid(resolve(f.names["RTYPE"]))
-        pi = r.pi(rtype).gpd
-        omap = _table(f, "RFUN-OBJ", base.objects, pi.objects)
-        mmap = _table(f, "RFUN-MOR", base.morphisms, pi.morphisms)
-        return Assembly(r, base, rtype, GFunctor(base, pi, omap, mmap))
-    return _read(text, "ASSEMBLY", _ASSEMBLY_SECTIONS, build)
+    f = _read(text, "ASSEMBLY")
+    base = loader.groupoid(resolve(f.names["BASE"]))
+    rtype = loader.groupoid(resolve(f.names["RTYPE"]))
+    pi = r.pi(rtype).gpd
+    omap = _table(f, "RFUN-OBJ", base.objects, pi.objects)
+    mmap = _table(f, "RFUN-MOR", base.morphisms, pi.morphisms)
+    return Assembly(r, base, rtype, GFunctor(base, pi, omap, mmap))
 
 
 def serialize_morphism(m: RealizedMorphism, src_name: str, tgt_name: str) -> str:
     _check_ids(m.src.base.objects, m.src.base.morphisms, m.fun.omap.values(),
                m.fun.mmap.values(), m.e.dom.objects, m.e.dom.morphisms,
                m.e.omap.values(), m.e.mmap.values(), m.eps.components.values())
-    lines = [f"GRAL {VERSION} MORPHISM", f"SRC {src_name}", f"TGT {tgt_name}",
-             "FUN-OBJ"]
-    lines.extend(f"{x} {m.fun.omap[x]}" for x in m.src.base.objects)
-    lines.append("FUN-MOR")
-    lines.extend(f"{p} {m.fun.mmap[p]}" for p in m.src.base.morphisms)
-    lines.append("E-OBJ")
-    lines.extend(f"{x} {m.e.omap[x]}" for x in m.e.dom.objects)
-    lines.append("E-MOR")
-    lines.extend(f"{p} {m.e.mmap[p]}" for p in m.e.dom.morphisms)
-    lines.append("EPS")
-    lines.extend(f"{x} {m.eps.components[x]}" for x in m.src.base.objects)
-    lines.append("END")
-    return "\n".join(lines) + "\n"
+    return _write("MORPHISM", (src_name, tgt_name), (
+        (f"{x} {m.fun.omap[x]}" for x in m.src.base.objects),
+        (f"{p} {m.fun.mmap[p]}" for p in m.src.base.morphisms),
+        (f"{x} {m.e.omap[x]}" for x in m.e.dom.objects),
+        (f"{p} {m.e.mmap[p]}" for p in m.e.dom.morphisms),
+        (f"{x} {m.eps.components[x]}" for x in m.src.base.objects)))
 
 
 def parse_morphism(text: str, resolve: Callable[[str], str], r,
                    loader: Optional[Loader] = None) -> RealizedMorphism:
     loader = loader if loader is not None else Loader()
-
-    def build(f: _File) -> RealizedMorphism:
-        src = parse_assembly(resolve(f.names["SRC"]), resolve, r, loader)
-        tgt = parse_assembly(resolve(f.names["TGT"]), resolve, r, loader)
-        sb, tb, sr, tr = src.base, tgt.base, src.rtype, tgt.rtype
-        fun = GFunctor(sb, tb, _table(f, "FUN-OBJ", sb.objects, tb.objects),
-                       _table(f, "FUN-MOR", sb.morphisms, tb.morphisms))
-        e = GFunctor(sr, tr, _table(f, "E-OBJ", sr.objects, tr.objects),
-                     _table(f, "E-MOR", sr.morphisms, tr.morphisms))
-        eps = _table(f, "EPS", sb.objects, tgt.pi.gpd.morphisms)
-        return realized(src, tgt, fun, e, eps)
-    return _read(text, "MORPHISM", _MORPHISM_SECTIONS, build)
+    f = _read(text, "MORPHISM")
+    src = parse_assembly(resolve(f.names["SRC"]), resolve, r, loader)
+    tgt = parse_assembly(resolve(f.names["TGT"]), resolve, r, loader)
+    sb, tb, sr, tr = src.base, tgt.base, src.rtype, tgt.rtype
+    fun = GFunctor(sb, tb, _table(f, "FUN-OBJ", sb.objects, tb.objects),
+                   _table(f, "FUN-MOR", sb.morphisms, tb.morphisms))
+    e = GFunctor(sr, tr, _table(f, "E-OBJ", sr.objects, tr.objects),
+                 _table(f, "E-MOR", sr.morphisms, tr.morphisms))
+    eps = _table(f, "EPS", sb.objects, tgt.pi.gpd.morphisms)
+    return realized(src, tgt, fun, e, eps)
 
 
 # -- bundles ---------------------------------------------------------------
@@ -530,7 +484,7 @@ def load_morphism_bundle(text: str, r,
 
 
 def detect_kind(text: str) -> str:
-    """The kind named by the header, found as the row scan finds it,
+    """The kind named by the header, found as the reader finds it,
     reading no further."""
     head = _header(enumerate(_lines(text), 1))
     if head is not None and len(head[1]) == 3 and head[1][0] == "GRAL":

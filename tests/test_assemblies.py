@@ -3,7 +3,7 @@ import random
 import pytest
 
 from gral.groupoids import (
-    GFunctor, NatIso, codiscrete, compose_functors, cyclic_group, discrete,
+    GFunctor, NatIso, SizeCaps, codiscrete, compose_functors, cyclic_group, discrete,
     functors_between, identity_functor, nat_isos_between,
 )
 from gral.assemblies import (
@@ -11,10 +11,10 @@ from gral.assemblies import (
     compose_morphisms, identity_morphism, identity_twocell,
     inverse_twocell, is_modest, pgasm_copair2, pgasm_interval,
     product_assembly, realize, terminal_assembly, transpose_morphism,
-    twocell_compose, twocell_from_iso, validate_assembly, validate_morphism,
-    validate_twocell, weak_exponential,
+    twocell_from_iso, twocell_hcompose, twocell_vcompose, validate_assembly,
+    validate_morphism, validate_twocell, weak_exponential,
 )
-from gral.errors import StructuralError
+from gral.errors import SizeCapError, StructuralError
 from gral.interval import RealizerCategory, check_cogroupoid, gpd_interval
 
 
@@ -277,6 +277,29 @@ def test_weak_exponential_modesty(r):
     assert ok, witness
 
 
+@pytest.mark.parametrize("caps, refusal", [
+    (SizeCaps(max_objects=31), "product objects: 32 exceeds cap 31"),
+    (SizeCaps(max_morphisms=1023), "product morphisms: 1024 exceeds cap 1023"),
+    (SizeCaps(max_objects=32, max_morphisms=1024), None),
+], ids=["objects", "morphisms", "within-caps"])
+def test_weak_exponential_refuses_the_product_its_evaluation_needs(caps, refusal):
+    """The caps refuse a weak exponential whose evaluation's source, a
+    product of 16 x 2 objects and 256 x 4 morphisms, exceeds them; the
+    product itself is built only when the evaluation is read."""
+    r = gpd_interval(caps)
+    x = mk_assembly(r, codiscrete(["a", "b"]), r.interval.I1, 1)
+    y = mk_assembly(r, codiscrete(["u", "v"]), r.interval.I1, 2)
+    if refusal is not None:
+        with pytest.raises(SizeCapError) as exc:
+            weak_exponential(x, y)
+        assert str(exc.value) == refusal
+        return
+    w = weak_exponential(x, y)
+    key = (w.asm.base.serial, x.base.serial)
+    assert key not in r._prod_cache
+    assert w.ev_src.raw_base is r._prod_cache[key].raw
+
+
 def test_weakexp_fillers_validate(r, pg):
     """Every exponential morphism's boundary-determined filler is natural."""
     from gral.assemblies import weakexp_cell, weakexp_object_morphism
@@ -397,7 +420,7 @@ def test_twocell_identity_and_inverse(r, pg):
     c = sample_twocell(r, pg, x, y, rng)
     idc = identity_twocell(pg, c.src)
     assert validate_twocell(pg, idc).ok
-    v = twocell_compose(pg, "vertical", c, idc)
+    v = twocell_vcompose(pg, c, idc)
     assert validate_twocell(pg, v).ok
     assert v.iso == c.iso
     inv = inverse_twocell(pg, c)
@@ -406,7 +429,7 @@ def test_twocell_identity_and_inverse(r, pg):
     for xo in x.base.objects:
         assert inv.epsw.components[cyl.raw_base.opair[(xo, "0")]] \
             == c.epsw.components[cyl.raw_base.opair[(xo, "1")]]
-    roundtrip = twocell_compose(pg, "vertical", inv, c)
+    roundtrip = twocell_vcompose(pg, inv, c)
     assert roundtrip.iso == identity_twocell(pg, c.src).iso
     assert validate_twocell(pg, roundtrip).ok
 
@@ -427,14 +450,12 @@ def test_twocell_horizontal_and_interchange(r, pg):
         if c1b.src != c1.tgt or c2b.src != c2.tgt:
             # resample until vertically composable
             continue
-        h = twocell_compose(pg, "horizontal", c2, c1)
+        h = twocell_hcompose(pg, c2, c1)
         assert validate_twocell(pg, h).ok
-        lhs = twocell_compose(pg, "horizontal",
-                              twocell_compose(pg, "vertical", c2b, c2),
-                              twocell_compose(pg, "vertical", c1b, c1))
-        rhs = twocell_compose(pg, "vertical",
-                              twocell_compose(pg, "horizontal", c2b, c1b),
-                              twocell_compose(pg, "horizontal", c2, c1))
+        lhs = twocell_hcompose(pg, twocell_vcompose(pg, c2b, c2),
+                               twocell_vcompose(pg, c1b, c1))
+        rhs = twocell_vcompose(pg, twocell_hcompose(pg, c2b, c1b),
+                               twocell_hcompose(pg, c2, c1))
         assert lhs.iso == rhs.iso
         assert validate_twocell(pg, lhs).ok and validate_twocell(pg, rhs).ok
         done += 1

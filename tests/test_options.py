@@ -12,7 +12,8 @@ is matched by calls to the class.
 A parameter no body reads is passed for nothing.  A method's `self` and
 interface stubs, whose body only raises, are exempt.
 
-A top-level `def` or `class` must be named by code in `src/gral` outside
+A top-level `def` or `class`, and each method or property of such a
+class but its dunder methods, must be named by code in `src/gral` outside
 its own body, or in `demos/` or `benchmarks/`.  Re-exports in `__init__.py`
 and imports do not count, and neither do tests: a definition only tests
 reach is checked for nothing that the library does.  Names are matched
@@ -177,6 +178,13 @@ def _named(node) -> set:
             and isinstance(n.ctx, ast.Load)}
 
 
+def _members(cls):
+    """Each method or property a class defines, but for dunder methods."""
+    return [stmt for stmt in cls.body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (stmt.name.startswith("__") and stmt.name.endswith("__"))]
+
+
 def unreached_definitions():
     named, defs = set(), []
     for path, tree in _trees("src/gral"):
@@ -186,7 +194,15 @@ def unreached_definitions():
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
                 defs.append((f"{path.stem}.{stmt.name}", stmt.name))
-                named |= _named(stmt) - {stmt.name}
+                if not isinstance(stmt, ast.ClassDef):
+                    named |= _named(stmt) - {stmt.name}
+                    continue
+                members = _members(stmt)
+                defs += [(f"{path.stem}.{stmt.name}.{m.name}", m.name)
+                         for m in members]
+                for part in ast.iter_child_nodes(stmt):
+                    own = {part.name} if part in members else set()
+                    named |= _named(part) - own - {stmt.name}
             else:
                 named |= _named(stmt)
     for _path, tree in _trees("demos", "benchmarks"):

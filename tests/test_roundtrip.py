@@ -19,12 +19,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gral import textfmt
-from gral.assemblies import Assembly, identity_morphism
+from gral.assemblies import Assembly, identity_morphism, realized
 from gral.cli import main
 from gral.errors import GralError, ParseError, StructuralError
 from gral.generators import Gen
 from gral.groupoids import (
-    SizeCaps, codiscrete, cyclic_group, discrete, disjoint_union, functors_between,
+    FinGroupoid, GFunctor, SizeCaps, codiscrete, cyclic_group, discrete, disjoint_union,
+    functors_between,
 )
 from gral.interval import gpd_interval
 
@@ -198,10 +199,11 @@ def test_bundle_writer_refuses_a_line_break_other_than_newline(text):
     assert textfmt.parse_bundle(f"GRAL 1 BUNDLE\n--- FILE f\n{text}") != {"f": text}
 
 
-# -- bulk reading ----------------------------------------------------------
-# A file laid out as the writers lay it out is read a section at a time;
-# the row scan reads every other file.  Either way the reader gives the
-# same tables in the same order, or the scan's error.
+# -- the reader against the row scan ----------------------------------------
+# The reader finds the keyword rows, splits each section once and walks rows
+# only to name an error.  The row scan below, which splits every line on
+# its own, defines the format: on any file the reader gives the scan's
+# tables in the same order, or the scan's error.
 
 SEEDS = st.integers(0, 2 ** 16)
 
@@ -278,6 +280,129 @@ def _mutated(draw, text: str, mutations=MUTATIONS) -> str:
     return "".join(line + br for line in lines)
 
 
+def _scan(text: str, kind: str):
+    """Scan a `kind` file once: its header, then rows by section up to END.
+
+    Blank and `#` lines are skipped and each line is split once.  Returns
+    the `(tokens, line number)` rows of every section of the kind, the file
+    named by each of its reference lines, and the line of each section's
+    first header.
+    """
+    refs, known = textfmt._LAYOUTS[kind]
+    sections, names, heads = {}, {}, {}
+    rows = None
+    lines = text.splitlines()
+    numbered = enumerate(lines, 1)
+    head = textfmt._header(numbered)
+    if head is not None:
+        ln, toks = head
+        if len(toks) != 3 or toks[0] != "GRAL" or toks[2] != kind:
+            raise ParseError(f"expected 'GRAL <version> {kind}' header", ln)
+        if toks[1] != textfmt.VERSION:
+            raise ParseError(f"unsupported format version {toks[1]}", ln)
+    for ln, line in numbered:
+        toks = line.split()
+        if not toks or toks[0][0] == "#":
+            continue
+        if rows is None and toks[0] in refs:
+            if len(toks) != 2:
+                raise ParseError(f"expected '{toks[0]} <file>'", ln, len(toks) + 1)
+            names.setdefault(toks[0], toks[1])
+            continue
+        if len(toks) == 1:
+            word = toks[0]
+            if word == "END":
+                for s in refs + known:
+                    if s not in names and s not in sections:
+                        raise ParseError(f"missing section {s}", ln + 1)
+                return sections, names, heads
+            if word in known:
+                rows = sections.setdefault(word, [])
+                heads.setdefault(word, ln)
+                continue
+        if rows is None:
+            raise ParseError(f"content outside any section: {line.strip()!r}", ln)
+        rows.append((toks, ln))
+    raise ParseError("unexpected end of file", len(lines) + 1)
+
+
+def _scan_columns(rows, width, message, column=0):
+    for toks, ln in rows:
+        if len(toks) != width:
+            raise ParseError(message, ln, column or len(toks) + 1)
+    return [toks for toks, _ in rows]
+
+
+def _scan_no_repeats(rows, table, noun, width=1):
+    if len(table) == len(rows):
+        return
+    seen = set()
+    for toks, ln in rows:
+        key = " ".join(toks[:width])
+        if key in seen:
+            raise ParseError(f"duplicate row for {noun} {key!r}", ln, 1)
+        seen.add(key)
+
+
+def _scan_table(secs, heads, name, dom, cod):
+    message, *nouns = textfmt._TABLES[name]
+    known = (set(dom), set(cod))
+    table = {}
+    for toks, ln in secs[name]:
+        if len(toks) != 2:
+            raise ParseError(message, ln, len(toks) + 1)
+        for col in (0, 1):
+            if toks[col] not in known[col]:
+                raise ParseError(f"unknown {nouns[col]} {toks[col]!r}", ln, col + 1)
+        table[toks[0]] = toks[1]
+    _scan_no_repeats(secs[name], table, nouns[0])
+    for x in dom:
+        if x not in table:
+            raise ParseError(f"{name} has no row for {nouns[0]} {x!r}", heads[name])
+    return table
+
+
+def _scan_groupoid(text):
+    secs, _, _ = _scan(text, "GROUPOID")
+    objects = [row[0] for row in _scan_columns(secs["OBJECTS"], 1,
+                                               "expected one object identifier", 2)]
+    mors = {m: (s, t) for m, s, t in _scan_columns(secs["MORPHISMS"], 3,
+                                                    "expected 'id src tgt'")}
+    _scan_no_repeats(secs["MORPHISMS"], mors, "morphism")
+    ident = dict(_scan_columns(secs["ID"], 2, "expected 'object identity'"))
+    _scan_no_repeats(secs["ID"], ident, "object")
+    inv = dict(_scan_columns(secs["INV"], 2, "expected 'morphism inverse'"))
+    _scan_no_repeats(secs["INV"], inv, "morphism")
+    comp = {(g, f): c for g, f, c in _scan_columns(secs["COMP"], 3,
+                                                    "expected 'g f composite'")}
+    _scan_no_repeats(secs["COMP"], comp, "pair", 2)
+    return FinGroupoid(objects, mors, comp, ident, inv)
+
+
+def _scan_assembly(text, resolve, gpds):
+    secs, names, heads = _scan(text, "ASSEMBLY")
+    base, rtype = (gpds.setdefault(g.key(), g) for g in
+                   (_scan_groupoid(resolve(names[k])) for k in ("BASE", "RTYPE")))
+    pi = R.pi(rtype).gpd
+    omap = _scan_table(secs, heads, "RFUN-OBJ", base.objects, pi.objects)
+    mmap = _scan_table(secs, heads, "RFUN-MOR", base.morphisms, pi.morphisms)
+    return Assembly(R, base, rtype, GFunctor(base, pi, omap, mmap))
+
+
+def _scan_morphism(text, resolve):
+    secs, names, heads = _scan(text, "MORPHISM")
+    gpds = {}
+    src = _scan_assembly(resolve(names["SRC"]), resolve, gpds)
+    tgt = _scan_assembly(resolve(names["TGT"]), resolve, gpds)
+    sb, tb, sr, tr = src.base, tgt.base, src.rtype, tgt.rtype
+    fun = GFunctor(sb, tb, _scan_table(secs, heads, "FUN-OBJ", sb.objects, tb.objects),
+                   _scan_table(secs, heads, "FUN-MOR", sb.morphisms, tb.morphisms))
+    e = GFunctor(sr, tr, _scan_table(secs, heads, "E-OBJ", sr.objects, tr.objects),
+                 _scan_table(secs, heads, "E-MOR", sr.morphisms, tr.morphisms))
+    eps = _scan_table(secs, heads, "EPS", sb.objects, tgt.pi.gpd.morphisms)
+    return realized(src, tgt, fun, e, eps)
+
+
 def _outcome(read, tables):
     """`tables` of what `read()` returns, or the error it raises."""
     try:
@@ -295,42 +420,52 @@ def _gpd_tables(g):
 
 @settings(max_examples=500, deadline=None)
 @given(SEEDS, st.data())
-def test_bulk_reader_agrees_with_the_row_scan(seed, data):
+def test_reader_agrees_with_the_row_scan(seed, data):
     text = data.draw(_mutated(textfmt.serialize_groupoid(_gen(seed).groupoid())))
-    sections = ("GROUPOID", textfmt._GROUPOID_SECTIONS)
-    scan = _outcome(lambda: textfmt._groupoid(textfmt._scan(text, *sections)),
-                    _gpd_tables)
-    assert _outcome(lambda: textfmt.parse_groupoid(text), _gpd_tables) == scan
-    try:
-        bulk = _outcome(lambda: textfmt._groupoid(textfmt._bulk(text, *sections)),
-                        _gpd_tables)
-    except textfmt._Unread:  # left to the scan
-        return
-    assert bulk == scan
+    assert (_outcome(lambda: textfmt.parse_groupoid(text), _gpd_tables)
+            == _outcome(lambda: _scan_groupoid(text), _gpd_tables))
 
 
-ROWS = st.lists(
-    st.tuples(st.sampled_from(["", " ", "\t"]),
-              st.lists(st.sampled_from(["a", "b", "#c", "d#", "END", "ID", ""]),
-                       min_size=1, max_size=4),
-              st.sampled_from([" ", " ", " ", "  ", "\t", "\x1f", "\xa0", "\x85"]),
-              st.sampled_from(["", " ", "\xa0"]))
-    .map(lambda r: r[0] + r[2].join(r[1]) + r[3]), max_size=4)
+def _rows_of(width: int):
+    """Blocks of rows: each either `width` plain tokens between single
+    spaces, or tokens (`#`-prefixed, holding `#`, keywords, empty) between
+    any separators with any padding.  About half the blocks hold plain
+    rows only, so that they split at once."""
+    plain = st.lists(st.sampled_from(["a", "b", "é", "xy"]), min_size=width,
+                     max_size=width).map(" ".join)
+    messy = st.tuples(
+        st.sampled_from(["", " ", "\t"]),
+        st.lists(st.sampled_from(["a", "b", "#c", "d#", "END", "ID", ""]),
+                 min_size=1, max_size=4),
+        st.sampled_from([" ", " ", " ", "  ", "\t", "\x1f", "\xa0", "\x85"]),
+        st.sampled_from(["", " ", "\xa0"])).map(lambda r: r[0] + r[2].join(r[1]) + r[3])
+    return st.one_of(st.lists(plain, max_size=4),
+                     st.lists(st.one_of(plain, messy), max_size=4))
+
+
+@st.composite
+def _section(draw):
+    """A file of one section, its head repeated once or twice, and its name."""
+    name = draw(st.sampled_from(["OBJECTS", "ID", "COMP"]))
+    lines, ranges = [], []
+    for block in draw(st.lists(_rows_of(textfmt._WIDTHS[name]), min_size=1, max_size=2)):
+        lines.append(name)
+        ranges.append((len(lines), len(lines) + len(block)))
+        lines += block
+    return textfmt._File(lines, {}, {name: ranges}), name
 
 
 @settings(max_examples=500, deadline=None)
-@given(ROWS, st.integers(1, 3))
-def test_a_block_splits_as_the_row_scan_splits_its_rows(rows, width):
-    stops = {*textfmt._GROUPOID_SECTIONS, "END"}
-    try:
-        tokens = textfmt._block(rows, width, stops)
-    except textfmt._Unread:
-        return
-    for row in rows:
-        toks = row.split()
-        assert len(toks) == width and toks[0][0] != "#"
-        assert width > 1 or toks[0] not in stops
-    assert tokens == [t for row in rows for t in row.split()]
+@given(_section())
+def test_a_section_splits_at_once_as_its_rows_split(section):
+    """A section split at once gives the tokens its rows give split one by
+    one; a row of the wrong width gives None."""
+    f, name = section
+    rows = [toks for toks, _ in textfmt._rows(f, name)]
+    width = textfmt._WIDTHS[name]
+    expected = (None if any(len(toks) != width for toks in rows)
+                else [t for toks in rows for t in toks])
+    assert textfmt._tokens(f, name) == expected
 
 
 def _assembly_tables(a):
@@ -345,34 +480,36 @@ def _morphism_tables(m):
             list(m.eps.components.items()))
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(SEEDS, st.sampled_from(["main.mor", "src.asm"]), st.data())
-def test_bulk_reader_agrees_with_the_row_scan_on_assemblies_and_morphisms(
-        seed, name, data):
+def test_reader_agrees_with_the_row_scan_on_assemblies_and_morphisms(seed, name, data):
     gen = _gen(seed)
     x, y = gen.assembly(), gen.assembly()
     m = gen.morphism(x, y) or identity_morphism(x)
     files = textfmt.parse_bundle(textfmt.bundle_morphism(m))
     text = files[name]
     files[name] = data.draw(st.one_of(_mutated(text), _mutated(text, TABLE_MUTATIONS)))
+    resolve = textfmt.bundle_resolver(files)
+    if name == "main.mor":
+        tables = _morphism_tables
+        read = lambda: textfmt.parse_morphism(files[name], resolve, R)
+        scan = lambda: _scan_morphism(files[name], resolve)
+    else:
+        tables = _assembly_tables
+        read = lambda: textfmt.parse_assembly(files[name], resolve, R)
+        scan = lambda: _scan_assembly(files[name], resolve, {})
+    assert _outcome(read, tables) == _outcome(scan, tables)
 
-    def read():
-        return textfmt.parse_morphism(files["main.mor"],
-                                      textfmt.bundle_resolver(files), R)
-    # the bulk reader vouching for no file, the scan reads them all
-    with mock.patch.object(textfmt, "_bulk", mock.Mock(side_effect=textfmt._Unread)):
-        scan = _outcome(read, _morphism_tables)
-    assert _outcome(read, _morphism_tables) == scan
 
-
-def test_files_the_writers_write_never_reach_the_row_scan():
+def test_files_the_writers_write_are_split_at_once():
+    """No file a writer writes is split row by row, or walked for an error."""
     gen = _gen(0)
     groupoids = [gen.groupoid() for _ in range(40)]
     groupoids += [cyclic_group(40),
                   disjoint_union([cyclic_group(12), codiscrete(["a", "b", "c"])])]
     morphisms = [m for m in (gen.morphism(gen.assembly(), gen.assembly())
                              for _ in range(20)) if m is not None]
-    with mock.patch.object(textfmt, "_scan", side_effect=AssertionError("row scan")):
+    with mock.patch.object(textfmt, "_rows", side_effect=AssertionError("row walk")):
         for g in groupoids:
             assert textfmt.parse_groupoid(textfmt.serialize_groupoid(g)) == g
         for m in morphisms:
