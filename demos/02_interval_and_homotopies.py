@@ -8,9 +8,9 @@ import random
 from gral.groupoids import codiscrete, cyclic_group, functors_between, \
     identity_functor, nat_isos_between
 from gral.interval import (
-    IntervalData, check_cogroupoid, gpd_interval, homotopy_from_nat_iso,
-    identity_homotopy, inverse_homotopy, nat_iso_from_homotopy,
-    path_of_morphism, pi_base_iso, vcomp,
+    IntervalData, _build_pi, _pi_map, check_cogroupoid, gpd_interval,
+    homotopy_from_nat_iso, identity_homotopy, inverse_homotopy,
+    nat_iso_from_homotopy, path_of_morphism, pi_base_iso, vcomp,
 )
 
 r = gpd_interval()
@@ -61,3 +61,11 @@ g = cyclic_group(3)
 iso_fun = pi_base_iso(r, g)
 print("\nPi(Z3) has", len(r.pi(g).gpd.morphisms), "paths; iso onto Z3:",
       sorted(iso_fun.mmap.values()) == sorted(g.morphisms))
+
+# The paper builds Pi(A) and Pi(f) from hom-sets and path algebra alone
+# (`_build_pi`, `_pi_map`); the groupoid instance relabels A's and f's own
+# tables instead, and the two constructions give the same tables.
+f = rng.choice(functors_between(g, a))
+print("generic Pi(Z3) equals the relabelled one:",
+      _build_pi(r, g).gpd.key() == r.pi(g).gpd.key())
+print("generic Pi(f) equals the relabelled one:", _pi_map(r, f) == r.pi_map(f))

@@ -17,14 +17,14 @@ from typing import Any, Optional
 
 from .errors import BoundaryError, SizeCapError, StructuralError
 from .groupoids import (
-    FinGroupoid, GFunctor, NatIso, Report,
+    FinGroupoid, GFunctor, NatIso, ProductGpd, Report,
     check_product_caps, composable_pairs, compose_functors, curry, evaluation,
     functors_between, identity_functor, identity_nat_iso, invert_nat_iso,
     is_functor, is_nat_iso, nat_isos_between, terminal_groupoid,
     vcompose_nat_isos, whisker_left, whisker_right,
 )
 from .interval import (
-    IntervalData, Map, RealizerCategory, _chain_functor, chain_groupoid,
+    GpdRealizer, IntervalData, Map, _chain_functor, chain_groupoid,
     nat_iso_functor_form,
 )
 
@@ -36,7 +36,7 @@ class Assembly:
 
     __slots__ = ("r", "base", "rtype", "rfun", "serial")
 
-    def __init__(self, r: RealizerCategory, base: FinGroupoid, rtype: Any,
+    def __init__(self, r: GpdRealizer, base: FinGroupoid, rtype: Any,
                  rfun: GFunctor):
         self.r = r
         self.base = base
@@ -49,7 +49,7 @@ class Assembly:
         return self.r.pi(self.rtype)
 
     def key(self) -> tuple:
-        return (self.base.serial, self.r.obj_key(self.rtype), self.rfun.key())
+        return (self.base.serial, self.rtype.serial, self.rfun.key())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Assembly) and self.key() == other.key()
@@ -107,8 +107,8 @@ def validate_morphism(m: RealizedMorphism) -> Report:
         rep.add("fun-boundary", False, "underlying functor boundary mismatch")
         return rep
     rep.merge(is_functor(m.fun))
-    if r.obj_key(r.dom(m.e)) != r.obj_key(m.src.rtype) \
-            or r.obj_key(r.cod(m.e)) != r.obj_key(m.tgt.rtype):
+    if m.e.dom.serial != m.src.rtype.serial \
+            or m.e.cod.serial != m.tgt.rtype.serial:
         rep.add("realizer-boundary", False, "realizer map boundary mismatch")
         return rep
     left = compose_functors(r.pi_map(m.e), m.src.rfun)
@@ -234,7 +234,7 @@ def is_modest(x: Assembly):
 
 # -- terminal and products ----------------------------------------------------
 
-def terminal_assembly(r: RealizerCategory) -> Assembly:
+def terminal_assembly(r: GpdRealizer) -> Assembly:
     base = terminal_groupoid("T")
     pi0 = r.pi(r.interval.I0)
     o = pi0.gpd.objects[0]
@@ -261,8 +261,8 @@ class ProductAssembly:
     asm: Assembly
     p1: RealizedMorphism
     p2: RealizedMorphism
-    raw_base: Any            # ProductGpd of the bases
-    rprod: Any               # ProdObj of the realizer types
+    raw_base: ProductGpd     # of the bases
+    rprod: ProductGpd        # of the realizer types
 
     def pair(self, m1: RealizedMorphism, m2: RealizedMorphism) -> RealizedMorphism:
         """Universal map <m1, m2> with the paired witness."""
@@ -281,16 +281,18 @@ class ProductAssembly:
         return realized(m1.src, self.asm, fun, e, comps)
 
 
-def _paired_assembly(x: Assembly, y: Assembly, raw: Any) -> ProductAssembly:
-    """Realize `raw`, a ProductGpd over x.base and y.base, by paired realizers.
+def _paired_assembly(x: Assembly, y: Assembly, raw: ProductGpd) -> ProductAssembly:
+    """Realize `raw`, a product over x.base and y.base, by paired realizers.
 
     The Pi id of a pair depends only on the two Pi ids paired, so it is read
-    from the memo on the realizer product, shared by every such assembly.
+    from the realizer's memo for the product of the two realizer types,
+    shared by every such assembly.
     """
     r = x.r
+    key = (x.rtype.serial, y.rtype.serial)
     rprod = r.product(x.rtype, y.rtype)
     pix, piy = x.pi, y.pi
-    points, paths = rprod.pi_pairs
+    points, paths = r._pi_pairs.setdefault(key, ({}, {}))
     omap = {}
     mmap = {}
     for (a, b), oid in raw.opair.items():
@@ -303,9 +305,9 @@ def _paired_assembly(x: Assembly, y: Assembly, raw: Any) -> ProductAssembly:
         if mn not in paths:
             paths[mn] = r.pi_mor_id(rprod.pair(pix.path_of[mn[0]], piy.path_of[mn[1]]))
         mmap[mid] = paths[mn]
-    pi_xy = r.pi(rprod.obj)
+    pi_xy = r.pi(rprod.gpd)
     rfun = GFunctor(raw.gpd, pi_xy.gpd, omap, mmap)
-    asm = Assembly(r, raw.gpd, rprod.obj, rfun)
+    asm = Assembly(r, raw.gpd, rprod.gpd, rfun)
     p1 = _identity_eps(asm, x, raw.p1, rprod.p1)
     p2 = _identity_eps(asm, y, raw.p2, rprod.p2)
     return ProductAssembly(asm, p1, p2, raw, rprod)
@@ -317,7 +319,7 @@ def product_assembly(x: Assembly, y: Assembly) -> ProductAssembly:
     The base product is taken from the realizer's cache, so bodies of
     2-cells built over the same cylinder share their tables.
     """
-    return _paired_assembly(x, y, x.r.product(x.base, y.base).raw)
+    return _paired_assembly(x, y, x.r.product(x.base, y.base))
 
 
 # -- two-cells ----------------------------------------------------------------
@@ -353,7 +355,7 @@ class TwoCell:
 class PGAsmInterval:
     """The interval internal to the category of assemblies."""
 
-    r: RealizerCategory
+    r: GpdRealizer
     terminal: Assembly
     data: IntervalData            # assemblies and realized structure maps
 
@@ -367,7 +369,7 @@ class PGAsmInterval:
         return self._cylinders[key]
 
 
-def _chain_assembly(r: RealizerCategory, k: int, corners: list[Map],
+def _chain_assembly(r: GpdRealizer, k: int, corners: list[Map],
                     gens: list[Map]) -> Assembly:
     """Assembly on chain_groupoid(k) realized by the interval object I_k.
 
@@ -375,14 +377,14 @@ def _chain_assembly(r: RealizerCategory, k: int, corners: list[Map],
     the generator p{j}{j+1}.
     """
     base = chain_groupoid(k)
-    rtype = r.cod(gens[0]) if gens else r.interval.I0
+    rtype = gens[0].cod if gens else r.interval.I0
     rfun = _chain_functor(base, r.pi(rtype).gpd,
                           {str(j): r.pi_obj_id(c) for j, c in enumerate(corners)},
                           {f"p{j}{j + 1}": r.pi_mor_id(g) for j, g in enumerate(gens)})
     return Assembly(r, base, rtype, rfun)
 
 
-def pgasm_interval(r: RealizerCategory) -> PGAsmInterval:
+def pgasm_interval(r: GpdRealizer) -> PGAsmInterval:
     """Interval assemblies with realized structure maps."""
     iv = r.interval
     term = terminal_assembly(r)
@@ -632,7 +634,7 @@ class WeakExpObject:
         return realized(self.ev_src.asm, y, fun, e, comps)
 
 
-def _evaluate_paths(r: RealizerCategory, paths: dict[str, Map],
+def _evaluate_paths(r: GpdRealizer, paths: dict[str, Map],
                     points: dict[Any, Map], base, target) -> dict[str, dict[Any, str]]:
     """The Pi id of each path of target^base evaluated at each point of base.
 
@@ -747,7 +749,7 @@ def transpose_morphism(w: WeakExpObject, k: RealizedMorphism,
 
     def e_slice(zr: Map) -> Map:
         # e . (|z| x A) transposed, for a point or path zr of Z's realizer
-        prod_dom = r.product(r.dom(zr), x.rtype)
+        prod_dom = r.product(zr.dom, x.rtype)
         lifted = r.compose(k.e, rprod.pair(r.compose(zr, prod_dom.p1), prod_dom.p2))
         return r.transpose(lifted, prod_dom, x.rtype, y.rtype)
 
@@ -821,12 +823,12 @@ class PGAsmRealizer:
     Provides exactly what that checker consumes: the interval, hom
     enumeration, composition, identities and the two copairing witnesses.
     Hom-sets contain one realized morphism per realizable functor
-    (morphism equality is functor equality).  It is not a
-    `RealizerCategory`: it has no products, exponentials or fundamental
-    groupoids.
+    (morphism equality is functor equality).  It is not a realizer
+    category: `GpdRealizer` is the one, and this fragment has no products,
+    exponentials or fundamental groupoids.
     """
 
-    def __init__(self, gr: RealizerCategory):
+    def __init__(self, gr: GpdRealizer):
         self.pg = pgasm_interval(gr)
         self.interval = self.pg.data
         self._hom_cache: dict = {}

@@ -2,7 +2,7 @@
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 parse or structural
 error, or a size-cap refusal.  The seed comes from --seed, falling back to
-the GRAL_SEED environment variable, then 0.
+the GRAL_SEED environment variable, then 0.  Files are read as UTF-8.
 """
 
 from __future__ import annotations
@@ -34,7 +34,10 @@ def _seed_from(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("GRAL_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise StructuralError(f"GRAL_SEED is not an integer: {env!r}") from None
 
 
 def _caps_from(args) -> SizeCaps:
@@ -49,9 +52,18 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _read(path: Path) -> str:
+    """The text of a file, decoded as UTF-8 whatever the locale."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path.name}: not UTF-8 text ({exc.reason})", line) from None
+
+
 def _resolver_for(path: Path):
     def resolve(name: str) -> str:
-        return (path.parent / name).read_text(encoding="utf-8")
+        return _read(path.parent / name)
     return resolve
 
 
@@ -61,7 +73,7 @@ def cmd_check(args) -> int:
     for fname in args.files:
         path = Path(fname)
         try:
-            text = path.read_text(encoding="utf-8")
+            text = _read(path)
             kind = textfmt.detect_kind(text)
             resolve = _resolver_for(path)
             if kind == "BUNDLE":
@@ -109,37 +121,31 @@ def cmd_build(args) -> int:
               f"got {len(args.inputs)}", file=sys.stderr)
         return EXIT_STRUCTURAL
     r = gpd_interval(_caps_from(args))
+    # each input is read just before it is parsed, so errors come in input order
+    texts = (_read(Path(f)) for f in args.inputs)
     try:
         if args.kind in ("product", "exp"):
-            g1 = textfmt.parse_groupoid(Path(args.inputs[0]).read_text())
-            g2 = textfmt.parse_groupoid(Path(args.inputs[1]).read_text())
+            g1, g2 = map(textfmt.parse_groupoid, texts)
             built = (product(g1, g2, _caps_from(args)).gpd
                      if args.kind == "product"
                      else exponential(g1, g2, _caps_from(args)).gpd)
             _emit(textfmt.serialize_groupoid(built), args.out)
             return EXIT_OK
         if args.kind == "pathobj":
-            asm = textfmt.load_assembly_bundle(
-                Path(args.inputs[0]).read_text(), r)
+            asm = textfmt.load_assembly_bundle(next(texts), r)
             pod = path_object(asm, pgasm_interval(r))
             _emit(textfmt.bundle_assembly(pod.pobj.asm), args.out)
             return EXIT_OK
         if args.kind in ("pullback", "pseudopullback"):
             shared = textfmt.Loader()
-            m1 = textfmt.load_morphism_bundle(Path(args.inputs[0]).read_text(),
-                                              r, shared)
-            m2 = textfmt.load_morphism_bundle(Path(args.inputs[1]).read_text(),
-                                              r, shared)
+            m1, m2 = (textfmt.load_morphism_bundle(t, r, shared) for t in texts)
             res = (pullback_assembly(m1, m2) if args.kind == "pullback"
                    else pseudopullback_assembly(m1, m2, pgasm_interval(r)))
             _emit(textfmt.bundle_assembly(res.asm), args.out)
             return EXIT_OK
         # pif
         shared = textfmt.Loader()
-        mg = textfmt.load_morphism_bundle(Path(args.inputs[0]).read_text(),
-                                          r, shared)
-        mf = textfmt.load_morphism_bundle(Path(args.inputs[1]).read_text(),
-                                          r, shared)
+        mg, mf = (textfmt.load_morphism_bundle(t, r, shared) for t in texts)
         g = is_fibration(mg)
         f = is_fibration(mf)
         if not isinstance(g, FibrationData) or not isinstance(f, FibrationData):
@@ -178,7 +184,7 @@ def cmd_suite(args) -> int:
 
 def cmd_fmt(args) -> int:
     try:
-        text = Path(args.file).read_text(encoding="utf-8")
+        text = _read(Path(args.file))
         kind = textfmt.detect_kind(text)
         if kind != "GROUPOID":
             print("fmt handles groupoid files", file=sys.stderr)

@@ -540,7 +540,6 @@ class DiscreteMorphism:
 class Prop21Result:
     """The unit-type replacement isomorphism and its two witnesses."""
 
-    original: DiscreteAssembly
     replaced: DiscreteAssembly
     fwd: DiscreteMorphism
     bwd: DiscreteMorphism
@@ -559,7 +558,7 @@ def constant_realizer_iso(asm: DiscreteAssembly, a0: Term) -> Prop21Result:
                                 {x: a0 for x in asm.carrier})
     fwd = DiscreteMorphism(asm, replaced, {x: x for x in asm.carrier}, a0)
     bwd = DiscreteMorphism(replaced, asm, {x: x for x in asm.carrier}, STAR)
-    return Prop21Result(asm, replaced, fwd, bwd)
+    return Prop21Result(replaced, fwd, bwd)
 
 
 @dataclass

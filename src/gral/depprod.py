@@ -20,7 +20,7 @@ from .assemblies import (
     Assembly, ProductAssembly, RealizedMorphism, _evaluate_paths,
     _identity_eps, compose_morphisms, is_modest, realized,
 )
-from .interval import RealizerCategory
+from .interval import GpdRealizer
 from .pathcat import FibrationData, _path_point, _square_path, pullback_assembly
 
 
@@ -98,9 +98,9 @@ def homotopy_fibre(f: RealizedMorphism, z: str) -> HomotopyFibre:
             z_asm.rtype)
         mmap[mid] = r.pi_mor_id(rprod.pair(
             piy.path_of[y_asm.rfun.mmap[q]], lam))
-    pi_t = r.pi(rprod.obj)
+    pi_t = r.pi(rprod.gpd)
     rfun = GFunctor(base, pi_t.gpd, omap, mmap)
-    asm = Assembly(r, base, rprod.obj, rfun)
+    asm = Assembly(r, base, rprod.gpd, rfun)
     proj_fun = GFunctor(base, y_asm.base,
                         {oid: y for (y, u), oid in objs.items()},
                         {mid: q for mid, (q, _u, _u2) in minfo.items()})
@@ -315,9 +315,9 @@ def dependent_product(g: FibrationData, f: FibrationData,
     mmap = {mid: r.pi_mor_id(rt_prod.pair(piz.path_of[z_asm.rfun.mmap[rm]],
                                           pie.path_of[fp]))
             for mid, (rm, psi, fp) in mor_data.items()}
-    pi_t = r.pi(rt_prod.obj)
+    pi_t = r.pi(rt_prod.gpd)
     rfun = GFunctor(base, pi_t.gpd, omap, mmap)
-    asm = Assembly(r, base, rt_prod.obj, rfun)
+    asm = Assembly(r, base, rt_prod.gpd, rfun)
 
     proj_fun = GFunctor(base, z_asm.base,
                         {oid: obj_data[oid][0] for oid in obj_data},
@@ -515,7 +515,7 @@ def is_modest_fibration(fib: FibrationData):
 
 # -- the chaotic inclusion -----------------------------------------------------
 
-def nabla(r: RealizerCategory, x: FinGroupoid, rtype, a0: str) -> Assembly:
+def nabla(r: GpdRealizer, x: FinGroupoid, rtype, a0: str) -> Assembly:
     """Constant realizers: every object gets the point a0."""
     pi = r.pi(rtype)
     if a0 not in pi.gpd.objects:

@@ -116,9 +116,9 @@ class FinGroupoid:
     `product` made this groupoid as the full product X x Y, and else None.
 
     The scans over the tables visit only composable pairs: `out_of` and
-    `into` list the morphisms at an object (an index built on first use),
-    and completeness is checked by counting.  Universal properties and
-    axioms are still checked on every instance.
+    `_adjacency` list the morphisms out of and into an object (an index
+    built on first use), and completeness is checked by counting.
+    Universal properties and axioms are still checked on every instance.
     """
 
     __slots__ = (
@@ -251,10 +251,6 @@ class FinGroupoid:
     def out_of(self, x: str) -> tuple[str, ...]:
         """Morphisms with source x, in `morphisms` order."""
         return self._adjacency()[0].get(x, ())
-
-    def into(self, x: str) -> tuple[str, ...]:
-        """Morphisms with target x, in `morphisms` order."""
-        return self._adjacency()[1].get(x, ())
 
     def _adjacency(self) -> tuple[dict, dict]:
         if self._adj is None:
@@ -481,12 +477,6 @@ class GFunctor:
         self.mmap = mmap
         self._key = None
 
-    def o(self, x: str) -> str:
-        return self.omap[x]
-
-    def m(self, f: str) -> str:
-        return self.mmap[f]
-
     def key(self) -> tuple:
         if self._key is None:
             self._key = (tuple(map(self.omap.__getitem__, self.dom.objects)),
@@ -605,9 +595,6 @@ class NatIso:
         self.tgt = tgt
         self.components = components
         self._key = None
-
-    def at(self, x: str) -> str:
-        return self.components[x]
 
     def key(self) -> tuple:
         if self._key is None:

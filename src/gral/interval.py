@@ -1,19 +1,22 @@
 """Interval structure, homotopy calculus, fundamental groupoids, squares.
 
-The constructions here are written against an abstract realizer-category
-interface (`RealizerCategory`): a cartesian closed category presented by
-operations with enumerable hom-sets, carrying an interval object family
-I0..I3 with structure maps and copairing witnesses for the two interval
-pushouts.  The groupoid instance (`GpdRealizer`), whose interval is the
-walking isomorphism, is its one implementation; the interval-diagram
-checker also runs on `assemblies.PGAsmRealizer`, which provides only what
-that checker reads, for the assemblies' own interval.
+`GpdRealizer` is the realizer category: finite groupoids and functors, a
+cartesian closed category with enumerable hom-sets, carrying the walking
+isomorphism as its interval object family I0..I3, with structure maps and
+copairing witnesses for the two interval pushouts.  The homotopy calculus
+and the squares are written against its operations.  `_build_pi` and
+`_pi_map` are the paper's generic construction of the fundamental groupoid
+and of its action on maps, from hom-sets and path algebra alone; they are
+kept as the reference that `GpdRealizer`'s relabelled tables are checked
+against.  The interval-diagram checker also runs on
+`assemblies.PGAsmRealizer`, which provides only what that checker reads,
+for the assemblies' own interval.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from .errors import BoundaryError, StructuralError
@@ -24,7 +27,7 @@ from .groupoids import (
     product as gpd_product, terminal_groupoid,
 )
 
-Map = Any  # GFunctor in the groupoid instance; realized morphisms in others
+Map = Any  # a GFunctor; a realized morphism in the assemblies' own interval
 
 
 @dataclass
@@ -52,186 +55,12 @@ class IntervalData:
 
 
 @dataclass
-class ProdObj:
-    obj: Any
-    p1: Map
-    p2: Map
-    pair: Callable[[Map, Map], Map]
-    # Pi ids of paired points and of paired paths, by the two Pi ids paired
-    pi_pairs: tuple[dict, dict] = field(default_factory=lambda: ({}, {}),
-                                        repr=False, compare=False)
-
-
-@dataclass
 class ExpObj:
-    obj: Any
-    ev: Map                       # over product(obj, base).obj
-    prod_with_base: ProdObj       # the product ev is defined on
+    """The exponential target^base with its evaluation."""
 
-
-class RealizerCategory:
-    """Operations of a realizer category; subclasses provide primitives.
-
-    `GpdRealizer` is the one subclass.  Derived combinators (swap, binary
-    map product, uncurrying, path algebra) are implemented here once,
-    against the primitives, and so are the fundamental groupoid's cache
-    (made by `__init__`) and its generic table build.  Maps are compared
-    with `==`.  The groupoid instance overrides only that table build
-    (`build_pi`, `pi_map`); the generic build stays the paper's
-    construction and the checked reference.
-    """
-
-    interval: IntervalData
-    caps: SizeCaps = DEFAULT_CAPS
-
-    def __init__(self):
-        self._pi_cache: dict = {}
-
-    # -- primitives -------------------------------------------------------
-
-    def obj_key(self, a) -> Any:
-        raise NotImplementedError
-
-    def dom(self, f) -> Any:
-        raise NotImplementedError
-
-    def cod(self, f) -> Any:
-        raise NotImplementedError
-
-    def identity(self, a) -> Map:
-        raise NotImplementedError
-
-    def compose(self, g: Map, f: Map) -> Map:
-        raise NotImplementedError
-
-    def hom(self, a, b) -> list[Map]:
-        raise NotImplementedError
-
-    def label(self, f: Map) -> str:
-        raise NotImplementedError
-
-    @property
-    def terminal(self):
-        return self.interval.I0
-
-    def terminal_map(self, a) -> Map:
-        raise NotImplementedError
-
-    def product(self, a, b) -> ProdObj:
-        raise NotImplementedError
-
-    def exponential(self, base, target) -> ExpObj:
-        """Exponential target^base with evaluation."""
-        raise NotImplementedError
-
-    def transpose(self, k: Map, prod: ProdObj, base, target) -> Map:
-        """lambda(k): Z -> target^base for k: Z x base -> target."""
-        raise NotImplementedError
-
-    def copair2(self, beta: Map, alpha: Map) -> Map:
-        """[beta, alpha]: I2 -> A with .i0 = alpha, .i1 = beta."""
-        raise NotImplementedError
-
-    def copair3(self, u: Map, v: Map) -> Map:
-        """[u, v]: I3 -> A with .j0 = u, .j1 = v (requires u.i1 = v.i0)."""
-        raise NotImplementedError
-
-    def fill_square(self, top: Map, bottom: Map, left: Map, right: Map) -> Map:
-        """Unique I1 x I1 -> A restricting to the given boundary paths.
-
-        Convention: restriction at second coordinate 0/1 is top/bottom, at
-        first coordinate 0/1 is left/right; requires right.top = bottom.left
-        as path composites.
-        """
-        raise NotImplementedError
-
-    def boundary_inv(self, sq: "HSquare") -> Map:
-        """The unique cell with the given boundary square of homotopies."""
-        raise NotImplementedError
-
-    # -- derived combinators ----------------------------------------------
-
-    def swap(self, a, b) -> Map:
-        pab = self.product(a, b)
-        return self.product(b, a).pair(pab.p2, pab.p1)
-
-    def times(self, f: Map, g: Map) -> Map:
-        """f x g on the canonical products."""
-        p = self.product(self.dom(f), self.dom(g))
-        q = self.product(self.cod(f), self.cod(g))
-        return q.pair(self.compose(f, p.p1), self.compose(g, p.p2))
-
-    def uncurry(self, f: Map, base, target) -> Map:
-        """mu(f) = ev . (f x id): Z x base -> target for f: Z -> target^base."""
-        e = self.exponential(base, target)
-        return self.compose(e.ev, self.times(f, self.identity(base)))
-
-    def point_as_map(self, e: Map, base, target) -> Map:
-        """Convert a point of target^base into a map base -> target."""
-        iv = self.interval
-        mu = self.uncurry(e, base, target)          # I0 x base -> target
-        p = self.product(iv.I0, base)
-        section = p.pair(self.terminal_map(base), self.identity(base))
-        return self.compose(mu, section)
-
-    def const_path_map(self, a) -> Map:
-        """lambda(p1): a -> a^I1, sending a point to its constant path."""
-        iv = self.interval
-        p = self.product(a, iv.I1)
-        return self.transpose(p.p1, p, iv.I1, a)
-
-    # -- path algebra -------------------------------------------------------
-
-    def path_src(self, alpha: Map) -> Map:
-        return self.compose(alpha, self.interval.zero)
-
-    def path_tgt(self, alpha: Map) -> Map:
-        return self.compose(alpha, self.interval.one)
-
-    def path_id(self, pt: Map) -> Map:
-        return self.compose(pt, self.interval.star)
-
-    def path_inv(self, alpha: Map) -> Map:
-        return self.compose(alpha, self.interval.sigma)
-
-    def concat(self, beta: Map, alpha: Map) -> Map:
-        """[beta, alpha]: I2 -> A for nose-to-tail paths (beta.0 = alpha.1)."""
-        if self.path_src(beta) != self.path_tgt(alpha):
-            raise BoundaryError("paths do not match nose to tail")
-        return self.copair2(beta, alpha)
-
-    def path_compose(self, beta: Map, alpha: Map) -> Map:
-        """Concatenation reparameterised back to a single path."""
-        return self.compose(self.concat(beta, alpha), self.interval.two)
-
-    # -- fundamental groupoid ------------------------------------------------
-
-    def pi(self, a) -> "PiData":
-        key = self.obj_key(a)
-        cache = self._pi_cache
-        if key not in cache:
-            cache[key] = self.build_pi(a)
-        return cache[key]
-
-    def build_pi(self, a) -> "PiData":
-        """Pi(a), uncached: points I0 -> a and paths I1 -> a."""
-        return _build_pi(self, a)
-
-    def pi_obj_id(self, pt: Map) -> str:
-        return "pt:" + self.label(pt)
-
-    def pi_mor_id(self, path: Map) -> str:
-        return "path:" + self.label(path)
-
-    def pi_map(self, f: Map) -> GFunctor:
-        """Post-composition functor Pi(dom f) -> Pi(cod f)."""
-        pa = self.pi(self.dom(f))
-        pb = self.pi(self.cod(f))
-        omap = {o: self.pi_obj_id(self.compose(f, pa.point_of[o]))
-                for o in pa.gpd.objects}
-        mmap = {m: self.pi_mor_id(self.compose(f, pa.path_of[m]))
-                for m in pa.gpd.morphisms}
-        return GFunctor(pa.gpd, pb.gpd, omap, mmap)
+    obj: FinGroupoid
+    ev: GFunctor                  # over product(obj, base).gpd
+    raw: ExpGpd
 
 
 @dataclass
@@ -243,8 +72,8 @@ class PiData:
     path_of: dict[str, Map]
 
 
-def _build_pi(r: RealizerCategory, a) -> PiData:
-    """Pi(a) by the paper's construction, against the primitives alone."""
+def _build_pi(r: GpdRealizer, a) -> PiData:
+    """Pi(a) by the paper's construction, from the hom-sets alone."""
     iv = r.interval
     point_maps, path_maps = r.hom(iv.I0, a), r.hom(iv.I1, a)
     points = {r.pi_obj_id(p): p for p in point_maps}
@@ -262,6 +91,17 @@ def _build_pi(r: RealizerCategory, a) -> PiData:
     return PiData(gpd, points, paths)
 
 
+def _pi_map(r: GpdRealizer, f: Map) -> GFunctor:
+    """Pi(f) by the paper's construction: post-composition with f."""
+    pa = r.pi(f.dom)
+    pb = r.pi(f.cod)
+    omap = {o: r.pi_obj_id(r.compose(f, pa.point_of[o]))
+            for o in pa.gpd.objects}
+    mmap = {m: r.pi_mor_id(r.compose(f, pa.path_of[m]))
+            for m in pa.gpd.morphisms}
+    return GFunctor(pa.gpd, pb.gpd, omap, mmap)
+
+
 # -- homotopies -------------------------------------------------------------
 
 @dataclass
@@ -272,18 +112,18 @@ class Homotopy:
     to lhs at 0 and rhs at 1.
     """
 
-    r: RealizerCategory
+    r: GpdRealizer
     lhs: Map
     rhs: Map
     body: Map
 
     @property
     def a(self):
-        return self.r.dom(self.lhs)
+        return self.lhs.dom
 
     @property
     def b(self):
-        return self.r.cod(self.lhs)
+        return self.lhs.cod
 
     def check(self) -> None:
         if not (homotopy_dom(self) == self.lhs
@@ -294,7 +134,7 @@ class Homotopy:
         return isinstance(other, Homotopy) and self.body == other.body
 
 
-def _end_section(r: RealizerCategory, a, end: Map) -> Map:
+def _end_section(r: GpdRealizer, a, end: Map) -> Map:
     """<id_a, end . !>: a -> a x I1 for an endpoint I0 -> I1."""
     p = r.product(a, r.interval.I1)
     return p.pair(r.identity(a), r.compose(end, r.terminal_map(a)))
@@ -308,8 +148,8 @@ def homotopy_cod(h: Homotopy) -> Map:
     return h.r.compose(h.body, _end_section(h.r, h.a, h.r.interval.one))
 
 
-def identity_homotopy(r: RealizerCategory, f: Map) -> Homotopy:
-    p = r.product(r.dom(f), r.interval.I1)
+def identity_homotopy(r: GpdRealizer, f: Map) -> Homotopy:
+    p = r.product(f.dom, r.interval.I1)
     return Homotopy(r, f, f, r.compose(f, p.p1))
 
 
@@ -393,29 +233,29 @@ class HSquare:
                 and self.left == other.left and self.right == other.right)
 
 
-def _corner_section(r: RealizerCategory, a, s: Optional[Map], t: Optional[Map]):
+def _corner_section(r: GpdRealizer, a, s: Optional[Map], t: Optional[Map]):
     """Section of (a x I1) x I1 fixing interval coordinates where given."""
     iv = r.interval
     pa = r.product(a, iv.I1)
-    outer = r.product(pa.obj, iv.I1)
+    outer = r.product(pa.gpd, iv.I1)
     if s is None and t is not None:
         # a x I1 -> (a x I1) x I1 freezing the second coordinate at t
-        return outer.pair(r.identity(pa.obj), r.compose(t, r.terminal_map(pa.obj)))
+        return outer.pair(r.identity(pa.gpd), r.compose(t, r.terminal_map(pa.gpd)))
     if s is not None and t is None:
         # a x I1 -> (a x I1) x I1 freezing the first coordinate at s
-        leg1 = pa.pair(pa.p1, r.compose(s, r.terminal_map(pa.obj)))
+        leg1 = pa.pair(pa.p1, r.compose(s, r.terminal_map(pa.gpd)))
         return outer.pair(leg1, pa.p2)
     raise StructuralError("exactly one coordinate must be frozen")
 
 
-def homotopy_from_body(r: RealizerCategory, body: Map, base) -> Homotopy:
+def homotopy_from_body(r: GpdRealizer, body: Map, base) -> Homotopy:
     """Wrap a map base x I1 -> b as a homotopy, reading off its boundary."""
     lhs = r.compose(body, _end_section(r, base, r.interval.zero))
     rhs = r.compose(body, _end_section(r, base, r.interval.one))
     return Homotopy(r, lhs, rhs, body)
 
 
-def boundary(r: RealizerCategory, cell: Map, a) -> HSquare:
+def boundary(r: GpdRealizer, cell: Map, a) -> HSquare:
     """The four edges of a cell (a x I1) x I1 -> b."""
     iv = r.interval
 
@@ -426,24 +266,24 @@ def boundary(r: RealizerCategory, cell: Map, a) -> HSquare:
                    edge(iv.zero, None), edge(iv.one, None))
 
 
-def cell_vcomp(r: RealizerCategory, c2: Map, c1: Map, a) -> Map:
+def cell_vcomp(r: GpdRealizer, c2: Map, c1: Map, a) -> Map:
     """Compose cells in the second interval direction (as homotopies over a x I1)."""
     pa = r.product(a, r.interval.I1)
-    return vcomp(homotopy_from_body(r, c2, pa.obj),
-                 homotopy_from_body(r, c1, pa.obj)).body
+    return vcomp(homotopy_from_body(r, c2, pa.gpd),
+                 homotopy_from_body(r, c1, pa.gpd)).body
 
 
-def _swap_cell_coords(r: RealizerCategory, a) -> Map:
+def _swap_cell_coords(r: GpdRealizer, a) -> Map:
     """(a x I1) x I1 -> (a x I1) x I1 exchanging the two interval coordinates."""
     iv = r.interval
     pa = r.product(a, iv.I1)
-    outer = r.product(pa.obj, iv.I1)
+    outer = r.product(pa.gpd, iv.I1)
     leg1 = pa.pair(r.compose(pa.p1, outer.p1), outer.p2)
     leg2 = r.compose(pa.p2, outer.p1)
     return outer.pair(leg1, leg2)
 
 
-def cell_hcomp(r: RealizerCategory, c2: Map, c1: Map, a) -> Map:
+def cell_hcomp(r: GpdRealizer, c2: Map, c1: Map, a) -> Map:
     """Compose cells in the first interval direction."""
     sw = _swap_cell_coords(r, a)
     out = cell_vcomp(r, r.compose(c2, sw), r.compose(c1, sw), a)
@@ -473,27 +313,28 @@ def _chain_mid(a: str, b: str) -> str:
     return f"id_{a}" if a == b else f"p{a}{b}"
 
 
-class GpdRealizer(RealizerCategory):
-    """Finite groupoids with the walking-isomorphism interval."""
+class GpdRealizer:
+    """The realizer category: finite groupoids with the walking-isomorphism
+    interval.
+
+    Maps are functors, compared with `==`.  Hom-sets, products,
+    exponentials and fundamental groupoids are cached by the serials of the
+    groupoids they are built from.
+    """
 
     def __init__(self, caps: SizeCaps = DEFAULT_CAPS):
-        super().__init__()
         self.caps = caps
         self._hom_cache: dict = {}
         self._prod_cache: dict = {}
+        # Pi ids of paired points and of paired paths, by the two Pi ids
+        # paired: one pair of memos per product of realizer types, keyed as
+        # in `_prod_cache`; `assemblies._paired_assembly` fills them
+        self._pi_pairs: dict = {}
         self._exp_cache: dict = {}
+        self._pi_cache: dict = {}
         self.interval = _standard_interval()
 
     # primitives
-
-    def obj_key(self, a: FinGroupoid):
-        return a.serial
-
-    def dom(self, f: GFunctor):
-        return f.dom
-
-    def cod(self, f: GFunctor):
-        return f.cod
 
     def identity(self, a: FinGroupoid) -> GFunctor:
         return identity_functor(a)
@@ -523,33 +364,34 @@ class GpdRealizer(RealizerCategory):
         return GFunctor(a, t, {x: o for x in a.objects},
                         {m: t.id_of(o) for m in a.morphisms})
 
-    def product(self, a: FinGroupoid, b: FinGroupoid) -> ProdObj:
+    def product(self, a: FinGroupoid, b: FinGroupoid) -> ProductGpd:
         key = (a.serial, b.serial)
         if key not in self._prod_cache:
-            p = gpd_product(a, b, self.caps)
-            self._prod_cache[key] = GpdProd(p.gpd, p.p1, p.p2, p.pair, raw=p)
+            self._prod_cache[key] = gpd_product(a, b, self.caps)
         return self._prod_cache[key]
 
     def exponential(self, base: FinGroupoid, target: FinGroupoid) -> ExpObj:
+        """Exponential target^base with evaluation."""
         key = (base.serial, target.serial)
         if key not in self._exp_cache:
             e = gpd_exponential(base, target, self.caps)
-            prod = self.product(e.gpd, base)
-            ev = evaluation(prod.raw, target, e.obj_to_functor, e.mor_to_natiso)
-            self._exp_cache[key] = GpdExp(e.gpd, ev, prod, e)
+            ev = evaluation(self.product(e.gpd, base), target,
+                            e.obj_to_functor, e.mor_to_natiso)
+            self._exp_cache[key] = ExpObj(e.gpd, ev, e)
         return self._exp_cache[key]
 
-    def transpose(self, k: GFunctor, prod: ProdObj, base, target) -> GFunctor:
-        e: GpdExp = self.exponential(base, target)
-        raw: ProductGpd = prod.raw
-        z = raw.p1.cod
-        slices, comps = curry(k, raw, base)
+    def transpose(self, k: GFunctor, prod: ProductGpd, base, target) -> GFunctor:
+        """lambda(k): Z -> target^base for k: Z x base -> target."""
+        e = self.exponential(base, target)
+        z = prod.p1.cod
+        slices, comps = curry(k, prod, base)
         omap = {zo: e.raw.obj_of(f) for zo, f in slices.items()}
         mor_of = e.raw.natiso_to_mor
         mmap = {v: mor_of[(slices[z.mors[v][0]].key(), comps[v])] for v in z.morphisms}
         return GFunctor(z, e.obj, omap, mmap)
 
     def copair2(self, beta: GFunctor, alpha: GFunctor) -> GFunctor:
+        """[beta, alpha]: I2 -> A with .i0 = alpha, .i1 = beta."""
         iv = self.interval
         if self.compose(beta, iv.zero) != self.compose(alpha, iv.one):
             raise BoundaryError("copair legs do not match nose to tail")
@@ -559,6 +401,7 @@ class GpdRealizer(RealizerCategory):
         return _chain_functor(iv.I2, a, omap, gen)
 
     def copair3(self, u: GFunctor, v: GFunctor) -> GFunctor:
+        """[u, v]: I3 -> A with .j0 = u, .j1 = v (requires u.i1 = v.i0)."""
         iv = self.interval
         if self.compose(u, iv.i1) != self.compose(v, iv.i0):
             raise BoundaryError("copair legs do not agree on the shared half")
@@ -569,7 +412,13 @@ class GpdRealizer(RealizerCategory):
         return _chain_functor(iv.I3, a, omap, gen)
 
     def fill_square(self, top, bottom, left, right) -> GFunctor:
-        """The cylinder of top => bottom, with components left and right."""
+        """The unique I1 x I1 -> A restricting to the given boundary paths:
+        the cylinder of top => bottom, with components left and right.
+
+        Convention: restriction at second coordinate 0/1 is top/bottom, at
+        first coordinate 0/1 is left/right; requires right.top = bottom.left
+        as path composites.
+        """
         c = top.cod
         if (left.omap["0"] != top.omap["0"] or right.omap["0"] != top.omap["1"]
                 or left.omap["1"] != bottom.omap["0"]
@@ -585,16 +434,84 @@ class GpdRealizer(RealizerCategory):
         """The unique cell with the given boundary: the cylinder of
         top.body => bottom.body, with the components of left and right."""
         sq.check()
-        pa = self.product(sq.top.a, self.interval.I1).raw
+        pa = self.product(sq.top.a, self.interval.I1)
         sides = {"0": nat_iso_from_homotopy(sq.left).components,
                  "1": nat_iso_from_homotopy(sq.right).components}
         comps = {oid: sides[s][ao] for (ao, s), oid in pa.opair.items()}
         return nat_iso_functor_form(self, NatIso(sq.top.body, sq.bottom.body, comps))
 
+    # derived combinators
+
+    def swap(self, a, b) -> GFunctor:
+        pab = self.product(a, b)
+        return self.product(b, a).pair(pab.p2, pab.p1)
+
+    def times(self, f: GFunctor, g: GFunctor) -> GFunctor:
+        """f x g on the canonical products."""
+        p = self.product(f.dom, g.dom)
+        q = self.product(f.cod, g.cod)
+        return q.pair(self.compose(f, p.p1), self.compose(g, p.p2))
+
+    def uncurry(self, f: GFunctor, base, target) -> GFunctor:
+        """mu(f) = ev . (f x id): Z x base -> target for f: Z -> target^base."""
+        e = self.exponential(base, target)
+        return self.compose(e.ev, self.times(f, self.identity(base)))
+
+    def point_as_map(self, e: GFunctor, base, target) -> GFunctor:
+        """Convert a point of target^base into a map base -> target."""
+        iv = self.interval
+        mu = self.uncurry(e, base, target)          # I0 x base -> target
+        p = self.product(iv.I0, base)
+        section = p.pair(self.terminal_map(base), self.identity(base))
+        return self.compose(mu, section)
+
+    def const_path_map(self, a) -> GFunctor:
+        """lambda(p1): a -> a^I1, sending a point to its constant path."""
+        iv = self.interval
+        p = self.product(a, iv.I1)
+        return self.transpose(p.p1, p, iv.I1, a)
+
+    # path algebra
+
+    def path_src(self, alpha: GFunctor) -> GFunctor:
+        return self.compose(alpha, self.interval.zero)
+
+    def path_tgt(self, alpha: GFunctor) -> GFunctor:
+        return self.compose(alpha, self.interval.one)
+
+    def path_id(self, pt: GFunctor) -> GFunctor:
+        return self.compose(pt, self.interval.star)
+
+    def path_inv(self, alpha: GFunctor) -> GFunctor:
+        return self.compose(alpha, self.interval.sigma)
+
+    def concat(self, beta: GFunctor, alpha: GFunctor) -> GFunctor:
+        """[beta, alpha]: I2 -> A for nose-to-tail paths (beta.0 = alpha.1)."""
+        if self.path_src(beta) != self.path_tgt(alpha):
+            raise BoundaryError("paths do not match nose to tail")
+        return self.copair2(beta, alpha)
+
+    def path_compose(self, beta: GFunctor, alpha: GFunctor) -> GFunctor:
+        """Concatenation reparameterised back to a single path."""
+        return self.compose(self.concat(beta, alpha), self.interval.two)
+
     # fundamental groupoid
 
+    def pi(self, a: FinGroupoid) -> PiData:
+        key = a.serial
+        cache = self._pi_cache
+        if key not in cache:
+            cache[key] = self.build_pi(a)
+        return cache[key]
+
+    def pi_obj_id(self, pt: GFunctor) -> str:
+        return "pt:" + self.label(pt)
+
+    def pi_mor_id(self, path: GFunctor) -> str:
+        return "path:" + self.label(path)
+
     def build_pi(self, a: FinGroupoid) -> PiData:
-        """Pi(a) as a's tables relabelled.
+        """Pi(a), uncached, as a's tables relabelled.
 
         A point I0 -> a is fixed by the object x it picks, and its id is
         "pt:" + x; a path I1 -> a is fixed by the morphism g it sends the
@@ -627,7 +544,7 @@ class GpdRealizer(RealizerCategory):
         return PiData(gpd, points, paths)
 
     def pi_map(self, f: GFunctor) -> GFunctor:
-        """Pi(f) as f relabelled, in the entry order of the generic map."""
+        """Pi(f) as f relabelled, in the entry order of `_pi_map`."""
         pa, pb = self.pi(f.dom), self.pi(f.cod)
         omap = {o: "pt:" + f.omap[pa.point_of[o].omap["0"]]
                 for o in pa.gpd.objects}
@@ -636,14 +553,8 @@ class GpdRealizer(RealizerCategory):
         return GFunctor(pa.gpd, pb.gpd, omap, mmap)
 
 
-@dataclass
-class GpdProd(ProdObj):
-    raw: ProductGpd = None
-
-
-@dataclass
-class GpdExp(ExpObj):
-    raw: ExpGpd = None
+# `benchmarks/tracing.py` wraps `RealizerCategory.pi` by this name
+RealizerCategory = GpdRealizer
 
 
 def _chain_functor(dom: FinGroupoid, cod: FinGroupoid,
@@ -717,7 +628,7 @@ def nat_iso_functor_form(r: GpdRealizer, n: NatIso,
         i1 = r.interval.I1
     F, G = n.src, n.tgt
     x, y = F.dom, F.cod
-    pa = r.product(x, i1).raw
+    pa = r.product(x, i1)
     omap = {}
     for xo in x.objects:
         omap[pa.opair[(xo, "0")]] = F.omap[xo]
@@ -745,7 +656,7 @@ def nat_iso_from_homotopy(h: Homotopy) -> NatIso:
     """Extract the componentwise natural isomorphism from a homotopy."""
     r: GpdRealizer = h.r
     x = h.a
-    pa = r.product(x, r.interval.I1).raw
+    pa = r.product(x, r.interval.I1)
     comps = {xo: h.body.mmap[pa.mpair[(x.id_of(xo), "p01")]] for xo in x.objects}
     return NatIso(h.lhs, h.rhs, comps)
 
@@ -760,13 +671,15 @@ def pi_base_iso(r: GpdRealizer, a: FinGroupoid) -> GFunctor:
 
 # -- cogroupoid axiom checking ----------------------------------------------
 
-def check_cogroupoid(r: RealizerCategory, iv: Optional[IntervalData] = None) -> Report:
+def check_cogroupoid(r, iv: Optional[IntervalData] = None) -> Report:
     """Scan the interval diagrams and both pushout universal properties.
 
-    Reads of `r` only `interval`, `hom`, `compose`, `identity`, `copair2`
-    and `copair3`.  The second coinverse diagram is checked in its symmetric form with
-    codomain I1 (the asymmetric printed form does not typecheck); the
-    detail of its entry says so.
+    `r` is the realizer category `GpdRealizer`, or
+    `assemblies.PGAsmRealizer` for the assemblies' own interval; the scan
+    reads of it only `interval`, `hom`, `compose`, `identity`, `copair2`
+    and `copair3`.  The second coinverse diagram is checked in its
+    symmetric form with codomain I1 (the asymmetric printed form does not
+    typecheck); the detail of its entry says so.
     """
     iv = iv or r.interval
     rep = Report()
@@ -822,7 +735,7 @@ def check_cogroupoid(r: RealizerCategory, iv: Optional[IntervalData] = None) -> 
     return rep
 
 
-def restriction_counts(r: RealizerCategory, cands, e0: Map, e1: Map) -> Counter:
+def restriction_counts(r, cands, e0: Map, e1: Map) -> Counter:
     """How many of `cands` restrict along (e0, e1) to each pair of legs.
 
     The pushout checks look up every pair of legs here, so each candidate is
@@ -832,7 +745,7 @@ def restriction_counts(r: RealizerCategory, cands, e0: Map, e1: Map) -> Counter:
     return Counter((r.compose(m, e0), r.compose(m, e1)) for m in cands)
 
 
-def _check_pushout(rep: Report, name: str, r: RealizerCategory, probes, legs,
+def _check_pushout(rep: Report, name: str, r, probes, legs,
                    cop, e0: Map, e1: Map, ea: Map, eb: Map,
                    copair: Callable[[Map, Map], Map]) -> None:
     """The pushout property of `cop` with injections e0, e1, at each probe x.

@@ -14,8 +14,8 @@ from typing import Callable, Optional
 
 from .errors import BoundaryError, StructuralError
 from .groupoids import (
-    EquivalenceData, FinGroupoid, GFunctor, LiftFailure, NatIso, Report,
-    compose_functors, conjugate, equivalence_inverse,
+    EquivalenceData, FinGroupoid, GFunctor, LiftFailure, NatIso, ProductGpd,
+    Report, compose_functors, conjugate, equivalence_inverse,
     identity_functor, identity_nat_iso, invert_nat_iso, iso_comma,
     isofibration_cleavage, pullback as gpd_pullback,
 )
@@ -161,8 +161,7 @@ class PathObjectData:
     x: Assembly
     pobj: WeakExpObject
     r_mor: RealizedMorphism              # X -> PX
-    st: RealizedMorphism                 # PX -> X x X
-    st_fib: FibrationData
+    st: RealizedMorphism                 # PX -> X x X, a fibration
     prod: ProductAssembly                # X x X
     r_equiv: AsmEquivalence
     chosen_lift: Callable[[str, str], str]   # (object of PX, morphism of XxX) -> morphism of PX
@@ -226,8 +225,7 @@ def path_object(x: Assembly, pg: PGAsmInterval) -> PathObjectData:
         comps[oid] = r.pi_mor_id(prod.rprod.pair(
             pix.path_of[eps.components["0"]], pix.path_of[eps.components["1"]]))
     st = realized(w.asm, prod.asm, st_fun, e_st, comps)
-    fib = is_fibration(st)
-    if isinstance(fib, LiftFailure):
+    if isinstance(is_fibration(st), LiftFailure):
         raise StructuralError("the path-object boundary map failed to be a fibration")
 
     # chosen lift of a pair (p1, p2) of base morphisms at an object of PX
@@ -274,7 +272,7 @@ def path_object(x: Assembly, pg: PGAsmInterval) -> PathObjectData:
     counit = twocell_from_iso(pg, counit_iso, identity_morphism(w.asm),
                               compose_morphisms(r_mor, s_mor))
     requiv = AsmEquivalence(r_mor, s_mor, unit, counit)
-    return PathObjectData(x, w, r_mor, st, fib, prod, requiv, chosen_lift)
+    return PathObjectData(x, w, r_mor, st, prod, requiv, chosen_lift)
 
 
 # -- PC7 and PC8 --------------------------------------------------------------
@@ -303,7 +301,7 @@ def _path_point(r, path):
     """Transpose a path I1 -> C into a point of C^I1."""
     iv = r.interval
     pr = r.product(iv.I0, iv.I1)
-    return r.transpose(r.compose(path, pr.p2), pr, iv.I1, r.cod(path))
+    return r.transpose(r.compose(path, pr.p2), pr, iv.I1, path.cod)
 
 
 def _square_path(r, top, bottom, left, right, target):
@@ -320,8 +318,8 @@ class PseudoPullbackAssembly:
     p2: RealizedMorphism
     conn: TwoCell                  # the generic connecting 2-cell
     raw: object                    # IsoCommaGpd of the bases
-    rab: object                    # ProdObj A x B
-    rtriple: object                # ProdObj (A x B) x C^I1
+    rab: ProductGpd                # A x B
+    rtriple: ProductGpd            # (A x B) x C^I1
     f: RealizedMorphism
     g: RealizedMorphism
 
@@ -370,7 +368,7 @@ def pseudopullback_assembly(f: RealizedMorphism, g: RealizedMorphism,
     raw = iso_comma(f.fun, g.fun)
     cexp = r.exponential(iv.I1, z.rtype)
     rab = r.product(f.src.rtype, g.src.rtype)
-    rtriple = r.product(rab.obj, cexp.obj)
+    rtriple = r.product(rab.gpd, cexp.obj)
     pix, piy, piz = f.src.pi, g.src.pi, z.pi
     omap = {}
     for (a, b, rho), oid in raw.otriple.items():
@@ -394,14 +392,14 @@ def pseudopullback_assembly(f: RealizedMorphism, g: RealizedMorphism,
             rab.pair(pix.path_of[f.src.rfun.mmap[p]],
                      piy.path_of[g.src.rfun.mmap[q]]),
             lam))
-    pi_t = r.pi(rtriple.obj)
+    pi_t = r.pi(rtriple.gpd)
     rfun = GFunctor(raw.gpd, pi_t.gpd, omap, mmap)
-    asm = Assembly(r, raw.gpd, rtriple.obj, rfun)
+    asm = Assembly(r, raw.gpd, rtriple.gpd, rfun)
     p1 = _identity_eps(asm, f.src, raw.p1, r.compose(rab.p1, rtriple.p1))
     p2 = _identity_eps(asm, g.src, raw.p2, r.compose(rab.p2, rtriple.p1))
     # the generic 2-cell, realized by evaluating the stored path component
     pe1 = r.product(cexp.obj, iv.I1)
-    outer = r.product(rtriple.obj, iv.I1)
+    outer = r.product(rtriple.gpd, iv.I1)
     ew = r.compose(cexp.ev, pe1.pair(r.compose(rtriple.p2, outer.p1), outer.p2))
     # identity components at the image under Pi(ew) of each cylinder end
     cyl = pg.cylinder(asm)

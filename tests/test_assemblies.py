@@ -15,7 +15,7 @@ from gral.assemblies import (
     validate_morphism, validate_twocell, weak_exponential,
 )
 from gral.errors import SizeCapError, StructuralError
-from gral.interval import RealizerCategory, check_cogroupoid, gpd_interval
+from gral.interval import GpdRealizer, check_cogroupoid, gpd_interval
 
 
 @pytest.fixture(scope="module")
@@ -297,7 +297,7 @@ def test_weak_exponential_refuses_the_product_its_evaluation_needs(caps, refusal
     w = weak_exponential(x, y)
     key = (w.asm.base.serial, x.base.serial)
     assert key not in r._prod_cache
-    assert w.ev_src.raw_base is r._prod_cache[key].raw
+    assert w.ev_src.raw_base is r._prod_cache[key]
 
 
 def test_weakexp_fillers_validate(r, pg):
@@ -349,7 +349,7 @@ def test_pgasm_pi_refuses_colliding_path_ids(r):
     assert len(paths) == 3
     assert len({tuple(p.fun.omap.items()) for p in paths}) == 1
     assert len({tuple(p.fun.mmap.items()) for p in paths}) == 3
-    assert not isinstance(pr, RealizerCategory)
+    assert not isinstance(pr, GpdRealizer)
     for name in ("pi", "pi_map", "label", "path_compose", "product"):
         assert not hasattr(pr, name)
 

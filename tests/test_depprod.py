@@ -355,7 +355,7 @@ def test_terminal_not_universal_for_discrete_pair(r):
     for s in r.hom(probe, iv.I0):
         for ret in r.hom(iv.I0, probe):
             rs = r.compose(ret, s)
-            for body in r.hom(prod.obj, probe):
+            for body in r.hom(prod.gpd, probe):
                 h = homotopy_from_body(r, body, probe)
                 if h.lhs == rs and h.rhs == r.identity(probe):
                     found = True

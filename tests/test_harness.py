@@ -770,6 +770,31 @@ def test_cli_suite_refusal_exits_2(argv, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "bad.gpd"],
+    ["check", "asm.txt"],               # its BASE file is not UTF-8
+    ["fmt", "bad.gpd"],
+    ["build", "product", "t.gpd", "bad.gpd"],
+    ["build", "pathobj", "bad.gpd"],
+], ids=["check", "check-reference", "fmt", "build-product", "build-pathobj"])
+def test_cli_file_that_is_not_utf8_exits_2(argv, tmp_path, capsys):
+    for name, text in FILES.items():
+        (tmp_path / name).write_text(text)
+    (tmp_path / "bad.gpd").write_bytes(GPD.encode().replace(b"T T", b"\xff T", 1))
+    (tmp_path / "asm.txt").write_text("\n".join(ASM_LINES).replace("t.gpd", "bad.gpd"))
+    assert main([str(tmp_path / a) if "." in a else a for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "bad.gpd: not UTF-8 text (invalid start byte)" in err
+
+
+def test_cli_seed_that_is_not_an_integer_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("GRAL_SEED", "abc")
+    assert main(["suite", "cogroupoid"]) == 2
+    assert capsys.readouterr() == (
+        "", "suite cogroupoid: refused: GRAL_SEED is not an integer: 'abc'\n")
+
+
 def test_weak_exponential_cap_refuses_the_same_instance(capsys):
     # the product under the evaluation is built with the weak exponential,
     # so a draw whose product exceeds the caps is skipped as before; were it

@@ -273,7 +273,7 @@ def test_constant_cell_boundary(r):
     y = codiscrete(["u", "v"])
     f = functors_between(x, y)[0]
     pa = r.product(x, r.interval.I1)
-    outer = r.product(pa.obj, r.interval.I1)
+    outer = r.product(pa.gpd, r.interval.I1)
     cell = r.compose(f, r.compose(pa.p1, outer.p1))
     sq = boundary(r, cell, x)
     idh = identity_homotopy(r, f)
@@ -288,7 +288,7 @@ def test_exponential_adjunction_exact(r):
     z = codiscrete(["p", "q"])
     pzx = r.product(z, x)
     e = r.exponential(x, y)
-    ks = functors_between(pzx.obj, y)
+    ks = functors_between(pzx.gpd, y)
     rng = random.Random(10)
     for k in rng.sample(ks, k=min(6, len(ks))):
         lam = r.transpose(k, pzx, x, y)

@@ -56,7 +56,7 @@ from gral.groupoids import (
 )
 from gral.generators import SuiteConfig
 from gral.interval import (
-    GpdRealizer, PiData, RealizerCategory, _build_pi, _chain_functor,
+    GpdRealizer, PiData, _build_pi, _chain_functor, _pi_map,
     check_cogroupoid, gpd_interval, path_of_morphism, restriction_counts,
 )
 from gral.pathcat import (
@@ -227,7 +227,7 @@ def naive_fill_square(r, top, bottom, left, right):
     """`GpdRealizer.fill_square` as it was: corner maps and edge closures."""
     iv = r.interval
     c = top.cod
-    prod = r.product(iv.I1, iv.I1).raw
+    prod = r.product(iv.I1, iv.I1)
     corner = {("0", "0"): left.omap["0"], ("0", "1"): left.omap["1"],
               ("1", "0"): right.omap["0"], ("1", "1"): right.omap["1"]}
     if (corner[("0", "0")] != top.omap["0"] or corner[("1", "0")] != top.omap["1"]
@@ -271,8 +271,8 @@ def naive_boundary_inv(r, sq):
     sq.check()
     iv = r.interval
     a, b = sq.top.a, sq.top.b
-    pa = r.product(a, iv.I1).raw
-    outer = r.product(pa.p1.dom, iv.I1).raw
+    pa = r.product(a, iv.I1)
+    outer = r.product(pa.gpd, iv.I1)
     corners = {("0", "0"): sq.top.lhs, ("1", "0"): sq.top.rhs,
                ("0", "1"): sq.bottom.lhs, ("1", "1"): sq.bottom.rhs}
 
@@ -305,10 +305,9 @@ def naive_boundary_inv(r, sq):
     return GFunctor(outer.p1.dom, b, omap, mmap)
 
 
-def naive_transpose(r, k, prod, base, target):
+def naive_transpose(r, k, raw, base, target):
     """`GpdRealizer.transpose` as it was: one NatIso per morphism of Z."""
     e = r.exponential(base, target)
-    raw = prod.raw
     z = raw.p1.cod
     omap, kz = {}, {}
     for zo in z.objects:
@@ -889,7 +888,8 @@ def test_squares_never_builds_its_largest_product(monkeypatch):
     monkeypatch.setattr(groupoids, "_paired", spy)
     # the acceptance counts
     assert run_suite("squares", SuiteConfig(seed=0, counts={"cells": 100})).ok
-    sizes = [sum(len(g.into(x)) * len(g.out_of(x)) for x in g.objects) for g in made]
+    sizes = [sum(len(g._adjacency()[1].get(x, ())) * len(g.out_of(x)) for x in g.objects)
+             for g in made]
     big = made[sizes.index(max(sizes))]
     assert max(sizes) == 262_144
     # nothing reads its table, so its builder never runs
@@ -989,7 +989,7 @@ def test_pi_map_matches_the_generic_map(seed):
     gen = _gen(seed)
     r = gen.r
     f = gen.rng.choice(functors_between(gen.small_groupoid(), gen.small_groupoid()))
-    fast, ref = r.pi_map(f), RealizerCategory.pi_map(r, f)
+    fast, ref = r.pi_map(f), _pi_map(r, f)
     assert fast.dom is ref.dom and fast.cod is ref.cod
     assert list(fast.omap.items()) == list(ref.omap.items())
     assert list(fast.mmap.items()) == list(ref.mmap.items())
@@ -1229,7 +1229,8 @@ def test_transposes_and_evaluations_match_the_hand_built_tables(seed):
     for fast, ref in transposes:
         _same_functor(fast, ref)
     for e in r._exp_cache.values():
-        _same_functor(e.ev, naive_eval(e.prod_with_base.raw, e.ev.cod,
+        raw = next(p for p in r._prod_cache.values() if p.gpd is e.ev.dom)
+        _same_functor(e.ev, naive_eval(raw, e.ev.cod,
                                        e.raw.obj_to_functor, e.raw.mor_to_natiso))
     _same_functor(w.ev.fun, naive_eval(
         w.ev_src.raw_base, y.base, {o: d[0] for o, d in w.obj_data.items()},
@@ -1607,7 +1608,7 @@ def naive_weak_evaluation(w):
     """The evaluation as `weak_exponential` built it at construction: the
     base product, the evaluation functor, the realizer and the witness."""
     x, y, r = w.exponent, w.target, w.asm.r
-    raw = r.product(w.asm.base, x.base).raw
+    raw = r.product(w.asm.base, x.base)
     fun = naive_eval(raw, y.base, {o: d[0] for o, d in w.obj_data.items()},
                      {m: d[0] for m, d in w.mor_data.items()})
     comps = {}
@@ -1667,13 +1668,14 @@ def test_paired_assemblies_match_the_unmemoized_pairing(seed):
     rx, ry = gen.rtype(), gen.rtype()
     xs = [gen.assembly(rtype=rx) for _ in range(2)]
     ys = [gen.assembly(rtype=ry) for _ in range(2)]
-    points, paths = gen.r.product(rx, ry).pi_pairs
-    assert not points and not paths
+    key = (rx.serial, ry.serial)
+    assert key not in gen.r._pi_pairs
     # the first product fills the memo; the others over the same realizer
     # types read what it left there
     for x, y in ((xs[0], ys[0]), (xs[1], ys[1]), (xs[0], ys[1]), (xs[1], ys[0])):
         p = product_assembly(x, y)
         _same_entries(p.asm.rfun, *naive_paired_rfun(x, y, p.raw_base))
+        points, paths = gen.r._pi_pairs[key]
         assert points and paths
 
 

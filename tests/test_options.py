@@ -9,15 +9,17 @@ name of the function, after `import ... as` aliases are undone, so a
 name that two functions share pools their calls.  A class's `__init__`
 is matched by calls to the class.
 
-A parameter no body reads is passed for nothing.  A method's `self` and
-interface stubs, whose body only raises, are exempt.
+A parameter no body reads is passed for nothing.  A method's `self` is
+exempt.
 
 A top-level `def` or `class`, and each method or property of such a
 class but its dunder methods, must be named by code in `src/gral` outside
 its own body, or in `demos/` or `benchmarks/`.  Re-exports in `__init__.py`
 and imports do not count, and neither do tests: a definition only tests
-reach is checked for nothing that the library does.  Names are matched
-bare, like calls above.
+reach is checked for nothing that the library does.  A top-level
+definition is named by its bare name or as an attribute; a member only as
+an attribute (`x.name`, or `getattr`/`setattr` with a constant name), so a
+local variable that shares its name does not count.
 """
 
 import ast
@@ -114,20 +116,10 @@ def test_every_defaulted_parameter_is_set_by_some_call():
     assert unset_parameters() == []
 
 
-def _only_raises(fn) -> bool:
-    """An interface stub: a body of a docstring and one `raise`."""
-    body = fn.body
-    if body and isinstance(body[0], ast.Expr) \
-            and isinstance(body[0].value, ast.Constant):
-        body = body[1:]
-    return len(body) == 1 and isinstance(body[0], ast.Raise)
-
-
 def _unread(tree):
     """(label, parameter) for each parameter its function's body never reads.
 
-    A method's first parameter (`self`) is exempt, and so are stubs whose
-    body only raises.
+    A method's first parameter (`self`) is exempt.
     """
     out = []
 
@@ -146,8 +138,7 @@ def _unread(tree):
                 read = {n.id for stmt in child.body for n in ast.walk(stmt)
                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
                 label = f"{cls}.{child.name}" if cls else child.name
-                if not _only_raises(child):
-                    out.extend((label, p.arg) for p in params if p.arg not in read)
+                out.extend((label, p.arg) for p in params if p.arg not in read)
                 visit(child, None)
             else:
                 visit(child, cls)
@@ -171,11 +162,20 @@ def test_every_parameter_is_read():
 UNREACHED = {"suites.replay_counterexample"}
 
 
-def _named(node) -> set:
-    """Every identifier `node` reads, as a name or an attribute."""
-    return {n.id if isinstance(n, ast.Name) else n.attr
-            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))
-            and isinstance(n.ctx, ast.Load)}
+def _named(node) -> tuple[set, set]:
+    """The identifiers `node` reads bare, and those it reads as attributes:
+    `x.name`, or `getattr`/`setattr` with a constant name."""
+    bare, attrs = set(), set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            bare.add(n.id)
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            attrs.add(n.attr)
+        elif isinstance(n, ast.Call) and isinstance(n.func, ast.Name) \
+                and n.func.id in ("getattr", "setattr") and len(n.args) > 1 \
+                and isinstance(n.args[1], ast.Constant):
+            attrs.add(n.args[1].value)
+    return bare, attrs
 
 
 def _members(cls):
@@ -186,29 +186,38 @@ def _members(cls):
 
 
 def unreached_definitions():
-    named, defs = set(), []
+    """Top-level definitions named nowhere, bare or as an attribute, and
+    class members never read as an attribute, outside their own bodies."""
+    bare, attrs, defs = set(), set(), []
+
+    def read(node, own=frozenset()):
+        b, a = _named(node)
+        bare.update(b - own)
+        attrs.update(a - own)
+
     for path, tree in _trees("src/gral"):
         if path.name == "__init__.py":
             continue
         for stmt in tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
-                defs.append((f"{path.stem}.{stmt.name}", stmt.name))
+                defs.append((f"{path.stem}.{stmt.name}", stmt.name, False))
                 if not isinstance(stmt, ast.ClassDef):
-                    named |= _named(stmt) - {stmt.name}
+                    read(stmt, {stmt.name})
                     continue
                 members = _members(stmt)
-                defs += [(f"{path.stem}.{stmt.name}.{m.name}", m.name)
+                defs += [(f"{path.stem}.{stmt.name}.{m.name}", m.name, True)
                          for m in members]
                 for part in ast.iter_child_nodes(stmt):
                     own = {part.name} if part in members else set()
-                    named |= _named(part) - own - {stmt.name}
+                    read(part, own | {stmt.name})
             else:
-                named |= _named(stmt)
+                read(stmt)
     for _path, tree in _trees("demos", "benchmarks"):
-        named |= _named(tree)
-    return [label for label, name in defs
-            if name not in named and label not in UNREACHED]
+        read(tree)
+    return [label for label, name, member in defs
+            if name not in (attrs if member else bare | attrs)
+            and label not in UNREACHED]
 
 
 def test_every_definition_is_reached_from_outside_the_tests():
