@@ -8,6 +8,7 @@ the GRAL_SEED environment variable, then 0.  Files are read as UTF-8.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -68,7 +69,7 @@ def _resolver_for(path: Path):
 
 
 def cmd_check(args) -> int:
-    r = gpd_interval(_caps_from(args))
+    r = None  # the realizer, built for the first assembly or morphism input
     worst = EXIT_OK
     for fname in args.files:
         path = Path(fname)
@@ -90,10 +91,12 @@ def cmd_check(args) -> int:
                     else "ASSEMBLY"
             if kind == "GROUPOID":
                 rep = validate_groupoid(textfmt.parse_groupoid(text))
-            elif kind == "ASSEMBLY":
-                rep = validate_assembly(textfmt.parse_assembly(text, resolve, r))
-            elif kind == "MORPHISM":
-                rep = validate_morphism(textfmt.parse_morphism(text, resolve, r))
+            elif kind in ("ASSEMBLY", "MORPHISM"):
+                if r is None:
+                    r = gpd_interval(_caps_from(args))
+                rep = (validate_assembly(textfmt.parse_assembly(text, resolve, r))
+                       if kind == "ASSEMBLY" else
+                       validate_morphism(textfmt.parse_morphism(text, resolve, r)))
             else:
                 raise ParseError(f"cannot check a {kind} file", 1)
         except (ParseError, StructuralError, OSError) as exc:
@@ -120,7 +123,6 @@ def cmd_build(args) -> int:
         print(f"build {args.kind}: takes {want} input{'s' * (want > 1)}, "
               f"got {len(args.inputs)}", file=sys.stderr)
         return EXIT_STRUCTURAL
-    r = gpd_interval(_caps_from(args))
     # each input is read just before it is parsed, so errors come in input order
     texts = (_read(Path(f)) for f in args.inputs)
     try:
@@ -131,6 +133,7 @@ def cmd_build(args) -> int:
                      else exponential(g1, g2, _caps_from(args)).gpd)
             _emit(textfmt.serialize_groupoid(built), args.out)
             return EXIT_OK
+        r = gpd_interval(_caps_from(args))
         if args.kind == "pathobj":
             asm = textfmt.load_assembly_bundle(next(texts), r)
             pod = path_object(asm, pgasm_interval(r))
@@ -177,7 +180,11 @@ def cmd_suite(args) -> int:
     except (StructuralError, BoundaryError, SizeCapError) as exc:
         print(f"suite {args.name}: refused: {exc}", file=sys.stderr)
         return EXIT_STRUCTURAL
-    _emit(rep.to_json() + "\n" if args.json else rep.to_text(), args.out)
+    try:
+        _emit(rep.to_json() + "\n" if args.json else rep.to_text(), args.out)
+    except OSError as exc:
+        print(f"suite {args.name}: {exc}", file=sys.stderr)
+        return EXIT_STRUCTURAL
     print(f"# elapsed {rep.elapsed:.2f}s", file=sys.stderr)
     return EXIT_OK if rep.ok else EXIT_CHECK_FAILED
 
@@ -190,12 +197,11 @@ def cmd_fmt(args) -> int:
             print("fmt handles groupoid files", file=sys.stderr)
             return EXIT_STRUCTURAL
         g = textfmt.parse_groupoid(text)
+        _emit(textfmt.groupoid_to_json(g) + "\n" if args.json
+              else textfmt.serialize_groupoid(g), args.out)
     except (ParseError, StructuralError, OSError) as exc:
         print(f"fmt: {exc}", file=sys.stderr)
         return EXIT_STRUCTURAL
-    out = textfmt.groupoid_to_json(g) + "\n" if args.json \
-        else textfmt.serialize_groupoid(g)
-    _emit(out, args.out)
     return EXIT_OK
 
 
@@ -234,8 +240,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call in a process and then reused:
+    parsing reads it and never changes it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

@@ -200,24 +200,31 @@ def _projection(y: Assembly, fb: Assembly) -> tuple[FibrationData, Assembly]:
 def _sample(n: int, make: Callable[[], Optional[T]]) -> Iterator[T]:
     """Yield up to n instances of make(), calling it at most 20 * n times.
 
-    make() returns None to skip an attempt.  A SizeCapError before the
-    first instance means the caps are too tight for the check, and it
-    propagates; after that, it skips the attempt.  Every other error
-    propagates.
+    make() returns None to skip an attempt, and a SizeCapError skips it
+    too, so that one draw over the caps does not refuse a check that the
+    next draw can run.  A second SizeCapError before the first instance
+    means the caps are too tight for the check, and the first propagates;
+    so it does when the attempts run out with no instance.  Every other
+    error propagates.
     """
     got = 0
+    refused: Optional[SizeCapError] = None  # the first, before any instance
     for _ in range(20 * n):
         try:
             inst = make()
-        except SizeCapError:
+        except SizeCapError as exc:
             if got == 0:
-                raise
+                if refused is not None:
+                    raise refused from None
+                refused = exc
             continue
         if inst is not None:
             yield inst
             got += 1
             if got == n:
                 return
+    if got == 0 and refused is not None:
+        raise refused
 
 
 def generate(kind: str, cfg: SuiteConfig, count: Optional[int] = None) -> list:

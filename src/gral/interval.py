@@ -486,9 +486,8 @@ class GpdRealizer:
         return self.compose(alpha, self.interval.sigma)
 
     def concat(self, beta: GFunctor, alpha: GFunctor) -> GFunctor:
-        """[beta, alpha]: I2 -> A for nose-to-tail paths (beta.0 = alpha.1)."""
-        if self.path_src(beta) != self.path_tgt(alpha):
-            raise BoundaryError("paths do not match nose to tail")
+        """[beta, alpha]: I2 -> A for nose-to-tail paths (beta.0 = alpha.1);
+        `copair2` refuses paths that are not."""
         return self.copair2(beta, alpha)
 
     def path_compose(self, beta: GFunctor, alpha: GFunctor) -> GFunctor:

@@ -18,7 +18,7 @@ name an error.
 from __future__ import annotations
 
 import json
-from itertools import compress, count, repeat
+from itertools import compress, count
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -88,12 +88,15 @@ def _write(kind: str, names: tuple[str, ...],
 def serialize_groupoid(g: FinGroupoid) -> str:
     _check_ids(g.morphisms)
     _check_ids(g.objects, alone=_GROUPOID_SECTIONS + ("END",))
+    comp = g.comp
+    # COMP rows in the order of their keys: keys are unique, so this is the
+    # order of the `(key, composite)` items, without comparing composites
     return _write("GROUPOID", (), (
         g.objects,
         (f"{m} {s} {t}" for m, (s, t) in ((m, g.mors[m]) for m in g.morphisms)),
         (f"{x} {g.ident[x]}" for x in g.objects),
         (f"{m} {g.inv[m]}" for m in g.morphisms),
-        (f"{a} {b} {c}" for (a, b), c in sorted(g.comp.items()))))
+        (f"{k[0]} {k[1]} {comp[k]}" for k in sorted(comp))))
 
 
 def _lines(text: str):
@@ -187,14 +190,20 @@ def _rows(f: _File, name: str):
                 yield toks, ln
 
 
+# the bytes a token of a section split at once may hold: printable ASCII
+# but the space and `#`, and every byte of a UTF-8 encoded non-ASCII
+# character
+_TOKEN_BYTES = bytes(b for b in range(0x21, 0x100) if b not in b"#\x7f")
+
+
 def _tokens(f: _File, name: str) -> Optional[list[str]]:
     """The tokens of section `name`'s rows, or None when a row does not
     hold the section's width of them.
 
     A section whose rows are each that many tokens between single spaces,
-    none holding `#`, is split at once: `isprintable` refuses every
-    whitespace character but the space, so its rows split on spaces
-    exactly as `str.split()` splits them.  Any other is split row by row.
+    none holding `#`, a control character or non-ASCII whitespace, is
+    split at once: its rows split on spaces exactly as `str.split()` splits
+    them.  Any other is split row by row.
     """
     width = _WIDTHS[name]
     block: list[str] = []
@@ -202,8 +211,14 @@ def _tokens(f: _File, name: str) -> Optional[list[str]]:
         block += f.lines[at:end]
     joined = " ".join(block)
     tokens = joined.split(" ")
-    if ("" in tokens or "#" in joined or not joined.isprintable()
-            or set(map(str.count, block, repeat(" "))) != {width - 1}):
+    # A blank row, or a space at the start or end of a row, makes an empty
+    # token.  `isprintable` refuses non-ASCII whitespace and surrogates.
+    # Deleting the token bytes from the rows' UTF-8 text then leaves each
+    # row's spaces, `#` and ASCII control characters: `width - 1` spaces a
+    # row, and nothing else, when the section splits at once.
+    if (not all(tokens) or not (joined.isascii() or joined.isprintable())
+            or ("\n".join(block) + "\n").encode().translate(None, _TOKEN_BYTES)
+            != (b" " * (width - 1) + b"\n") * len(block)):
         rows = [toks for toks, _ in _rows(f, name)]
         if any(len(toks) != width for toks in rows):
             return None
@@ -222,12 +237,12 @@ def _columns(f: _File, name: str, message: str, column: int = 0) -> list[str]:
     return tokens
 
 
-def _keyed(f: _File, name: str, keys: list, values: Iterable, noun: str,
+def _keyed(f: _File, name: str, table: dict, n: int, noun: str,
            width: int = 1) -> dict:
-    """`dict(zip(keys, values))` of a section's rows, refusing the first
-    row that repeats an earlier row's key, its first `width` tokens."""
-    table = dict(zip(keys, values))
-    if len(table) != len(keys):
+    """`table`, built from the `n` rows of a section, once no row repeats an
+    earlier row's key, its first `width` tokens: the first that does is
+    refused."""
+    if len(table) != n:
         seen = set()
         for toks, ln in _rows(f, name):
             key = " ".join(toks[:width])
@@ -260,8 +275,8 @@ def _table(f: _File, name: str, dom: Iterable[str], cod: Iterable[str]
         for col in (0, 1):
             if toks[col] not in known[col]:
                 raise ParseError(f"unknown {nouns[col]} {toks[col]!r}", ln, col + 1)
-    table = _keyed(f, name, [toks[0] for toks, _ in rows],
-                   [toks[1] for toks, _ in rows], nouns[0])
+    table = _keyed(f, name, {toks[0]: toks[1] for toks, _ in rows}, len(rows),
+                   nouns[0])
     for x in dom:
         if x not in table:
             raise ParseError(f"{name} has no row for {nouns[0]} {x!r}",
@@ -273,13 +288,15 @@ def parse_groupoid(text: str) -> FinGroupoid:
     f = _read(text, "GROUPOID")
     objects = _columns(f, "OBJECTS", "expected one object identifier", 2)
     t = _columns(f, "MORPHISMS", "expected 'id src tgt'")
-    mors = _keyed(f, "MORPHISMS", t[::3], zip(t[1::3], t[2::3]), "morphism")
+    mors = _keyed(f, "MORPHISMS", dict(zip(t[::3], zip(t[1::3], t[2::3]))),
+                  len(t) // 3, "morphism")
     t = _columns(f, "ID", "expected 'object identity'")
-    ident = _keyed(f, "ID", t[::2], t[1::2], "object")
+    ident = _keyed(f, "ID", dict(zip(t[::2], t[1::2])), len(t) // 2, "object")
     t = _columns(f, "INV", "expected 'morphism inverse'")
-    inv = _keyed(f, "INV", t[::2], t[1::2], "morphism")
+    inv = _keyed(f, "INV", dict(zip(t[::2], t[1::2])), len(t) // 2, "morphism")
     t = _columns(f, "COMP", "expected 'g f composite'")
-    comp = _keyed(f, "COMP", list(zip(t[::3], t[1::3])), t[2::3], "pair", 2)
+    comp = _keyed(f, "COMP", dict(zip(zip(t[::3], t[1::3]), t[2::3])),
+                  len(t) // 3, "pair", 2)
     return FinGroupoid(objects, mors, comp, ident, inv)
 
 
@@ -295,12 +312,13 @@ def groupoid_to_json(g: FinGroupoid) -> str:
     sort_keys=True)` prints them.
 
     A non-None indent sends `json.dumps` through its pure-Python encoder, so
-    the layout is written here and each string is escaped by the C encoder.
+    the layout is written here and each string is escaped by the C encoder,
+    each morphism id once for all the COMP rows it appears in.
     """
     enc = encode_basestring_ascii
-    mors, ident, inv = g.mors, g.ident, g.inv
-    comp = [f"[\n{enc(a)},\n{enc(b)},\n{enc(c)}\n]"
-            for (a, b), c in sorted(g.comp.items())]
+    mors, ident, inv, table = g.mors, g.ident, g.inv, g.comp
+    e = dict(zip(g.morphisms, map(enc, g.morphisms)))
+    comp = [f"[\n{e[k[0]]},\n{e[k[1]]},\n{e[table[k]]}\n]" for k in sorted(table)]
     morphisms = [f"[\n{enc(m)},\n{enc(mors[m][0])},\n{enc(mors[m][1])}\n]"
                  for m in g.morphisms]
     return _json_block([

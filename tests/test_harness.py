@@ -1,6 +1,9 @@
+import contextlib
 import hashlib
+import io
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -8,7 +11,7 @@ import pytest
 
 from gral import suites
 from gral.errors import BoundaryError, ParseError, SizeCapError, StructuralError
-from gral.cli import BUILD_INPUTS, main
+from gral.cli import BUILD_INPUTS, build_parser, main
 from gral.generators import Gen, SuiteConfig, _sample, generate
 from gral.assemblies import Assembly, identity_morphism, product_assembly, realize
 from gral.groupoids import (
@@ -799,8 +802,9 @@ def test_weak_exponential_cap_refuses_the_same_instance(capsys):
     # the product under the evaluation is built with the weak exponential,
     # so a draw whose product exceeds the caps is skipped as before; were it
     # built only when the evaluation is read, the suite would draw other
-    # instances and exit 0
-    assert main(["--seed", "0", "--max-objects", "8", "--max-morphisms", "200",
+    # instances and exit 0.  The sampler refuses at the second refusal before
+    # a check's first instance, which seed 2 under these caps reaches
+    assert main(["--seed", "2", "--max-objects", "8", "--max-morphisms", "100",
                  "suite", "pgasm-ccc"]) == 2
     assert capsys.readouterr() == (
         "", "suite pgasm-ccc: refused: weak exponential objects: 9 exceeds cap 8\n")
@@ -851,14 +855,39 @@ def test_sample_skips_none_and_stops_at_n():
 
 def test_sample_reraises_a_refusal_before_the_first_instance():
     cap = SizeCapError("product morphisms", 16, 8)
-    make, calls = _attempts([None, cap])
-    with pytest.raises(SizeCapError):
+    # a second refusal before the first instance re-raises the first
+    make, calls = _attempts([None, cap, SizeCapError("product morphisms", 9, 8)])
+    with pytest.raises(SizeCapError) as raised:
         list(_sample(3, make))
-    assert len(calls) == 2
+    assert raised.value is cap
+    assert len(calls) == 3
+    # so do attempts that run out with one refusal and no instance
+    make, calls = _attempts([cap, None])
+    with pytest.raises(SizeCapError) as raised:
+        list(_sample(3, make))
+    assert raised.value is cap
+    assert len(calls) == 60
     # after the first instance a refusal skips the attempt, like None
     make, calls = _attempts(["a", cap])
     assert list(_sample(3, make)) == ["a"]
     assert len(calls) == 60
+
+
+def test_sample_skips_one_refusal_before_the_first_instance():
+    cap = SizeCapError("product morphisms", 16, 8)
+    make, calls = _attempts([cap, "a", None, "b", "c"])
+    assert list(_sample(3, make)) == ["a", "b", "c"]
+    assert len(calls) == 5
+
+
+def test_one_draw_over_the_caps_does_not_refuse_a_suite(capsys):
+    # seed 2733's first weak-pi draw exceeds the default caps and the next
+    # one does not; refusing at the first draw exited 2
+    assert main(["--seed", "2733", "suite", "weak-pi"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("suite weak-pi seed 2733\n")
+    assert out.endswith("result pass\n")
+    assert err.startswith("# elapsed ") and err.count("\n") == 1
 
 
 def test_sample_propagates_other_errors_at_once():
@@ -908,3 +937,84 @@ def test_cli_seed_env(tmp_path, capsys, monkeypatch):
                  "--out", str(out2)]) == 0
     assert out1.read_text() == out2.read_text()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["fmt", "t.gpd"], ["fmt", "t.gpd", "--json"],
+    ["suite", "cogroupoid"], ["suite", "cogroupoid", "--json"],
+])
+def test_cli_unwritable_out_exits_2(argv, tmp_path, capsys):
+    (tmp_path / "t.gpd").write_text(GPD)
+    argv = [str(tmp_path / a) if a.endswith(".gpd") else a for a in argv]
+    out = tmp_path / "no-such-dir" / "x"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert f"No such file or directory: '{out}'" in err
+    assert not out.parent.exists()
+
+
+def test_cli_builds_no_realizer_for_groupoid_inputs(tmp_path, r, capsys, monkeypatch):
+    p = tmp_path / "i1.gpd"
+    p.write_text(textfmt.serialize_groupoid(r.interval.I1))
+    bundle = tmp_path / "a.bundle"
+    bundle.write_text(textfmt.bundle_assembly(Gen(r, 9, SizeCaps()).assembly()))
+    built = []
+    monkeypatch.setattr("gral.cli.gpd_interval",
+                        lambda caps: built.append(caps) or gpd_interval(caps))
+    assert main(["check", str(p), str(p)]) == 0
+    for kind in ("product", "exp"):
+        assert main(["build", kind, str(p), str(p)]) == 0
+    assert built == []
+    # the first input that needs it builds it, once for all the inputs
+    assert main(["check", str(p), str(bundle), str(bundle)]) == 0
+    assert built == [SizeCaps()]
+    capsys.readouterr()
+
+
+def _outcome(call, argv):
+    """The exit code, or the SystemExit code, of `call(argv)`, its stdout,
+    and its stderr without the elapsed-time line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+    return code, out.getvalue(), re.sub(r"# elapsed .*\n", "", err.getvalue())
+
+
+def test_repeated_main_calls_match_a_fresh_parser_per_call(tmp_path, r, monkeypatch):
+    def fresh(argv):
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+
+    p = tmp_path / "i1.gpd"
+    p.write_text(textfmt.serialize_groupoid(r.interval.I1))
+    bundle = tmp_path / "a.bundle"
+    bundle.write_text(textfmt.bundle_assembly(Gen(r, 9, SizeCaps()).assembly()))
+    out = str(tmp_path / "out")
+    calls = [
+        ["fmt", str(p)], ["fmt", str(p), "--json"], ["check", str(p), str(bundle)],
+        ["build", "product", str(p), str(p)], ["build", "exp", str(p), str(p)],
+        ["build", "pathobj", str(bundle), "--out", out], ["check", out],
+        ["build", "product", str(p)], ["--seed", "3", "suite", "cogroupoid"],
+        "GRAL_SEED=5", ["suite", "cogroupoid", "--json"], "GRAL_SEED=6",
+        ["suite", "cogroupoid"], ["suite", "no-such-suite"],
+        ["fmt"], ["--help"], ["fmt", "--help"], ["suite", "--help"], [],
+        ["build", "no-such-kind"], ["--seed", "x", "suite", "cogroupoid"],
+        ["fmt", str(p)],
+    ]
+    seen = {}
+    for call in (main, fresh):
+        monkeypatch.delenv("GRAL_SEED", raising=False)
+        seen[call] = []
+        for argv in calls:
+            if isinstance(argv, str):
+                monkeypatch.setenv(*argv.split("="))
+            else:
+                seen[call].append(_outcome(call, argv))
+    assert seen[main] == seen[fresh]
+    codes = [code for code, _, _ in seen[main]]
+    assert codes.count(("SystemExit", 2)) == 4 and codes.count(("SystemExit", 0)) == 3
+    assert '"seed": 5,' in seen[main][9][1] and "seed 6" in seen[main][10][1]

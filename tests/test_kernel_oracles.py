@@ -64,7 +64,9 @@ from gral.pathcat import (
     pc8_pseudoinverse,
 )
 from gral.suites import _gen_square, replay_counterexample, run_suite
-from gral.textfmt import groupoid_from_json, groupoid_to_json
+from gral.textfmt import (
+    groupoid_from_json, groupoid_to_json, parse_groupoid, serialize_groupoid,
+)
 
 SEEDS = st.integers(min_value=0, max_value=2 ** 30)
 
@@ -1123,6 +1125,35 @@ def test_json_writer_matches_json_dumps(seed, prefix, suffix):
         assert groupoid_from_json(text) == h
 
 
+def text_reference(g):
+    """`serialize_groupoid` as it was: COMP rows in the order of the sorted
+    `(key, composite)` items."""
+    return "\n".join([
+        "GRAL 1 GROUPOID", "OBJECTS", *g.objects,
+        "MORPHISMS", *(f"{m} {s} {t}" for m, (s, t) in g.mors.items()),
+        "ID", *(f"{x} {g.ident[x]}" for x in g.objects),
+        "INV", *(f"{m} {g.inv[m]}" for m in g.morphisms),
+        "COMP", *(f"{a} {b} {c}" for (a, b), c in sorted(g.comp.items())),
+        "END"]) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(SEEDS, st.randoms(use_true_random=False),
+       st.sampled_from(["\x01", "!", "0", "~", "é"]))
+def test_text_writer_matches_the_items_sorted_writer(seed, rnd, tail):
+    # ids that are prefixes of one another, grown by a character that sorts
+    # before or after the space between a row's tokens: the order of the
+    # rows as text is not the order of their keys
+    g = _gen(seed).groupoid()
+    ids = [*g.objects, *g.morphisms]
+    rnd.shuffle(ids)
+    names = {x: "a" + tail * k for k, x in enumerate(ids)}
+    for h in (g, relabel(g, names.__getitem__)):
+        text = serialize_groupoid(h)
+        assert text == text_reference(h)
+        assert parse_groupoid(text) == h
+
+
 @pytest.mark.parametrize("g", [
     FinGroupoid([], {}, {}, {}, {}),
     discrete(['"', "\\", "\x01", "é", " ", "\U0001f600"]),
@@ -1539,6 +1570,7 @@ def test_chosen_path_lifts_match_the_hand_built_functors(seed):
 
 @settings(max_examples=8, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 16))
+@example(seed=2733)  # its first draw exceeds the default caps, its next does not
 def test_dependent_transposes_match_the_hand_built_sections(seed):
     # the weak-pi draws, with the sections of every transpose compared
     drawn = []

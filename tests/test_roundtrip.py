@@ -16,7 +16,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gral import textfmt
 from gral.assemblies import Assembly, identity_morphism, realized
@@ -455,8 +455,34 @@ def _section(draw):
     return textfmt._File(lines, {}, {name: ranges}), name
 
 
+def _chosen(name, *rows):
+    """A file of one section holding `rows`, and its name."""
+    return textfmt._File([name, *rows], {}, {name: [(1, 1 + len(rows))]}), name
+
+
 @settings(max_examples=500, deadline=None)
 @given(_section())
+# token counts that add up to the width times the number of rows
+@example(_chosen("COMP", "a b", "c d e f"))
+@example(_chosen("COMP", "a b c d", "e f"))
+@example(_chosen("COMP", "a", "b c d e f", "g h i"))
+@example(_chosen("ID", "a", "b c d"))
+@example(_chosen("ID", "a b c", "d"))
+@example(_chosen("COMP", "a b", "c d é ü"))
+# rows of the width whose tokens hold whitespace other than the space, a
+# control character or `#`
+@example(_chosen("ID", "a b\xa0"))
+@example(_chosen("ID", "a\u3000b c"))
+@example(_chosen("ID", "é b\x1f"))
+@example(_chosen("ID", "a b\x1f"))
+@example(_chosen("ID", "a\tb c"))
+@example(_chosen("COMP", "a b\x0bc d"))
+@example(_chosen("COMP", "a b c", "d e\x85 f"))
+@example(_chosen("ID", "a\x01 b"))
+@example(_chosen("ID", "a\u200b b"))
+@example(_chosen("ID", "a b", "#c d"))
+@example(_chosen("ID", "a b", "c #d"))
+@example(_chosen("OBJECTS", "a", "\x7f"))
 def test_a_section_splits_at_once_as_its_rows_split(section):
     """A section split at once gives the tokens its rows give split one by
     one; a row of the wrong width gives None."""
