@@ -4,17 +4,16 @@ Each suite is a deterministic function of (seed, caps).  Reports are
 byte-stable: entries are sorted by check name and carry no timing; failing
 entries carry a replayable counterexample payload.
 
-Each check draws its instances with `generators._sample`, in at most 20
-attempts per required instance.  Sampling stops at the first instance that
-fails, a check that got fewer instances than it requires fails, and a cap
-refusal before a check's first instance refuses the whole suite.
+One runner, `_check`, records every sampled check under one rule: a check
+counts the instances it held on before its first failure and passes when
+that count is the number it requires.  One draw may feed several checks;
+sampling (`generators._sample`) stops once all of them have failed.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from itertools import takewhile
 from typing import Callable, Optional
 
 from .errors import GralError, ParseError, StructuralError
@@ -76,11 +75,34 @@ def _pi_iso_base_holds(r: GpdRealizer, g) -> bool:
             and _table_entries(_build_pi(r, g).gpd) == _table_entries(pa.gpd))
 
 
-def _held(rep: Report, name: str, n: int, make: Callable[[], object],
-          noun: str) -> None:
-    """Record whether the first n instances that `make` draws all hold."""
-    held = sum(1 for _ in takewhile(bool, _sample(n, make)))
-    rep.add(name, held == n, f"{held} {noun}")
+def _unique(w, p1, s, p2, t, keep=lambda c: True) -> bool:
+    """Exactly one functor c: w -> p1.dom has p1 . c = s, p2 . c = t and keep(c)."""
+    return sum(1 for c in functors_between(w, p1.dom, over=(p1, s))
+               if compose_functors(p2, c) == t and keep(c)) == 1
+
+
+def _check(rep: Report, checks: dict[str, str], n: int, draw: Callable,
+           cex: Optional[Callable[[str], str]] = None) -> None:
+    """Record each check of `checks` (name -> detail noun) over n draws.
+
+    draw() returns None to skip an attempt, else one verdict per check in
+    the order of `checks`, or a bare verdict for one check.  A check reads
+    "{count} {noun}", the instances it held on before its first failure,
+    and passes when count is n; cex(name) builds its counterexample then.
+    """
+    held = dict.fromkeys(checks, 0)
+    failed: dict[str, Optional[str]] = {}
+    for verdicts in _sample(n, draw):
+        verdicts = verdicts if len(checks) > 1 else (verdicts,)
+        for name, ok in zip(checks, verdicts):
+            if ok and name not in failed:
+                held[name] += 1
+            elif name not in failed:
+                failed[name] = cex(name) if cex is not None else None
+        if len(failed) == len(checks):
+            break
+    for name, noun in checks.items():
+        rep.add(name, held[name] == n, f"{held[name]} {noun}", failed.get(name))
 
 
 def _counterexample(check: str, bundle: str) -> str:
@@ -97,17 +119,13 @@ def replay_counterexample(payload: str) -> bool:
     check = head[3]
     body = "\n".join(lines[1:]) + "\n"
     r = gpd_interval()
-    if check in ("groupoid-axioms", "pi-iso-base"):
+    if check == "pi-iso-base":
         files = parse_bundle(body)
         if not files:
             raise ParseError("the bundle holds no groupoid file", 2)
-        g = parse_groupoid(next(iter(files.values())))
-        if check == "pi-iso-base":
-            return _pi_iso_base_holds(r, g)
-        return validate_groupoid(g).ok
+        return _pi_iso_base_holds(r, parse_groupoid(next(iter(files.values()))))
     if check == "morphism-witness":
-        m = load_morphism_bundle(body, r)
-        return validate_morphism(m).ok
+        return validate_morphism(load_morphism_bundle(body, r)).ok
     raise StructuralError(f"unknown counterexample kind {check!r}")
 
 
@@ -134,31 +152,26 @@ def suite_fundamental_groupoid(cfg: SuiteConfig) -> Report:
     r = gpd_interval(cfg.caps)
     gen = Gen(r, cfg.seed, cfg.caps)
     rep = Report("fundamental-groupoid", cfg.seed)
+    last = [None]  # the groupoid last drawn
 
-    n = cfg.count("groupoids", 50)
-    bad = None
-    for _ in range(n):
-        g = gen.groupoid()
-        if not _pi_iso_base_holds(r, g):
-            bad = g
-            break
-    rep.add("pi-iso-base", bad is None, f"{n} groupoids",
-            _counterexample("pi-iso-base",
-                            serialize_bundle({"g.gpd": serialize_groupoid(bad)}))
-            if bad is not None else None)
+    def pi_iso_base():
+        last[0] = gen.groupoid()
+        return _pi_iso_base_holds(r, last[0])
 
-    pairs = cfg.count("functor-pairs", 30)
-    ok = True
-    for _ in range(pairs):
+    _check(rep, {"pi-iso-base": "groupoids"}, cfg.count("groupoids", 50),
+           pi_iso_base, lambda name: _counterexample(
+               name, serialize_bundle({"g.gpd": serialize_groupoid(last[0])})))
+
+    def functor_laws():
         x, y, z = gen.small_groupoid(), gen.small_groupoid(), gen.small_groupoid()
         f = gen.rng.choice(functors_between(x, y))
         g2 = gen.rng.choice(functors_between(y, z))
-        if r.pi_map(identity_functor(x)) != identity_functor(r.pi(x).gpd):
-            ok = False
-        if r.pi_map(compose_functors(g2, f)) != \
-                compose_functors(r.pi_map(g2), r.pi_map(f)):
-            ok = False
-    rep.add("pi-functor-laws", ok, f"{pairs} composable pairs")
+        return (r.pi_map(identity_functor(x)) == identity_functor(r.pi(x).gpd)
+                and r.pi_map(compose_functors(g2, f))
+                == compose_functors(r.pi_map(g2), r.pi_map(f)))
+
+    _check(rep, {"pi-functor-laws": "composable pairs"},
+           cfg.count("functor-pairs", 30), functor_laws)
 
     def boundary_lemma():
         x = gen.small_groupoid()
@@ -187,8 +200,8 @@ def suite_fundamental_groupoid(cfg: SuiteConfig) -> Report:
                 and r.path_compose(right, top) == diag
                 and is_nat_iso(pi_homotopy(h)).ok)
 
-    target = cfg.count("boundary-pairs", 100)
-    _held(rep, "boundary-lemma", target, boundary_lemma, "homotopy/path pairs")
+    _check(rep, {"boundary-lemma": "homotopy/path pairs"},
+           cfg.count("boundary-pairs", 100), boundary_lemma)
     return rep
 
 
@@ -221,16 +234,21 @@ def suite_squares(cfg: SuiteConfig) -> Report:
     rep = Report("squares", cfg.seed)
     x = codiscrete(["a", "b"])
     y = codiscrete(["u", "v"])
-    target = cfg.count("cells", 100)
-    squares = []
-    for sq in _sample(target, lambda: _gen_square(r, gen, x, y)):
+    squares = []  # those the round trip held on, for the double functor
+
+    def roundtrip():
+        sq = _gen_square(r, gen, x, y)
+        if sq is None:
+            return None
         cell = r.boundary_inv(sq)
         if boundary(r, cell, x) != sq \
                 or r.boundary_inv(boundary(r, cell, x)) != cell:
-            break
+            return False
         squares.append(sq)
-    rep.add("boundary-roundtrip", len(squares) == target,
-            f"{len(squares)} cells")
+        return True
+
+    _check(rep, {"boundary-roundtrip": "cells"}, cfg.count("cells", 100),
+           roundtrip)
 
     ok = True
     vchecked = hchecked = 0
@@ -258,12 +276,9 @@ def suite_two_one_axioms(cfg: SuiteConfig) -> Report:
     gen = Gen(r, cfg.seed, cfg.caps)
     pg = pgasm_interval(r)
     rep = Report("two-one-axioms", cfg.seed)
-    pool = []
-    for _ in range(4):
-        x = gen.assembly(base=gen.small_groupoid(2))
-        y = gen.assembly(base=gen.small_groupoid(2))
-        z = gen.assembly(base=gen.small_groupoid(2))
-        pool.append((x, y, z))
+    pool = [tuple(gen.assembly(base=gen.small_groupoid(2)) for _ in range(3))
+            for _ in range(4)]  # (x, y, z) triples
+
     def configuration():
         x, y, z = gen.rng.choice(pool)
         c1 = gen.twocell(pg, x, y)
@@ -295,12 +310,10 @@ def suite_two_one_axioms(cfg: SuiteConfig) -> Report:
                  and swap_ok)
         return vert, horiz, lhs.iso == rhs.iso, idinv
 
-    target = cfg.count("configs", 100)
-    rows = list(_sample(target, configuration))
-    for i, name in enumerate(("vertical-realizers", "horizontal-realizers",
-                              "interchange", "identity-inverse-realizers")):
-        rep.add(name, len(rows) == target and all(row[i] for row in rows),
-                f"{len(rows)} configurations")
+    _check(rep, dict.fromkeys(("vertical-realizers", "horizontal-realizers",
+                               "interchange", "identity-inverse-realizers"),
+                              "configurations"),
+           cfg.count("configs", 100), configuration)
     return rep
 
 
@@ -310,14 +323,13 @@ def suite_pgasm_ccc(cfg: SuiteConfig) -> Report:
     rep = Report("pgasm-ccc", cfg.seed)
     t = terminal_assembly(r)
 
-    n = cfg.count("terminal", 10)
-    ok = True
-    for _ in range(n):
+    def terminal():
         x = gen.assembly()
-        m = bang(x, t)
-        cands = functors_between(x.base, t.base)
-        ok = ok and validate_morphism(m).ok and len(cands) == 1
-    rep.add("terminal-universal", ok, f"{n} assemblies")
+        return (validate_morphism(bang(x, t)).ok
+                and len(functors_between(x.base, t.base)) == 1)
+
+    n = cfg.count("terminal", 10)
+    _check(rep, {"terminal-universal": "assemblies"}, n, terminal)
 
     def product_cone():
         x = gen.assembly(base=gen.small_groupoid(2))
@@ -329,15 +341,13 @@ def suite_pgasm_ccc(cfg: SuiteConfig) -> Report:
         if m1 is None or m2 is None:
             return None
         h = p.pair(m1, m2)
-        count = sum(1 for c in functors_between(w.base, p.asm.base)
-                    if compose_functors(p.raw_base.p1, c) == m1.fun
-                    and compose_functors(p.raw_base.p2, c) == m2.fun)
         return (validate_morphism(h).ok
                 and compose_morphisms(p.p1, h) == m1
-                and compose_morphisms(p.p2, h) == m2 and count == 1)
+                and compose_morphisms(p.p2, h) == m2
+                and _unique(w.base, p.raw_base.p1, m1.fun, p.raw_base.p2, m2.fun))
 
     n = cfg.count("products", 10)
-    _held(rep, "product-universal", n, product_cone, "cones")
+    _check(rep, {"product-universal": "cones"}, n, product_cone)
 
     def beta():
         x = gen.assembly(base=gen.small_groupoid(2), rtype=r.interval.I1)
@@ -353,7 +363,7 @@ def suite_pgasm_ccc(cfg: SuiteConfig) -> Report:
                 and validate_morphism(w.ev).ok)
 
     n = cfg.count("beta", 20)
-    _held(rep, "weak-exponential-beta", n, beta, "transposes")
+    _check(rep, {"weak-exponential-beta": "transposes"}, n, beta)
 
     def modesty():
         x = gen.assembly(base=gen.small_groupoid(2), rtype=r.interval.I1)
@@ -361,7 +371,7 @@ def suite_pgasm_ccc(cfg: SuiteConfig) -> Report:
         return is_modest(weak_exponential(x, y).asm)[0]
 
     n = cfg.count("modest", 10)
-    _held(rep, "weak-exponential-modesty", n, modesty, "instances")
+    _check(rep, {"weak-exponential-modesty": "instances"}, n, modesty)
 
     pg = pgasm_interval(r)
 
@@ -372,8 +382,8 @@ def suite_pgasm_ccc(cfg: SuiteConfig) -> Report:
         return all(validate_twocell(pg, weakexp_cell(w, pg, mid)).ok
                    for mid in list(w.asm.base.morphisms)[:15])
 
-    held = sum(1 for _ in takewhile(bool, _sample(2, fillers)))
-    rep.add("weak-exponential-fillers", held == 2,
+    filled = _sample(2, fillers)
+    rep.add("weak-exponential-fillers", next(filled, False) and next(filled, False),
             "boundary-determined fillers are natural")
     return rep
 
@@ -397,24 +407,21 @@ def suite_finite_limits(cfg: SuiteConfig) -> Report:
             return False
         w = gen.assembly(base=gen.small_groupoid(2))
         for S in functors_between(w.base, x.base):
-            for T in functors_between(w.base, y.base):
-                if compose_functors(f.fun, S) != compose_functors(g.fun, T):
-                    continue
+            for T in functors_between(w.base, y.base,
+                                      over=(g.fun, compose_functors(f.fun, S))):
                 s = realize(w, x, S)
                 tm = realize(w, y, T)
                 if s is None or tm is None:
                     continue
                 u = pb.pair(s, tm)
-                count = sum(1 for c in functors_between(w.base, pb.asm.base)
-                            if compose_functors(pb.raw_base.p1, c) == S
-                            and compose_functors(pb.raw_base.p2, c) == T)
                 return (validate_morphism(u).ok
                         and compose_morphisms(pb.p1, u) == s
-                        and compose_morphisms(pb.p2, u) == tm and count == 1)
+                        and compose_morphisms(pb.p2, u) == tm
+                        and _unique(w.base, pb.raw_base.p1, S, pb.raw_base.p2, T))
         return None
 
     n = cfg.count("pullbacks", 20)
-    _held(rep, "pullback-universal", n, pullback_cone, "cones")
+    _check(rep, {"pullback-universal": "cones"}, n, pullback_cone)
 
     def pseudopullback_cone():
         z = gen.assembly(base=gen.small_groupoid(2), rtype=r.interval.I1)
@@ -440,21 +447,18 @@ def suite_finite_limits(cfg: SuiteConfig) -> Report:
             return None
         psi = twocell_from_iso(pg, gen.rng.choice(isos), fs, gt)
         u = pp.pair(s, tm, psi, pg)
-        comps = {wo: pp.conn.iso.components[u.fun.omap[wo]]
-                 for wo in w.base.objects}
-        count = sum(
-            1 for c in functors_between(w.base, pp.asm.base)
-            if compose_functors(pp.raw.p1, c) == s.fun
-            and compose_functors(pp.raw.p2, c) == tm.fun
-            and {wo: pp.conn.iso.components[c.omap[wo]]
-                 for wo in w.base.objects} == psi.iso.components)
+
+        def conn(c):
+            return {wo: pp.conn.iso.components[c.omap[wo]]
+                    for wo in w.base.objects} == psi.iso.components
+
         return (validate_morphism(u).ok
                 and compose_morphisms(pp.p1, u) == s
-                and compose_morphisms(pp.p2, u) == tm
-                and comps == psi.iso.components and count == 1)
+                and compose_morphisms(pp.p2, u) == tm and conn(u.fun)
+                and _unique(w.base, pp.raw.p1, s.fun, pp.raw.p2, tm.fun, conn))
 
     n = cfg.count("pseudopullbacks", 20)
-    _held(rep, "pseudopullback-universal", n, pseudopullback_cone, "cones")
+    _check(rep, {"pseudopullback-universal": "cones"}, n, pseudopullback_cone)
     return rep
 
 
@@ -547,7 +551,7 @@ def suite_path_axioms(cfg: SuiteConfig) -> Report:
                 and validate_morphism(s).ok)
 
     n = cfg.count("pc7", 20)
-    _held(rep, "pc7-section", n, section, "acyclic fibrations")
+    _check(rep, {"pc7-section": "acyclic fibrations"}, n, section)
 
     def pseudoinverse():
         gfib = gen.acyclic_fibration(base=gen.rng.choice(assemblies), rich=False)
@@ -564,7 +568,7 @@ def suite_path_axioms(cfg: SuiteConfig) -> Report:
                 and validate_twocell(pg, sigma).ok)
 
     n = cfg.count("pc8", 20)
-    _held(rep, "pc8-pseudoinverse", n, pseudoinverse, "pullback squares")
+    _check(rep, {"pc8-pseudoinverse": "pullback squares"}, n, pseudoinverse)
 
     def brown():
         fib = gen.rng.choice(fibrations)
@@ -579,7 +583,7 @@ def suite_path_axioms(cfg: SuiteConfig) -> Report:
         return brown_factor_check(fib, afib, aeq, f, pg)
 
     n = cfg.count("brown", 10)
-    _held(rep, "brown-stability", n, brown, "pullback squares")
+    _check(rep, {"brown-stability": "pullback squares"}, n, brown)
 
     if cfg.inject == "broken-cleavage":
         broken = _find_sabotaged_transport(fibrations)
@@ -619,7 +623,7 @@ def suite_weak_pi(cfg: SuiteConfig) -> Report:
     r = gpd_interval(cfg.caps)
     gen = Gen(r, cfg.seed, cfg.caps)
     rep = Report("weak-pi", cfg.seed)
-    rows: list[tuple[bool, bool, bool]] = []
+    rows = []  # the verdicts drawn so far
 
     def instance():
         # every third instance carries paths in the codomain realizer, so
@@ -660,16 +664,12 @@ def suite_weak_pi(cfg: SuiteConfig) -> Report:
                 fib_ok = fib_ok and dp.asm.base.is_identity(mid)
         ev_ok = (compose_functors(gfib.morphism.fun, dp.ev.fun)
                  == dp.fstar.p1.fun and validate_morphism(dp.ev).ok)
-        return fib_ok, ev_ok, beta_ok
+        rows.append((fib_ok, ev_ok, beta_ok))
+        return rows[-1]
 
-    target = cfg.count("instances", 20)
-    for row in _sample(target, instance):
-        rows.append(row)
-    for i, (name, what) in enumerate((("pif-fibration", "instances"),
-                                      ("ev-over-base", "instances"),
-                                      ("beta-law", "transposes"))):
-        rep.add(name, len(rows) == target and all(row[i] for row in rows),
-                f"{len(rows)} {what}")
+    _check(rep, {"pif-fibration": "instances", "ev-over-base": "instances",
+                 "beta-law": "transposes"},
+           cfg.count("instances", 20), instance)
     return rep
 
 
@@ -686,7 +686,7 @@ def suite_modest_closure(cfg: SuiteConfig) -> Report:
         comp = is_fibration(compose_morphisms(m1.morphism, m2.morphism))
         return isinstance(comp, FibrationData) and is_modest_fibration(comp)[0]
 
-    _held(rep, "composition-closure", n, composition, "composable pairs")
+    _check(rep, {"composition-closure": "composable pairs"}, n, composition)
 
     def pullback_square():
         y = gen.assembly(rich=False)
@@ -698,14 +698,14 @@ def suite_modest_closure(cfg: SuiteConfig) -> Report:
         fib2 = is_fibration(pullback_assembly(f, fib.morphism).p1)
         return isinstance(fib2, FibrationData) and is_modest_fibration(fib2)[0]
 
-    _held(rep, "pullback-stability", n, pullback_square, "squares")
+    _check(rep, {"pullback-stability": "squares"}, n, pullback_square)
 
     def splitting():
         fib, _total = gen.modest_fibration(base=gen.assembly(rich=False))
         split = _split_replacement(gen, fib)
         return None if split is None else is_modest_fibration(split)[0]
 
-    _held(rep, "split-replacement-modest", n, splitting, "splittings")
+    _check(rep, {"split-replacement-modest": "splittings"}, n, splitting)
 
     def pif():
         z = gen.assembly(base=gen.small_groupoid(2), rtype=r.interval.I0)
@@ -720,7 +720,7 @@ def suite_modest_closure(cfg: SuiteConfig) -> Report:
         dp = dependent_product(gfib, ffib)
         return is_modest_fibration(dp.fib)[0]
 
-    _held(rep, "pif-modest", n, pif, "dependent products")
+    _check(rep, {"pif-modest": "dependent products"}, n, pif)
 
     # a chaotic fibre is correctly rejected
     y = gen.assembly(base=gen.small_groupoid(1), rtype=r.interval.I0)
@@ -757,9 +757,7 @@ def _split_replacement(gen: Gen, fib: FibrationData):
     s_mor = _identity_eps(tilde, total, proj, e)
     tilde_m = compose_morphisms(fib.morphism, s_mor)
     got = is_fibration(tilde_m)
-    if not isinstance(got, FibrationData):
-        return None
-    return got
+    return got if isinstance(got, FibrationData) else None
 
 
 def suite_comb_alg(cfg: SuiteConfig) -> Report:
@@ -815,8 +813,8 @@ def suite_comb_alg(cfg: SuiteConfig) -> Report:
         return normalize(App(lam, a), 100000) \
             == normalize(substitute(t, var, a), 100000)
 
-    target = cfg.count("bracket", 200)
-    _held(rep, "bracket-substitution", target, polynomial, "random polynomials")
+    _check(rep, {"bracket-substitution": "random polynomials"},
+           cfg.count("bracket", 200), polynomial)
 
     cat = realizer_category_of(utca, carrier_size=3, witness_size=3)
     carrier = cat.carrier(uo)
@@ -858,7 +856,8 @@ def suite_comb_alg(cfg: SuiteConfig) -> Report:
                     cat, [], [DiscreteMorphism(src, tgt, fun, e)]).ok
         return None
 
-    _held(rep, "function-realizer-roundtrip", n, sample_morphism, "sample morphisms")
+    _check(rep, {"function-realizer-roundtrip": "sample morphisms"}, n,
+           sample_morphism)
     return rep
 
 

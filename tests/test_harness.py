@@ -6,6 +6,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -15,8 +16,8 @@ from gral.cli import BUILD_INPUTS, build_parser, main
 from gral.generators import Gen, SuiteConfig, _sample, generate
 from gral.assemblies import Assembly, identity_morphism, product_assembly, realize
 from gral.groupoids import (
-    FinGroupoid, SizeCaps, codiscrete, cyclic_group, discrete, functors_between,
-    validate_groupoid,
+    FinGroupoid, Report, SizeCaps, codiscrete, cyclic_group, discrete,
+    functors_between, identity_functor, validate_groupoid,
 )
 from gral.interval import gpd_interval
 from gral.pathcat import FibrationData, is_fibration
@@ -89,7 +90,7 @@ def test_fault_injection_and_replay():
     ("GRAL 1 COUNTEREXAMPLE\n", StructuralError),
     ("GRAL 1 COUNTEREXAMPLE pi-iso-base\n", ParseError),
     ("GRAL 1 COUNTEREXAMPLE pi-iso-base\nGRAL 1 BUNDLE\n", ParseError),
-    ("GRAL 1 COUNTEREXAMPLE groupoid-axioms\nGRAL 1 BUNDLE\n", ParseError),
+    ("GRAL 1 COUNTEREXAMPLE groupoid-axioms\nGRAL 1 BUNDLE\n", StructuralError),
     ("GRAL 1 COUNTEREXAMPLE morphism-witness\nGRAL 1 BUNDLE\n", ParseError),
 ], ids=["empty", "no-check", "no-bundle", "pi-empty-bundle", "axioms-empty-bundle",
         "morphism-empty-bundle"])
@@ -831,6 +832,18 @@ def test_tight_caps_end_without_traceback(name):
     assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("seed", range(1, 5))
+def test_tight_caps_pass_or_refuse(seed):
+    # under tight caps a suite either passes or is refused; a check that
+    # sampled too few instances would fail instead
+    for name in SUITE_NAMES:
+        try:
+            rep = run_suite(name, SuiteConfig(seed=seed, caps=SizeCaps(4, 8)))
+        except SizeCapError:
+            continue
+        assert rep.ok, (name, rep.failures)
+
+
 def _attempts(results):
     """A make() that returns or raises the given results in turn, counting calls."""
     calls = []
@@ -897,6 +910,41 @@ def test_sample_propagates_other_errors_at_once():
     assert len(calls) == 1
 
 
+def _entries(rep):
+    return [(e.name, e.ok, e.detail, e.counterexample) for e in rep.entries]
+
+
+def test_check_counts_each_check_up_to_its_first_failure():
+    # one check: None skips, and sampling stops at the first failure
+    rep = Report()
+    make, calls = _attempts([None, True, None, True, False, True])
+    suites._check(rep, {"one": "things"}, 5, make)
+    assert _entries(rep) == [("one", False, "2 things", None)]
+    assert len(calls) == 5
+    # several checks: each counts its own prefix while a sibling reaches n,
+    # and only a failing entry gets a counterexample
+    built = []
+
+    def cex(name):
+        built.append(name)
+        return f"cex {name}"
+    rep = Report()
+    make, calls = _attempts([(True, True, True), None, (True, False, True),
+                             (False, True, True), (True, True, True)])
+    suites._check(rep, {"a": "rows", "b": "rows", "c": "cells"}, 4, make, cex)
+    assert _entries(rep) == [("a", False, "2 rows", "cex a"),
+                             ("b", False, "1 rows", "cex b"),
+                             ("c", True, "4 cells", None)]
+    assert built == ["b", "a"] and len(calls) == 5
+    # sampling stops once every check has failed
+    rep = Report()
+    make, calls = _attempts([(True, False), (False, True), (True, True)])
+    suites._check(rep, {"a": "rows", "b": "rows"}, 5, make)
+    assert _entries(rep) == [("a", False, "1 rows", None),
+                             ("b", False, "0 rows", None)]
+    assert len(calls) == 2
+
+
 def test_generate_equivalence_is_bounded(monkeypatch):
     pairs = generate("equivalence", SuiteConfig(), count=2)
     assert len(pairs) == 2
@@ -925,6 +973,38 @@ def test_checks_without_enough_instances_fail(monkeypatch):
     rep = run_suite("modest-closure", SuiteConfig(counts={"instances": 2}))
     assert entry(rep, "pullback-stability") == (False, "1 squares")
     assert not rep.ok
+
+
+def _failing_call(monkeypatch, name, at, failed):
+    """Patch `suites.<name>` to return `failed(*args)` at its at-th call."""
+    real, calls = getattr(suites, name), []
+
+    def patched(*args):
+        calls.append(1)
+        return failed(*args) if len(calls) == at else real(*args)
+    monkeypatch.setattr(suites, name, patched)
+
+
+def test_a_fixed_count_check_counts_up_to_its_first_failure(monkeypatch):
+    def invalid(m):
+        rep = Report()
+        rep.add("stub", False)
+        return rep
+    # terminal-universal's draws make the suite's first validations
+    _failing_call(monkeypatch, "validate_morphism", 4, invalid)
+    rep = run_suite("pgasm-ccc", SuiteConfig(counts={
+        "products": 1, "beta": 1, "modest": 1}))
+    assert "  FAIL  terminal-universal  3 assemblies\n" in rep.to_text()
+
+
+def test_checks_of_one_draw_count_their_own_failures(monkeypatch):
+    # beta-law fails at the fifth instance; its siblings still reach 20
+    _failing_call(monkeypatch, "fstar_map", 5, lambda dp, fw, t:
+                  types.SimpleNamespace(fun=identity_functor(dp.ev.fun.dom)))
+    text = run_suite("weak-pi", SuiteConfig()).to_text()
+    assert "  FAIL  beta-law  4 transposes\n" in text
+    assert "  pass  pif-fibration  20 instances\n" in text
+    assert "  pass  ev-over-base  20 instances\n" in text
 
 
 def test_cli_seed_env(tmp_path, capsys, monkeypatch):
