@@ -8,7 +8,7 @@ import random
 from gral.groupoids import codiscrete, discrete, functors_between
 from gral.interval import check_cogroupoid, gpd_interval
 from gral.assemblies import (
-    Assembly, PGAsmRealizer, beta_holds, compose_morphisms, is_modest,
+    Assembly, beta_holds, compose_morphisms, is_modest,
     pgasm_interval, product_assembly, realize, terminal_assembly,
     transpose_morphism, validate_morphism, weak_exponential,
 )
@@ -64,5 +64,5 @@ print("chaotic assembly modest:", ok, "; witness:", witness)
 
 # Assemblies host their own interval, and it again satisfies every
 # coalgebraic diagram, with realized structure maps.
-pr = PGAsmRealizer(r)
-print("\ninternal interval diagrams all pass:", check_cogroupoid(pr).ok)
+pg = pgasm_interval(r)
+print("\ninternal interval diagrams all pass:", check_cogroupoid(pg).ok)

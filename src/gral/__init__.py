@@ -21,7 +21,7 @@ from .interval import (
     identity_homotopy, inverse_homotopy, pi_base_iso, pi_homotopy, vcomp,
 )
 from .assemblies import (
-    Assembly, PGAsmRealizer, RealizedMorphism, TwoCell, WeakExpObject,
+    Assembly, PGAsmInterval, RealizedMorphism, TwoCell, WeakExpObject,
     compose_morphisms, identity_morphism, is_modest, pgasm_interval,
     product_assembly, realize, terminal_assembly, transpose_morphism,
     twocell_hcompose, twocell_vcompose, validate_assembly, validate_morphism,
@@ -52,7 +52,7 @@ __all__ = [
     "GpdRealizer", "Homotopy", "IntervalData", "check_cogroupoid",
     "gpd_interval", "identity_homotopy", "inverse_homotopy", "pi_base_iso",
     "pi_homotopy", "vcomp",
-    "Assembly", "PGAsmRealizer", "RealizedMorphism", "TwoCell",
+    "Assembly", "PGAsmInterval", "RealizedMorphism", "TwoCell",
     "WeakExpObject", "compose_morphisms", "identity_morphism", "is_modest",
     "pgasm_interval", "product_assembly", "realize", "terminal_assembly",
     "transpose_morphism", "twocell_hcompose", "twocell_vcompose",

@@ -19,14 +19,12 @@ from .errors import BoundaryError, SizeCapError, StructuralError
 from .groupoids import (
     FinGroupoid, GFunctor, NatIso, ProductGpd, Report,
     check_product_caps, composable_pairs, compose_functors, curry, evaluation,
-    functors_between, identity_functor, identity_nat_iso, invert_nat_iso,
-    is_functor, is_nat_iso, nat_isos_between, terminal_groupoid,
-    vcompose_nat_isos, whisker_left, whisker_right,
+    fully_faithful_failure, functors_between, identity_functor,
+    identity_nat_iso, invert_nat_iso, is_functor, is_nat_iso,
+    nat_isos_between, terminal_groupoid, vcompose_nat_isos, whisker_left,
+    whisker_right,
 )
-from .interval import (
-    GpdRealizer, IntervalData, Map, _chain_functor, chain_groupoid,
-    nat_iso_functor_form,
-)
+from .interval import GpdRealizer, IntervalData, Map, nat_iso_functor_form
 
 _asm_counter = itertools.count()
 
@@ -216,20 +214,8 @@ def _constant_realizer(src: Assembly, tgt: Assembly, fun: GFunctor
 
 def is_modest(x: Assembly):
     """Fully faithful realizability functor; returns (ok, witness)."""
-    f = x.rfun
-    base, pic = x.base, x.pi.gpd
-    for a in base.objects:
-        for b in base.objects:
-            seen: dict[str, str] = {}
-            for m in base.hom(a, b):
-                fm = f.mmap[m]
-                if fm in seen:
-                    return False, ("faithful", a, b, seen[fm], m)
-                seen[fm] = m
-            for v in pic.hom(f.omap[a], f.omap[b]):
-                if v not in seen:
-                    return False, ("full", a, b, v)
-    return True, None
+    witness = fully_faithful_failure(x.rfun)
+    return witness is None, witness
 
 
 # -- terminal and products ----------------------------------------------------
@@ -271,39 +257,33 @@ class ProductAssembly:
         r = self.asm.r
         fun = self.raw_base.pair(m1.fun, m2.fun)
         e = self.rprod.pair(m1.e, m2.e)
-        pi1 = m1.tgt.pi
-        pi2 = m2.tgt.pi
-        comps = {}
-        for w in m1.src.base.objects:
-            pa = pi1.path_of[m1.eps.components[w]]
-            pb = pi2.path_of[m2.eps.components[w]]
-            comps[w] = r.pi_mor_id(self.rprod.pair(pa, pb))
+        c1, c2 = m1.eps.components, m2.eps.components
+        comps = {w: r.pi_pair(self.rprod, c1[w], c2[w]) for w in m1.src.base.objects}
         return realized(m1.src, self.asm, fun, e, comps)
 
 
 def _paired_assembly(x: Assembly, y: Assembly, raw: ProductGpd) -> ProductAssembly:
     """Realize `raw`, a product over x.base and y.base, by paired realizers.
 
-    The Pi id of a pair depends only on the two Pi ids paired, so it is read
-    from the realizer's memo for the product of the two realizer types,
-    shared by every such assembly.
+    The Pi id of a pair depends only on the two Pi ids paired (`pi_pair`),
+    so it is read from the realizer's memo for the product of the two
+    realizer types, shared by every such assembly.
     """
     r = x.r
     key = (x.rtype.serial, y.rtype.serial)
     rprod = r.product(x.rtype, y.rtype)
-    pix, piy = x.pi, y.pi
     points, paths = r._pi_pairs.setdefault(key, ({}, {}))
     omap = {}
     mmap = {}
     for (a, b), oid in raw.opair.items():
         ab = (x.rfun.omap[a], y.rfun.omap[b])
         if ab not in points:
-            points[ab] = r.pi_obj_id(rprod.pair(pix.point_of[ab[0]], piy.point_of[ab[1]]))
+            points[ab] = r.pi_pair(rprod, *ab)
         omap[oid] = points[ab]
     for (m, n), mid in raw.mpair.items():
         mn = (x.rfun.mmap[m], y.rfun.mmap[n])
         if mn not in paths:
-            paths[mn] = r.pi_mor_id(rprod.pair(pix.path_of[mn[0]], piy.path_of[mn[1]]))
+            paths[mn] = r.pi_pair(rprod, *mn)
         mmap[mid] = paths[mn]
     pi_xy = r.pi(rprod.gpd)
     rfun = GFunctor(raw.gpd, pi_xy.gpd, omap, mmap)
@@ -353,133 +333,108 @@ class TwoCell:
 
 @dataclass
 class PGAsmInterval:
-    """The interval internal to the category of assemblies."""
+    """The interval internal to the category of assemblies.
+
+    `interval` is the realizer's interval with each I_k realized by itself
+    (I0 is the terminal assembly) and its structure maps realized by
+    themselves.  `check_cogroupoid` reads `interval`, `identity`,
+    `compose`, `hom`, `copair2` and `copair3`, and nothing else; hom-sets
+    hold one realized morphism per realizable functor (morphism equality
+    is functor equality).  It is not a realizer category: `GpdRealizer` is
+    the one, and this fragment has no products, exponentials, fundamental
+    groupoids or path algebra.
+    """
 
     r: GpdRealizer
-    terminal: Assembly
-    data: IntervalData            # assemblies and realized structure maps
+    interval: IntervalData        # assemblies and realized structure maps
 
     def __post_init__(self):
         self._cylinders: dict[Any, ProductAssembly] = {}
+        self._hom_cache: dict = {}
 
     def cylinder(self, x: Assembly) -> ProductAssembly:
         key = x.key()
         if key not in self._cylinders:
-            self._cylinders[key] = product_assembly(x, self.data.I1)
+            self._cylinders[key] = product_assembly(x, self.interval.I1)
         return self._cylinders[key]
 
+    def identity(self, a: Assembly) -> RealizedMorphism:
+        return identity_morphism(a)
 
-def _chain_assembly(r: GpdRealizer, k: int, corners: list[Map],
-                    gens: list[Map]) -> Assembly:
-    """Assembly on chain_groupoid(k) realized by the interval object I_k.
+    def compose(self, g: RealizedMorphism, f: RealizedMorphism) -> RealizedMorphism:
+        return compose_morphisms(g, f)
 
-    corners[j] is the point realizing object j; gens[j] the path realizing
-    the generator p{j}{j+1}.
-    """
-    base = chain_groupoid(k)
-    rtype = gens[0].cod if gens else r.interval.I0
-    rfun = _chain_functor(base, r.pi(rtype).gpd,
-                          {str(j): r.pi_obj_id(c) for j, c in enumerate(corners)},
-                          {f"p{j}{j + 1}": r.pi_mor_id(g) for j, g in enumerate(gens)})
-    return Assembly(r, base, rtype, rfun)
+    def hom(self, a: Assembly, b: Assembly) -> list[RealizedMorphism]:
+        key = (a.key(), b.key())
+        if key not in self._hom_cache:
+            got = (realize(a, b, fun) for fun in functors_between(a.base, b.base))
+            self._hom_cache[key] = [m for m in got if m is not None]
+        return self._hom_cache[key]
+
+    def copair2(self, beta: RealizedMorphism, alpha: RealizedMorphism) -> RealizedMorphism:
+        """[beta, alpha]: I2 -> X realized by the constant map at alpha's start.
+
+        delta_0 is alpha's witness component at 0; the other components are
+        the composites forced by naturality.
+        """
+        r, iv, a = self.r, self.r.interval, self.interval
+        x = alpha.tgt
+        if beta.tgt != x or alpha.src != a.I1 or beta.src != a.I1:
+            raise BoundaryError("copair legs must be paths into a common assembly")
+        fun = r.copair2(beta.fun, alpha.fun)
+        d = r.compose(alpha.e, r.compose(iv.zero, r.terminal_map(iv.I2)))
+        pix = x.pi.gpd
+        e_path = r.pi_mor_id(alpha.e)   # alpha's realizer map, seen as a path
+        d0 = alpha.eps.components["0"]
+        d1 = pix.compose(alpha.eps.components["1"], e_path)
+        d2 = pix.compose(x.rfun.mmap[beta.fun.mmap["p01"]], d1)
+        return realized(a.I2, x, fun, d, {"0": d0, "1": d1, "2": d2})
+
+    def copair3(self, u: RealizedMorphism, v: RealizedMorphism) -> RealizedMorphism:
+        """[u, v]: I3 -> X for double paths agreeing on the shared half."""
+        r, iv, a = self.r, self.r.interval, self.interval
+        x = u.tgt
+        fun = r.copair3(u.fun, v.fun)
+        d = r.compose(u.e, r.compose(iv.i0, r.compose(iv.zero, r.terminal_map(iv.I3))))
+        pix = x.pi.gpd
+        pe = r.pi_map(u.e)
+        q = {j: pe.mmap[a.I2.rfun.mmap[f"p0{j}"]] for j in (1, 2)}
+        d0 = u.eps.components["0"]
+        d1 = pix.compose(u.eps.components["1"], q[1])
+        d2 = pix.compose(u.eps.components["2"], q[2])
+        d3 = pix.compose(x.rfun.mmap[v.fun.mmap["p12"]], d2)
+        return realized(a.I3, x, fun, d, {"0": d0, "1": d1, "2": d2, "3": d3})
+
+
+def _self_realized(r: GpdRealizer, g: FinGroupoid) -> Assembly:
+    """g realized by itself: each object by its point, each morphism by its
+    path (the inverse of `interval.pi_base_iso`)."""
+    rfun = GFunctor(g, r.pi(g).gpd, {x: "pt:" + x for x in g.objects},
+                    {m: "path:" + m for m in g.morphisms})
+    return Assembly(r, g, g, rfun)
 
 
 def pgasm_interval(r: GpdRealizer) -> PGAsmInterval:
-    """Interval assemblies with realized structure maps."""
+    """The realizer's interval realized by itself, as assemblies.
+
+    I1-I3 are `_self_realized`, and the chain structure maps sigma, two,
+    i0, i1, j0, j1 are realized by themselves; zero and one are the
+    endpoints out of the terminal assembly, star the map into it.
+    """
     iv = r.interval
     term = terminal_assembly(r)
-    c = r.compose
-    i1a = _chain_assembly(r, 1, [iv.zero, iv.one], [r.identity(iv.I1)])
-    i2a = _chain_assembly(
-        r, 2,
-        [c(iv.i0, iv.zero), c(iv.i0, iv.one), c(iv.i1, iv.one)],
-        [iv.i0, iv.i1])
-    i3a = _chain_assembly(
-        r, 3,
-        [c(iv.j0, c(iv.i0, iv.zero)), c(iv.j0, c(iv.i0, iv.one)),
-         c(iv.j0, c(iv.i1, iv.one)), c(iv.j1, c(iv.i1, iv.one))],
-        [c(iv.j0, iv.i0), c(iv.j0, iv.i1), c(iv.j1, iv.i1)])
+    i1, i2, i3 = (_self_realized(r, g) for g in (iv.I1, iv.I2, iv.I3))
 
-    def chain_map(src: Assembly, tgt: Assembly, omap: dict[str, str],
-                  gen: dict[str, str], e: Map) -> RealizedMorphism:
-        return _identity_eps(src, tgt, _chain_functor(src.base, tgt.base, omap, gen), e)
+    def point(e: Map) -> RealizedMorphism:
+        return _identity_eps(term, i1, r.compose(e, r.terminal_map(term.base)), e)
 
-    def point_map(tgt: Assembly, obj: str, e: Map) -> RealizedMorphism:
-        fun = GFunctor(term.base, tgt.base, {"T": obj},
-                       {term.base.id_of("T"): tgt.base.id_of(obj)})
-        return _identity_eps(term, tgt, fun, e)
+    def itself(src: Assembly, tgt: Assembly, m: Map) -> RealizedMorphism:
+        return _identity_eps(src, tgt, m, m)
 
-    zero = point_map(i1a, "0", iv.zero)
-    one = point_map(i1a, "1", iv.one)
-    star_fun = GFunctor(i1a.base, term.base,
-                        {o: "T" for o in i1a.base.objects},
-                        {m: term.base.id_of("T") for m in i1a.base.morphisms})
-    star = _identity_eps(i1a, term, star_fun, iv.star)
-    sigma = chain_map(i1a, i1a, {"0": "1", "1": "0"}, {"p01": "p10"}, iv.sigma)
-    two = chain_map(i1a, i2a, {"0": "0", "1": "2"}, {"p01": "p02"}, iv.two)
-    i0m = chain_map(i1a, i2a, {"0": "0", "1": "1"}, {"p01": "p01"}, iv.i0)
-    i1m = chain_map(i1a, i2a, {"0": "1", "1": "2"}, {"p01": "p12"}, iv.i1)
-    j0m = chain_map(i2a, i3a, {"0": "0", "1": "1", "2": "2"},
-                    {"p01": "p01", "p12": "p12"}, iv.j0)
-    j1m = chain_map(i2a, i3a, {"0": "1", "1": "2", "2": "3"},
-                    {"p01": "p12", "p12": "p23"}, iv.j1)
-    data = IntervalData(term, i1a, i2a, i3a, zero, one, star, sigma, two,
-                        i0m, i1m, j0m, j1m)
-    return PGAsmInterval(r, term, data)
-
-
-def pgasm_copair2(pg: PGAsmInterval, beta: RealizedMorphism,
-                  alpha: RealizedMorphism) -> RealizedMorphism:
-    """[beta, alpha]: I2 -> X realized by the constant map at alpha's start.
-
-    delta_0 is alpha's witness component at 0; the other components are
-    the composites forced by naturality.
-    """
-    r = pg.r
-    iv = r.interval
-    x = alpha.tgt
-    if beta.tgt != x or alpha.src != pg.data.I1 or beta.src != pg.data.I1:
-        raise BoundaryError("copair legs must be paths into a common assembly")
-    if beta.fun.omap["0"] != alpha.fun.omap["1"]:
-        raise BoundaryError("copair legs do not match nose to tail")
-    fun = _chain_functor(pg.data.I2.base, x.base,
-                         {"0": alpha.fun.omap["0"], "1": alpha.fun.omap["1"],
-                          "2": beta.fun.omap["1"]},
-                         {"p01": alpha.fun.mmap["p01"],
-                          "p12": beta.fun.mmap["p01"]})
-    d = r.compose(alpha.e, r.compose(iv.zero, r.terminal_map(iv.I2)))
-    pix = x.pi.gpd
-    e_path = r.pi_mor_id(alpha.e)   # alpha's realizer map, seen as a path
-    d0 = alpha.eps.components["0"]
-    d1 = pix.compose(alpha.eps.components["1"], e_path)
-    d2 = pix.compose(x.rfun.mmap[beta.fun.mmap["p01"]], d1)
-    return realized(pg.data.I2, x, fun, d, {"0": d0, "1": d1, "2": d2})
-
-
-def pgasm_copair3(pg: PGAsmInterval, u: RealizedMorphism,
-                  v: RealizedMorphism) -> RealizedMorphism:
-    """[u, v]: I3 -> X for double paths agreeing on the shared half."""
-    r = pg.r
-    iv = r.interval
-    x = u.tgt
-    if u.fun.omap["1"] != v.fun.omap["0"] or u.fun.omap["2"] != v.fun.omap["1"] \
-            or u.fun.mmap["p12"] != v.fun.mmap["p01"]:
-        raise BoundaryError("copair legs do not agree on the shared half")
-    fun = _chain_functor(pg.data.I3.base, x.base,
-                         {"0": u.fun.omap["0"], "1": u.fun.omap["1"],
-                          "2": u.fun.omap["2"], "3": v.fun.omap["2"]},
-                         {"p01": u.fun.mmap["p01"], "p12": u.fun.mmap["p12"],
-                          "p23": v.fun.mmap["p12"]})
-    d = r.compose(u.e, r.compose(iv.i0, r.compose(iv.zero, r.terminal_map(iv.I3))))
-    pix = x.pi.gpd
-    pe = r.pi_map(u.e)
-    i2rfun = pg.data.I2.rfun
-    q = {j: pe.mmap[i2rfun.mmap[f"p0{j}"]] for j in (1, 2)}
-    d0 = u.eps.components["0"]
-    d1 = pix.compose(u.eps.components["1"], q[1])
-    d2 = pix.compose(u.eps.components["2"], q[2])
-    d3 = pix.compose(x.rfun.mmap[v.fun.mmap["p12"]], d2)
-    return realized(pg.data.I3, x, fun, d, {"0": d0, "1": d1, "2": d2, "3": d3})
+    return PGAsmInterval(r, IntervalData(
+        term, i1, i2, i3, point(iv.zero), point(iv.one), bang(i1, term),
+        itself(i1, i1, iv.sigma), itself(i1, i2, iv.two), itself(i1, i2, iv.i0),
+        itself(i1, i2, iv.i1), itself(i2, i3, iv.j0), itself(i2, i3, iv.j1)))
 
 
 def validate_twocell(pg: PGAsmInterval, c: TwoCell) -> Report:
@@ -510,7 +465,7 @@ def _cell(pg: PGAsmInterval, src: RealizedMorphism, tgt: RealizedMorphism,
     components at (x, 0) and (x, 1) are at0[x] and at1[x].
     """
     x = src.src
-    body = nat_iso_functor_form(pg.r, iso, pg.data.I1.base)
+    body = nat_iso_functor_form(pg.r, iso)
     cyl = pg.cylinder(x)
     opair = cyl.raw_base.opair
     comps = {}
@@ -813,45 +768,3 @@ def beta_holds(w: WeakExpObject, k: RealizedMorphism, k_src: ProductAssembly,
     raw_ev = w.ev_src.raw_base
     lift = raw_ev.pair(compose_functors(kt.fun, raw_src.p1), raw_src.p2)
     return compose_functors(w.ev.fun, lift) == k.fun
-
-
-# -- the assembly fragment the cogroupoid checker reads ----------------------
-
-class PGAsmRealizer:
-    """Assemblies with their internal interval, as `check_cogroupoid` reads them.
-
-    Provides exactly what that checker consumes: the interval, hom
-    enumeration, composition, identities and the two copairing witnesses.
-    Hom-sets contain one realized morphism per realizable functor
-    (morphism equality is functor equality).  It is not a realizer
-    category: `GpdRealizer` is the one, and this fragment has no products,
-    exponentials or fundamental groupoids.
-    """
-
-    def __init__(self, gr: GpdRealizer):
-        self.pg = pgasm_interval(gr)
-        self.interval = self.pg.data
-        self._hom_cache: dict = {}
-
-    def identity(self, a: Assembly) -> RealizedMorphism:
-        return identity_morphism(a)
-
-    def compose(self, g: RealizedMorphism, f: RealizedMorphism) -> RealizedMorphism:
-        return compose_morphisms(g, f)
-
-    def hom(self, a: Assembly, b: Assembly) -> list[RealizedMorphism]:
-        key = (a.key(), b.key())
-        if key not in self._hom_cache:
-            out = []
-            for fun in functors_between(a.base, b.base):
-                m = realize(a, b, fun)
-                if m is not None:
-                    out.append(m)
-            self._hom_cache[key] = out
-        return self._hom_cache[key]
-
-    def copair2(self, beta: RealizedMorphism, alpha: RealizedMorphism):
-        return pgasm_copair2(self.pg, beta, alpha)
-
-    def copair3(self, u: RealizedMorphism, v: RealizedMorphism):
-        return pgasm_copair3(self.pg, u, v)

@@ -58,7 +58,7 @@ def homotopy_fibre(f: RealizedMorphism, z: str) -> HomotopyFibre:
     zb = z_asm.base
     cexp = r.exponential(iv.I1, z_asm.rtype)
     rprod = r.product(y_asm.rtype, cexp.obj)
-    piy, piz = y_asm.pi, z_asm.pi
+    piz = z_asm.pi
 
     objs: dict[tuple[str, str], str] = {}
     for y in y_asm.base.objects:
@@ -84,8 +84,7 @@ def homotopy_fibre(f: RealizedMorphism, z: str) -> HomotopyFibre:
 
     omap = {}
     for (y, u), oid in objs.items():
-        omap[oid] = r.pi_obj_id(rprod.pair(
-            piy.point_of[y_asm.rfun.omap[y]],
+        omap[oid] = r.pi_pair(rprod, y_asm.rfun.omap[y], r.pi_obj_id(
             _path_point(r, piz.path_of[z_asm.rfun.mmap[u]])))
     mmap = {}
     for mid, (q, u, u2) in minfo.items():
@@ -96,8 +95,7 @@ def homotopy_fibre(f: RealizedMorphism, z: str) -> HomotopyFibre:
             piz.path_of[z_asm.rfun.mmap[u]],
             piz.path_of[z_asm.rfun.mmap[u2]],
             z_asm.rtype)
-        mmap[mid] = r.pi_mor_id(rprod.pair(
-            piy.path_of[y_asm.rfun.mmap[q]], lam))
+        mmap[mid] = r.pi_pair(rprod, y_asm.rfun.mmap[q], r.pi_mor_id(lam))
     pi_t = r.pi(rprod.gpd)
     rfun = GFunctor(base, pi_t.gpd, omap, mmap)
     asm = Assembly(r, base, rprod.gpd, rfun)
@@ -137,8 +135,8 @@ def fibre_map(hf_src: HomotopyFibre, hf_tgt: HomotopyFibre,
             piz.path_of[f.tgt.rfun.mmap[u]],
             piz.path_of[f.tgt.rfun.mmap[ru]],
             f.tgt.rtype)
-        comps[oid] = r.pi_mor_id(rprod.pair(
-            piy.path_of[piy.gpd.id_of(f.src.rfun.omap[y])], lam))
+        comps[oid] = r.pi_pair(rprod, piy.gpd.id_of(f.src.rfun.omap[y]),
+                               r.pi_mor_id(lam))
     return realized(hf_src.asm, hf_tgt.asm, fun, r.identity(hf_src.asm.rtype), comps)
 
 
@@ -308,12 +306,9 @@ def dependent_product(g: FibrationData, f: FibrationData,
     base = FinGroupoid(list(obj_data), mors, build_comp, ident, inv)
 
     rt_prod = r.product(z_asm.rtype, exp.obj)
-    piz = z_asm.pi
-    omap = {oid: r.pi_obj_id(rt_prod.pair(piz.point_of[z_asm.rfun.omap[z]],
-                                          pie.point_of[po]))
+    omap = {oid: r.pi_pair(rt_prod, z_asm.rfun.omap[z], po)
             for oid, (z, H, po, eps) in obj_data.items()}
-    mmap = {mid: r.pi_mor_id(rt_prod.pair(piz.path_of[z_asm.rfun.mmap[rm]],
-                                          pie.path_of[fp]))
+    mmap = {mid: r.pi_pair(rt_prod, z_asm.rfun.mmap[rm], fp)
             for mid, (rm, psi, fp) in mor_data.items()}
     pi_t = r.pi(rt_prod.gpd)
     rfun = GFunctor(base, pi_t.gpd, omap, mmap)
@@ -411,7 +406,7 @@ def dp_transpose(dp: DepProd, r_mor: RealizedMorphism, s: RealizedMorphism,
         raise BoundaryError("s must lie over Y")
     bc = dp.fibres[next(iter(dp.fibres))].asm.rtype
     pie = r.pi(dp.exp.obj)
-    pix, piy, piw = x_asm.pi, y_asm.pi, w_asm.pi
+    pix, piw = x_asm.pi, w_asm.pi
     pxg = pix.gpd
     raw = fw.raw_base
     rprod_bd = fw.rprod                      # B x D
@@ -449,10 +444,8 @@ def dp_transpose(dp: DepProd, r_mor: RealizedMorphism, s: RealizedMorphism,
         e_w = slice_point(piw.point_of[w_asm.rfun.omap[w]], iv.I0)
         eps = []
         for oid in hf.asm.base.objects:
-            pair_path = rprod_bd.pair(
-                piy.path_of[y_asm.rfun.mmap[lifts[oid]]],
-                piw.path_of[piw.gpd.id_of(w_asm.rfun.omap[w])])
-            t1 = pse.mmap[r.pi_mor_id(pair_path)]
+            t1 = pse.mmap[r.pi_pair(rprod_bd, y_asm.rfun.mmap[lifts[oid]],
+                                    piw.gpd.id_of(w_asm.rfun.omap[w]))]
             t2 = s.eps.components[raw.opair[(y_asm.base.tgt(lifts[oid]), w)]]
             t3 = x_asm.rfun.mmap[etas[oid]]
             eps.append(pxg.compose(t3, pxg.compose(t2, t1)))
@@ -483,16 +476,14 @@ def dp_transpose(dp: DepProd, r_mor: RealizedMorphism, s: RealizedMorphism,
                                        pd_full.p1))
     lam_g = r.transpose(k_g, pd_full, bc, x_asm.rtype)
     e_t = dp.rt_prod.pair(r_mor.e, lam_g)
-    piz = z_asm.pi
     comps = {}
     for w in w_asm.base.objects:
         po_stored = dp.obj_data[omap[w]][2]
         po_found = r.pi_obj_id(r.compose(lam_g, piw.point_of[w_asm.rfun.omap[w]]))
         if po_found != po_stored:
             raise StructuralError("transpose realizer misses the chosen point")
-        comps[w] = r.pi_mor_id(dp.rt_prod.pair(
-            piz.path_of[r_mor.eps.components[w]],
-            pie.path_of[pie.gpd.id_of(po_stored)]))
+        comps[w] = r.pi_pair(dp.rt_prod, r_mor.eps.components[w],
+                             pie.gpd.id_of(po_stored))
     return realized(w_asm, dp.asm, fun, e_t, comps)
 
 

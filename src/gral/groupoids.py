@@ -1158,11 +1158,10 @@ class EquivalenceFailure:
     detail: str
 
 
-def equivalence_inverse(f: GFunctor):
-    """Pseudoinverse data if f is an equivalence, else the failing condition.
-
-    Representatives are chosen lexicographically.
-    """
+def fully_faithful_failure(f: GFunctor) -> Optional[tuple]:
+    """None if f is fully faithful, else its first failure in a scan of
+    the hom-sets: ("faithful", a, b, m1, m2) for two morphisms a -> b that
+    f identifies, or ("full", a, b, v) for a v: fa -> fb it misses."""
     dom, cod = f.dom, f.cod
     for a in dom.objects:
         for b in dom.objects:
@@ -1170,11 +1169,26 @@ def equivalence_inverse(f: GFunctor):
             for m in dom.hom(a, b):
                 fm = f.mmap[m]
                 if fm in seen:
-                    return EquivalenceFailure("faithful", f"{seen[fm]} and {m} collapse")
+                    return ("faithful", a, b, seen[fm], m)
                 seen[fm] = m
             for v in cod.hom(f.omap[a], f.omap[b]):
                 if v not in seen:
-                    return EquivalenceFailure("full", f"{v} has no preimage in hom({a},{b})")
+                    return ("full", a, b, v)
+    return None
+
+
+def equivalence_inverse(f: GFunctor):
+    """Pseudoinverse data if f is an equivalence, else the failing condition.
+
+    Representatives are chosen lexicographically.
+    """
+    dom, cod = f.dom, f.cod
+    failure = fully_faithful_failure(f)
+    if failure is not None and failure[0] == "faithful":
+        return EquivalenceFailure("faithful", "{3} and {4} collapse".format(*failure))
+    if failure is not None:
+        return EquivalenceFailure("full",
+                                  "{3} has no preimage in hom({1},{2})".format(*failure))
     theta: dict[str, str] = {}   # y -> iso y -> f(bwd y)
     bwd_o: dict[str, str] = {}
     for y in sorted(cod.objects):

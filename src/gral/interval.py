@@ -9,8 +9,8 @@ and the squares are written against its operations.  `_build_pi` and
 and of its action on maps, from hom-sets and path algebra alone; they are
 kept as the reference that `GpdRealizer`'s relabelled tables are checked
 against.  The interval-diagram checker also runs on
-`assemblies.PGAsmRealizer`, which provides only what that checker reads,
-for the assemblies' own interval.
+`assemblies.PGAsmInterval`, this same interval with each I_k realized by
+itself, which provides only what that checker reads.
 """
 
 from __future__ import annotations
@@ -485,14 +485,11 @@ class GpdRealizer:
     def path_inv(self, alpha: GFunctor) -> GFunctor:
         return self.compose(alpha, self.interval.sigma)
 
-    def concat(self, beta: GFunctor, alpha: GFunctor) -> GFunctor:
-        """[beta, alpha]: I2 -> A for nose-to-tail paths (beta.0 = alpha.1);
-        `copair2` refuses paths that are not."""
-        return self.copair2(beta, alpha)
-
     def path_compose(self, beta: GFunctor, alpha: GFunctor) -> GFunctor:
-        """Concatenation reparameterised back to a single path."""
-        return self.compose(self.concat(beta, alpha), self.interval.two)
+        """The concatenation [beta, alpha]: I2 -> A of nose-to-tail paths
+        (beta.0 = alpha.1), reparameterised back to a single path; `copair2`
+        refuses paths that are not nose to tail."""
+        return self.compose(self.copair2(beta, alpha), self.interval.two)
 
     # fundamental groupoid
 
@@ -508,6 +505,14 @@ class GpdRealizer:
 
     def pi_mor_id(self, path: GFunctor) -> str:
         return "path:" + self.label(path)
+
+    def pi_pair(self, prod: ProductGpd, u: str, v: str) -> str:
+        """The Pi id of the pair of the points (or paths) with Pi ids u and v
+        into prod's factors: what `pi_obj_id` (or `pi_mor_id`) gives for
+        `prod.pair` of them, read off the product's tables."""
+        if u.startswith("pt:"):
+            return "pt:" + prod.opair[(u[3:], v[3:])]
+        return "path:" + prod.mpair[(u[5:], v[5:])]
 
     def build_pi(self, a: FinGroupoid) -> PiData:
         """Pi(a), uncached, as a's tables relabelled.
@@ -616,15 +621,9 @@ def path_of_morphism(r: GpdRealizer, a: FinGroupoid, m: str) -> GFunctor:
     return _chain_functor(r.interval.I1, a, {"0": s, "1": t}, {"p01": m})
 
 
-def nat_iso_functor_form(r: GpdRealizer, n: NatIso,
-                         i1: Optional[FinGroupoid] = None) -> GFunctor:
-    """The functor X x I1 -> Y packaging a natural isomorphism.
-
-    `i1` is the walking-iso groupoid used for the cylinder; it defaults to
-    the realizer interval but may be any chain_groupoid(1) copy.
-    """
-    if i1 is None:
-        i1 = r.interval.I1
+def nat_iso_functor_form(r: GpdRealizer, n: NatIso) -> GFunctor:
+    """The functor X x I1 -> Y packaging a natural isomorphism."""
+    i1 = r.interval.I1
     F, G = n.src, n.tgt
     x, y = F.dom, F.cod
     pa = r.product(x, i1)
@@ -674,11 +673,12 @@ def check_cogroupoid(r, iv: Optional[IntervalData] = None) -> Report:
     """Scan the interval diagrams and both pushout universal properties.
 
     `r` is the realizer category `GpdRealizer`, or
-    `assemblies.PGAsmRealizer` for the assemblies' own interval; the scan
-    reads of it only `interval`, `hom`, `compose`, `identity`, `copair2`
-    and `copair3`.  The second coinverse diagram is checked in its
-    symmetric form with codomain I1 (the asymmetric printed form does not
-    typecheck); the detail of its entry says so.
+    `assemblies.PGAsmInterval` for the assemblies' own interval (the
+    realizer's, each I_k realized by itself); the scan reads of it only
+    `interval`, `hom`, `compose`, `identity`, `copair2` and `copair3`.
+    The second coinverse diagram is checked in its symmetric form with
+    codomain I1 (the asymmetric printed form does not typecheck); the
+    detail of its entry says so.
     """
     iv = iv or r.interval
     rep = Report()

@@ -10,6 +10,7 @@ mirroring the hypotheses under which the constructions are stated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Optional
 
 from .errors import BoundaryError, StructuralError
@@ -170,10 +171,10 @@ class PathObjectData:
 def path_object(x: Assembly, pg: PGAsmInterval) -> PathObjectData:
     r = x.r
     iv = r.interval
-    w = weak_exponential(pg.data.I1, x)
+    w = weak_exponential(pg.interval.I1, x)
     pix = x.pi
     pie = r.pi(w.asm.rtype)
-    i1a = pg.data.I1
+    i1a = pg.interval.I1
     i1b = i1a.base
 
     def loop_functor(xo: str) -> GFunctor:
@@ -222,8 +223,7 @@ def path_object(x: Assembly, pg: PGAsmInterval) -> PathObjectData:
     e_st = prod.rprod.pair(end_leg(iv.zero), end_leg(iv.one))
     comps = {}
     for oid, (F, po, eps) in w.obj_data.items():
-        comps[oid] = r.pi_mor_id(prod.rprod.pair(
-            pix.path_of[eps.components["0"]], pix.path_of[eps.components["1"]]))
+        comps[oid] = r.pi_pair(prod.rprod, eps.components["0"], eps.components["1"])
     st = realized(w.asm, prod.asm, st_fun, e_st, comps)
     if isinstance(is_fibration(st), LiftFailure):
         raise StructuralError("the path-object boundary map failed to be a fibration")
@@ -338,7 +338,7 @@ class PseudoPullbackAssembly:
                               r.transpose(psi.ew,
                                           r.product(w_asm.rtype, iv.I1),
                                           iv.I1, z.rtype))
-        pis, pit, piz = s.tgt.pi, t.tgt.pi, z.pi
+        piz = z.pi
         cylp = r.product(w_asm.rtype, iv.I1)
         comps = {}
         for wo in w_asm.base.objects:
@@ -350,10 +350,10 @@ class PseudoPullbackAssembly:
             bottom = piz.path_of[psi.epsw.components[cyl.raw_base.opair[(wo, "1")]]]
             right_edge = piz.path_of[z.rfun.mmap[psi.iso.components[wo]]]
             lam = _square_path(r, top, bottom, left_edge, right_edge, z.rtype)
-            comps[wo] = r.pi_mor_id(self.rtriple.pair(
-                self.rab.pair(pis.path_of[s.eps.components[wo]],
-                              pit.path_of[t.eps.components[wo]]),
-                lam))
+            comps[wo] = r.pi_pair(self.rtriple,
+                                  r.pi_pair(self.rab, s.eps.components[wo],
+                                            t.eps.components[wo]),
+                                  r.pi_mor_id(lam))
         return realized(w_asm, self.asm, fun, e, comps)
 
 
@@ -369,14 +369,13 @@ def pseudopullback_assembly(f: RealizedMorphism, g: RealizedMorphism,
     cexp = r.exponential(iv.I1, z.rtype)
     rab = r.product(f.src.rtype, g.src.rtype)
     rtriple = r.product(rab.gpd, cexp.obj)
-    pix, piy, piz = f.src.pi, g.src.pi, z.pi
+    piz = z.pi
     omap = {}
     for (a, b, rho), oid in raw.otriple.items():
         lam = _path_point(r, piz.path_of[z.rfun.mmap[rho]])
-        omap[oid] = r.pi_obj_id(rtriple.pair(
-            rab.pair(pix.point_of[f.src.rfun.omap[a]],
-                     piy.point_of[g.src.rfun.omap[b]]),
-            lam))
+        omap[oid] = r.pi_pair(rtriple, r.pi_pair(rab, f.src.rfun.omap[a],
+                                                 g.src.rfun.omap[b]),
+                              r.pi_obj_id(lam))
     mmap = {}
     rho_of = {oid: rho for (a, b, rho), oid in raw.otriple.items()}
     for (p, q, src_oid), mid in raw.mpair.items():
@@ -388,10 +387,9 @@ def pseudopullback_assembly(f: RealizedMorphism, g: RealizedMorphism,
             piz.path_of[z.rfun.mmap[rho_of[src_oid]]],
             piz.path_of[z.rfun.mmap[rho_of[tgt_oid]]],
             z.rtype)
-        mmap[mid] = r.pi_mor_id(rtriple.pair(
-            rab.pair(pix.path_of[f.src.rfun.mmap[p]],
-                     piy.path_of[g.src.rfun.mmap[q]]),
-            lam))
+        mmap[mid] = r.pi_pair(rtriple, r.pi_pair(rab, f.src.rfun.mmap[p],
+                                                 g.src.rfun.mmap[q]),
+                              r.pi_mor_id(lam))
     pi_t = r.pi(rtriple.gpd)
     rfun = GFunctor(raw.gpd, pi_t.gpd, omap, mmap)
     asm = Assembly(r, raw.gpd, rtriple.gpd, rfun)
@@ -449,20 +447,21 @@ def pc8_pseudoinverse(g: FibrationData, g_equiv: AsmEquivalence,
 # -- PC1-PC5 and Brown's lemma as checkable predicates -------------------------
 
 def pc1_isos_are_fibrations(morphisms: list[RealizedMorphism]) -> bool:
-    """Isomorphisms are fibrations; fibrations compose."""
-    for m in morphisms:
-        if _is_iso_functor(m.fun) and not isinstance(is_fibration(m), FibrationData):
-            return False
-    for m1 in morphisms:
-        for m2 in morphisms:
-            if m1.tgt != m2.src:
-                continue
-            if isinstance(is_fibration(m1), FibrationData) \
-                    and isinstance(is_fibration(m2), FibrationData):
-                if not isinstance(is_fibration(compose_morphisms(m2, m1)),
-                                  FibrationData):
-                    return False
-    return True
+    """Isomorphisms are fibrations; fibrations compose.
+
+    Whether a pooled morphism is a fibration is decided once, when first
+    asked.
+    """
+    @cache
+    def fib(i: int) -> bool:
+        return isinstance(is_fibration(morphisms[i]), FibrationData)
+
+    if any(_is_iso_functor(m.fun) and not fib(i) for i, m in enumerate(morphisms)):
+        return False
+    return not any(
+        m1.tgt == m2.src and fib(i) and fib(j)
+        and not isinstance(is_fibration(compose_morphisms(m2, m1)), FibrationData)
+        for i, m1 in enumerate(morphisms) for j, m2 in enumerate(morphisms))
 
 
 def _is_iso_functor(f: GFunctor) -> bool:
@@ -480,7 +479,7 @@ def pc2_pullback_of_fibration(fib: FibrationData, f: RealizedMorphism) -> bool:
 
 
 def pc3_terminal_fibration(x: Assembly, pg: PGAsmInterval) -> bool:
-    return isinstance(is_fibration(bang(x, pg.terminal)), FibrationData)
+    return isinstance(is_fibration(bang(x, pg.interval.I0)), FibrationData)
 
 
 def pc4_isos_are_equivalences(m: RealizedMorphism, pg: PGAsmInterval) -> bool:

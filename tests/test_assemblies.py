@@ -7,9 +7,9 @@ from gral.groupoids import (
     functors_between, identity_functor, nat_isos_between,
 )
 from gral.assemblies import (
-    Assembly, PGAsmRealizer, RealizedMorphism, _identity_eps, bang, beta_holds,
+    Assembly, RealizedMorphism, _identity_eps, bang, beta_holds,
     compose_morphisms, identity_morphism, identity_twocell,
-    inverse_twocell, is_modest, pgasm_copair2, pgasm_interval,
+    inverse_twocell, is_modest, pgasm_interval,
     product_assembly, realize, terminal_assembly, transpose_morphism,
     twocell_from_iso, twocell_hcompose, twocell_vcompose, validate_assembly,
     validate_morphism, validate_twocell, weak_exponential,
@@ -136,7 +136,7 @@ def test_composite_witness_matches_hand_pasting(r, pg):
     """The composite's filler is the pasting of the two squares, verified
     against components recomputed by hand."""
     rng = random.Random(11)
-    i1a = pg.data.I1
+    i1a = pg.interval.I1
     x = mk_assembly(r, codiscrete(["a", "b"]), r.interval.I1, 1)
     checked = 0
     for F in functors_between(i1a.base, x.base):
@@ -319,19 +319,18 @@ def test_weakexp_fillers_validate(r, pg):
 
 
 def test_pgasm_interval_realizer_table(r, pg):
-    iv = r.interval
-    i2 = pg.data.I2
-    assert i2.rfun.omap["0"] == r.pi_obj_id(r.compose(iv.i0, iv.zero))
-    assert i2.rfun.omap["2"] == r.pi_obj_id(r.compose(iv.i1, iv.one))
-    for m in (pg.data.zero, pg.data.one, pg.data.star, pg.data.sigma,
-              pg.data.two, pg.data.i0, pg.data.i1, pg.data.j0, pg.data.j1):
+    iv, asm = r.interval, pg.interval
+    assert asm.I2.rfun.omap["0"] == r.pi_obj_id(r.compose(iv.i0, iv.zero))
+    assert asm.I2.rfun.omap["2"] == r.pi_obj_id(r.compose(iv.i1, iv.one))
+    for m in (asm.zero, asm.one, asm.star, asm.sigma, asm.two, asm.i0, asm.i1,
+              asm.j0, asm.j1):
         assert validate_morphism(m).ok
-    for a in (pg.data.I1, pg.data.I2, pg.data.I3, pg.terminal):
+    for a in (asm.I1, asm.I2, asm.I3, asm.I0):
         assert validate_assembly(a).ok
 
 
 def test_pgasm_cogroupoid(r):
-    pr = PGAsmRealizer(r)
+    pr = pgasm_interval(r)
     rep = check_cogroupoid(pr)
     assert rep.ok, rep.failed()
 
@@ -344,7 +343,7 @@ def test_pgasm_pi_refuses_colliding_path_ids(r):
     const = next(f for f in functors_between(base, r.pi(r.interval.I1).gpd)
                  if len(set(f.mmap.values())) == 1)
     x = Assembly(r, base, r.interval.I1, const)
-    pr = PGAsmRealizer(r)
+    pr = pgasm_interval(r)
     paths = pr.hom(pr.interval.I1, x)
     assert len(paths) == 3
     assert len({tuple(p.fun.omap.items()) for p in paths}) == 1
@@ -354,35 +353,35 @@ def test_pgasm_pi_refuses_colliding_path_ids(r):
         assert not hasattr(pr, name)
 
 
-def test_pgasm_copair_validates(r, pg):
+def test_pgasm_interval_copair_validates(r, pg):
     x = mk_assembly(r, codiscrete(["a", "b", "c"]), r.interval.I1, 3)
-    paths = [m for m in (realize(pg.data.I1, x, f)
-                         for f in functors_between(pg.data.I1.base, x.base))
+    paths = [m for m in (realize(pg.interval.I1, x, f)
+                         for f in functors_between(pg.interval.I1.base, x.base))
              if m is not None]
     count = 0
     for alpha in paths:
         for beta in paths:
             if beta.fun.omap["0"] != alpha.fun.omap["1"]:
                 continue
-            cp = pgasm_copair2(pg, beta, alpha)
+            cp = pg.copair2(beta, alpha)
             assert validate_morphism(cp).ok
-            assert compose_morphisms(cp, pg.data.i0) == alpha
-            assert compose_morphisms(cp, pg.data.i1) == beta
+            assert compose_morphisms(cp, pg.interval.i0) == alpha
+            assert compose_morphisms(cp, pg.interval.i1) == beta
             count += 1
             if count > 10:
                 return
     assert count > 0
 
 
-def test_pgasm_copair_identity_paths(r, pg):
-    t = pg.terminal
+def test_pgasm_interval_copair_identity_paths(r, pg):
+    t = pg.interval.I0
     x = mk_assembly(r, codiscrete(["a", "b"]), r.interval.I1, 1)
     # constant path: compose a point with star
     const = compose_morphisms(
         [m for m in (realize(t, x, f) for f in functors_between(t.base, x.base))
          if m is not None][0],
-        pg.data.star)
-    cp = pgasm_copair2(pg, const, const)
+        pg.interval.star)
+    cp = pg.copair2(const, const)
     assert validate_morphism(cp).ok
     assert len(set(cp.fun.omap.values())) == 1
 

@@ -63,7 +63,7 @@ def test_homotopy_fibre_sizes_brute_force(r):
 
 def test_homotopy_fibre_over_terminal(r, pg):
     y = mk_assembly(r, codiscrete(["a", "b"]), r.interval.I1, 1)
-    t = pg.terminal
+    t = pg.interval.I0
     f = bang(y, t)
     hf = homotopy_fibre(f, "T")
     # objects are pairs (y, loop at the unique point)
@@ -296,7 +296,7 @@ def test_modest_fibration_examples(r, pg):
     ok, _ = is_modest_fibration(fib)
     assert ok
     # X -> terminal is modest iff X is modest
-    t = pg.terminal
+    t = pg.interval.I0
     fb = is_fibration(bang(x, t))
     assert is_modest_fibration(fb)[0] == is_modest(x)[0]
 

@@ -79,7 +79,7 @@ def test_path_compose_rejects_mismatch(r):
     a = codiscrete(["x", "y", "z"])
     p = path_of_morphism(r, a, "x~y")
     with pytest.raises(BoundaryError):
-        r.concat(p, p)
+        r.path_compose(p, p)
 
 
 def _sample_homotopies(r, x, y, count, seed=0):

@@ -26,7 +26,12 @@ the message eager construction gives.  The weak exponential's evaluation,
 built on first read, is held to the construction it replaces; paired Pi
 ids, read from a memo, to the pairing done anew; and the tables of weak
 exponentials and dependent products, whose paths are now each evaluated
-once, to the tables that evaluating every path at every point gives.
+once, to the tables that evaluating every path at every point gives.  A
+Pi id of a pair, read off the product's tables, is held to the id of the
+pair functor built and labelled; the assemblies' interval, the realizer's
+own I1-I3 realized by themselves, to private copies realized by listed
+corners and generators; and the path axioms' fibration closure, which
+decides each pooled morphism once, to the loop that asked every time.
 """
 
 import itertools
@@ -37,10 +42,12 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from gral import assemblies, depprod, suites
+from gral import pathcat
 from gral.assemblies import (
-    PGAsmRealizer, ProductAssembly, WeakExpObject, compose_morphisms,
-    identity_morphism, pgasm_interval, product_assembly, transpose_morphism,
-    twocell_from_iso, weak_exponential,
+    Assembly, ProductAssembly, WeakExpObject, _identity_eps,
+    compose_morphisms, identity_morphism, pgasm_interval, product_assembly,
+    terminal_assembly, transpose_morphism, twocell_from_iso,
+    validate_assembly, validate_morphism, weak_exponential,
 )
 from gral.depprod import DepProd, dependent_product, fibre_map
 from gral.errors import BoundaryError, SizeCapError, StructuralError
@@ -56,12 +63,13 @@ from gral.groupoids import (
 )
 from gral.generators import SuiteConfig
 from gral.interval import (
-    GpdRealizer, PiData, _build_pi, _chain_functor, _pi_map,
-    check_cogroupoid, gpd_interval, path_of_morphism, restriction_counts,
+    GpdRealizer, IntervalData, PiData, _build_pi, _chain_functor, _pi_map,
+    chain_groupoid, check_cogroupoid, gpd_interval, path_of_morphism,
+    restriction_counts,
 )
 from gral.pathcat import (
-    FibrationData, as_equivalence, is_fibration, path_object, pc7_section,
-    pc8_pseudoinverse,
+    FibrationData, as_equivalence, is_fibration, path_object,
+    pc1_isos_are_fibrations, pc7_section, pc8_pseudoinverse,
 )
 from gral.suites import _gen_square, replay_counterexample, run_suite
 from gral.textfmt import (
@@ -1046,7 +1054,7 @@ def test_pushout_counts_match_naive_on_standard_probes(probe):
 
 
 def test_pushout_counts_match_naive_on_an_assembly_probe():
-    pr = PGAsmRealizer(gpd_interval())
+    pr = pgasm_interval(gpd_interval())
     _assert_counts_match(pr, pr.interval.I2)
 
 
@@ -1287,7 +1295,7 @@ COGROUPOID_ENTRIES = [
 
 
 @pytest.mark.parametrize("make", [
-    gpd_interval, lambda: PGAsmRealizer(gpd_interval()),
+    gpd_interval, lambda: pgasm_interval(gpd_interval()),
 ], ids=["groupoids", "assemblies"])
 def test_cogroupoid_entries_are_pinned(make):
     rep = check_cogroupoid(make())
@@ -1790,3 +1798,134 @@ def test_path_objects_and_modesty_build_no_evaluation(monkeypatch):
     assert [sum(pod.pobj.asm is b for b in evaluated) for pod in path_objects] == \
         [1] * len(path_objects)
     assert not any({"ev", "ev_src"} & set(vars(pod.pobj)) for pod in path_objects)
+
+
+# --- the self-realized interval, paired Pi ids, fibration closure -----------
+
+def naive_pgasm_interval(r):
+    """The assemblies' interval as `pgasm_interval` built it: private copies
+    of I1-I3 realized by listed corners and generators, and the table of
+    every chain structure map written out."""
+    iv = r.interval
+    term = terminal_assembly(r)
+    c = r.compose
+
+    def chain_assembly(k, corners, gens):
+        base = chain_groupoid(k)
+        rtype = gens[0].cod
+        rfun = _chain_functor(base, r.pi(rtype).gpd,
+                              {str(j): r.pi_obj_id(p) for j, p in enumerate(corners)},
+                              {f"p{j}{j + 1}": r.pi_mor_id(g) for j, g in enumerate(gens)})
+        return Assembly(r, base, rtype, rfun)
+
+    i1a = chain_assembly(1, [iv.zero, iv.one], [r.identity(iv.I1)])
+    i2a = chain_assembly(2, [c(iv.i0, iv.zero), c(iv.i0, iv.one), c(iv.i1, iv.one)],
+                         [iv.i0, iv.i1])
+    i3a = chain_assembly(3, [c(iv.j0, c(iv.i0, iv.zero)), c(iv.j0, c(iv.i0, iv.one)),
+                             c(iv.j0, c(iv.i1, iv.one)), c(iv.j1, c(iv.i1, iv.one))],
+                         [c(iv.j0, iv.i0), c(iv.j0, iv.i1), c(iv.j1, iv.i1)])
+
+    def chain_map(src, tgt, omap, gen, e):
+        return _identity_eps(src, tgt, _chain_functor(src.base, tgt.base, omap, gen), e)
+
+    def point_map(tgt, obj, e):
+        fun = GFunctor(term.base, tgt.base, {"T": obj},
+                       {term.base.id_of("T"): tgt.base.id_of(obj)})
+        return _identity_eps(term, tgt, fun, e)
+
+    star_fun = GFunctor(i1a.base, term.base, {o: "T" for o in i1a.base.objects},
+                        {m: term.base.id_of("T") for m in i1a.base.morphisms})
+    return IntervalData(
+        term, i1a, i2a, i3a, point_map(i1a, "0", iv.zero), point_map(i1a, "1", iv.one),
+        _identity_eps(i1a, term, star_fun, iv.star),
+        chain_map(i1a, i1a, {"0": "1", "1": "0"}, {"p01": "p10"}, iv.sigma),
+        chain_map(i1a, i2a, {"0": "0", "1": "2"}, {"p01": "p02"}, iv.two),
+        chain_map(i1a, i2a, {"0": "0", "1": "1"}, {"p01": "p01"}, iv.i0),
+        chain_map(i1a, i2a, {"0": "1", "1": "2"}, {"p01": "p12"}, iv.i1),
+        chain_map(i2a, i3a, {"0": "0", "1": "1", "2": "2"},
+                  {"p01": "p01", "p12": "p12"}, iv.j0),
+        chain_map(i2a, i3a, {"0": "1", "1": "2", "2": "3"},
+                  {"p01": "p12", "p12": "p23"}, iv.j1))
+
+
+def _asm_entries(a):
+    g = a.base
+    return (g.objects, dict(g.mors), dict(g.comp), dict(g.ident), dict(g.inv),
+            a.rtype.serial, dict(a.rfun.omap), dict(a.rfun.mmap))
+
+
+def _ends(data, m):
+    """The names of m's source and target among data's assemblies."""
+    names = ("I0", "I1", "I2", "I3")
+    return tuple(next(k for k in names if getattr(data, k) is a) for a in (m.src, m.tgt))
+
+
+def test_self_realized_interval_matches_the_listed_corners():
+    r = gpd_interval()
+    iv = r.interval
+    got, ref = pgasm_interval(r).interval, naive_pgasm_interval(r)
+    for name in ("I0", "I1", "I2", "I3"):
+        assert _asm_entries(getattr(got, name)) == _asm_entries(getattr(ref, name)), name
+        assert validate_assembly(getattr(got, name)).ok
+    assert got.I1.base is iv.I1 and got.I2.base is iv.I2 and got.I3.base is iv.I3
+    for name in ("zero", "one", "star", "sigma", "two", "i0", "i1", "j0", "j1"):
+        m, n = getattr(got, name), getattr(ref, name)
+        s, t = _ends(ref, n)
+        assert m.src is getattr(got, s) and m.tgt is getattr(got, t), name
+        assert m.fun.dom is m.src.base and m.fun.cod is m.tgt.base
+        assert (m.fun.omap, m.fun.mmap, m.e, m.eps.components) == \
+            (n.fun.omap, n.fun.mmap, n.e, n.eps.components), name
+        assert validate_morphism(m).ok
+
+
+@settings(max_examples=25, deadline=None)
+@given(SEEDS)
+def test_pi_pair_matches_the_labelled_pair_functor(seed):
+    gen = _gen(seed)
+    r = gen.r
+    a = gen.rng.choice([gen.rtype(), gen.small_groupoid()])
+    b = gen.rng.choice([gen.rtype(), gen.small_groupoid()])
+    prod = r.product(a, b)
+    pa, pb = r.pi(a), r.pi(b)
+    for u, pu in pa.point_of.items():
+        for v, pv in pb.point_of.items():
+            assert r.pi_pair(prod, u, v) == r.pi_obj_id(prod.pair(pu, pv))
+    for u, pu in pa.path_of.items():
+        for v, pv in pb.path_of.items():
+            assert r.pi_pair(prod, u, v) == r.pi_mor_id(prod.pair(pu, pv))
+
+
+def naive_pc1(morphisms):
+    """`pc1_isos_are_fibrations` as it was: every pooled morphism's
+    fibration verdict decided anew wherever it is asked for."""
+    for m in morphisms:
+        if pathcat._is_iso_functor(m.fun) and not isinstance(is_fibration(m), FibrationData):
+            return False
+    for m1 in morphisms:
+        for m2 in morphisms:
+            if m1.tgt != m2.src:
+                continue
+            if isinstance(is_fibration(m1), FibrationData) \
+                    and isinstance(is_fibration(m2), FibrationData):
+                if not isinstance(is_fibration(compose_morphisms(m2, m1)),
+                                  FibrationData):
+                    return False
+    return True
+
+
+@settings(max_examples=10, deadline=None)
+@given(SEEDS)
+def test_fibration_closure_decides_each_pooled_morphism_once(seed):
+    gen = _gen(seed)
+    xs = [gen.assembly(base=gen.small_groupoid(2)) for _ in range(4)]
+    pool = [m for m in (gen.morphism(gen.rng.choice(xs), gen.rng.choice(xs))
+                        for _ in range(8)) if m is not None]
+    pool += [identity_morphism(x) for x in xs[:2]]
+    asked = []
+    decide = pathcat.is_fibration
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pathcat, "is_fibration", lambda m: asked.append(m) or decide(m))
+        got = pc1_isos_are_fibrations(pool)
+    assert got == naive_pc1(pool)
+    pooled = [id(m) for m in asked if any(m is p for p in pool)]
+    assert len(pooled) == len(set(pooled))

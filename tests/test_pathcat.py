@@ -54,8 +54,8 @@ def test_fibration_into_terminal(r, pg):
 
 
 def test_point_inclusion_not_fibration(r, pg):
-    i1a = pg.data.I1
-    m = pg.data.zero
+    i1a = pg.interval.I1
+    m = pg.interval.zero
     assert isinstance(is_fibration(m), LiftFailure)
 
 
@@ -261,7 +261,7 @@ def test_pullback_universal(r, pg):
 
 
 def test_pseudopullback_over_terminal_is_product(r, pg):
-    t = pg.terminal
+    t = pg.interval.I0
     x = mk_assembly(r, codiscrete(["a", "b"]), r.interval.I1, 0)
     y = mk_assembly(r, cyclic_group(2), r.interval.I1, 0)
     pp = pseudopullback_assembly(bang(x, t), bang(y, t), pg)
